@@ -1,7 +1,7 @@
 """Benchmark the numba kernels against their numpy fallbacks.
 
-Runs the backward PDE stepping and the tilted path simulation through both
-code paths, checks they agree, and prints a timing table.
+Runs the tilted path simulation through both code paths, checks they
+agree, and prints a timing table.  The PDE step has no jitted twin.
 
     python3 benchmarks/bench_kernels.py
 """
@@ -11,7 +11,7 @@ import numpy as np
 
 from superbsde import _kernels
 from superbsde.dual_mc import FeedbackControl
-from superbsde.forward_model import ForwardModel, TanhDrift, ZeroDrift, draw_increments
+from superbsde.forward_model import ForwardModel, ZeroDrift, draw_increments
 from superbsde.generators import PowerGenerator
 from superbsde.hj_solver import GridSpec, solve
 from superbsde.terminal_data import TerminalCondition
@@ -29,56 +29,6 @@ def time_it(fn, repeat=3):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def bench_hj():
-    rng = np.random.default_rng(0)
-    n = 1601
-    x = np.linspace(-8.0, 8.0, n)
-    u = 0.5 * np.cos(x) + 0.02 * rng.standard_normal(n)
-    bvals = 0.3 * np.tanh(x)
-    dx = float(x[1] - x[0])
-    q = 3.0
-    args = (u, bvals, dx, 1.0)
-    # one representative base step near the terminal layer (heaviest cap)
-    pcap, dt_base = 4.0, 1e-3
-
-    def run_numba():
-        return _kernels.hj_base_step_numba(*args, _kernels.GEN_POWER, q,
-                                           pcap, dt_base, 1 << 21)
-
-    def run_numpy():
-        return _kernels.hj_base_step_numpy(*args, lambda r: r**q,
-                                           lambda r: q * r ** (q - 1.0),
-                                           pcap, dt_base, 1 << 21)
-
-    run_numba()  # compile outside the timer
-    tb, (ub, nb, _) = time_it(run_numba)
-    tp, (up, npv, _) = time_it(run_numpy)
-    assert nb == npv
-    assert np.allclose(ub, up, rtol=1e-12)
-    return "hj_base_step (1601 cells)", tb, tp
-
-
-def bench_solve():
-    model = ForwardModel(TanhDrift(0.3), 1.0, 1.0, lam=0.3)
-    gen = PowerGenerator(3.0)
-    tc = TerminalCondition.analytic("cos", amplitude=1.0)
-    grid = GridSpec(n_x=801, dt=2e-3, x_lo=-8.0, x_hi=8.0)
-
-    def run(disable):
-        saved = _kernels.USE_NUMBA
-        _kernels.USE_NUMBA = not disable
-        try:
-            return solve(model, gen, tc, grid, 0.0)
-        finally:
-            _kernels.USE_NUMBA = saved
-
-    run(False)  # warm the jit
-    tb, sb = time_it(lambda: run(False), repeat=2)
-    tp, sp = time_it(lambda: run(True), repeat=2)
-    assert np.allclose(sb.u, sp.u, rtol=1e-10, atol=1e-12)
-    return "full PDE solve (801 x 500)", tb, tp
 
 
 def bench_em():
@@ -109,7 +59,7 @@ def bench_em():
 
 
 def main():
-    rows = [bench_hj(), bench_solve(), bench_em()]
+    rows = [bench_em()]
     width = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{width}}  {'numba':>9}  {'numpy':>9}  speedup")
     for name, tb, tp in rows:

@@ -5,11 +5,21 @@ Hamilton-Jacobi equation
 
 plus the exact Cole-Hopf reference for the quadratic generator.
 
-Scheme: explicit stepping in time-to-go with a local Lax-Friedrichs flux,
-centered second differences for the diffusion, linear extension (zero
-curvature) at the two edges, and CFL substepping
+Scheme: IMEX stepping in time-to-go.  The diffusion 0.5 sigma^2 u_xx is
+implicit (centered second differences, one tridiagonal solve per
+substep); the Hamiltonian is explicit with a local Lax-Friedrichs flux.
+At the two edges the ghost node copies the edge value (a Neumann ghost),
+for the diffusion and the flux alike.  Substeps obey only the hyperbolic
+CFL bound
 
-    dt_eff <= 0.9 dx^2 / (sigma^2 + theta dx).
+    dt_eff <= CFL_SAFETY dx / max_i theta_i,
+
+with theta_i = |sigma| g'(|sigma| p_i) + |b_i| the Lax-Friedrichs
+dissipation at the larger (clamped) one-sided slope p_i, not the dx^2
+diffusion bound.  The implicit part is the inverse of an M-matrix and
+the explicit part is monotone under that bound, so the scheme is
+monotone and the discrete comparison and maximum principles hold.  A
+level that turns non-finite raises ResolutionError.
 
 The superquadratic Hamiltonian has an unbounded gradient Lipschitz
 constant, so the gradient argument of g is clamped at 1.5x the a-priori
@@ -33,6 +43,7 @@ from .generators import QuadraticGenerator
 from .terminal_data import Lipschitz
 
 CAP_SAFETY = 1.5
+CFL_SAFETY = 0.9  # hyperbolic CFL factor; <= 1 keeps the explicit part monotone
 
 
 @dataclass
@@ -84,9 +95,6 @@ class PdeSolution:
     def horizon(self):
         return float(self.t_grid[0])
 
-    def _ascending(self):
-        return self.t_grid[::-1], self.u[::-1], self.z[::-1]
-
     def _bilinear(self, mat, t, x):
         t_asc = self.t_grid[::-1]
         m_asc = mat[::-1]
@@ -109,10 +117,6 @@ class PdeSolution:
     def z_at(self, t, x):
         """Bilinear interpolation of the Z-field (x clamped to the grid)."""
         return self._bilinear(self.z, t, x)
-
-    def value(self):
-        """u(t0, x_center-nearest grid point... ) -- u at the bottom level."""
-        return self.u[-1]
 
     def level_time_to_go(self):
         return self.horizon - self.t_grid
@@ -169,9 +173,15 @@ def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
     """Solve the terminal-value problem backward from T to t0.
 
     envelope_sup_norm / envelope_lipschitz override ||Phi|| and L in the
-    gradient clamp; passing common values across runs makes the scheme
-    identical, which is what the comparison/translation properties and the
-    regularization ladders need.
+    gradient clamp; passing common values across runs gives them the same
+    clamp, which is what the comparison/translation properties and the
+    regularization ladders need.  The substep schedule still follows each
+    run's own theta_max, so runs whose gradients differ take different
+    substeps; data shifted by a constant keeps the schedule, so
+    translation holds to rounding.
+
+    Raises ResolutionError when a level needs more than
+    grid.max_substeps substeps or turns non-finite.
     """
     x, t_desc = _grid_arrays(model, grid, t0)
     dx = float(x[1] - x[0])
@@ -190,28 +200,24 @@ def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
     u[0] = np.asarray(tc(x), dtype=float)
     z[0] = _central_z(u[0], dx, model.sigma)
 
-    code = gen.kernel_code()
-    use_numba = _kernels.USE_NUMBA and code is not None
-    if not use_numba:
-        h_vec = lambda r: np.asarray(gen.h(r), dtype=float)
-        hp_vec = lambda r: np.asarray(gen.hp(r), dtype=float)
+    h_vec = lambda r: np.asarray(gen.h(r), dtype=float)
+    hp_vec = lambda r: np.asarray(gen.hp(r), dtype=float)
+    diffusion = _kernels.ImplicitDiffusion(x.size)
 
     for k in range(n_t - 1):
         s_src = t_desc[k]
         tau = max(model.horizon - s_src, dt_base)
         pcap = _p_cap(model, sup_norm, lip, tau)
         bvals = np.asarray(model.drift(s_src, x), dtype=float)
-        if use_numba:
-            unew, nsub, hit = _kernels.hj_base_step_numba(
-                u[k], bvals, dx, model.sigma, code[0], code[1], pcap,
-                dt_base, grid.max_substeps)
-        else:
-            unew, nsub, hit = _kernels.hj_base_step_numpy(
-                u[k], bvals, dx, model.sigma, h_vec, hp_vec, pcap,
-                dt_base, grid.max_substeps)
+        unew, nsub, hit = _kernels.hj_base_step(
+            u[k], bvals, dx, model.sigma, h_vec, hp_vec, pcap,
+            dt_base, grid.max_substeps, CFL_SAFETY, diffusion)
         if nsub < 0:
             raise ResolutionError(
                 f"CFL substep ceiling {grid.max_substeps} exceeded at level {k}")
+        if not np.all(np.isfinite(unew)):
+            raise ResolutionError(
+                f"non-finite solution at level {k + 1} (t = {t_desc[k + 1]:.6g})")
         u[k + 1] = unew
         z[k + 1] = _central_z(unew, dx, model.sigma)
         cap_active[k + 1] = hit
@@ -289,9 +295,16 @@ def z_field(sol):
 
 def solve_regularized_family(model, gen, tc, m_list, side, grid, t0):
     """PDE ladder with terminal data Phi_m (side='lower') or upper
-    regularizations (side='upper'); all members share the gradient
-    envelope of the unregularized Phi so the scheme is identical and the
-    discrete comparison principle applies member to member."""
+    regularizations (side='upper'), one solve per member.
+
+    All members share the clamp envelope of the unregularized Phi (its
+    sup norm and the Lipschitz bound max(m)), so they step the same
+    monotone scheme.  They do not share the substep schedule: each
+    member's CFL bound follows its own gradients (for the slope-50 spike
+    on 801 x 2e-3, the lower ladder m = 2, 4, 8, 16 takes 2, 2, 3, 4
+    substeps on the first level), so member-to-member order is the
+    comparison principle of the continuous problem, kept up to the
+    discretization error."""
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     if list(m_list) != sorted(m_list):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from superbsde import hj_solver
+from superbsde._kernels import ImplicitDiffusion
 from superbsde.errors import NotGaussianError, ResolutionError
 from superbsde.forward_model import ForwardModel, LinearDrift, ZeroDrift
 from superbsde.generators import PowerGenerator, QuadraticGenerator
@@ -45,10 +47,61 @@ class TestBasics:
             solve(bm_model(), PowerGenerator(3.0), tc, GridSpec(n_x=32), 0.0)
 
     def test_substep_ceiling(self):
-        tc = TerminalCondition.analytic("cos")
+        # step data is not Lipschitz: the clamp grows like tau^{-1/2}, so
+        # the hyperbolic CFL bound needs several substeps on the first level
+        tc = TerminalCondition.step(0.0, -1.0, 1.0)
+        free = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
+        assert free.substeps[1] > 1
         tight = GridSpec(n_x=401, dt=5e-3, x_lo=-8, x_hi=8, max_substeps=1)
         with pytest.raises(ResolutionError):
             solve(bm_model(), PowerGenerator(3.0), tc, tight, 0.0)
+
+    def test_cfl_defect_raises_instead_of_nan(self, monkeypatch):
+        # twice the hyperbolic CFL bound breaks monotonicity and the step
+        # data blows up; solve must name the level, not return NaNs
+        monkeypatch.setattr(hj_solver, "CFL_SAFETY", 2.0)
+        tc = TerminalCondition.step(0.0, -1.0, 1.0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ResolutionError, match="non-finite solution at level"):
+            solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
+
+
+def _dense_implicit_diffusion(n, c):
+    """I - c D2 with ghost nodes copying the edge values."""
+    a = np.diag(np.full(n, 1.0 + 2.0 * c))
+    a[0, 0] = a[-1, -1] = 1.0 + c
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = a[idx + 1, idx] = -c
+    return a
+
+
+class TestImplicitDiffusion:
+    @pytest.mark.parametrize("n", [64, 128, 801, 1601])
+    def test_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        solver = ImplicitDiffusion(n)
+        for c in (0.3, 20.0, 1e4):
+            a = _dense_implicit_diffusion(n, c)
+            rhs = 10.0 * rng.standard_normal((3, n))
+            tol = 1e-12 * (1.0 + np.max(np.abs(rhs)))
+            stacked = solver(rhs, c)
+            assert stacked.shape == rhs.shape
+            assert np.max(np.abs(stacked @ a.T - rhs)) <= tol
+            row = solver(rhs[1], c)
+            assert row.shape == (n,)
+            assert np.max(np.abs(a @ row - rhs[1])) <= tol
+
+    @pytest.mark.parametrize("c", [0.3, 20.0, 1e4])
+    def test_zero_rhs_gives_exact_zeros(self, c):
+        solver = ImplicitDiffusion(801)
+        assert not np.any(solver(np.zeros(801), c))
+        assert not np.any(solver(np.zeros((2, 801)), c))
+
+    def test_input_not_modified(self):
+        rhs = np.linspace(-1.0, 1.0, 64)
+        keep = rhs.copy()
+        ImplicitDiffusion(64)(rhs, 5.0)
+        assert np.array_equal(rhs, keep)
 
 
 class TestColeHopf:

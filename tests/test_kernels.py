@@ -15,44 +15,6 @@ pytestmark = pytest.mark.skipif(not _kernels.USE_NUMBA,
                                 reason="numba disabled; only one path to test")
 
 
-class TestHjStep:
-    @pytest.mark.parametrize("kind,par", [(_kernels.GEN_POWER, 3.0),
-                                          (_kernels.GEN_QUADRATIC, 0.5)])
-    def test_paths_agree(self, kind, par):
-        rng = np.random.default_rng(1)
-        n = 257
-        x = np.linspace(-4.0, 4.0, n)
-        u = 0.4 * np.cos(x) + 0.05 * rng.standard_normal(n)
-        bvals = 0.3 * np.tanh(x)
-        dx = float(x[1] - x[0])
-        if kind == _kernels.GEN_POWER:
-            h = lambda r: r**par
-            hp = lambda r: par * r ** (par - 1.0)
-        else:
-            h = lambda r: par * r * r
-            hp = lambda r: 2.0 * par * r
-        a, na, ca = _kernels.hj_base_step_numba(u, bvals, dx, 1.0, kind, par,
-                                                5.0, 1e-3, 1 << 20)
-        b, nb, cb = _kernels.hj_base_step_numpy(u, bvals, dx, 1.0, h, hp,
-                                                5.0, 1e-3, 1 << 20)
-        assert na == nb and ca == cb
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-
-    def test_cap_flag_agrees(self):
-        x = np.linspace(-2.0, 2.0, 129)
-        u = np.abs(x)  # slope 1 > cap
-        dx = float(x[1] - x[0])
-        a, _, ca = _kernels.hj_base_step_numba(u, np.zeros_like(x), dx, 1.0,
-                                               _kernels.GEN_POWER, 3.0, 0.5,
-                                               1e-3, 1 << 20)
-        b, _, cb = _kernels.hj_base_step_numpy(u, np.zeros_like(x), dx, 1.0,
-                                               lambda r: r**3,
-                                               lambda r: 3 * r**2, 0.5,
-                                               1e-3, 1 << 20)
-        assert ca and cb
-        assert np.allclose(a, b, rtol=1e-12)
-
-
 class TestEmPaths:
     def test_untilted_agree(self):
         dw = draw_increments(3, 64, 32, 1.0 / 32)
