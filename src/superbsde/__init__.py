@@ -4,18 +4,16 @@ simulation, a monotone finite-difference solver, dual Monte Carlo bounds,
 path-level bound checks, and the three ill-posedness constructions.
 """
 
-from ._kernels import USE_NUMBA
 from .generators import (Conjugate, PowerGenerator, QuadraticGenerator,
                          SampledGenerator, TruncatedGenerator, check_growth_duality,
-                         conjugate_eval, conjugate_of, eval_g, grad_g,
-                         superquadratic_probe, truncate, young_gap)
-from .terminal_data import (TerminalCondition, eval_phi, inf_convolution,
-                            sup_convolution, uniform_gap_bound)
+                         conjugate_of, superquadratic_probe, truncate, young_gap)
+from .terminal_data import (TerminalCondition, inf_convolution, sup_convolution,
+                            uniform_gap_bound)
 from .forward_model import (ForwardModel, LinearDrift, PathBundle, TanhDrift,
                             ZeroDrift, check_compat_417, gaussian_terminal_law,
                             simulate_paths)
 from .hj_solver import (GridSpec, PdeSolution, cole_hopf_reference, solve,
-                        solve_regularized_family, z_field)
+                        solve_regularized_family)
 from .dual_mc import (ConstantControl, DualEstimate, FeedbackControl,
                       PiecewiseConstantControl, ZeroControl, duality_gap,
                       evaluate_control, feedback_control)

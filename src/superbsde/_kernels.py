@@ -1,56 +1,17 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels, all pure numpy.
 
 The Hamilton-Jacobi step (``hj_base_step`` with its ``ImplicitDiffusion``
-solve) is pure numpy and has no jitted twin.  The Euler-Maruyama and comb
-kernels use the jitted path when numba imports cleanly and the
-environment variable ``SUPERBSDE_DISABLE_NUMBA`` is unset/falsy; each has
-a numpy twin with identical semantics, and the test suite asserts
-agreement.
-
-Jitted kernels only ever see plain arrays and scalar "kind" codes;
-anything that needs a Python callable (custom drifts, sampled generators)
-goes through the numpy path, which the callers select automatically.
+solve), the Euler-Maruyama path loop (``em_paths``) and the comb sweep
+(``comb_cross_overlap``) are vectorized over cells, paths and teeth
+respectively.  The step and the path loop take generator profiles, drifts
+and tilts as vectorized Python callables, so every kind (sampled,
+truncated, custom) runs the same code.
 """
-
-import os
 
 import numpy as np
 
-_ENV_DISABLE = os.environ.get("SUPERBSDE_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-try:
-    if _ENV_DISABLE:
-        raise ImportError("numba disabled by SUPERBSDE_DISABLE_NUMBA")
-    from numba import njit
-
-    USE_NUMBA = True
-except ImportError:
-    USE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # passthrough decorator so the jitted twins stay importable
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# generator kind codes shared with the jitted kernels
-GEN_POWER = 0
-GEN_QUADRATIC = 1
-
-# drift kind codes: b(x) and b_x(x)
-DRIFT_ZERO = 0
-DRIFT_LINEAR = 1  # b = par*x
-DRIFT_TANH = 2  # b = par*tanh(x)
-
-# tilt kind codes
-TILT_NONE = 0
-TILT_CONST = 1
-TILT_PIECEWISE = 2
-TILT_FEEDBACK = 3
+# numba is not a dependency; perfbench/run.py reports this in its machine facts
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -197,114 +158,12 @@ def hj_base_step(u, bvals, dx, sigma, h_vec, hp_vec, pcap, dt_base, max_substeps
 # Euler-Maruyama path loop (optionally Girsanov-tilted)
 # ---------------------------------------------------------------------------
 
-@njit(inline="always")
-def _pow_pos(r, p):
-    # generic float pow dominates the cell loop; the common exponents are
-    # small integers, so special-case them into multiplications
-    if p == 1.0:
-        return r
-    if p == 2.0:
-        return r * r
-    if p == 3.0:
-        return r * r * r
-    if p == 4.0:
-        r2 = r * r
-        return r2 * r2
-    return r ** p
-
-
-@njit(inline="always")
-def _drift_eval(dkind, dpar, x):
-    if dkind == DRIFT_ZERO:
-        return 0.0, 0.0
-    if dkind == DRIFT_LINEAR:
-        return dpar * x, dpar
-    th = np.tanh(x)
-    return dpar * th, dpar * (1.0 - th * th)
-
-
-@njit(inline="always")
-def _gprime_eval(gkind, gpar, z):
-    if gkind == GEN_POWER:
-        if z == 0.0:
-            return 0.0
-        m = gpar * _pow_pos(abs(z), gpar - 1.0)
-        return m if z > 0.0 else -m
-    return 2.0 * gpar * z
-
-
-@njit(inline="always")
-def _tilt_eval(tkind, tpar, t_brk, q_vals, tg0, dtg, nt, xg0, dxg, nx, zmat,
-               gkind, gpar, t, x):
-    if tkind == TILT_NONE:
-        return 0.0
-    if tkind == TILT_CONST:
-        return tpar
-    if tkind == TILT_PIECEWISE:
-        idx = np.searchsorted(t_brk, t, side='right')
-        return q_vals[idx]
-    # feedback: bilinear interpolation of the z-field, then g'
-    ft = (t - tg0) / dtg
-    it = int(ft)
-    if it < 0:
-        it = 0
-    if it > nt - 2:
-        it = nt - 2
-    lt = ft - it
-    if lt < 0.0:
-        lt = 0.0
-    if lt > 1.0:
-        lt = 1.0
-    fx = (x - xg0) / dxg
-    ix = int(fx)
-    if ix < 0:
-        ix = 0
-    if ix > nx - 2:
-        ix = nx - 2
-    lx = fx - ix
-    if lx < 0.0:
-        lx = 0.0
-    if lx > 1.0:
-        lx = 1.0
-    z = ((1.0 - lt) * ((1.0 - lx) * zmat[it, ix] + lx * zmat[it, ix + 1])
-         + lt * ((1.0 - lx) * zmat[it + 1, ix] + lx * zmat[it + 1, ix + 1]))
-    return _gprime_eval(gkind, gpar, z)
-
-
-@njit(cache=True, fastmath=True)
-def em_paths_numba(x0, t0, dt, dw, sigma, dkind, dpar, tkind, tpar, t_brk, q_vals,
-                   tg0, dtg, nt, xg0, dxg, nx, zmat, gkind, gpar):
+def em_paths(x0, t0, dt, dw, sigma, drift, drift_x, rate):
     """Euler-Maruyama with exact per-step exponential variational flow.
 
-    Returns (x_paths, flow_paths, diverged_step); diverged_step is -1 on
-    success."""
-    npaths, nsteps = dw.shape
-    x = np.empty((npaths, nsteps + 1))
-    flow = np.empty((npaths, nsteps + 1))
-    diverged = -1
-    for p in range(npaths):
-        xc = x0
-        fc = 1.0
-        x[p, 0] = xc
-        flow[p, 0] = fc
-        for k in range(nsteps):
-            t = t0 + k * dt
-            b, bx = _drift_eval(dkind, dpar, xc)
-            q = _tilt_eval(tkind, tpar, t_brk, q_vals, tg0, dtg, nt, xg0, dxg, nx,
-                           zmat, gkind, gpar, t, xc)
-            xc = xc + (b + sigma * q) * dt + sigma * dw[p, k]
-            if bx != 0.0:
-                fc = fc * np.exp(bx * dt)
-            if not np.isfinite(xc):
-                return x, flow, k
-            x[p, k + 1] = xc
-            flow[p, k + 1] = fc
-    return x, flow, diverged
-
-
-def em_paths_numpy(x0, t0, dt, dw, sigma, drift, drift_x, rate):
-    """Numpy twin: drift, drift_x and rate(t, x) are vectorized Python
-    callables (rate may be None for an untilted run)."""
+    drift, drift_x and rate(t, x) are vectorized Python callables (rate
+    may be None for an untilted run).  Returns (x_paths, flow_paths,
+    diverged_step); diverged_step is -1 on success."""
     npaths, nsteps = dw.shape
     x = np.empty((npaths, nsteps + 1))
     flow = np.empty((npaths, nsteps + 1))
@@ -332,18 +191,6 @@ def em_paths_numpy(x0, t0, dt, dw, sigma, drift, drift_x, rate):
 # Periodic comb measures (non-stability construction)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _comb_measure_nb(t, period, width):
-    if t <= 0.0:
-        return 0.0
-    n = np.floor(t / period)
-    r = t - n * period
-    extra = r - (period - width)
-    if extra < 0.0:
-        extra = 0.0
-    return n * width + extra
-
-
 def comb_measure(t, period, width):
     """Lebesgue measure of [0, t] intersected with the comb whose tooth is
     the last `width` of each `period` (vectorized in t)."""
@@ -353,38 +200,13 @@ def comb_measure(t, period, width):
     return n * width + np.maximum(0.0, r - (period - width))
 
 
-@njit(cache=True)
-def comb_cross_overlap_numba(alpha_j, period_j, width_j, period_k, width_k, edges):
+def comb_cross_overlap(alpha_j, period_j, width_j, period_k, width_k, edges,
+                       chunk=1 << 20):
     """Per-bin measure of teeth_j intersect teeth_k, binned by `edges`.
 
-    Sweeps the alpha_j teeth of the coarser comb; teeth must be narrower
-    than every bin (caller contract), so a tooth spans at most two bins."""
-    nb = edges.shape[0] - 1
-    out = np.zeros(nb)
-    for i in range(1, alpha_j + 1):
-        b = i * period_j
-        a = b - width_j
-        ov = _comb_measure_nb(b, period_k, width_k) - _comb_measure_nb(a, period_k, width_k)
-        if ov <= 0.0:
-            continue
-        ia = np.searchsorted(edges, a, side='right') - 1
-        ib = np.searchsorted(edges, b, side='right') - 1
-        if ia < 0:
-            ia = 0
-        if ib > nb - 1:
-            ib = nb - 1
-        if ia == ib:
-            out[ia] += ov
-        else:
-            split = edges[ib]
-            left = _comb_measure_nb(split, period_k, width_k) - _comb_measure_nb(a, period_k, width_k)
-            out[ia] += left
-            out[ib] += ov - left
-    return out
-
-
-def comb_cross_overlap_numpy(alpha_j, period_j, width_j, period_k, width_k, edges,
-                             chunk=1 << 20):
+    Sweeps the alpha_j teeth of the coarser comb in chunks; teeth must be
+    narrower than every bin (caller contract), so a tooth spans at most
+    two bins."""
     nb = edges.shape[0] - 1
     out = np.zeros(nb)
     for start in range(1, alpha_j + 1, chunk):
@@ -401,15 +223,10 @@ def comb_cross_overlap_numpy(alpha_j, period_j, width_j, period_k, width_k, edge
         same = ia == ib
         np.add.at(out, ia[same], ov[same])
         if np.any(~same):
-            aa, bb, oo = a[~same], b[~same], ov[~same]
+            aa, oo = a[~same], ov[~same]
             ja, jb = ia[~same], ib[~same]
             left = comb_measure(edges[jb], period_k, width_k) - comb_measure(aa, period_k, width_k)
             np.add.at(out, ja, left)
             np.add.at(out, jb, oo - left)
     return out
 
-
-# the EM kernels differ in signature between paths (kind codes vs
-# callables), so their callers dispatch explicitly on USE_NUMBA plus
-# whether the inputs are kind-codeable; only the comb sweep is a drop-in
-comb_cross_overlap = comb_cross_overlap_numba if USE_NUMBA else comb_cross_overlap_numpy

@@ -309,7 +309,7 @@ def _run_oracle(cfg, out):
     vals = hj_solver.cole_hopf_reference(model, gen, tc, cfg.t0, xs)
     with open(out / "oracle.csv", "w", newline="") as fh:
         fh.write("x,u_oracle\n")
-        for x, v in zip(xs, vals):
+        for x, v in zip(xs.tolist(), vals.tolist()):
             fh.write(f"{x!r},{v!r}\n")
     mid = hj_solver.cole_hopf_reference(model, gen, tc, cfg.t0, cfg.x0)
     rows = [CheckLine("oracle finite on grid", float(np.max(np.abs(vals))),
@@ -493,19 +493,6 @@ def run(cfg):
     print(f"{cfg.command}: {'ok' if ok else 'HARD CHECK FAILED'} "
           f"({len(rows)} checks) -> {out}")
     return 0 if ok else 1
-
-
-def emit_report(results, out_dir):
-    """Write a (rows, extra_lines) pair produced by a runner to out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows, extra = results
-    _write_checks(rows, out / "checks.csv")
-    with open(out / "summary.txt", "w") as fh:
-        for line in extra:
-            fh.write(line + "\n")
-        for r in rows:
-            fh.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}\n")
 
 
 def main(argv=None):

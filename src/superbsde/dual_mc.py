@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .forward_model import simulate_paths
-
-_EMPTY = np.empty(0)
-_EMPTY2 = np.empty((1, 1))
 
 
 class ControlProcess:
@@ -28,19 +24,12 @@ class ControlProcess:
     def rate(self, t, x):
         raise NotImplementedError
 
-    def kernel_spec(self):
-        return None
-
 
 class ZeroControl(ControlProcess):
     kind = "zero"
 
     def rate(self, t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    def kernel_spec(self):
-        return (_kernels.TILT_NONE, 0.0, _EMPTY, _EMPTY,
-                0.0, 1.0, 2, 0.0, 1.0, 2, _EMPTY2, 0, 0.0)
 
 
 class ConstantControl(ControlProcess):
@@ -51,10 +40,6 @@ class ConstantControl(ControlProcess):
 
     def rate(self, t, x):
         return np.full_like(np.asarray(x, dtype=float), self.q)
-
-    def kernel_spec(self):
-        return (_kernels.TILT_CONST, self.q, _EMPTY, _EMPTY,
-                0.0, 1.0, 2, 0.0, 1.0, 2, _EMPTY2, 0, 0.0)
 
 
 class PiecewiseConstantControl(ControlProcess):
@@ -76,10 +61,6 @@ class PiecewiseConstantControl(ControlProcess):
         idx = int(np.searchsorted(self.breakpoints, t, side="right"))
         return np.full_like(np.asarray(x, dtype=float), self.values[idx])
 
-    def kernel_spec(self):
-        return (_kernels.TILT_PIECEWISE, 0.0, self.breakpoints, self.values,
-                0.0, 1.0, 2, 0.0, 1.0, 2, _EMPTY2, 0, 0.0)
-
 
 class FeedbackControl(ControlProcess):
     """q*(t, x) = g'(Z(t, x)) with Z bilinearly interpolated off the PDE grid.
@@ -91,22 +72,9 @@ class FeedbackControl(ControlProcess):
     def __init__(self, sol, gen):
         self.sol = sol
         self.gen = gen
-        self._t_asc = sol.t_grid[::-1].copy()
-        self._z_asc = np.ascontiguousarray(sol.z[::-1])
 
     def rate(self, t, x):
         return self.gen.grad(self.sol.z_at(t, x))
-
-    def kernel_spec(self):
-        code = self.gen.kernel_code()
-        if code is None:
-            return None
-        tg = self._t_asc
-        xg = self.sol.x_grid
-        return (_kernels.TILT_FEEDBACK, 0.0, _EMPTY, _EMPTY,
-                float(tg[0]), float(tg[1] - tg[0]), int(tg.size),
-                float(xg[0]), float(xg[1] - xg[0]), int(xg.size),
-                self._z_asc, code[0], code[1])
 
 
 @dataclass(frozen=True)

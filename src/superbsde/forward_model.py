@@ -1,7 +1,7 @@
 """Forward diffusion dX = b(s, X) ds + sigma dB, its variational flow, and
 Euler-Maruyama simulation with optional Girsanov tilting.
 
-The model is scalar (one spatial dimension, one Brownian driver, constant
+The model is scalar (a 1-D state, one Brownian driver, constant
 sigma > 0); the drift carries its own spatial derivative so the flow
 d(grad X) = b_x(X) grad X ds integrates with an exact exponential per
 step.  Paths use counter-based Philox streams keyed by (seed, path index),
@@ -33,9 +33,6 @@ class Drift:
         """Exact sup |b_x| when known in closed form, else None."""
         return None
 
-    def kernel_code(self):
-        return None
-
 
 class ZeroDrift(Drift):
     zero = True
@@ -48,9 +45,6 @@ class ZeroDrift(Drift):
 
     def sup_dx(self):
         return 0.0
-
-    def kernel_code(self):
-        return (_kernels.DRIFT_ZERO, 0.0)
 
     def __repr__(self):
         return "ZeroDrift()"
@@ -71,9 +65,6 @@ class LinearDrift(Drift):
     def sup_dx(self):
         return abs(self.beta)
 
-    def kernel_code(self):
-        return (_kernels.DRIFT_LINEAR, self.beta)
-
     def __repr__(self):
         return f"LinearDrift(beta={self.beta})"
 
@@ -93,9 +84,6 @@ class TanhDrift(Drift):
 
     def sup_dx(self):
         return abs(self.scale)
-
-    def kernel_code(self):
-        return (_kernels.DRIFT_TANH, self.scale)
 
     def __repr__(self):
         return f"TanhDrift(scale={self.scale})"
@@ -173,14 +161,15 @@ class PathBundle:
 
     def to_csv(self, path):
         """One row per (path, step): path,t,x,flow,dB."""
-        n_paths, n_knots = self.x_paths.shape
+        # Python floats from tolist(), one path at a time (see PdeSolution.to_csv)
+        times = self.times.tolist()
         with open(path, "w", newline="") as fh:
             fh.write("path,t,x,flow,dB\n")
-            for p in range(n_paths):
-                for k in range(n_knots):
-                    db = self.noise[p, k - 1] if k > 0 else 0.0
-                    fh.write(f"{p},{self.times[k]!r},{self.x_paths[p, k]!r},"
-                             f"{self.flow_paths[p, k]!r},{db!r}\n")
+            for p in range(self.x_paths.shape[0]):
+                dbs = [0.0] + self.noise[p].tolist()
+                for t, x, flow, db in zip(times, self.x_paths[p].tolist(),
+                                          self.flow_paths[p].tolist(), dbs):
+                    fh.write(f"{p},{t!r},{x!r},{flow!r},{db!r}\n")
 
 
 def draw_increments(seed, n_paths, n_steps, dt):
@@ -209,34 +198,14 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     dw = draw_increments(seed, n_paths, n_steps, dt)
     times = t0 + dt * np.arange(n_steps + 1)
 
-    dcode = model.drift.kernel_code()
-    tspec = _tilt_kernel_spec(tilt)
-    if _kernels.USE_NUMBA and dcode is not None and tspec is not None:
-        x, flow, bad = _kernels.em_paths_numba(
-            float(x0), float(t0), dt, dw, model.sigma, dcode[0], dcode[1], *tspec)
-    else:
-        rate = None if tilt is None else tilt.rate
-        x, flow, bad = _kernels.em_paths_numpy(
-            float(x0), float(t0), dt, dw, model.sigma,
-            model.drift, model.drift.dx, rate)
+    rate = None if tilt is None else tilt.rate
+    x, flow, bad = _kernels.em_paths(float(x0), float(t0), dt, dw, model.sigma,
+                                     model.drift, model.drift.dx, rate)
     if bad >= 0:
         raise SimulationDivergedError(bad)
     return PathBundle(times=times, x_paths=x, flow_paths=flow, noise=dw,
                       seed=int(seed), stream_count=int(n_paths),
                       x0=float(x0), t0=float(t0), tilted=tilt is not None)
-
-
-_EMPTY = np.empty(0)
-_EMPTY2 = np.empty((1, 1))
-
-
-def _tilt_kernel_spec(tilt):
-    """Kernel arguments for a tilt, or None when it needs the numpy path."""
-    if tilt is None:
-        return (_kernels.TILT_NONE, 0.0, _EMPTY, _EMPTY,
-                0.0, 1.0, 2, 0.0, 1.0, 2, _EMPTY2, 0, 0.0)
-    spec = getattr(tilt, "kernel_spec", None)
-    return spec() if spec is not None else None
 
 
 @dataclass(frozen=True)

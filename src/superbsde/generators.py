@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     ExtrapolationRangeError,
     NotSuperquadraticError,
@@ -27,10 +26,23 @@ from .errors import (
 _OVERFLOW_CAP = 1e8
 
 
+def read_two_columns(path):
+    """Both columns of a two-column numeric CSV with a one-line header, as
+    lists of floats; blank lines are skipped."""
+    first, second = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            first.append(float(row[0]))
+            second.append(float(row[1]))
+    return first, second
+
+
 class Generator:
     """Base class; concrete kinds implement the radial profile h and h'."""
-
-    dimension = 1
 
     def h(self, r):
         raise NotImplementedError
@@ -38,15 +50,9 @@ class Generator:
     def hp(self, r):
         raise NotImplementedError
 
-    def _radius(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.dimension > 1 and z.ndim == 1 and z.shape[0] == self.dimension:
-            return float(np.sqrt(np.dot(z, z)))
-        return np.abs(z)
-
     def eval(self, z):
         """g(z) = h(|z|); scalar in, scalar out; 1-d arrays are batches."""
-        r = self._radius(z)
+        r = np.abs(np.asarray(z, dtype=float))
         out = self.h(r)
         return float(out) if np.isscalar(r) or np.ndim(out) == 0 else out
 
@@ -64,10 +70,6 @@ class Generator:
             return float(val), True
         return val, True
 
-    def kernel_code(self):
-        """(kind, parameter) for the jitted kernels, or None."""
-        return None
-
     def is_superquadratic(self):
         return True
 
@@ -75,20 +77,16 @@ class Generator:
 class PowerGenerator(Generator):
     """g(z) = |z|**q with q > 2 (the paper's canonical superquadratic case)."""
 
-    def __init__(self, q, dimension=1):
+    def __init__(self, q):
         if not q > 2.0:
             raise ValueError(f"power exponent must exceed 2, got {q}")
         self.q = float(q)
-        self.dimension = int(dimension)
 
     def h(self, r):
         return np.asarray(r, dtype=float) ** self.q
 
     def hp(self, r):
         return self.q * np.asarray(r, dtype=float) ** (self.q - 1.0)
-
-    def kernel_code(self):
-        return (_kernels.GEN_POWER, self.q)
 
     def __repr__(self):
         return f"PowerGenerator(q={self.q})"
@@ -97,11 +95,10 @@ class PowerGenerator(Generator):
 class QuadraticGenerator(Generator):
     """g(z) = gamma*|z|**2, the boundary (non-superquadratic) case."""
 
-    def __init__(self, gamma, dimension=1):
+    def __init__(self, gamma):
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma}")
         self.gamma = float(gamma)
-        self.dimension = int(dimension)
 
     def h(self, r):
         r = np.asarray(r, dtype=float)
@@ -109,9 +106,6 @@ class QuadraticGenerator(Generator):
 
     def hp(self, r):
         return 2.0 * self.gamma * np.asarray(r, dtype=float)
-
-    def kernel_code(self):
-        return (_kernels.GEN_QUADRATIC, self.gamma)
 
     def is_superquadratic(self):
         return False
@@ -128,7 +122,7 @@ class SampledGenerator(Generator):
     last node raises ExtrapolationRangeError.
     """
 
-    def __init__(self, nodes_r, nodes_g, dimension=1):
+    def __init__(self, nodes_r, nodes_g):
         r = np.asarray(nodes_r, dtype=float).copy()
         g = np.asarray(nodes_g, dtype=float).copy()
         if r.ndim != 1 or r.shape != g.shape or r.size < 2:
@@ -148,21 +142,11 @@ class SampledGenerator(Generator):
         self.nodes_r = r
         self.nodes_g = g
         self.slopes = slopes
-        self.dimension = int(dimension)
 
     @classmethod
-    def from_csv(cls, path, dimension=1):
+    def from_csv(cls, path):
         """Load nodes from a two-column CSV (z, g) with a one-line header."""
-        rs, gs = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                if not row:
-                    continue
-                rs.append(float(row[0]))
-                gs.append(float(row[1]))
-        return cls(rs, gs, dimension=dimension)
+        return cls(*read_two_columns(path))
 
     def h(self, r):
         r = np.asarray(r, dtype=float)
@@ -233,7 +217,6 @@ class TruncatedGenerator(Generator):
             raise ValueError("truncation level N must be positive")
         self.base = base
         self.N = float(N)
-        self.dimension = base.dimension
 
     def rho(self, r):
         r = np.asarray(r, dtype=float)
@@ -287,7 +270,7 @@ class Conjugate:
     def eval(self, x):
         """f(x); scalar in, scalar out; 1-d arrays are batches."""
         if self.closed_form is not None:
-            r = self.source._radius(x)
+            r = np.abs(np.asarray(x, dtype=float))
             out = self.closed_form.coefficient * r ** self.closed_form.exponent
             return float(out) if np.ndim(out) == 0 else out
         x = np.asarray(x, dtype=float)
@@ -340,21 +323,6 @@ class Conjugate:
 
 def conjugate_of(gen):
     return Conjugate(gen)
-
-
-def eval_g(gen, z):
-    return gen.eval(z)
-
-
-def grad_g(gen, z, return_flag=False):
-    val, smooth = gen.grad_info(z)
-    if return_flag:
-        return val, smooth
-    return val
-
-
-def conjugate_eval(conj, x):
-    return conj.eval(x)
 
 
 def young_gap(gen, conj, z, x):

@@ -123,14 +123,15 @@ class PdeSolution:
 
     def to_csv(self, path):
         """Long format: t,x,u,z,cap_active (one row per grid node)."""
+        # repr of a numpy scalar is "np.float64(...)" under numpy 2, so format
+        # Python floats; tolist() one level at a time keeps memory flat
+        xs = self.x_grid.tolist()
         with open(path, "w", newline="") as fh:
             fh.write("t,x,u,z,cap_active\n")
-            for k in range(self.t_grid.size):
+            for k, tk in enumerate(self.t_grid.tolist()):
                 cap = int(self.cap_active[k])
-                tk = self.t_grid[k]
-                for i in range(self.x_grid.size):
-                    fh.write(f"{tk!r},{self.x_grid[i]!r},{self.u[k, i]!r},"
-                             f"{self.z[k, i]!r},{cap}\n")
+                for x, u, z in zip(xs, self.u[k].tolist(), self.z[k].tolist()):
+                    fh.write(f"{tk!r},{x!r},{u!r},{z!r},{cap}\n")
 
 
 def _central_z(u_row, dx, sigma):
@@ -286,11 +287,6 @@ def cole_hopf_reference(model, gen, tc, t, x):
     vals = np.exp(-2.0 * gamma * np.asarray(tc(pts), dtype=float))
     out = -np.log(vals @ _GH_WEIGHTS) / (2.0 * gamma)
     return float(out) if out.ndim == 0 else out
-
-
-def z_field(sol):
-    """Z(t, x) = -u_x(t, x) sigma (central differences, one-sided edges)."""
-    return sol.z
 
 
 def solve_regularized_family(model, gen, tc, m_list, side, grid, t0):

@@ -13,12 +13,12 @@ the continuity modulus.
 Immutable after construction; concurrent reads are safe.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoModulusError
+from .generators import read_two_columns
 
 
 @dataclass(frozen=True)
@@ -195,16 +195,7 @@ class TerminalCondition:
     @classmethod
     def from_csv(cls, path):
         """Two-column CSV (x, phi) with a one-line header."""
-        xs, phis = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                if not row:
-                    continue
-                xs.append(float(row[0]))
-                phis.append(float(row[1]))
-        return cls.tabulated(xs, phis)
+        return cls.tabulated(*read_two_columns(path))
 
     @classmethod
     def step(cls, jump, low, high, jump_in_upper=False):
@@ -239,10 +230,6 @@ class TerminalCondition:
                                 -self.sup_norm, self.sup_norm,
                                 crit=self.profile.critical_points())
         return TerminalCondition(prof, sup_norm=self.sup_norm, regularity=Lipschitz(m))
-
-
-def eval_phi(tc, x):
-    return tc(x)
 
 
 def _scan_inf(phi, m, u, window, crit=(), n=257, refinements=3):

@@ -35,7 +35,7 @@ def bm_model(T=1.0):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile/load the jitted kernels outside any timed region
+    # pay first-call costs (lazy imports, allocator warm-up) outside any timed region
     tc = TerminalCondition.analytic("const", amplitude=0.1)
     solve(bm_model(), PowerGenerator(3.0), tc,
           GridSpec(n_x=64, dt=0.5, x_lo=-4, x_hi=4), 0.0)

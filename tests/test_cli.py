@@ -1,10 +1,14 @@
+import csv
 import filecmp
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from superbsde.cli import build_model, build_terminal, load_config, main, run
+from superbsde import hj_solver
+from superbsde.cli import (build_generator, build_grid, build_model, build_terminal,
+                           load_config, main, run)
 from superbsde.errors import ConfigError
 
 FAST_CHECKS = """
@@ -162,3 +166,21 @@ class TestCommands:
                    str(tmp_path / "o")])
         assert rc == 0
         assert (tmp_path / "o" / "regularize.csv").exists()
+
+    def test_main_inprocess_oracle_csv(self, tmp_path):
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CHECKS.replace("{kind: power, q: 3.0}",
+                                            "{kind: quadratic, gamma: 0.5}"))
+        rc = main(["oracle", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        with open(tmp_path / "o" / "oracle.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x", "u_oracle"]
+        vals = np.array([[float(v) for v in row] for row in rows[1:]])
+        cfg = load_config(cfgp, command="oracle")
+        model = build_model(cfg)
+        xs, _ = hj_solver._grid_arrays(model, build_grid(cfg), cfg.t0)
+        want = hj_solver.cole_hopf_reference(model, build_generator(cfg)[0],
+                                             build_terminal(cfg), cfg.t0, xs)
+        assert np.array_equal(vals[:, 0], xs)
+        assert np.array_equal(vals[:, 1], want)

@@ -190,25 +190,17 @@ class TestCrossOverlap:
                     out[min(np.searchsorted(edges, mid) - 1, out.size - 1)] += hi - lo
         return out
 
-    def test_sweep_matches_brute_force(self):
-        # comb pair small enough to enumerate directly
-        aj, ak = 64, 512
+    @pytest.mark.parametrize("aj, ak, n_edges", [(64, 512, 17), (128, 1024, 33)],
+                             ids=["64x512", "128x1024"])
+    def test_sweep_matches_brute_force(self, aj, ak, n_edges):
+        # comb pairs small enough to enumerate directly
         Pj, wj = 1.0 / aj, 1.0 / aj**2
         Pk, wk = 1.0 / ak, 1.0 / ak**2
-        edges = np.linspace(0.0, 1.0, 17)
+        edges = np.linspace(0.0, 1.0, n_edges)
         got = _kernels.comb_cross_overlap(aj, Pj, wj, Pk, wk, edges)
         want = self.brute_overlap(aj, Pj, wj, ak, Pk, wk, edges)
         assert np.allclose(got, want, atol=1e-15)
         assert got.sum() > 0.0
-
-    def test_numpy_numba_paths_agree(self):
-        aj, ak = 128, 1024
-        Pj, wj = 1.0 / aj, 1.0 / aj**2
-        Pk, wk = 1.0 / ak, 1.0 / ak**2
-        edges = np.linspace(0.0, 1.0, 33)
-        a = _kernels.comb_cross_overlap_numpy(aj, Pj, wj, Pk, wk, edges)
-        b = _kernels.comb_cross_overlap_numba(aj, Pj, wj, Pk, wk, edges)
-        assert np.allclose(a, b, atol=1e-18)
 
 
 class TestThm34Checks:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -115,3 +116,13 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "path,t,x,flow,dB"
         assert len(lines) == 1 + 3 * 5
+        # every field parses as a number and round-trips the arrays exactly
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        vals = np.array([[float(v) for v in row] for row in rows]).reshape(3, 5, 5)
+        assert np.array_equal(vals[..., 0], np.repeat(np.arange(3.0)[:, None], 5, axis=1))
+        assert np.array_equal(vals[..., 1], np.broadcast_to(bundle.times, (3, 5)))
+        assert np.array_equal(vals[..., 2], bundle.x_paths)
+        assert np.array_equal(vals[..., 3], bundle.flow_paths)
+        assert np.array_equal(vals[:, 0, 4], np.zeros(3))
+        assert np.array_equal(vals[:, 1:, 4], bundle.noise)

@@ -7,8 +7,8 @@ from superbsde.errors import (ExtrapolationRangeError, NotSuperquadraticError,
                               UnboundedConjugateError)
 from superbsde.generators import (Conjugate, PowerGenerator, QuadraticGenerator,
                                   SampledGenerator, check_growth_duality,
-                                  conjugate_eval, conjugate_of, eval_g, grad_g,
-                                  superquadratic_probe, truncate, young_gap)
+                                  conjugate_of, superquadratic_probe, truncate,
+                                  young_gap)
 
 
 def grid_sup_conjugate(gen, x, z_hi=10.0, step=1e-5):
@@ -19,33 +19,33 @@ def grid_sup_conjugate(gen, x, z_hi=10.0, step=1e-5):
 
 class TestEval:
     def test_power_at_origin(self):
-        assert eval_g(PowerGenerator(3.0), 0.0) == 0.0
+        assert PowerGenerator(3.0).eval(0.0) == 0.0
 
     def test_power_cube(self):
-        assert eval_g(PowerGenerator(3.0), 2.0) == 8.0
+        assert PowerGenerator(3.0).eval(2.0) == 8.0
 
     def test_quadratic(self):
-        assert eval_g(QuadraticGenerator(0.5), 3.0) == 4.5
+        assert QuadraticGenerator(0.5).eval(3.0) == 4.5
 
     def test_sampled_extrapolation_error(self):
         gen = SampledGenerator([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         with pytest.raises(ExtrapolationRangeError):
-            eval_g(gen, 3.0)
+            gen.eval(3.0)
 
     def test_negative_argument_is_radial(self):
-        assert eval_g(PowerGenerator(3.0), -2.0) == 8.0
+        assert PowerGenerator(3.0).eval(-2.0) == 8.0
 
 
 class TestGrad:
     def test_power(self):
-        assert grad_g(PowerGenerator(3.0), 2.0) == pytest.approx(12.0)
+        assert PowerGenerator(3.0).grad(2.0) == pytest.approx(12.0)
 
     def test_power_vanishes_at_origin(self):
-        assert grad_g(PowerGenerator(3.0), 0.0) == 0.0
+        assert PowerGenerator(3.0).grad(0.0) == 0.0
 
     def test_sampled_interior_matches_finite_difference(self):
         gen = SampledGenerator([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
-        val, smooth = grad_g(gen, 0.5, return_flag=True)
+        val, smooth = gen.grad_info(0.5)
         h = 1e-7
         fd = (gen.eval(0.5 + h) - gen.eval(0.5 - h)) / (2 * h)
         assert val == pytest.approx(fd, abs=1e-6)
@@ -53,7 +53,7 @@ class TestGrad:
 
     def test_sampled_node_subgradient_midpoint(self):
         gen = SampledGenerator([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
-        val, smooth = grad_g(gen, 1.0, return_flag=True)
+        val, smooth = gen.grad_info(1.0)
         assert val == pytest.approx(0.5 * (1.0 + 3.0))
         assert not smooth
 
@@ -61,21 +61,21 @@ class TestGrad:
 class TestConjugate:
     def test_zero(self):
         conj = conjugate_of(PowerGenerator(3.0))
-        assert conjugate_eval(conj, 0.0) == 0.0
+        assert conj.eval(0.0) == 0.0
 
     def test_power_closed_form_vs_grid_sup(self):
         gen = PowerGenerator(3.0)
         conj = conjugate_of(gen)
         # analytically 2*12 - 8 = 16 via the Fenchel equality at z = 2
-        assert conjugate_eval(conj, 12.0) == pytest.approx(16.0, abs=1e-9)
-        assert conjugate_eval(conj, 12.0) == pytest.approx(
+        assert conj.eval(12.0) == pytest.approx(16.0, abs=1e-9)
+        assert conj.eval(12.0) == pytest.approx(
             grid_sup_conjugate(gen, 12.0), abs=1e-3)
 
     def test_quadratic(self):
         gen = QuadraticGenerator(0.5)
         conj = conjugate_of(gen)
-        assert conjugate_eval(conj, 2.0) == pytest.approx(2.0, abs=1e-12)
-        assert conjugate_eval(conj, 2.0) == pytest.approx(
+        assert conj.eval(2.0) == pytest.approx(2.0, abs=1e-12)
+        assert conj.eval(2.0) == pytest.approx(
             grid_sup_conjugate(gen, 2.0), abs=1e-3)
 
     def test_numeric_path_on_sampled(self):

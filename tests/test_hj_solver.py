@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from superbsde.errors import NotGaussianError, ResolutionError
 from superbsde.forward_model import ForwardModel, LinearDrift, ZeroDrift
 from superbsde.generators import PowerGenerator, QuadraticGenerator
 from superbsde.hj_solver import (GridSpec, cole_hopf_reference, solve,
-                                 solve_regularized_family, z_field)
+                                 solve_regularized_family)
 from superbsde.terminal_data import TerminalCondition
 
 
@@ -172,7 +174,7 @@ class TestZField:
     def test_constant_zero(self):
         tc = TerminalCondition.analytic("const", amplitude=0.7)
         sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
-        assert np.max(np.abs(z_field(sol))) == 0.0
+        assert np.max(np.abs(sol.z)) == 0.0
 
     def test_terminal_layer_derivative(self):
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
@@ -274,7 +276,8 @@ class TestRegularizedFamily:
 
 class TestExport:
     def test_solution_csv(self, tmp_path):
-        tc = TerminalCondition.analytic("const", amplitude=0.1)
+        # non-constant data, so that u and z carry full-precision floats
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
         sol = solve(bm_model(), PowerGenerator(3.0), tc,
                     GridSpec(n_x=64, dt=0.25, x_lo=-4, x_hi=4), 0.0)
         path = tmp_path / "solution.csv"
@@ -282,3 +285,15 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,u,z,cap_active"
         assert len(lines) == 1 + sol.t_grid.size * sol.x_grid.size
+        # every field parses as a number and round-trips the arrays exactly
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        vals = np.array([[float(v) for v in row] for row in rows])
+        shape = sol.u.shape
+        assert np.array_equal(vals[:, 0].reshape(shape),
+                              np.repeat(sol.t_grid[:, None], shape[1], axis=1))
+        assert np.array_equal(vals[:, 1].reshape(shape),
+                              np.broadcast_to(sol.x_grid, shape))
+        assert np.array_equal(vals[:, 2].reshape(shape), sol.u)
+        assert np.array_equal(vals[:, 3].reshape(shape), sol.z)
+        assert np.array_equal(vals[:, 4].reshape(shape)[:, 0], sol.cap_active)

@@ -4,7 +4,7 @@ import pytest
 from superbsde.errors import NoModulusError
 from superbsde.terminal_data import (Lipschitz, LowerSemiContinuous,
                                      TerminalCondition, UniformlyContinuous,
-                                     eval_phi, inf_convolution, sup_convolution,
+                                     inf_convolution, sup_convolution,
                                      uniform_gap_bound)
 
 
@@ -16,13 +16,13 @@ def grid_inf_conv(tc, m, u, lo=-2.0, hi=2.0, step=1e-5):
 
 class TestEval:
     def test_step_below_jump(self):
-        assert eval_phi(TerminalCondition.step(0.0, 0.0, 1.0), -1.0) == 0.0
+        assert TerminalCondition.step(0.0, 0.0, 1.0)(-1.0) == 0.0
 
     def test_cos_at_origin(self):
-        assert eval_phi(TerminalCondition.analytic("cos"), 0.0) == 1.0
+        assert TerminalCondition.analytic("cos")(0.0) == 1.0
 
     def test_inv_quad(self):
-        assert eval_phi(TerminalCondition.analytic("inv_quad"), 1.0) == 0.5
+        assert TerminalCondition.analytic("inv_quad")(1.0) == 0.5
 
     def test_tabulated_constant_extension(self):
         tc = TerminalCondition.tabulated([0.0, 1.0], [0.5, 0.7])
