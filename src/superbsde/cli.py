@@ -162,6 +162,10 @@ def load_config(path=None, command="solve", which="", overrides=None):
 
 
 def _check_config(cfg):
+    # mc.seed is the high word of every Philox key (forward_model.path_normals)
+    seed = cfg.mc["seed"]
+    if not 0 <= seed < 2**63:
+        raise ConfigError("mc.seed", f"must be in [0, 2**63), got {seed}")
     if cfg.command == "counterexample" and cfg.which == "3.4":
         K = cfg.counterexample["K"] or _CX_DEFAULT_K["3.4"]
         if cfg.counterexample["full_simulation"] and K > 3:

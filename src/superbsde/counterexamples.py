@@ -12,10 +12,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+# Unused here: every normal comes from forward_model.path_normals.  Kept
+# because perfbench/tracer.py (Tracer.count_rng) patches these two names.
+from numpy.random import Generator, Philox  # noqa: F401
 
 from . import _kernels
 from .errors import RangeOverflowError, ResolutionError
+from .forward_model import path_normals
+
+# paths per block in the Thm 3.4 channels; this bounds memory only, since
+# per-path streams make the results independent of the block size
+_NU_BATCH = 512
+_JOINT_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -25,15 +33,6 @@ class CheckRow:
     value: float
     threshold: float
     passed: bool
-
-
-def _path_normals(seed, n_paths, n, salt):
-    """Per-path Philox streams keyed (seed, salt, path index)."""
-    out = np.empty((n_paths, n))
-    base = (int(seed) << 64) + (int(salt) << 48)
-    for p in range(n_paths):
-        out[p] = Generator(Philox(key=base + p)).standard_normal(n)
-    return out
 
 
 def _euler_maclaurin_zeta(s, n_direct=2048):
@@ -270,7 +269,7 @@ def simulate_thm33_excursion(cfg, n_paths, n_steps, seed):
     drift = vol**cfg.q  # g(x_k) on each step
 
     a = cfg.barrier
-    normals = _path_normals(seed, n_paths, dt.size, salt=1)
+    normals = path_normals(seed, 1, 0, n_paths, dt.shape)
     dv = drift * dt - vol * np.sqrt(dt) * normals
     v = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(dv, axis=1)], axis=1)
     cross = _bridge_crossing_prob(v, a, vol**2 * dt)
@@ -281,7 +280,7 @@ def simulate_thm33_excursion(cfg, n_paths, n_steps, seed):
     # dominating channel: mu*s - W_s in the clock s = int b^2 du
     mu = cfg.drift_floor
     ds = vol**2 * dt
-    normals2 = _path_normals(seed, n_paths, dt.size, salt=2)
+    normals2 = path_normals(seed, 2, 0, n_paths, dt.shape)
     ddom = mu * ds - np.sqrt(ds) * normals2
     dom = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(ddom, axis=1)], axis=1)
     cross_dom = _bridge_crossing_prob(dom, a, ds)
@@ -378,7 +377,7 @@ def thm34_deterministic(cfg):
     return rows
 
 
-def thm34_mc_nu(cfg, k, n_paths, seed, n_grid=2048, batch=512):
+def thm34_mc_nu(cfg, k, n_paths, seed, n_grid=2048):
     """P[nu_k < T] = P[sup |int Z^k dB| > 2^-k] by the exact time change:
     the stochastic integral is a Brownian motion run at speed z_k^2 on the
     teeth, so its sup has the law of sup |W| on [0, z_k^2 T / alpha_k]."""
@@ -387,14 +386,11 @@ def thm34_mc_nu(cfg, k, n_paths, seed, n_grid=2048, batch=512):
     a = 2.0**-k
     ds = S / n_grid
     root = np.sqrt(ds)
-    base = (int(seed) << 64) + ((10 + k) << 48)
     cross = np.empty(n_paths)
-    for start in range(0, n_paths, batch):
-        stop = min(start + batch, n_paths)
+    for start in range(0, n_paths, _NU_BATCH):
+        stop = min(start + _NU_BATCH, n_paths)
         bsz = stop - start
-        normals = np.empty((bsz, n_grid))
-        for p in range(bsz):
-            normals[p] = Generator(Philox(key=base + start + p)).standard_normal(n_grid)
+        normals = path_normals(seed, 10 + k, start, stop, (n_grid,))
         w = np.concatenate([np.zeros((bsz, 1)),
                             np.cumsum(root * normals, axis=1)], axis=1)
         direct = np.any(np.abs(w) >= a, axis=1)
@@ -482,7 +478,7 @@ def _comb_drift_integral(cfg, k, t):
     return cfg.g_vals[k - 1] * _kernels.comb_measure(t, cfg.period(k), cfg.width(k))
 
 
-def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096, batch=256):
+def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     """Simulate the joint law of (M^1..M^k_max) at the coarse knots and
     reduce each path to the statistics the pathwise checks need."""
     k_max = min(k_max, cfg.K)
@@ -503,14 +499,11 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096, batch=256):
     mono_min = np.empty((n_paths, max(k_max - 1, 0)))
     qv = np.empty(n_paths)
     drift_slope = np.full(n_paths, np.nan)
-    base = (int(seed) << 64) + (3 << 48)
     knots = np.arange(nb + 1)
-    for start in range(0, n_paths, batch):
-        stop = min(start + batch, n_paths)
+    for start in range(0, n_paths, _JOINT_BATCH):
+        stop = min(start + _JOINT_BATCH, n_paths)
         bsz = stop - start
-        xi = np.empty((bsz, nb, k_max))
-        for p in range(bsz):
-            xi[p] = Generator(Philox(key=base + start + p)).standard_normal((nb, k_max))
+        xi = path_normals(seed, 3, start, stop, (nb, k_max))
         dm = np.einsum("ikl,bil->bik", roots, xi)
         m = np.concatenate([np.zeros((bsz, 1, k_max)), np.cumsum(dm, axis=1)], axis=1)
 

@@ -1,14 +1,23 @@
-"""Forward diffusion dX = b(s, X) ds + sigma dB, its variational flow, and
-Euler-Maruyama simulation with optional Girsanov tilting.
+"""Forward diffusion dX = b(s, X) ds + sigma dB, its variational flow,
+Euler-Maruyama simulation with optional Girsanov tilting, and the
+package's one RNG layout.
 
 The model is scalar (a 1-D state, one Brownian driver, constant
 sigma > 0); the drift carries its own spatial derivative so the flow
 d(grad X) = b_x(X) grad X ds integrates with an exact exponential per
-step.  Paths use counter-based Philox streams keyed by (seed, path index),
-so bundles are reproducible bit-for-bit and path blocks could be sharded
-across workers without shared RNG state.
+step.
+
+Every Monte Carlo normal in the package comes from `path_normals`: path p
+of the stream family `salt` reads the counter-based Philox stream with key
+(seed << 64) + (salt << 48) + p, starting at counter 0 (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).  A path's numbers
+depend only on (seed, salt, p), so results are reproducible bit-for-bit
+and do not depend on how paths are split into batches or workers.  Salts:
+0 the Brownian increments of `simulate_paths`, 1 and 2 the two Thm 3.3
+channels, 3 the Thm 3.4 joint channel, 10 + k the Thm 3.4 nu_k channel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +159,6 @@ class PathBundle:
     flow_paths: np.ndarray
     noise: np.ndarray
     seed: int
-    stream_count: int
     x0: float
     t0: float
     tilted: bool = False
@@ -172,14 +180,43 @@ class PathBundle:
                     fh.write(f"{p},{t!r},{x!r},{flow!r},{db!r}\n")
 
 
+_KEY_LIMIT = 1 << 128
+_WORD = (1 << 64) - 1
+
+
+def path_normals(seed, salt, start, stop, shape=()):
+    """Standard normals of shape (stop - start, *shape) for paths
+    start..stop-1.  Row i equals Generator(Philox(key=k)).standard_normal(shape)
+    with k = (seed << 64) + (salt << 48) + start + i.
+
+    One Philox is re-keyed per path through its public state setter, which
+    also resets the counter and the output buffer; constructing a Philox
+    per path costs several times more.  Raises ValueError for a key
+    outside [0, 2**128), as Philox does.
+    """
+    n = stop - start
+    first = (int(seed) << 64) + (int(salt) << 48) + int(start)
+    if not (0 <= first and first + n <= _KEY_LIMIT):
+        raise ValueError(f"Philox key outside [0, 2**128) for seed {seed}, "
+                         f"salt {salt}, paths {start}..{stop - 1}")
+    out = np.empty((n, *shape))
+    rows = out.reshape(n, math.prod(shape))
+    bits = Philox(key=first)
+    gen = Generator(bits)
+    fresh = bits.state  # counter 0, empty buffer
+    key = fresh["state"]["key"]
+    for i in range(n):
+        k = first + i
+        key[0], key[1] = k & _WORD, k >> 64
+        bits.state = fresh
+        gen.standard_normal(out=rows[i])
+    return out
+
+
 def draw_increments(seed, n_paths, n_steps, dt):
-    """Brownian increments from per-path Philox streams keyed (seed, path)."""
-    dw = np.empty((n_paths, n_steps))
-    root = np.sqrt(dt)
-    for p in range(n_paths):
-        g = Generator(Philox(key=(int(seed) << 64) + p))
-        dw[p, :] = g.standard_normal(n_steps)
-    dw *= root
+    """Brownian increments of `simulate_paths`: salt 0 of `path_normals`."""
+    dw = path_normals(seed, 0, 0, n_paths, (n_steps,))
+    dw *= np.sqrt(dt)
     return dw
 
 
@@ -204,8 +241,8 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     if bad >= 0:
         raise SimulationDivergedError(bad)
     return PathBundle(times=times, x_paths=x, flow_paths=flow, noise=dw,
-                      seed=int(seed), stream_count=int(n_paths),
-                      x0=float(x0), t0=float(t0), tilted=tilt is not None)
+                      seed=int(seed), x0=float(x0), t0=float(t0),
+                      tilted=tilt is not None)
 
 
 @dataclass(frozen=True)

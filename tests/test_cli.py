@@ -73,6 +73,15 @@ class TestLoadConfig:
         cfg = load_config(p, command="solve", overrides={"seed": 42})
         assert cfg.mc["seed"] == 42
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])
+    def test_seed_out_of_range(self, tmp_path, seed):
+        p = tmp_path / "c.yaml"
+        p.write_text(f"mc: {{seed: {seed}}}\n")
+        with pytest.raises(ConfigError, match="mc.seed"):
+            load_config(p, command="counterexample", which="3.3")
+        with pytest.raises(ConfigError, match="mc.seed"):
+            load_config(None, command="dual", overrides={"seed": seed})
+
 
 class TestBuilders:
     def test_drift_specs(self):
@@ -166,6 +175,15 @@ class TestCommands:
                    str(tmp_path / "o")])
         assert rc == 0
         assert (tmp_path / "o" / "regularize.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["counterexample", "3.3", "--seed", "-1"],
+                                      ["dual", "--seed", "18446744073709551615"]])
+    def test_main_rejects_bad_seed_before_compute(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: mc.seed")
+        assert not out.exists()
 
     def test_main_inprocess_oracle_csv(self, tmp_path):
         cfgp = tmp_path / "c.yaml"

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+from superbsde import forward_model
 from superbsde.dual_mc import ConstantControl
 from superbsde.errors import NotGaussianError, SimulationDivergedError
 from superbsde.forward_model import (CustomDrift, ForwardModel, LinearDrift,
                                      TanhDrift, ZeroDrift, check_compat_417,
-                                     gaussian_terminal_law, simulate_paths)
+                                     gaussian_terminal_law, path_normals,
+                                     simulate_paths)
 
 
 def model_bm(sigma=1.0, T=1.0):
@@ -72,6 +75,51 @@ class TestSimulate:
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert order1 >= 0.9 and order2 >= 0.9
+
+
+class TestPathNormals:
+    @pytest.mark.parametrize("salt", [0, 1, 3, 11])
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 3)])
+    @pytest.mark.parametrize("start", [0, 4])
+    def test_rows_match_reference_streams(self, salt, shape, start):
+        seed, stop = 123, start + 6
+        got = path_normals(seed, salt, start, stop, shape)
+        assert got.shape == (stop - start, *shape)
+        for i, p in enumerate(range(start, stop)):
+            key = (seed << 64) + (salt << 48) + p
+            want = Generator(Philox(key=key)).standard_normal(shape)
+            assert np.array_equal(got[i], want), (salt, shape, p)
+
+    def test_split_invariance(self):
+        whole = path_normals(17, 3, 0, 40, (6, 2))
+        for a, b in ((0, 1), (5, 23), (23, 40), (39, 40)):
+            assert np.array_equal(whole[a:b], path_normals(17, 3, a, b, (6, 2)))
+
+    def test_bundle_prefix(self):
+        model = ForwardModel(TanhDrift(0.3), 1.0, 1.0)
+        small = simulate_paths(model, 0.0, 0.0, 300, 16, seed=12)
+        large = simulate_paths(model, 0.0, 0.0, 1000, 16, seed=12)
+        assert np.array_equal(small.noise, large.noise[:300])
+        assert np.array_equal(small.x_paths, large.x_paths[:300])
+
+    def test_one_philox_per_bundle(self, monkeypatch):
+        made = []
+
+        def counting_philox(*args, **kwargs):
+            made.append(1)
+            return Philox(*args, **kwargs)
+
+        monkeypatch.setattr(forward_model, "Philox", counting_philox)
+        simulate_paths(model_bm(), 0.0, 0.0, 1000, 8, seed=13)
+        assert len(made) <= 1
+
+    @pytest.mark.parametrize("seed,salt,start,stop", [
+        (-1, 0, 0, 3),                                 # first key < 0
+        (2**64 - 1, 2**16 - 1, 2**48 - 2, 2**48 + 1),  # last key = 2**128
+    ])
+    def test_key_out_of_range(self, seed, salt, start, stop):
+        with pytest.raises(ValueError, match="outside"):
+            path_normals(seed, salt, start, stop, (2,))
 
 
 class TestCompat:
