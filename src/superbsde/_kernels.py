@@ -3,9 +3,15 @@
 The Hamilton-Jacobi step (``hj_base_step`` with its ``ImplicitDiffusion``
 solve), the Euler-Maruyama path loop (``em_paths``) and the comb sweep
 (``comb_cross_overlap``) are vectorized over cells, paths and teeth
-respectively.  The step and the path loop take generator profiles, drifts
-and tilts as vectorized Python callables, so every kind (sampled,
-truncated, custom) runs the same code.
+respectively.  The step and the path loop take generator profiles, drifts,
+tilts and running costs as vectorized Python callables, so every kind
+(sampled, truncated, custom) runs the same code.
+
+``em_paths`` is the package's one Euler loop.  ``simulate_paths`` asks it
+for the stored x/flow knots; the dual Monte Carlo pass stores no knots and
+has it accumulate the penalty in the step itself, so that pass holds only
+X_T and the per-path penalty of a block of paths.  The loop is elementwise
+along the paths, which is why results do not depend on the block size.
 """
 
 import numpy as np
@@ -158,33 +164,54 @@ def hj_base_step(u, bvals, dx, sigma, h_vec, hp_vec, pcap, dt_base, max_substeps
 # Euler-Maruyama path loop (optionally Girsanov-tilted)
 # ---------------------------------------------------------------------------
 
-def em_paths(x0, t0, dt, dw, sigma, drift, drift_x, rate):
-    """Euler-Maruyama with exact per-step exponential variational flow.
+def em_paths(x0, t0, dt, dw, sigma, drift, drift_x=None, rate=None, cost=None):
+    """Euler-Maruyama over step-major increments dw of shape (n_steps, n_paths).
 
-    drift, drift_x and rate(t, x) are vectorized Python callables (rate
-    may be None for an untilted run).  Returns (x_paths, flow_paths,
-    diverged_step); diverged_step is -1 on success."""
-    npaths, nsteps = dw.shape
-    x = np.empty((npaths, nsteps + 1))
-    flow = np.empty((npaths, nsteps + 1))
-    x[:, 0] = x0
-    flow[:, 0] = 1.0
-    xc = np.full(npaths, float(x0))
-    fc = np.ones(npaths)
-    for k in range(nsteps):
+    Step k reads t_k = t0 + k dt and the state X_k once: q = rate(t_k, X_k)
+    tilts the drift to b + sigma q (no tilt when rate is None), and cost(q) dt
+    is added to the per-path running cost in the same step, so the penalty
+    of a tilted run is the left-endpoint sum sum_k cost(q_k) dt (cost needs
+    rate).  drift, drift_x, rate and cost are vectorized Python callables.
+
+    Passing drift_x asks for the knots: x and the exact exponential
+    variational flow prod exp(b_x dt), path-major (n_paths, n_steps + 1).
+    Without it only the current state is held, so memory does not grow with
+    n_steps.  Every operation is elementwise along the paths, so a path's
+    numbers do not depend on which other paths share the call.
+
+    Returns (x_end, running, knots, diverged_step): the state where the loop
+    stopped, the running cost (None without cost), (x, flow) or None, and
+    the first step k whose new state X_{k+1} is non-finite (-1 if none).  A
+    diverged run stops at that step."""
+    n_steps, n_paths = dw.shape
+    xc = np.full(n_paths, float(x0))
+    running = None if cost is None else np.zeros(n_paths)
+    knots = None
+    if drift_x is not None:
+        x = np.empty((n_paths, n_steps + 1))
+        flow = np.empty((n_paths, n_steps + 1))
+        x[:, 0] = x0
+        flow[:, 0] = 1.0
+        fc = np.ones(n_paths)
+        knots = (x, flow)
+    for k in range(n_steps):
         t = t0 + k * dt
         b = drift(t, xc)
-        bx = drift_x(t, xc)
-        if rate is not None:
-            xc = xc + (b + sigma * rate(t, xc)) * dt + sigma * dw[:, k]
+        if knots is not None:
+            fc = fc * np.exp(drift_x(t, xc) * dt)
+        if rate is None:
+            xc = xc + b * dt + sigma * dw[k]
         else:
-            xc = xc + b * dt + sigma * dw[:, k]
-        fc = fc * np.exp(bx * dt)
+            q = rate(t, xc)
+            xc = xc + (b + sigma * q) * dt + sigma * dw[k]
+            if running is not None:
+                running += np.asarray(cost(q), dtype=float) * dt
         if not np.all(np.isfinite(xc)):
-            return x, flow, k
-        x[:, k + 1] = xc
-        flow[:, k + 1] = fc
-    return x, flow, -1
+            return xc, running, knots, k
+        if knots is not None:
+            x[:, k + 1] = xc
+            flow[:, k + 1] = fc
+    return xc, running, knots, -1
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,22 @@ The Q-expectation is evaluated by tilting the simulated dynamics (drift
 b + sigma q driven by Q-Brownian increments); no likelihood ratios are
 formed, which sidesteps the density degeneracy superquadratic controls
 can produce.  The penalty integral uses the left-endpoint rule on the
-same grid as the Euler step.
+same grid as the Euler step, and is accumulated in that step: q is read
+once per knot, and the pass holds only X_T and the per-path penalty of one
+block of paths, never the paths themselves.  Path p's increments depend
+only on (seed, p), so the results do not depend on the block size.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forward_model import simulate_paths
+from . import _kernels
+from .errors import SimulationDivergedError
+from .forward_model import draw_increments, time_step
+
+# paths per block of the dual pass; results do not depend on it
+_BLOCK_PATHS = 4096
 
 
 class ControlProcess:
@@ -90,16 +98,34 @@ class DualEstimate:
 
 
 def evaluate_control(model, gen, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
-    """Monte Carlo dual value for one control."""
-    tilt = None if isinstance(ctrl, ZeroControl) else ctrl
-    bundle = simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=tilt)
-    dt = bundle.dt
+    """Monte Carlo dual value for one control.
+
+    Each block of paths draws its salt-0 increments, transposes them once
+    to step-major and runs one Euler loop that reads q = rate(t_k, X_k) once
+    per step and adds conj(q) dt to the penalty in the same step.  The
+    zero control runs untilted with penalty 0.  A non-finite state raises
+    SimulationDivergedError naming the earliest diverged step over all
+    blocks, the step `simulate_paths` names on the same inputs.
+    """
+    dt = time_step(model, t0, n_steps)
+    rate, cost = (None, None) if isinstance(ctrl, ZeroControl) else (ctrl.rate, conj.eval)
+    x_end = np.empty(n_paths)
     penalty = np.zeros(n_paths)
-    if tilt is not None:
-        for k in range(n_steps):
-            q = ctrl.rate(bundle.times[k], bundle.x_paths[:, k])
-            penalty += np.asarray(conj.eval(q), dtype=float) * dt
-    payoff = np.asarray(tc(bundle.x_paths[:, -1]), dtype=float)
+    diverged = []
+    for start in range(0, n_paths, _BLOCK_PATHS):
+        stop = min(start + _BLOCK_PATHS, n_paths)
+        dw = draw_increments(seed, stop - start, n_steps, dt, start=start)
+        xb, pb, _, k = _kernels.em_paths(float(x0), float(t0), dt,
+                                         np.ascontiguousarray(dw.T), model.sigma,
+                                         model.drift, rate=rate, cost=cost)
+        if k >= 0:
+            diverged.append(k)
+        x_end[start:stop] = xb
+        if pb is not None:
+            penalty[start:stop] = pb
+    if diverged:
+        raise SimulationDivergedError(min(diverged))
+    payoff = np.asarray(tc(x_end), dtype=float)
     total = payoff + penalty
     value = float(np.mean(total))
     se = float(np.std(total, ddof=1) / np.sqrt(n_paths))

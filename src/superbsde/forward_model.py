@@ -13,8 +13,16 @@ of the stream family `salt` reads the counter-based Philox stream with key
 "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A path's numbers
 depend only on (seed, salt, p), so results are reproducible bit-for-bit
 and do not depend on how paths are split into batches or workers.  Salts:
-0 the Brownian increments of `simulate_paths`, 1 and 2 the two Thm 3.3
-channels, 3 the Thm 3.4 joint channel, 10 + k the Thm 3.4 nu_k channel.
+0 the Brownian increments of `simulate_paths` and of the dual Monte Carlo
+pass, 1 and 2 the two Thm 3.3 channels, 3 the Thm 3.4 joint channel,
+10 + k the Thm 3.4 nu_k channel.
+
+`simulate_paths` stores every knot of x and of the flow.  The dual pass
+(`dual_mc.evaluate_control`) draws the same salt-0 increments one block of
+paths at a time through `draw_increments(..., start=)` and runs the same
+Euler loop (`_kernels.em_paths`) with the penalty accumulated in the step,
+holding only X_T and the per-path penalty; because path p's numbers depend
+only on (seed, p), its results do not depend on the block size.
 """
 
 import math
@@ -191,8 +199,9 @@ def path_normals(seed, salt, start, stop, shape=()):
 
     One Philox is re-keyed per path through its public state setter, which
     also resets the counter and the output buffer; constructing a Philox
-    per path costs several times more.  Raises ValueError for a key
-    outside [0, 2**128), as Philox does.
+    per path costs several times more, and a state dict of Python ints sets
+    faster than the numpy-array dict `bits.state` returns.  Raises
+    ValueError for a key outside [0, 2**128), as Philox does.
     """
     n = stop - start
     first = (int(seed) << 64) + (int(salt) << 48) + int(start)
@@ -203,8 +212,10 @@ def path_normals(seed, salt, start, stop, shape=()):
     rows = out.reshape(n, math.prod(shape))
     bits = Philox(key=first)
     gen = Generator(bits)
-    fresh = bits.state  # counter 0, empty buffer
-    key = fresh["state"]["key"]
+    key = [0, 0]
+    fresh = {"bit_generator": "Philox",  # counter 0, empty buffer
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in range(n):
         k = first + i
         key[0], key[1] = k & _WORD, k >> 64
@@ -213,11 +224,21 @@ def path_normals(seed, salt, start, stop, shape=()):
     return out
 
 
-def draw_increments(seed, n_paths, n_steps, dt):
-    """Brownian increments of `simulate_paths`: salt 0 of `path_normals`."""
-    dw = path_normals(seed, 0, 0, n_paths, (n_steps,))
+def draw_increments(seed, n_paths, n_steps, dt, start=0):
+    """Brownian increments of paths start..start+n_paths-1, path-major
+    (n_paths, n_steps): salt 0 of `path_normals`, scaled by sqrt(dt)."""
+    dw = path_normals(seed, 0, start, start + n_paths, (n_steps,))
     dw *= np.sqrt(dt)
     return dw
+
+
+def time_step(model, t0, n_steps):
+    """Step dt of the uniform n_steps Euler grid from t0 to the horizon."""
+    if n_steps < 1:
+        raise ValueError("need n_steps >= 1")
+    if not t0 < model.horizon:
+        raise ValueError("t0 must precede the horizon")
+    return (model.horizon - t0) / n_steps
 
 
 def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
@@ -225,19 +246,18 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
 
     With a tilt q the drift becomes b + sigma*q and the stored increments
     are the Q-Brownian ones.  The variational flow integrates alongside
-    with the exact per-step exponential exp(b_x dt).
+    with the exact per-step exponential exp(b_x dt).  Every knot is stored;
+    the dual Monte Carlo pass (`dual_mc.evaluate_control`) runs the same
+    Euler loop over blocks of paths and keeps only X_T and the penalty.
     """
-    if n_steps < 1:
-        raise ValueError("need n_steps >= 1")
-    if not t0 < model.horizon:
-        raise ValueError("t0 must precede the horizon")
-    dt = (model.horizon - t0) / n_steps
+    dt = time_step(model, t0, n_steps)
     dw = draw_increments(seed, n_paths, n_steps, dt)
     times = t0 + dt * np.arange(n_steps + 1)
 
     rate = None if tilt is None else tilt.rate
-    x, flow, bad = _kernels.em_paths(float(x0), float(t0), dt, dw, model.sigma,
-                                     model.drift, model.drift.dx, rate)
+    _, _, (x, flow), bad = _kernels.em_paths(float(x0), float(t0), dt, dw.T,
+                                             model.sigma, model.drift,
+                                             drift_x=model.drift.dx, rate=rate)
     if bad >= 0:
         raise SimulationDivergedError(bad)
     return PathBundle(times=times, x_paths=x, flow_paths=flow, noise=dw,

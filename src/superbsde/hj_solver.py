@@ -106,8 +106,14 @@ class PdeSolution:
         fx = (x - self.x_grid[0]) / self.dx
         ix = np.clip(fx.astype(int), 0, self.x_grid.size - 2)
         lx = np.clip(fx - ix, 0.0, 1.0)
-        v = ((1.0 - lt) * ((1.0 - lx) * m_asc[it, ix] + lx * m_asc[it, ix + 1])
-             + lt * ((1.0 - lx) * m_asc[it + 1, ix] + lx * m_asc[it + 1, ix + 1]))
+        if it.ndim == 0:
+            # one time level pair: gather from two rows, same arithmetic
+            lo, hi = m_asc[it], m_asc[it + 1]
+            v = ((1.0 - lt) * ((1.0 - lx) * lo[ix] + lx * lo[ix + 1])
+                 + lt * ((1.0 - lx) * hi[ix] + lx * hi[ix + 1]))
+        else:
+            v = ((1.0 - lt) * ((1.0 - lx) * m_asc[it, ix] + lx * m_asc[it, ix + 1])
+                 + lt * ((1.0 - lx) * m_asc[it + 1, ix] + lx * m_asc[it + 1, ix + 1]))
         return float(v) if v.ndim == 0 else v
 
     def u_at(self, t, x):

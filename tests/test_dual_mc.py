@@ -1,10 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
+from superbsde import dual_mc
 from superbsde.dual_mc import (ConstantControl, PiecewiseConstantControl,
                                ZeroControl, duality_gap, evaluate_control,
                                feedback_control)
-from superbsde.forward_model import ForwardModel, ZeroDrift
+from superbsde.errors import SimulationDivergedError
+from superbsde.forward_model import (CustomDrift, ForwardModel, TanhDrift,
+                                     ZeroDrift, simulate_paths)
 from superbsde.generators import (PowerGenerator, QuadraticGenerator,
                                   conjugate_of)
 from superbsde.hj_solver import GridSpec, solve
@@ -75,6 +80,98 @@ class TestEvaluateControl:
             a = evaluate_control(model, gen, conj, tc, ctrl, 0.0, 0.0, 2000, 50, seed=5)
             b = evaluate_control(model, gen, conj, up, ctrl, 0.0, 0.0, 2000, 50, seed=5)
             assert b.value - a.value == pytest.approx(0.4, abs=1e-12)
+
+
+def stored_path_oracle(model, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
+    """(value, std_error, penalty_mean) from the stored paths of
+    simulate_paths and a second per-knot walk for the penalty."""
+    tilt = None if isinstance(ctrl, ZeroControl) else ctrl
+    bundle = simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=tilt)
+    penalty = np.zeros(n_paths)
+    if tilt is not None:
+        for k in range(n_steps):
+            q = ctrl.rate(bundle.times[k], bundle.x_paths[:, k])
+            penalty += np.asarray(conj.eval(q), dtype=float) * bundle.dt
+    total = np.asarray(tc(bundle.x_paths[:, -1]), dtype=float) + penalty
+    return (float(np.mean(total)), float(np.std(total, ddof=1) / np.sqrt(n_paths)),
+            float(np.mean(penalty)))
+
+
+class TestBlockedPass:
+    """evaluate_control streams blocks of paths through one fused Euler
+    loop; it must agree exactly with the stored-path computation."""
+
+    N_PATHS, N_STEPS = 1000, 20
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        model = ForwardModel(TanhDrift(0.7), 0.8, 1.0)
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(model, gen, tc, GRID, 0.0)
+        controls = {"zero": ZeroControl(), "constant": ConstantControl(0.6),
+                    "piecewise": PiecewiseConstantControl([0.3, 0.55], [0.2, -1.0, 1.5]),
+                    "feedback": feedback_control(sol, gen)}
+        return model, gen, conjugate_of(gen), tc, controls
+
+    @pytest.mark.parametrize("block", [1, 777, 1000, 4096])
+    @pytest.mark.parametrize("kind", ["zero", "constant", "piecewise", "feedback"])
+    def test_matches_stored_paths_for_any_block(self, setup, monkeypatch, kind, block):
+        model, gen, conj, tc, controls = setup
+        ctrl = controls[kind]
+        args = (0.1, 0.0, self.N_PATHS, self.N_STEPS, 11)
+        expected = stored_path_oracle(model, conj, tc, ctrl, *args)
+        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", block)
+        est = evaluate_control(model, gen, conj, tc, ctrl, *args)
+        assert (est.value, est.std_error, est.penalty_mean) == expected
+        assert est.control_kind == kind
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "feedback"])
+    def test_rate_read_once_per_knot(self, setup, monkeypatch, kind):
+        model, gen, conj, tc, controls = setup
+        ctrl = copy.copy(controls[kind])
+        rate, seen = ctrl.rate, []
+
+        def counting_rate(t, x):
+            seen.append(np.size(x))
+            return rate(t, x)
+
+        ctrl.rate = counting_rate
+        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 300)
+        evaluate_control(model, gen, conj, tc, ctrl, 0.0, 0.0, 1000, 20, seed=3)
+        assert sum(seen) == (0 if kind == "zero" else 1000 * 20)
+
+    @staticmethod
+    def exploding_model(level=1.5):
+        def drift(t, x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.where(np.abs(x) > level, x * 1e308, 0.0)
+
+        return ForwardModel(CustomDrift(drift, lambda t, x: np.zeros_like(x)),
+                            1.0, 1.0, b_x_bound=0.0)
+
+    @pytest.mark.parametrize("ctrl", [ZeroControl(), ConstantControl(0.3)],
+                             ids=["zero", "constant"])
+    def test_divergence_names_earliest_step_over_blocks(self, monkeypatch, ctrl):
+        model = self.exploding_model()
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos")
+        tilt = None if isinstance(ctrl, ZeroControl) else ctrl
+
+        def simulated_step(n_paths):
+            with pytest.raises(SimulationDivergedError) as err:
+                simulate_paths(model, 0.0, 0.0, n_paths, 40, seed=0, tilt=tilt)
+            return err.value.step_index
+
+        step = simulated_step(120)
+        # the first block diverges later than the whole set: the earliest
+        # blow-up sits in a later block
+        assert simulated_step(30) > step
+        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 30)
+        with pytest.raises(SimulationDivergedError) as err:
+            evaluate_control(model, gen, conjugate_of(gen), tc, ctrl, 0.0, 0.0,
+                             120, 40, seed=0)
+        assert err.value.step_index == step
 
 
 class TestFeedback:

@@ -194,6 +194,30 @@ class TestZField:
         sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
         assert np.max(np.abs(sol.u - sol.u[:, ::-1])) <= 1e-10
 
+    @pytest.mark.parametrize("t", [0.0, 0.4137, 1.0])
+    def test_scalar_t_lookup_matches_2d_gather(self, t):
+        """A scalar t reads two rows; the values must equal the full
+        2-D gather of the bilinear formula bit for bit."""
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
+        x = np.concatenate([np.linspace(-9.0, 9.0, 1001), sol.x_grid[::7]])
+        t_asc, x_grid = sol.t_grid[::-1], sol.x_grid
+        ft = (np.asarray(t) - t_asc[0]) / (t_asc[1] - t_asc[0])
+        it = np.clip(ft.astype(int), 0, t_asc.size - 2)
+        lt = np.clip(ft - it, 0.0, 1.0)
+        fx = (x - x_grid[0]) / sol.dx
+        ix = np.clip(fx.astype(int), 0, x_grid.size - 2)
+        lx = np.clip(fx - ix, 0.0, 1.0)
+        for mat, lookup in ((sol.z, sol.z_at), (sol.u, sol.u_at)):
+            m = mat[::-1]
+            expected = ((1.0 - lt) * ((1.0 - lx) * m[it, ix] + lx * m[it, ix + 1])
+                        + lt * ((1.0 - lx) * m[it + 1, ix] + lx * m[it + 1, ix + 1]))
+            assert np.array_equal(lookup(t, x), expected)
+            assert lookup(t, x[5]) == expected[5]
+        # an array t still broadcasts against x
+        ts = np.full_like(x, t)
+        assert np.array_equal(sol.z_at(ts, x), sol.z_at(t, x))
+
 
 class TestSchemeProperties:
     def _random_tabulated_pair(self, rng):
