@@ -227,17 +227,20 @@ def comb_measure(t, period, width):
     return n * width + np.maximum(0.0, r - (period - width))
 
 
-def comb_cross_overlap(alpha_j, period_j, width_j, period_k, width_k, edges,
-                       chunk=1 << 20):
+_OVERLAP_CHUNK = 1 << 20
+
+
+def comb_cross_overlap(alpha_j, period_j, width_j, period_k, width_k, edges):
     """Per-bin measure of teeth_j intersect teeth_k, binned by `edges`.
 
-    Sweeps the alpha_j teeth of the coarser comb in chunks; teeth must be
-    narrower than every bin (caller contract), so a tooth spans at most
-    two bins."""
+    Sweeps the alpha_j teeth of the coarser comb in chunks of
+    _OVERLAP_CHUNK; teeth must be narrower than every bin (caller
+    contract), so a tooth spans at most two bins."""
     nb = edges.shape[0] - 1
     out = np.zeros(nb)
-    for start in range(1, alpha_j + 1, chunk):
-        idx = np.arange(start, min(start + chunk, alpha_j + 1), dtype=np.float64)
+    for start in range(1, alpha_j + 1, _OVERLAP_CHUNK):
+        stop = min(start + _OVERLAP_CHUNK, alpha_j + 1)
+        idx = np.arange(start, stop, dtype=np.float64)
         b = idx * period_j
         a = b - width_j
         ov = comb_measure(b, period_k, width_k) - comb_measure(a, period_k, width_k)

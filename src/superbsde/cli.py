@@ -161,22 +161,36 @@ def load_config(path=None, command="solve", which="", overrides=None):
     return cfg
 
 
+# smallest allowed values; grid.dt must also be positive
+_LOWER_BOUNDS = {"mc.n_paths": 2, "mc.n_steps": 1, "grid.n_x": 64}
+
+
 def _check_config(cfg):
     # mc.seed is the high word of every Philox key (forward_model.path_normals)
     seed = cfg.mc["seed"]
     if not 0 <= seed < 2**63:
         raise ConfigError("mc.seed", f"must be in [0, 2**63), got {seed}")
+    for where, low in _LOWER_BOUNDS.items():
+        section, key = where.split(".")
+        value = getattr(cfg, section)[key]
+        if value < low:
+            raise ConfigError(where, f"must be >= {low}, got {value}")
+    if not cfg.grid["dt"] > 0.0:
+        raise ConfigError("grid.dt", f"must be > 0, got {cfg.grid['dt']}")
     if cfg.command == "counterexample" and cfg.which == "3.4":
         K = cfg.counterexample["K"] or _CX_DEFAULT_K["3.4"]
-        if cfg.counterexample["full_simulation"] and K > 3:
+        if cfg.counterexample["full_simulation"] and K > cx.PATH_K_MAX:
             cfg.warnings.append(
                 "full simulation requested but the path channel is capped at "
-                "k <= 3; higher k get the deterministic checks only")
+                f"k <= {cx.PATH_K_MAX}; higher k get the deterministic checks only")
     # constructing the objects now surfaces value errors before any compute
     if cfg.command in ("solve", "dual", "checks", "regularize", "oracle"):
-        build_generator(cfg)
-        build_terminal(cfg)
-        build_model(cfg)
+        for section, build in (("generator", build_generator),
+                               ("terminal", build_terminal), ("model", build_model)):
+            try:
+                build(cfg)
+            except (ValueError, OSError) as exc:
+                raise ConfigError(section, str(exc)) from exc
 
 
 def build_generator(cfg):
@@ -469,8 +483,7 @@ def _run_counterexample(cfg, out):
             fh.write(f"{r.construction},\"{r.check}\",{_fmt(r.value)},"
                      f"{_fmt(r.threshold)},{int(r.passed)}\n")
     rows = [CheckLine(f"{r.construction}: {r.check}", r.value, r.threshold,
-                      r.passed,
-                      hard=not r.check.startswith("divergence witness"))
+                      r.passed, hard=r.hard)
             for r in rows_cx]
     return rows, extra
 

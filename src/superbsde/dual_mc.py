@@ -105,8 +105,11 @@ def evaluate_control(model, gen, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed)
     per step and adds conj(q) dt to the penalty in the same step.  The
     zero control runs untilted with penalty 0.  A non-finite state raises
     SimulationDivergedError naming the earliest diverged step over all
-    blocks, the step `simulate_paths` names on the same inputs.
+    blocks, the step `simulate_paths` names on the same inputs.  The
+    standard error needs n_paths >= 2; fewer raise ValueError.
     """
+    if n_paths < 2:
+        raise ValueError(f"need n_paths >= 2, got {n_paths}")
     dt = time_step(model, t0, n_steps)
     rate, cost = (None, None) if isinstance(ctrl, ZeroControl) else (ctrl.rate, conj.eval)
     x_end = np.empty(n_paths)

@@ -28,14 +28,17 @@ _OVERFLOW_CAP = 1e8
 
 def read_two_columns(path):
     """Both columns of a two-column numeric CSV with a one-line header, as
-    lists of floats; blank lines are skipped."""
+    lists of floats; blank lines are skipped.  A row with fewer than two
+    columns raises ValueError naming the file and the line."""
     first, second = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{path} line {reader.line_num}: expected two columns")
             first.append(float(row[0]))
             second.append(float(row[1]))
     return first, second

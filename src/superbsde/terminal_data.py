@@ -128,21 +128,16 @@ class TabulatedProfile(_Profile):
 
 
 class StepProfile(_Profile):
-    """Jump at `jump` from `low` to `high`; the value at the jump sits on the
-    lower level by default (lower semi-continuous when high > low)."""
+    """Jump at `jump` from `low` to `high`; the value at the jump is `low`
+    (lower semi-continuous when high > low)."""
 
-    def __init__(self, jump, low, high, jump_in_upper=False):
+    def __init__(self, jump, low, high):
         self.jump = float(jump)
         self.low = float(low)
         self.high = float(high)
-        self.jump_in_upper = bool(jump_in_upper)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.jump_in_upper:
-            out = np.where(x >= self.jump, self.high, self.low)
-        else:
-            out = np.where(x > self.jump, self.high, self.low)
+        out = np.where(np.asarray(x, dtype=float) > self.jump, self.high, self.low)
         return float(out) if out.ndim == 0 else out
 
     def bounds(self):
@@ -198,23 +193,25 @@ class TerminalCondition:
         return cls.tabulated(*read_two_columns(path))
 
     @classmethod
-    def step(cls, jump, low, high, jump_in_upper=False):
-        return cls(StepProfile(jump, low, high, jump_in_upper),
-                   regularity=LowerSemiContinuous())
+    def step(cls, jump, low, high):
+        return cls(StepProfile(jump, low, high), regularity=LowerSemiContinuous())
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, x):
         return self.profile(x)
 
     def shifted(self, a):
-        """The condition phi + a (translation tests)."""
+        """The condition phi + a (translation tests); same critical points."""
         lo, hi = self.profile.bounds()
-        prof = _CallableProfile(lambda x: self.profile(x) + a, lo + a, hi + a)
+        prof = _CallableProfile(lambda x: self.profile(x) + a, lo + a, hi + a,
+                                crit=self.profile.critical_points())
         return TerminalCondition(prof, regularity=self.regularity)
 
     def negated(self):
+        """The condition -phi; same critical points."""
         lo, hi = self.profile.bounds()
-        prof = _CallableProfile(lambda x: -self.profile(x), -hi, -lo)
+        prof = _CallableProfile(lambda x: -self.profile(x), -hi, -lo,
+                                crit=self.profile.critical_points())
         return TerminalCondition(prof, regularity=self.regularity)
 
     def inf_convolved(self, m):

@@ -64,7 +64,7 @@ class TestLoadConfig:
     def test_invalid_generator_value_fails_before_compute(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text("generator: {kind: power, q: 1.5}\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="generator"):
             load_config(p, command="solve")
 
     def test_seed_override(self, tmp_path):
@@ -183,6 +183,32 @@ class TestCommands:
         rc = main(argv + ["--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: mc.seed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, field", [
+        ("dual", "mc: {n_steps: 0}", "mc.n_steps"),
+        ("dual", "mc: {n_paths: 1}", "mc.n_paths"),
+        ("counterexample 3.4", "mc: {n_paths: 1}", "mc.n_paths"),
+        ("dual", "grid: {n_x: 10}", "grid.n_x"),
+        ("dual", "grid: {dt: 0.0}", "grid.dt"),
+        ("dual", "model: {sigma: -1.0}", "model"),
+        ("solve", "generator: {kind: power, q: 2.0}", "generator"),
+        ("solve", "generator: {kind: sampled, csv: missing.csv}", "generator"),
+        ("solve", "generator: {kind: sampled, csv: one.csv}", "generator"),
+        ("solve", "terminal: {profile: tabulated, csv: missing.csv}", "terminal"),
+        ("solve", "terminal: {profile: tabulated, csv: one.csv}", "terminal"),
+    ], ids=["n_steps", "n_paths", "cx_n_paths", "n_x", "dt", "sigma", "q",
+            "generator_csv_missing", "generator_csv_one_column",
+            "terminal_csv_missing", "terminal_csv_one_column"])
+    def test_main_rejects_bad_value_before_compute(self, tmp_path, capsys,
+                                                    command, text, field):
+        (tmp_path / "one.csv").write_text("x\n0.0\n1.0\n")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(text.replace("csv: ", f"csv: {tmp_path}/") + "\n")
+        out = tmp_path / "o"
+        rc = main([*command.split(), "--config", str(cfgp), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
 
     def test_main_inprocess_oracle_csv(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import zeta
 from superbsde import _kernels
 from superbsde import counterexamples as cx
 from superbsde.errors import RangeOverflowError, ResolutionError
+from superbsde.forward_model import path_normals
 
 
 class TestEulerMaclaurin:
@@ -224,11 +226,183 @@ class TestThm34Checks:
         cfg = cx.build_thm34(3.0, 3, 1.0)
         wit = cx.limit_not_solution_witness(cfg, seed=10)
         assert wit.all_passed
-        assert wit.drift_rate == pytest.approx(1.0)
-        assert wit.qv_estimate <= 2.0 * cfg.T * (cfg.T / 4096.0)
+        assert [r.check for r in wit.rows] == ["sup |Y^3 - t^nu| <= 10*2^-3 on good paths"]
 
     def test_reproducible(self):
         cfg = cx.build_thm34(3.0, 3, 1.0)
         r1 = cx.thm34_checks(cfg, 500, 512, seed=11)
         r2 = cx.thm34_checks(cfg, 500, 512, seed=11)
         assert r1.rows == r2.rows
+
+
+# ---------------------------------------------------------------------------
+# The bridge-crossing kernel and the nu-stopped statistics against copies of
+# the two earlier implementations, bit for bit
+# ---------------------------------------------------------------------------
+
+def one_sided_reference(v, a, var_steps):
+    d = v + a
+    direct = np.any(d <= 0.0, axis=1)
+    d0 = np.maximum(d[:, :-1], 0.0)
+    d1 = np.maximum(d[:, 1:], 0.0)
+    p = cx._exp_neg(-2.0 * d0 * d1 / var_steps[None, :])
+    surv = np.prod(1.0 - np.where(var_steps[None, :] > 0.0, p, 0.0), axis=1)
+    cross = 1.0 - surv
+    cross[direct] = 1.0
+    return cross
+
+
+def two_sided_reference(w, a, ds):
+    direct = np.any(np.abs(w) >= a, axis=1)
+    up0 = np.maximum(a - w[:, :-1], 0.0)
+    up1 = np.maximum(a - w[:, 1:], 0.0)
+    dn0 = np.maximum(w[:, :-1] + a, 0.0)
+    dn1 = np.maximum(w[:, 1:] + a, 0.0)
+    p_cross = np.minimum(cx._exp_neg(-2.0 * up0 * up1 / ds)
+                         + cx._exp_neg(-2.0 * dn0 * dn1 / ds), 1.0)
+    cb = 1.0 - np.prod(1.0 - p_cross, axis=1)
+    cb[direct] = 1.0
+    return cb
+
+
+def walk(seed, n_paths, step_drift, step_sd):
+    normals = path_normals(seed, 1, 0, n_paths, np.shape(step_sd))
+    steps = step_drift - step_sd * normals
+    return np.concatenate([np.zeros((n_paths, 1)), np.cumsum(steps, axis=1)], axis=1)
+
+
+class TestBridgeCross:
+    @pytest.mark.parametrize("drift, a", [(0.0, 0.3), (4.0, 0.05), (-1.0, 1.0)])
+    def test_one_sided_matches_reference(self, drift, a):
+        var = np.linspace(0.002, 0.03, 64)
+        w = walk(21, 3000, drift * var, np.sqrt(var))
+        w_in = w.copy()
+        got = cx._bridge_cross(w, var, a)
+        assert got.tobytes() == one_sided_reference(w, a, var).tobytes()
+        assert np.array_equal(w, w_in)
+        assert 0.0 < got.mean() < 1.0
+
+    @pytest.mark.parametrize("a", [0.2, 0.4, 0.6])
+    def test_two_sided_matches_reference(self, a):
+        ds = 1.0 / 2048 / 16
+        w = walk(22, 1500, 0.0, np.full(2048, np.sqrt(ds)))
+        got = cx._bridge_cross(w, ds, a, two_sided=True)
+        assert got.tobytes() == two_sided_reference(w, a, ds).tobytes()
+        assert 0.0 < got.mean() < 1.0
+
+    def test_knot_on_the_barrier_is_a_breach(self):
+        w = np.array([[0.0, 0.1, -0.5, 0.0], [0.0, 0.1, 0.5, 0.0], [0.0, 0.1, 0.2, 0.0]])
+        one = cx._bridge_cross(w, 1e-6, 0.5)
+        two = cx._bridge_cross(w, 1e-6, 0.5, two_sided=True)
+        assert one.tolist() == [1.0, 0.0, 0.0]
+        assert two.tolist() == [1.0, 1.0, 0.0]
+
+    def test_two_barrier_chances_add_up_to_one(self):
+        # one step from 0 to 0: each barrier at distance a is crossed with
+        # probability exp(-2 a^2 / var)
+        w = np.zeros((1, 2))
+        one = math.exp(-2.0 * 0.5**2)
+        assert cx._bridge_cross(w, 1.0, 0.5)[0] == pytest.approx(one, rel=1e-15)
+        assert cx._bridge_cross(w, 1.0, 0.5, two_sided=True)[0] == 1.0
+        two = 2.0 * math.exp(-2.0 * 1.5**2 / 4.0)
+        assert cx._bridge_cross(w, 4.0, 1.5, two_sided=True)[0] == pytest.approx(two, rel=1e-15)
+
+
+def joint_reference(cfg, k_max, n_paths, seed, n_coarse):
+    """The clamped-gather reduction: stop every path at knot min(i, nu)."""
+    edges, cov, _ = cx._joint_covariance(cfg, k_max, n_coarse)
+    evals, evecs = np.linalg.eigh(cov)
+    roots = evecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]
+    thresholds = 2.0 ** -np.arange(1, k_max + 1)
+    drift_at = np.stack([cx._comb_drift_integral(cfg, k, edges)
+                         for k in range(1, k_max + 1)], axis=1)
+    xi = path_normals(seed, 3, 0, n_paths, (n_coarse, k_max))
+    dm = np.einsum("ikl,bil->bik", roots, xi)
+    m = np.concatenate([np.zeros((n_paths, 1, k_max)), np.cumsum(dm, axis=1)], axis=1)
+    viol = np.abs(m) > thresholds[None, None, :]
+    any_viol = np.any(viol, axis=2)
+    nu = np.where(np.any(any_viol, axis=1),
+                  np.maximum(np.argmax(any_viol, axis=1) - 1, 0), n_coarse)
+    knot = np.minimum(np.arange(n_coarse + 1)[None, :], nu[:, None])
+    t_stop = edges[knot]
+    y = drift_at[knot, :] - np.take_along_axis(m, knot[:, :, None], axis=1)
+    return (nu, ~np.any(viol, axis=1), np.max(np.abs(y - t_stop[:, :, None]), axis=1),
+            np.min(np.diff(y, axis=2), axis=1))
+
+
+class TestJointStatsOffNu:
+    @pytest.mark.parametrize("q", [3.0, 10.0])
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_matches_clamped_gather(self, q, k_max):
+        cfg = cx.build_thm34(q, 3, 1.0)
+        n_paths = 2 * cx._JOINT_BATCH + 37
+        joint = cx.thm34_joint_paths(cfg, k_max, n_paths, 12, n_coarse=512)
+        want = joint_reference(cfg, k_max, n_paths, 12, 512)
+        got = (joint.nu_index, joint.nu_k_ok, joint.sup_dist, joint.mono_min)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        # both stopped and unstopped paths occur
+        assert 0 < np.sum(joint.nu_index < 512) < n_paths
+
+
+# ---------------------------------------------------------------------------
+# Hard and soft rows, and defects the hard rows must catch
+# ---------------------------------------------------------------------------
+
+class TestRowHardness:
+    def test_only_report_rows_are_soft(self):
+        rep31 = cx.thm31_series_report(cx.build_thm31(3.0, 100, 1.0))
+        rep33 = cx.simulate_thm33_excursion(cx.build_thm33(3.0, 2, 0.5, 0.5, 8),
+                                            500, 64, seed=7)
+        cfg34 = cx.build_thm34(3.0, 3, 1.0)
+        rep34 = cx.thm34_checks(cfg34, 200, 256, seed=11)
+        wit = cx.limit_not_solution_witness(cfg34, seed=10, n_paths=64, n_coarse=256)
+        soft = [r.check for rep in (rep31, rep33, rep34, wit)
+                for r in rep.rows if not r.hard]
+        assert soft == ["K with q^2 sum >= 10.0/a",
+                        "divergence witness: median V at mesh end"]
+
+
+class TestDefectsAreCaught:
+    @pytest.mark.parametrize("n, seed, exact", [(2, 90, 0.1353352832366127),
+                                                (3, 91, 0.01831563888873418)])
+    def test_dropped_bridge_term_fails_dominating_row(self, monkeypatch, n, seed, exact):
+        cfg = cx.build_thm33(3.0, n, 0.5, 0.5, 8)
+        row = "dominating channel within 3SE of reflection value"
+        rep = cx.simulate_thm33_excursion(cfg, 10_000, 64, seed=seed)
+        assert [r.passed for r in rep.rows if r.check == row] == [True]
+        monkeypatch.setattr(cx, "_exp_neg", np.zeros_like)
+        rep = cx.simulate_thm33_excursion(cfg, 10_000, 64, seed=seed)
+        assert rep.dominating_exact == pytest.approx(exact, rel=1e-12)
+        assert rep.dominating_estimate == 0.0
+        assert [r.passed for r in rep.rows if r.check == row] == [False]
+
+    def test_one_sided_nu_channel_misses_the_floor(self, monkeypatch):
+        # the k=1 floor of TestThm34Checks.test_full_report_q3 catches a
+        # nu_k channel that watches only the lower barrier
+        cfg = cx.build_thm34(3.0, 4, 1.0)
+        _, est, _ = cx.thm34_mc_nu(cfg, 1, 2000, seed=8)
+        assert est >= 0.05
+        bridge = cx._bridge_cross
+        monkeypatch.setattr(cx, "_bridge_cross",
+                            lambda w, var, a, two_sided=False: bridge(w, var, a))
+        _, est, _ = cx.thm34_mc_nu(cfg, 1, 2000, seed=8)
+        assert est < 0.05
+
+
+class TestPathCountGuard:
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_monte_carlo_entry_points_need_two_paths(self, n_paths):
+        cfg33 = cx.build_thm33(3.0, 2, 0.5, 0.5, 8)
+        cfg34 = cx.build_thm34(3.0, 3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_paths >= 2"):
+                cx.simulate_thm33_excursion(cfg33, n_paths, 64, seed=1)
+            with pytest.raises(ValueError, match="n_paths >= 2"):
+                cx.thm34_checks(cfg34, n_paths, 256, seed=1)
+            with pytest.raises(ValueError, match="n_paths >= 2"):
+                cx.thm34_mc_nu(cfg34, 1, n_paths, seed=1)
+            with pytest.raises(ValueError, match="n_paths >= 2"):
+                cx.limit_not_solution_witness(cfg34, seed=1, n_paths=n_paths)

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ def gauss_expectation(tc, mean, var):
 
 
 class TestEvaluateControl:
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_needs_two_paths(self, n_paths):
+        gen = QuadraticGenerator(0.5)
+        tc = TerminalCondition.analytic("inv_quad", amplitude=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_paths >= 2"):
+                evaluate_control(bm_model(), gen, conjugate_of(gen), tc, ZeroControl(),
+                                 0.0, 0.0, n_paths, 10, seed=1)
+
     def test_zero_control_matches_quadrature(self):
         from superbsde.forward_model import gaussian_terminal_law
 

@@ -164,6 +164,16 @@ class TestDerivedConditions:
         up = tc.shifted(0.3)
         assert up(0.0) == pytest.approx(0.8)
 
+    def test_shifted_and_negated_keep_critical_points(self):
+        # the jump sides stay explicit scan candidates, so the convolutions
+        # of the derived step data are exact
+        tc = TerminalCondition.step(0.0, 0.0, 1.0)
+        xs = np.linspace(-0.1, 0.1, 2001)
+        up = np.asarray(tc.shifted(0.5).inf_convolved(50.0)(xs))
+        assert np.max(np.abs(up - (np.asarray(tc.inf_convolved(50.0)(xs)) + 0.5))) <= 1e-12
+        neg = np.asarray(tc.negated().inf_convolved(50.0)(xs))
+        assert np.max(np.abs(neg + np.asarray(tc.sup_convolved(50.0)(xs)))) <= 1e-12
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "phi.csv"
         path.write_text("x,phi\n-1,0.0\n0,1.0\n1,0.0\n")
