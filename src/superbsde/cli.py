@@ -2,8 +2,10 @@
 
 Commands: solve, dual, checks, regularize, counterexample {3.1|3.3|3.4},
 oracle.  Run configurations are YAML trees validated against a strict
-schema (unknown keys are errors) before any compute starts; every command
-works with built-in defaults when no config is given.  Outputs are CSV
+schema (unknown keys are errors); every command works with built-in
+defaults when no config is given.  load_config then builds every input a
+command computes with once, before any compute and before the output
+directory exists; the runners only compute and write.  Outputs are CSV
 files plus a human-readable summary; reruns with the same config and seed
 are byte-identical.  Exit status is 0 iff every hard check passed.
 """
@@ -56,6 +58,20 @@ _SCHEMA = {
 }
 
 
+@dataclass(frozen=True)
+class Inputs:
+    """The objects a command computes with, built once by load_config."""
+
+    gen: object = None
+    conj: object = None
+    tc: object = None
+    model: object = None
+    grid: object = None
+    m_list: tuple = ()
+    controls: tuple = ()
+    construction: object = None
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -73,34 +89,25 @@ class RunConfig:
     regularize: dict = field(default_factory=dict)
     dual: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
+    inputs: Inputs = field(default_factory=Inputs)
 
     def echo(self):
-        body = {k: getattr(self, k) for k in
-                ("command", "which", "generator", "terminal", "model", "grid",
-                 "mc", "x0", "t0", "counterexample", "regularize", "dual")}
+        body = {k: getattr(self, k) for k in ("command", "which", *_SCHEMA) if k != "out"}
         return json.dumps(body, sort_keys=True)
 
 
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean",
+               str: "a string", list: "a list"}
+
+
 def _coerce(value, want, where):
-    if want is object or want is list:
+    if want is object:
         return value
-    if want is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(where, f"expected a number, got {value!r}")
-        return float(value)
-    if want is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(where, f"expected an integer, got {value!r}")
-        return int(value)
-    if want is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(where, f"expected a boolean, got {value!r}")
-        return value
-    if want is str:
-        if not isinstance(value, str):
-            raise ConfigError(where, f"expected a string, got {value!r}")
-        return value
-    raise ConfigError(where, "unhandled schema type")
+    numeric = want in (float, int)
+    if (not isinstance(value, (int, float) if want is float else want)
+            or numeric and isinstance(value, bool)):
+        raise ConfigError(where, f"expected {_TYPE_NAMES[want]}, got {value!r}")
+    return want(value) if numeric else value
 
 
 def _validate(raw):
@@ -128,10 +135,10 @@ def _validate(raw):
 
 
 def load_config(path=None, command="solve", which="", overrides=None):
-    """Parse, validate and default a YAML run config.
+    """Parse, validate and default a YAML run config, then build its inputs.
 
-    Validation happens before any compute; unknown keys raise ConfigError
-    with the offending field name."""
+    Everything happens before any compute; an unknown key or a value a
+    builder rejects raises ConfigError with the offending field name."""
     raw = {}
     if path is not None:
         with open(path) as fh:
@@ -143,14 +150,9 @@ def load_config(path=None, command="solve", which="", overrides=None):
                 raise ConfigError("<parse>", f"{exc.problem or exc}{line}") from exc
     clean = _validate(raw)
     cfg = RunConfig(command=command, which=which)
-    for section in ("generator", "terminal", "model", "grid", "mc",
-                    "counterexample", "regularize", "dual"):
-        merged = dict(_DEFAULTS[section])
-        merged.update(clean.get(section, {}))
-        setattr(cfg, section, merged)
-    cfg.x0 = clean.get("x0", _DEFAULTS["x0"])
-    cfg.t0 = clean.get("t0", _DEFAULTS["t0"])
-    cfg.out = clean.get("out", _DEFAULTS["out"])
+    for key, want in _SCHEMA.items():
+        value = clean.get(key, _DEFAULTS[key])
+        setattr(cfg, key, {**_DEFAULTS[key], **value} if isinstance(want, dict) else value)
     if overrides:
         if overrides.get("seed") is not None:
             cfg.mc["seed"] = int(overrides["seed"])
@@ -158,6 +160,7 @@ def load_config(path=None, command="solve", which="", overrides=None):
             cfg.out = overrides["out"]
         cfg.dump_paths = bool(overrides.get("dump_paths", False))
     _check_config(cfg)
+    cfg.inputs = _build_inputs(cfg)
     return cfg
 
 
@@ -177,27 +180,67 @@ def _check_config(cfg):
             raise ConfigError(where, f"must be >= {low}, got {value}")
     if not cfg.grid["dt"] > 0.0:
         raise ConfigError("grid.dt", f"must be > 0, got {cfg.grid['dt']}")
-    if cfg.command == "counterexample" and cfg.which == "3.4":
-        K = cfg.counterexample["K"] or _CX_DEFAULT_K["3.4"]
-        if cfg.counterexample["full_simulation"] and K > cx.PATH_K_MAX:
-            cfg.warnings.append(
-                "full simulation requested but the path channel is capped at "
-                f"k <= {cx.PATH_K_MAX}; higher k get the deterministic checks only")
-    # constructing the objects now surfaces value errors before any compute
-    if cfg.command in ("solve", "dual", "checks", "regularize", "oracle"):
-        for section, build in (("generator", build_generator),
-                               ("terminal", build_terminal), ("model", build_model)):
-            try:
-                build(cfg)
-            except (ValueError, OSError) as exc:
-                raise ConfigError(section, str(exc)) from exc
+
+
+def _built(where, build, *args):
+    """build(*args); a value it rejects becomes ConfigError(where)."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except (ValueError, OSError, SuperbsdeError) as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
+def _build_inputs(cfg):
+    if cfg.command == "counterexample":
+        return Inputs(construction=_built("counterexample", _build_construction, cfg))
+    gen, conj = _built("generator", build_generator, cfg)
+    tc = _built("terminal", build_terminal, cfg)
+    model = _built("model", build_model, cfg)
+    grid = build_grid(cfg)
+    xs, _ = _built("grid", hj_solver._grid_arrays, model, grid, cfg.t0)
+    if not xs[0] <= cfg.x0 <= xs[-1]:
+        raise ConfigError("x0", f"must lie in [grid.x_lo, grid.x_hi], got {cfg.x0!r}")
+    if cfg.command == "oracle" and not isinstance(gen, generators.QuadraticGenerator):
+        raise ConfigError("generator.kind", "oracle requires the quadratic kind")
+    if cfg.command == "oracle" and not model.drift.zero:
+        raise ConfigError("model.drift", "oracle requires zero drift")
+    m_list = tuple(_coerce(m, float, "regularize.m_list") for m in cfg.regularize["m_list"])
+    if not (m_list and all(0.0 <= a <= b for a, b in zip(m_list, m_list[1:] + (np.inf,)))):
+        raise ConfigError("regularize.m_list",
+                          f"need a non-empty increasing list of m >= 0, got {list(m_list)}")
+    controls = tuple(dual_mc.ConstantControl(_coerce(q, float, "dual.constants"))
+                     for q in cfg.dual["constants"])
+    return Inputs(gen, conj, tc, model, grid, m_list, controls)
+
+
+_CX_DEFAULT_K = {"3.1": 10_000, "3.3": 8, "3.4": 6}
+
+
+def _build_construction(cfg):
+    """The Thm 3.1/3.3/3.4 configuration, with K resolved once."""
+    p = cfg.counterexample
+    if cfg.which not in _CX_DEFAULT_K:
+        raise ConfigError("counterexample", f"unknown construction {cfg.which!r}")
+    K = p["K"] if p["K"] is not None else _CX_DEFAULT_K[cfg.which]
+    if cfg.which == "3.1":
+        return cx.build_thm31(p["q"], max(K, 10), p["T"])
+    if cfg.which == "3.3":
+        return cx.build_thm33(p["q"], p["n"], p["theta"], p["epsilon"], min(K, 16), p["T"])
+    cfg34 = cx.build_thm34(p["q"], K, p["T"])
+    if p["full_simulation"] and K > cx.PATH_K_MAX:
+        cfg.warnings.append(
+            "full simulation requested but the path channel is capped at "
+            f"k <= {cx.PATH_K_MAX}; higher k get the deterministic checks only")
+    return cfg34
 
 
 def build_generator(cfg):
     g = cfg.generator
-    kind = g.get("kind", "power")
+    kind = g["kind"]
     if kind == "power":
-        gen = generators.PowerGenerator(g.get("q", 3.0))
+        gen = generators.PowerGenerator(g["q"])
     elif kind == "quadratic":
         gen = generators.QuadraticGenerator(g.get("gamma", 0.5))
     elif kind == "sampled":
@@ -211,7 +254,7 @@ def build_generator(cfg):
 
 def build_terminal(cfg):
     t = cfg.terminal
-    profile = t.get("profile", "cos")
+    profile = t["profile"]
     if profile in ("const", "cos", "inv_quad", "tanh"):
         kwargs = {k: t[k] for k in ("amplitude", "frequency", "offset") if k in t}
         tc = terminal_data.TerminalCondition.analytic(profile, **kwargs)
@@ -231,24 +274,22 @@ def build_terminal(cfg):
 
 def build_model(cfg):
     m = cfg.model
-    spec = m.get("drift", "zero")
+    spec = m["drift"]
     if spec == "zero":
         drift = ZeroDrift()
     elif isinstance(spec, dict) and "linear" in spec and len(spec) == 1:
-        drift = LinearDrift(float(spec["linear"]))
+        drift = LinearDrift(_coerce(spec["linear"], float, "model.drift"))
     elif isinstance(spec, dict) and "tanh" in spec and len(spec) == 1:
-        drift = TanhDrift(float(spec["tanh"]))
+        drift = TanhDrift(_coerce(spec["tanh"], float, "model.drift"))
     else:
         raise ConfigError("model.drift",
                           f"expected 'zero', {{linear: b}} or {{tanh: a}}, got {spec!r}")
-    return ForwardModel(drift, m.get("sigma", 1.0), m.get("T", 1.0),
-                        lam=m.get("lambda"))
+    return ForwardModel(drift, m["sigma"], m["T"], lam=m.get("lambda"))
 
 
 def build_grid(cfg):
     g = cfg.grid
-    return hj_solver.GridSpec(n_x=g.get("n_x", 321), dt=g.get("dt", 2e-3),
-                              x_center=cfg.x0, pad=g.get("pad", 2.0),
+    return hj_solver.GridSpec(n_x=g["n_x"], dt=g["dt"], x_center=cfg.x0, pad=g["pad"],
                               x_lo=g.get("x_lo"), x_hi=g.get("x_hi"))
 
 
@@ -292,60 +333,45 @@ def _write_summary(cfg, rows, extra_lines, path):
 def _solution_rows(sol):
     lo, hi = float(np.min(sol.u[0])), float(np.max(sol.u[0]))
     terminal_err = float(np.max(np.abs(sol.u[0] - np.asarray(sol.tc(sol.x_grid)))))
+    u_max, u_min = float(np.max(sol.u)), float(np.min(sol.u))
+    u_abs, bound = float(np.max(np.abs(sol.u))), sol.sup_norm_used + 1e-9
     return [
         CheckLine("terminal layer imposed exactly", terminal_err, 1e-12,
                   terminal_err <= 1e-12),
-        CheckLine("maximum principle: max u <= max Phi", float(np.max(sol.u)),
-                  hi + 1e-9, float(np.max(sol.u)) <= hi + 1e-9),
-        CheckLine("maximum principle: min u >= min Phi", float(np.min(sol.u)),
-                  lo - 1e-9, float(np.min(sol.u)) >= lo - 1e-9),
-        CheckLine("sup bound |u| <= ||Phi||", float(np.max(np.abs(sol.u))),
-                  sol.sup_norm_used + 1e-9,
-                  float(np.max(np.abs(sol.u))) <= sol.sup_norm_used + 1e-9),
+        CheckLine("maximum principle: max u <= max Phi", u_max, hi + 1e-9, u_max <= hi + 1e-9),
+        CheckLine("maximum principle: min u >= min Phi", u_min, lo - 1e-9, u_min >= lo - 1e-9),
+        CheckLine("sup bound |u| <= ||Phi||", u_abs, bound, u_abs <= bound),
     ]
 
 
-def _run_solve(cfg, out):
-    gen, _ = build_generator(cfg)
-    tc = build_terminal(cfg)
-    model = build_model(cfg)
-    sol = hj_solver.solve(model, gen, tc, build_grid(cfg), cfg.t0)
+def _run_solve(cfg, inp, out):
+    sol = hj_solver.solve(inp.model, inp.gen, inp.tc, inp.grid, cfg.t0)
     sol.to_csv(out / "solution.csv")
     rows = _solution_rows(sol)
     u0 = sol.u_at(cfg.t0, cfg.x0)
     return rows, [f"u(t0, x0) = {u0!r}", f"substeps_total = {int(sol.substeps.sum())}"]
 
 
-def _run_oracle(cfg, out):
-    gen, _ = build_generator(cfg)
-    tc = build_terminal(cfg)
-    model = build_model(cfg)
-    if not isinstance(gen, generators.QuadraticGenerator):
-        raise ConfigError("generator.kind", "oracle requires the quadratic kind")
-    grid = build_grid(cfg)
-    xs, _ = hj_solver._grid_arrays(model, grid, cfg.t0)
-    vals = hj_solver.cole_hopf_reference(model, gen, tc, cfg.t0, xs)
+def _run_oracle(cfg, inp, out):
+    xs, _ = hj_solver._grid_arrays(inp.model, inp.grid, cfg.t0)
+    vals = hj_solver.cole_hopf_reference(inp.model, inp.gen, inp.tc, cfg.t0, xs)
     with open(out / "oracle.csv", "w", newline="") as fh:
         fh.write("x,u_oracle\n")
         for x, v in zip(xs.tolist(), vals.tolist()):
             fh.write(f"{x!r},{v!r}\n")
-    mid = hj_solver.cole_hopf_reference(model, gen, tc, cfg.t0, cfg.x0)
+    mid = hj_solver.cole_hopf_reference(inp.model, inp.gen, inp.tc, cfg.t0, cfg.x0)
     rows = [CheckLine("oracle finite on grid", float(np.max(np.abs(vals))),
                       float("inf"), bool(np.all(np.isfinite(vals))))]
     return rows, [f"u_oracle(t0, x0) = {mid!r}"]
 
 
-def _run_dual(cfg, out):
-    gen, conj = build_generator(cfg)
-    tc = build_terminal(cfg)
-    model = build_model(cfg)
-    sol = hj_solver.solve(model, gen, tc, build_grid(cfg), cfg.t0)
-    extra = tuple(dual_mc.ConstantControl(q) for q in cfg.dual["constants"])
-    report = dual_mc.duality_gap(model, gen, conj, tc, sol, cfg.x0, cfg.t0,
-                                 cfg.mc["n_paths"], cfg.mc["seed"],
+def _run_dual(cfg, inp, out):
+    sol = hj_solver.solve(inp.model, inp.gen, inp.tc, inp.grid, cfg.t0)
+    report = dual_mc.duality_gap(inp.model, inp.gen, inp.conj, inp.tc, sol, cfg.x0,
+                                 cfg.t0, cfg.mc["n_paths"], cfg.mc["seed"],
                                  n_steps=cfg.mc["n_steps"],
                                  scheme_tol=cfg.dual["scheme_tol"],
-                                 extra_controls=extra)
+                                 extra_controls=inp.controls)
     report.to_csv(out / "dual.csv")
     rows = []
     for r in report.rows:
@@ -360,11 +386,9 @@ def _run_dual(cfg, out):
     return rows, [f"u(t0, x0) = {report.u0!r}"]
 
 
-def _run_checks(cfg, out):
-    gen, conj = build_generator(cfg)
-    tc = build_terminal(cfg)
-    model = build_model(cfg)
-    sol = hj_solver.solve(model, gen, tc, build_grid(cfg), cfg.t0)
+def _run_checks(cfg, inp, out):
+    gen, tc, model = inp.gen, inp.tc, inp.model
+    sol = hj_solver.solve(model, gen, tc, inp.grid, cfg.t0)
     sol.to_csv(out / "solution.csv")
     bundle = simulate_paths(model, cfg.x0, cfg.t0, cfg.mc["n_paths"],
                             cfg.mc["n_steps"], cfg.mc["seed"])
@@ -374,7 +398,8 @@ def _run_checks(cfg, out):
     bmo = path_checks.bmo_energy_check(report, tc.sup_norm)
     rows = [
         CheckLine("path exclusion fraction <= 1%", report.excluded_fraction,
-                  0.01, report.excluded_fraction <= 0.01),
+                  path_checks.MAX_EXCLUDED,
+                  report.excluded_fraction <= path_checks.MAX_EXCLUDED),
         CheckLine("BMO energy <= 4||Phi||^2 + 3SE", bmo.energy,
                   bmo.bound + 3.0 * report.energy_se, bmo.passed),
         CheckLine("rms terminal residual (soft)", report.rms_terminal_residual,
@@ -385,7 +410,7 @@ def _run_checks(cfg, out):
     zrep = path_checks.apriori_z_bound(sol, model, tc.sup_norm)
     rows.append(CheckLine("Z envelope ratio <= 1", zrep.worst_ratio, 1.0,
                           zrep.passed))
-    prep = path_checks.penalty_bound_check(sol, gen, conj, tc.sup_norm)
+    prep = path_checks.penalty_bound_check(sol, gen, inp.conj, tc.sup_norm)
     if prep.skipped_reason:
         rows.append(CheckLine("penalty envelope (skipped: non-convex composite)",
                               0.0, 1.0, True, hard=False))
@@ -405,26 +430,21 @@ def _run_checks(cfg, out):
     return rows, extra
 
 
-def _run_regularize(cfg, out):
-    gen, _ = build_generator(cfg)
-    tc = build_terminal(cfg)
-    model = build_model(cfg)
-    grid = build_grid(cfg)
-    m_list = [float(m) for m in cfg.regularize["m_list"]]
-    lower = hj_solver.solve_regularized_family(model, gen, tc, m_list, "lower",
-                                               grid, cfg.t0)
-    upper = hj_solver.solve_regularized_family(model, gen, tc, m_list, "upper",
-                                               grid, cfg.t0)
+def _run_regularize(cfg, inp, out):
+    tc, m_list = inp.tc, inp.m_list
+    lower, upper = (hj_solver.solve_regularized_family(
+        inp.model, inp.gen, tc, m_list, side, inp.grid, cfg.t0)
+        for side in ("lower", "upper"))
     lo_vals = [s.u_at(cfg.t0, cfg.x0) for s in lower]
     hi_vals = [s.u_at(cfg.t0, cfg.x0) for s in upper]
     gaps = [h - l for h, l in zip(hi_vals, lo_vals)]
-    xs = lower[0].x_grid
+    lsc = isinstance(tc.regularity, terminal_data.LowerSemiContinuous)
+    certs = [float("nan") if lsc else terminal_data.uniform_gap_bound(tc, m)
+             for m in m_list]
     with open(out / "regularize.csv", "w", newline="") as fh:
         fh.write("m,lower_value,upper_value,gap,certified_terminal_gap\n")
-        for m, lo, hi, gp in zip(m_list, lo_vals, hi_vals, gaps):
-            cert = terminal_data.uniform_gap_bound(tc, m) if not isinstance(
-                tc.regularity, terminal_data.LowerSemiContinuous) else float("nan")
-            fh.write(f"{m!r},{lo!r},{hi!r},{gp!r},{cert!r}\n")
+        for row in zip(m_list, lo_vals, hi_vals, gaps, certs):
+            fh.write(",".join(repr(v) for v in row) + "\n")
     mono_lo = all(b >= a - 1e-10 for a, b in zip(lo_vals, lo_vals[1:]))
     mono_hi = all(b <= a + 1e-10 for a, b in zip(hi_vals, hi_vals[1:]))
     rows = [
@@ -433,50 +453,38 @@ def _run_regularize(cfg, out):
         CheckLine("squeeze: gap shrinks along the ladder", gaps[-1],
                   gaps[0] + 1e-10, gaps[-1] <= gaps[0] + 1e-10),
     ]
-    if not isinstance(tc.regularity, terminal_data.LowerSemiContinuous):
+    if not lsc:
+        xs = lower[0].x_grid
         measured = float(np.max(np.asarray(tc(xs)) -
                                 np.asarray(tc.inf_convolved(m_list[-1])(xs))))
-        cert = terminal_data.uniform_gap_bound(tc, m_list[-1])
         rows.append(CheckLine("certified terminal gap >= measured", measured,
-                              cert, measured <= cert + 1e-9))
+                              certs[-1], measured <= certs[-1] + 1e-9))
     return rows, [f"gaps: {[repr(g) for g in gaps]}"]
 
 
-_CX_DEFAULT_K = {"3.1": 10_000, "3.3": 8, "3.4": 6}
-
-
-def _run_counterexample(cfg, out):
-    p = cfg.counterexample
-    mc = cfg.mc
-    K = p["K"] if p["K"] is not None else _CX_DEFAULT_K[cfg.which]
+def _run_counterexample(cfg, inp, out):
+    built, mc = inp.construction, cfg.mc
     if cfg.which == "3.1":
-        seq = cx.build_thm31(p["q"], max(K, 10), p["T"])
-        report = cx.thm31_series_report(seq)
+        report = cx.thm31_series_report(built)
         rows_cx = report.rows
-        extra = [f"alpha = {seq.alpha!r}",
+        extra = [f"alpha = {built.alpha!r}",
                  f"divergence witness K = {report.divergence_K}"]
     elif cfg.which == "3.3":
-        cfg33 = cx.build_thm33(p["q"], p["n"], p["theta"], p["epsilon"],
-                               min(K, 16), p["T"])
-        report = cx.simulate_thm33_excursion(cfg33, mc["n_paths"],
-                                             max(mc["n_steps"], 4 * cfg33.K),
-                                             mc["seed"])
+        report = cx.simulate_thm33_excursion(
+            built, mc["n_paths"], max(mc["n_steps"], 4 * built.K), mc["seed"])
         rows_cx = report.rows
         extra = [f"estimate = {report.estimate!r} (bound {report.paper_bound!r})",
                  f"dominating = {report.dominating_estimate!r} "
                  f"(exact {report.dominating_exact!r})",
                  f"final quantiles (10/50/90%) = {report.final_quantiles!r}"]
-    elif cfg.which == "3.4":
-        cfg34 = cx.build_thm34(p["q"], K, p["T"])
-        report = cx.thm34_checks(cfg34, mc["n_paths"], 4096, mc["seed"])
-        witness = cx.limit_not_solution_witness(cfg34, mc["seed"])
+    else:
+        report = cx.thm34_checks(built, mc["n_paths"], 4096, mc["seed"])
+        witness = cx.limit_not_solution_witness(built, mc["seed"])
         rows_cx = report.rows + witness.rows
         extra = [f"P[nu = T] = {report.p_nu_T!r}"]
         for j, k, rho in report.skipped_pairs:
             extra.append(f"cross-covariance ({j},{k}) below float resolution; "
                          f"correlation bound {rho!r}")
-    else:
-        raise ConfigError("counterexample", f"unknown construction {cfg.which!r}")
     with open(out / "counterexample.csv", "w", newline="") as fh:
         fh.write("construction,check,value,threshold,pass\n")
         for r in rows_cx:
@@ -502,7 +510,7 @@ def run(cfg):
     """Execute a validated config; returns the process exit status."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows, extra = _RUNNERS[cfg.command](cfg, out)
+    rows, extra = _RUNNERS[cfg.command](cfg, cfg.inputs, out)
     _write_checks(rows, out / "checks.csv")
     ok = _write_summary(cfg, rows, extra, out / "summary.txt")
     for w in cfg.warnings:

@@ -48,7 +48,8 @@ class CheckRow:
 class _Report:
     @property
     def all_passed(self):
-        return all(r.passed for r in self.rows)
+        """Every hard row passed; soft rows are reports only."""
+        return all(r.passed for r in self.rows if r.hard)
 
 
 def _check_n_paths(n_paths):

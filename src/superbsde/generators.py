@@ -151,35 +151,32 @@ class SampledGenerator(Generator):
         """Load nodes from a two-column CSV (z, g) with a one-line header."""
         return cls(*read_two_columns(path))
 
-    def h(self, r):
+    def _in_range(self, r):
+        """r as a float array; |z| beyond the last node raises."""
         r = np.asarray(r, dtype=float)
         if np.any(r > self.nodes_r[-1] * (1.0 + 1e-12)):
             raise ExtrapolationRangeError(
                 f"|z| beyond last sampled node {self.nodes_r[-1]}")
-        return np.interp(r, self.nodes_r, self.nodes_g)
+        return r
+
+    def _segment(self, r):
+        return np.clip(np.searchsorted(self.nodes_r, r, side="right") - 1,
+                       0, self.slopes.size - 1)
+
+    def h(self, r):
+        return np.interp(self._in_range(r), self.nodes_r, self.nodes_g)
 
     def hp(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r > self.nodes_r[-1] * (1.0 + 1e-12)):
-            raise ExtrapolationRangeError(
-                f"|z| beyond last sampled node {self.nodes_r[-1]}")
-        idx = np.clip(np.searchsorted(self.nodes_r, r, side="right") - 1,
-                      0, self.slopes.size - 1)
-        return self.slopes[idx]
+        return self.slopes[self._segment(self._in_range(r))]
 
     def grad_info(self, z):
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         za = np.atleast_1d(z)
-        r = np.abs(za)
-        if np.any(r > self.nodes_r[-1] * (1.0 + 1e-12)):
-            raise ExtrapolationRangeError(
-                f"|z| beyond last sampled node {self.nodes_r[-1]}")
+        r = self._in_range(np.abs(za))
         # interior nodes are kinks: report the subgradient midpoint, flagged
         at_node = np.isin(r, self.nodes_r[1:-1])
-        idx = np.clip(np.searchsorted(self.nodes_r, r, side="right") - 1,
-                      0, self.slopes.size - 1)
-        slope = self.slopes[idx].astype(float)
+        slope = self.slopes[self._segment(r)].astype(float)
         if np.any(at_node):
             node_idx = np.searchsorted(self.nodes_r, r[at_node])
             slope[at_node] = 0.5 * (self.slopes[node_idx - 1] + self.slopes[node_idx])

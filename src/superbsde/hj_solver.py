@@ -50,8 +50,9 @@ CFL_SAFETY = 0.9  # hyperbolic CFL factor; <= 1 keeps the explicit part monotone
 class GridSpec:
     """Spatial/temporal discretization request.
 
-    The domain defaults to x_center +- (6 sigma sqrt(T-t0) + drift range +
-    pad); dt is a target base step, rounded so the horizon divides evenly.
+    The domain is [x_lo, x_hi] when both are set (one alone is an error)
+    and otherwise x_center +- (6 sigma sqrt(T-t0) + drift range + pad); dt
+    is a target base step, rounded so the horizon divides evenly.
     """
 
     n_x: int = 641
@@ -161,13 +162,19 @@ def _grid_arrays(model, grid, t0):
     if grid.n_x < 64:
         raise ValueError("need n_x >= 64")
     span = model.horizon - t0
-    if grid.x_lo is not None and grid.x_hi is not None:
+    if not span > 0.0:
+        raise ValueError(f"need t0 < T, got t0 = {t0} and T = {model.horizon}")
+    if (grid.x_lo is None) != (grid.x_hi is None):
+        raise ValueError("set both x_lo and x_hi, or neither")
+    if grid.x_lo is not None:
         x_lo, x_hi = float(grid.x_lo), float(grid.x_hi)
     else:
         b0 = abs(float(np.asarray(model.drift(t0, np.array([grid.x_center]))).ravel()[0]))
         radius = (6.0 * model.sigma * np.sqrt(span) + grid.pad
                   + b0 * span * np.exp(model.b_x_bound * span))
         x_lo, x_hi = grid.x_center - radius, grid.x_center + radius
+    if not x_lo < x_hi:
+        raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
     x = np.linspace(x_lo, x_hi, grid.n_x)
     n_t = max(1, round(span / grid.dt))
     t_desc = model.horizon - (span / n_t) * np.arange(n_t + 1)

@@ -20,6 +20,8 @@ class NoFitError(SuperbsdeError):
 # levels closer to T than this many base steps are resolution-limited, not
 # statements about the continuous bounds
 EDGE_STEPS = 10
+# largest share of paths that may leave the spatial grid in bsde_residual
+MAX_EXCLUDED = 0.01
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class ResidualReport:
     n_paths_used: int
 
 
-def bsde_residual(sol, model, gen, bundle, max_excluded=0.01):
+def bsde_residual(sol, model, gen, bundle):
     """Pathwise consistency of (u, Z) with the backward dynamics.
 
     Along each untilted path, Y_s = u(s, X_s) and Z_s = Z(s, X_s) are read
@@ -41,16 +43,16 @@ def bsde_residual(sol, model, gen, bundle, max_excluded=0.01):
     |Y_{k+1} - Y_k - g(Z_k) dt + Z_k dB_k|; the terminal residual
     integrates the dynamics forward from u(t0, x0) and compares against
     Phi(X_T).  Paths leaving the spatial grid are excluded; more than
-    `max_excluded` of them is a domain error.
+    MAX_EXCLUDED of them is a domain error.
     """
     if bundle.tilted:
         raise ValueError("bsde_residual expects an untilted bundle")
     x = bundle.x_paths
     inside = np.all((x >= sol.x_grid[0]) & (x <= sol.x_grid[-1]), axis=1)
     excluded = 1.0 - float(np.mean(inside))
-    if excluded > max_excluded:
+    if excluded > MAX_EXCLUDED:
         raise DomainError(
-            f"{excluded:.1%} of paths left the grid (limit {max_excluded:.1%})")
+            f"{excluded:.1%} of paths left the grid (limit {MAX_EXCLUDED:.1%})")
     x = x[inside]
     dw = bundle.noise[inside]
     n_used, n_knots = x.shape
@@ -59,13 +61,12 @@ def bsde_residual(sol, model, gen, bundle, max_excluded=0.01):
 
     y = np.empty_like(x)
     z = np.empty((n_used, n_knots - 1))
+    gz = np.empty_like(z)
     for k in range(n_knots):
         y[:, k] = sol.u_at(times[k], x[:, k])
         if k < n_knots - 1:
             z[:, k] = sol.z_at(times[k], x[:, k])
-    gz = np.empty_like(z)
-    for k in range(n_knots - 1):
-        gz[:, k] = np.asarray(gen.eval(z[:, k]), dtype=float)
+            gz[:, k] = np.asarray(gen.eval(z[:, k]), dtype=float)
 
     increments = gz * dt - z * dw
     step_res = y[:, 1:] - y[:, :-1] - increments
@@ -110,28 +111,29 @@ class EnvelopeReport:
     skipped_reason: str = ""
 
 
-def _window_levels(sol):
+def _worst_level(sol, peak, threshold):
+    """Largest peak(z_k) / threshold(T - s_k) over the levels with
+    T - s_k >= EDGE_STEPS dt, at the first level that attains it; an empty
+    window gives worst_ratio = -inf and passes."""
     tau = sol.level_time_to_go()
-    keep = tau >= EDGE_STEPS * sol.dt - 1e-12
-    return np.nonzero(keep)[0], tau
+    idx = np.nonzero(tau >= EDGE_STEPS * sol.dt - 1e-12)[0]
+    if idx.size == 0:
+        return EnvelopeReport(worst_ratio=-np.inf, worst_time_to_go=np.nan, n_levels=0,
+                              threshold_at_worst=np.nan, passed=True)
+    thr = threshold(tau[idx])
+    ratios = np.array([float(peak(sol.z[k])) for k in idx]) / thr
+    j = int(np.argmax(ratios))
+    return EnvelopeReport(worst_ratio=float(ratios[j]),
+                          worst_time_to_go=float(tau[idx[j]]), n_levels=int(idx.size),
+                          threshold_at_worst=float(thr[j]), passed=bool(ratios[j] <= 1.0))
 
 
-def apriori_z_bound(sol, model, sup_norm, safety_margin=0.0):
+def apriori_z_bound(sol, model, sup_norm):
     """max_x |Z(s, .)| against 2 exp(lambda T) ||Phi|| (T-s)^{-1/2} on every
     level with T-s >= 10 dt."""
-    idx, tau = _window_levels(sol)
     c1 = 2.0 * np.exp(model.lam * model.horizon)
-    worst = -np.inf
-    worst_tau = np.nan
-    worst_thr = np.nan
-    for k in idx:
-        thr = c1 * sup_norm / np.sqrt(tau[k])
-        ratio = float(np.max(np.abs(sol.z[k]))) / thr
-        if ratio > worst:
-            worst, worst_tau, worst_thr = ratio, float(tau[k]), float(thr)
-    return EnvelopeReport(worst_ratio=float(worst), worst_time_to_go=worst_tau,
-                          n_levels=int(idx.size), threshold_at_worst=worst_thr,
-                          passed=worst <= 1.0 + safety_margin)
+    return _worst_level(sol, lambda z: np.max(np.abs(z)),
+                        lambda tau: c1 * sup_norm / np.sqrt(tau))
 
 
 def _composite_convex(gen, conj, r_hi, n=256):
@@ -143,7 +145,7 @@ def _composite_convex(gen, conj, r_hi, n=256):
     return bool(np.all(second >= -1e-9 * max(1.0, np.max(np.abs(vals)))))
 
 
-def penalty_bound_check(sol, gen, conj, sup_norm, safety_margin=0.0):
+def penalty_bound_check(sol, gen, conj, sup_norm):
     """max_x f(g'(Z(s, .))) against 2 ||Phi|| (T-s)^{-1} where the composite
     f o g' is convex (for g = |z|^q it is (q-1)|z|^q); skipped otherwise."""
     zmax = float(np.max(np.abs(sol.z)))
@@ -151,20 +153,9 @@ def penalty_bound_check(sol, gen, conj, sup_norm, safety_margin=0.0):
         return EnvelopeReport(worst_ratio=np.nan, worst_time_to_go=np.nan,
                               n_levels=0, threshold_at_worst=np.nan, passed=True,
                               skipped_reason="composite f(g'(.)) not convex")
-    idx, tau = _window_levels(sol)
-    worst = -np.inf
-    worst_tau = np.nan
-    worst_thr = np.nan
-    for k in idx:
-        thr = 2.0 * sup_norm / tau[k]
-        comp = np.asarray(conj.eval(np.asarray(gen.grad(sol.z[k]), dtype=float)),
-                          dtype=float)
-        ratio = float(np.max(comp)) / thr
-        if ratio > worst:
-            worst, worst_tau, worst_thr = ratio, float(tau[k]), float(thr)
-    return EnvelopeReport(worst_ratio=float(worst), worst_time_to_go=worst_tau,
-                          n_levels=int(idx.size), threshold_at_worst=worst_thr,
-                          passed=worst <= 1.0 + safety_margin)
+    def composite_peak(z):
+        return np.max(conj.eval(np.asarray(gen.grad(z), dtype=float)))
+    return _worst_level(sol, composite_peak, lambda tau: 2.0 * sup_norm / tau)
 
 
 @dataclass(frozen=True)

@@ -208,11 +208,11 @@ class TerminalCondition:
         return TerminalCondition(prof, regularity=self.regularity)
 
     def negated(self):
-        """The condition -phi; same critical points."""
+        """The condition -phi; same sup-norm and critical points."""
         lo, hi = self.profile.bounds()
         prof = _CallableProfile(lambda x: -self.profile(x), -hi, -lo,
                                 crit=self.profile.critical_points())
-        return TerminalCondition(prof, regularity=self.regularity)
+        return TerminalCondition(prof, sup_norm=self.sup_norm, regularity=self.regularity)
 
     def inf_convolved(self, m):
         """Lower m-Lipschitz regularization as a new condition."""
@@ -222,11 +222,9 @@ class TerminalCondition:
         return TerminalCondition(prof, sup_norm=self.sup_norm, regularity=Lipschitz(m))
 
     def sup_convolved(self, m):
-        """Upper m-Lipschitz regularization as a new condition."""
-        prof = _CallableProfile(lambda x: sup_convolution(self, m, x),
-                                -self.sup_norm, self.sup_norm,
-                                crit=self.profile.critical_points())
-        return TerminalCondition(prof, sup_norm=self.sup_norm, regularity=Lipschitz(m))
+        """Upper m-Lipschitz regularization as a new condition: the mirror
+        image -(-phi)_m of the lower one."""
+        return self.negated().inf_convolved(m).negated()
 
 
 def _scan_inf(phi, m, u, window, crit=(), n=257, refinements=3):
@@ -281,16 +279,7 @@ def inf_convolution(tc, m, u):
 
 def sup_convolution(tc, m, u):
     """Mirror image: sup_p { Phi(p) - m|p-u| } = -inf_p { (-Phi)(p) + m|p-u| }."""
-    if m < 0.0:
-        raise ValueError("need m >= 0")
-    shape = np.shape(u)
-    if m == 0.0:
-        out = np.full(shape or (1,), tc.profile.bounds()[1])
-        return float(out.flat[0]) if not shape else out
-    window = 2.0 * tc.sup_norm / m + 1.0
-    out = (-_scan_inf(lambda p: -tc.profile(p), m, u, window,
-                      crit=tc.profile.critical_points())).reshape(shape or (1,))
-    return float(out.flat[0]) if not shape else out
+    return -inf_convolution(tc.negated(), m, u)
 
 
 def uniform_gap_bound(tc, m):

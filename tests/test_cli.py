@@ -2,11 +2,12 @@ import csv
 import filecmp
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from superbsde import hj_solver
+from superbsde import generators, hj_solver, terminal_data
 from superbsde.cli import (build_generator, build_grid, build_model, build_terminal,
                            load_config, main, run)
 from superbsde.errors import ConfigError
@@ -197,9 +198,32 @@ class TestCommands:
         ("solve", "generator: {kind: sampled, csv: one.csv}", "generator"),
         ("solve", "terminal: {profile: tabulated, csv: missing.csv}", "terminal"),
         ("solve", "terminal: {profile: tabulated, csv: one.csv}", "terminal"),
+        ("regularize", "regularize: {m_list: [8.0, 2.0]}", "regularize.m_list"),
+        ("regularize", "regularize: {m_list: []}", "regularize.m_list"),
+        ("regularize", "regularize: {m_list: [a]}", "regularize.m_list"),
+        ("regularize", "regularize: {m_list: 2.0}", "regularize.m_list"),
+        ("dual", "dual: {constants: [x]}", "dual.constants"),
+        ("counterexample 3.3", "counterexample: {theta: 1.5}", "counterexample"),
+        ("counterexample 3.4", "counterexample: {K: 0}", "counterexample"),
+        ("counterexample 3.1", "counterexample: {q: 2.0}", "counterexample"),
+        ("counterexample 3.4", "counterexample: {K: 100}", "counterexample"),
+        ("oracle", "generator: {kind: power, q: 3.0}", "generator.kind"),
+        ("oracle", "generator: {kind: quadratic}\nmodel: {drift: {linear: 0.5}}",
+         "model.drift"),
+        ("solve", "t0: 2.0", "grid"),
+        ("checks", "grid: {x_lo: 1.0, x_hi: -1.0}", "grid"),
+        ("dual", "grid: {x_lo: 0.5}", "grid"),
+        ("solve", "grid: {x_lo: -1.0, x_hi: 1.0}\nx0: 5.0", "x0"),
+        ("solve", "grid: {pad: -50.0}", "grid"),
+        ("solve", "model: {drift: {linear: null}}", "model.drift"),
     ], ids=["n_steps", "n_paths", "cx_n_paths", "n_x", "dt", "sigma", "q",
             "generator_csv_missing", "generator_csv_one_column",
-            "terminal_csv_missing", "terminal_csv_one_column"])
+            "terminal_csv_missing", "terminal_csv_one_column",
+            "m_list_decreasing", "m_list_empty", "m_list_not_numbers",
+            "m_list_not_a_list", "dual_constants_not_numbers", "cx33_theta",
+            "cx34_K_zero", "cx31_q", "cx34_K_overflow", "oracle_power",
+            "oracle_drift", "t0_past_horizon", "x_lo_above_x_hi", "x_lo_alone",
+            "x0_outside_domain", "default_domain_empty", "drift_not_a_number"])
     def test_main_rejects_bad_value_before_compute(self, tmp_path, capsys,
                                                     command, text, field):
         (tmp_path / "one.csv").write_text("x\n0.0\n1.0\n")
@@ -210,6 +234,30 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
+
+    def test_each_csv_read_once_per_run(self, tmp_path, monkeypatch):
+        real = generators.read_two_columns
+        reads = []
+
+        def counting(path):
+            reads.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(generators, "read_two_columns", counting)
+        monkeypatch.setattr(terminal_data, "read_two_columns", counting)
+        (tmp_path / "g.csv").write_text("z,g\n0.0,0.0\n1.0,1.0\n10.0,1000.0\n")
+        (tmp_path / "t.csv").write_text("x,phi\n-8.0,0.0\n0.0,0.5\n8.0,0.0\n")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CHECKS.replace(
+            "generator: {kind: power, q: 3.0}",
+            f"generator: {{kind: sampled, csv: {tmp_path}/g.csv}}").replace(
+            "terminal: {profile: cos, amplitude: 0.5}",
+            f"terminal: {{profile: tabulated, csv: {tmp_path}/t.csv}}"))
+        for command in ("solve", "checks", "dual", "regularize"):
+            reads.clear()
+            rc = main([command, "--config", str(cfgp), "--out", str(tmp_path / command)])
+            assert rc == 0
+            assert sorted(reads) == ["g.csv", "t.csv"], command
 
     def test_main_inprocess_oracle_csv(self, tmp_path):
         cfgp = tmp_path / "c.yaml"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -89,6 +90,8 @@ class TestThm33Excursion:
         cfg = cx.build_thm33(3.0, 2, 0.5, 0.5, 8)
         rep = cx.simulate_thm33_excursion(cfg, 10_000, 64, seed=4)
         assert rep.all_passed
+        assert [r.passed for r in rep.rows
+                if r.check == "divergence witness: median V at mesh end"] == [True]
         assert abs(rep.dominating_estimate - rep.dominating_exact) <= 3.0 * rep.dominating_se
 
     def test_n3_bound(self):
@@ -362,6 +365,16 @@ class TestRowHardness:
                 for r in rep.rows if not r.hard]
         assert soft == ["K with q^2 sum >= 10.0/a",
                         "divergence witness: median V at mesh end"]
+
+
+class TestPassRule:
+    def test_only_hard_rows_decide_all_passed(self):
+        rep = cx.thm31_series_report(cx.build_thm31(3.0, 100, 1.0))
+        assert rep.all_passed
+        soft = cx.CheckRow("3.1", "a soft report", 1.0, 0.0, False, hard=False)
+        hard = cx.CheckRow("3.1", "a hard check", 1.0, 0.0, False)
+        assert dataclasses.replace(rep, rows=rep.rows + (soft,)).all_passed
+        assert not dataclasses.replace(rep, rows=rep.rows + (hard,)).all_passed
 
 
 class TestDefectsAreCaught:

@@ -48,6 +48,23 @@ class TestBasics:
         with pytest.raises(ValueError):
             solve(bm_model(), PowerGenerator(3.0), tc, GridSpec(n_x=32), 0.0)
 
+    @pytest.mark.parametrize("grid, t0, match", [
+        (GRID, 1.0, "t0 < T"),
+        (GRID, 2.0, "t0 < T"),
+        (GridSpec(n_x=401, dt=5e-3, x_lo=1.0, x_hi=-1.0), 0.0, "x_lo < x_hi"),
+        (GridSpec(n_x=401, dt=5e-3, x_lo=1.0, x_hi=1.0), 0.0, "x_lo < x_hi"),
+        (GridSpec(n_x=401, dt=5e-3, x_lo=0.5), 0.0, "both"),
+        (GridSpec(n_x=401, dt=5e-3, x_hi=0.5), 0.0, "both"),
+        (GridSpec(n_x=401, dt=5e-3, pad=-50.0), 0.0, "x_lo < x_hi"),
+    ], ids=["t0_at_T", "t0_past_T", "x_lo_above_x_hi", "empty_domain",
+            "x_lo_alone", "x_hi_alone", "negative_default_radius"])
+    def test_grid_inputs_validated(self, grid, t0, match):
+        tc = TerminalCondition.analytic("cos")
+        with pytest.raises(ValueError, match=match):
+            hj_solver._grid_arrays(bm_model(), grid, t0)
+        with pytest.raises(ValueError, match=match):
+            solve(bm_model(), PowerGenerator(3.0), tc, grid, t0)
+
     def test_substep_ceiling(self):
         # step data is not Lipschitz: the clamp grows like tau^{-1/2}, so
         # the hyperbolic CFL bound needs several substeps on the first level

@@ -156,6 +156,39 @@ class TestEnvelopes:
         assert rep.threshold_at_worst == pytest.approx(2.0 / tau)
         assert rep.passed
 
+    def test_worst_level_matches_per_level_loop(self):
+        # the shared reduction: per-level max over threshold, first argmax
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        conj = conjugate_of(gen)
+        tc = TerminalCondition.analytic("cos", amplitude=1.0)
+        sol = solve(model, gen, tc, GRID, 0.0)
+        tau = sol.level_time_to_go()
+        levels = [k for k in range(tau.size) if tau[k] >= 10 * sol.dt - 1e-12]
+        for rep, peak, thr in (
+                (apriori_z_bound(sol, model, 1.0),
+                 lambda k: float(np.max(np.abs(sol.z[k]))),
+                 lambda k: 2.0 * 1.0 / np.sqrt(tau[k])),
+                (penalty_bound_check(sol, gen, conj, 1.0),
+                 lambda k: float(np.max(conj.eval(gen.grad(sol.z[k])))),
+                 lambda k: 2.0 * 1.0 / tau[k])):
+            ratios = [peak(k) / thr(k) for k in levels]
+            k = levels[ratios.index(max(ratios))]
+            assert rep.n_levels == len(levels)
+            assert rep.worst_ratio == max(ratios)
+            assert rep.worst_time_to_go == tau[k]
+            assert rep.threshold_at_worst == thr(k)
+
+    def test_empty_window_passes(self):
+        # five levels of 0.2: none has T-s >= 10 dt
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=1.0)
+        sol = solve(model, gen, tc, GridSpec(n_x=64, dt=0.2, x_lo=-8, x_hi=8), 0.0)
+        for rep in (apriori_z_bound(sol, model, 1.0),
+                    penalty_bound_check(sol, gen, conjugate_of(gen), 1.0)):
+            assert rep.worst_ratio == -np.inf and rep.n_levels == 0 and rep.passed
+
     def test_nonconvex_composite_skipped(self):
         # sampled generator with a kink makes f(g'(.)) non-convex in general
         r = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
