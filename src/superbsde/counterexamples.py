@@ -21,9 +21,11 @@ from .errors import RangeOverflowError, ResolutionError
 from .forward_model import path_normals
 
 # Paths per block in the Thm 3.4 channels (memory only: per-path streams make
-# the results independent of it), the knots of thm34_mc_nu's time-changed
-# Brownian motion, the terms summed before the Euler-Maclaurin tail, and the
-# multiple of 1/alpha the Thm 3.1 divergence witness waits for.
+# the results independent of it; a joint block holds its integrals
+# component-major, k_max x _JOINT_BATCH x (n_coarse + 1) floats, beside the
+# block's normals), the knots of thm34_mc_nu's time-changed Brownian motion,
+# the terms summed before the Euler-Maclaurin tail, and the multiple of
+# 1/alpha the Thm 3.1 divergence witness waits for.
 _NU_BATCH = 512
 _JOINT_BATCH = 256
 _NU_GRID = 2048
@@ -442,10 +444,13 @@ class Thm34JointStats:
     (alpha_j too large) or whose teeth sit below float resolution carry a
     documented correlation bound instead; those bounds are ~1e-5 for the
     default configuration, far below the sampling noise of every asserted
-    check.  The discrete stopping time nu rounds down to the last
-    pre-violation knot, so stopped integrals respect the 2^-k barriers
-    pathwise.  A stopped path is constant after nu, so its sup and min
-    are taken over the knots i <= nu.
+    check.  A diagonal covariance (every cross pair skipped, as for q = 3)
+    has one non-zero root entry per row, and the increments use only the
+    root columns that are not identically zero.  The discrete stopping time
+    nu rounds down to the last pre-violation knot, so stopped integrals
+    respect the 2^-k barriers pathwise.  A stopped path is constant after
+    nu, so its sup and min are taken over the knots i <= nu; an unstopped
+    path (nu_index == n_coarse) reduces its whole row.
     """
 
     k_max: int
@@ -493,9 +498,32 @@ def _comb_drift_integral(cfg, k, t):
     return cfg.g_vals[k - 1] * _kernels.comb_measure(t, cfg.period(k), cfg.width(k))
 
 
+def _joint_increments(roots, xi, dm):
+    """dm[k] = sum of roots[:, k, l] * xi[:, :, l] over l ascending, taken
+    over the root columns that are not identically zero.  A skipped column
+    would only add exact zeros, so the sum is the full one, and a diagonal
+    covariance costs one product per component.  dm starts zeroed."""
+    for k in range(roots.shape[1]):
+        cols = [l for l in range(roots.shape[2]) if np.any(roots[:, k, l])]
+        for n, l in enumerate(cols):
+            if n == 0:
+                np.multiply(roots[:, k, l], xi[:, :, l], out=dm[k])
+            else:
+                dm[k] += roots[:, k, l] * xi[:, :, l]
+
+
 def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     """Simulate the joint law of (M^1..M^k_max) at the coarse knots and
-    reduce each path to the statistics the pathwise checks need."""
+    reduce each path to the statistics the pathwise checks need.
+
+    Each block is held component-major, m[k, b, knot], so every reduction
+    runs along a contiguous row; _joint_increments fills it from the root
+    columns that are not identically zero.  A component violates its barrier
+    iff its row max exceeds 2^-k or its row min falls below -2^-k; the
+    first violating knot, and with it nu, is searched for only on rows
+    that violate.  Unstopped rows reduce their whole row; the dead knots
+    past nu are masked (inf for the monotonicity minimum, 0 for the
+    distance) on the stopped rows only."""
     k_max = min(k_max, cfg.K)
     edges, cov, skipped = _joint_covariance(cfg, k_max, n_coarse)
     # symmetric square roots per interval (eigh handles zero-teeth intervals)
@@ -503,10 +531,9 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     roots = evecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]
 
     nb = n_coarse
-    thresholds = 2.0 ** -np.arange(1, k_max + 1)
-    drift_at = np.empty((nb + 1, k_max))
-    for k in range(1, k_max + 1):
-        drift_at[:, k - 1] = _comb_drift_integral(cfg, k, edges)
+    thresholds = 2.0 ** -np.arange(1, k_max + 1)[:, None]
+    drift_at = np.stack([_comb_drift_integral(cfg, k, edges)
+                         for k in range(1, k_max + 1)])[:, None, :]
 
     nu_index = np.empty(n_paths, dtype=np.int64)
     nu_k_ok = np.empty((n_paths, k_max), dtype=bool)
@@ -516,31 +543,37 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     for start in range(0, n_paths, _JOINT_BATCH):
         stop = min(start + _JOINT_BATCH, n_paths)
         xi = path_normals(seed, 3, start, stop, (nb, k_max))
-        m = np.zeros((stop - start, nb + 1, k_max))
-        np.einsum("ikl,bil->bik", roots, xi, out=m[:, 1:])
+        m = np.zeros((k_max, stop - start, nb + 1))
+        _joint_increments(roots, xi, m[:, :, 1:])
         del xi
-        np.cumsum(m[:, 1:], axis=1, out=m[:, 1:])
+        np.cumsum(m, axis=2, out=m)
 
-        viol = np.abs(m) > thresholds
-        any_viol = np.any(viol, axis=2)
-        nu_idx = np.where(np.any(any_viol, axis=1),
-                          np.maximum(np.argmax(any_viol, axis=1) - 1, 0), nb)
-        nu_index[start:stop] = nu_idx
-        nu_k_ok[start:stop] = ~np.any(viol, axis=1)
-        del viol, any_viol
+        ok = (np.max(m, axis=2) <= thresholds) & (np.min(m, axis=2) >= -thresholds)
+        nu_k_ok[start:stop] = ok.T
+        stopped = np.flatnonzero(~np.all(ok, axis=0))
+        first = np.argmax(np.any(np.abs(m[:, stopped]) > thresholds[:, :, None],
+                                 axis=0), axis=1)
+        nu_stop = np.maximum(first - 1, 0)
+        nu_index[start:stop] = nb
+        nu_index[start + stopped] = nu_stop
+        dead = knots > nu_stop[:, None]
 
-        # m becomes y = drift - m, then |y - t|; knots past nu are dead
-        dead = knots > nu_idx[:, None]
+        # m becomes y = drift - m, then y - t; knots past nu are dead
         y = np.subtract(drift_at, m, out=m)
         if k_max > 1:
-            gap = np.diff(y, axis=2)
-            gap[dead] = np.inf
-            mono_min[start:stop] = np.min(gap, axis=1)
+            gap = np.diff(y, axis=0)
+            mono = np.min(gap, axis=2)
+            gap = gap[:, stopped]
+            gap[:, dead] = np.inf
+            mono[:, stopped] = np.min(gap, axis=2)
+            mono_min[start:stop] = mono.T
             del gap
-        y -= edges[:, None]
-        np.abs(y, out=y)
-        y[dead] = 0.0
-        sup_dist[start:stop] = np.max(y, axis=1)
+        y -= edges
+        dist = np.maximum(np.max(y, axis=2), -np.min(y, axis=2))
+        y = y[:, stopped]
+        y[:, dead] = 0.0
+        dist[:, stopped] = np.max(np.abs(y, out=y), axis=2)
+        sup_dist[start:stop] = dist.T
     return Thm34JointStats(k_max=k_max, n_paths=int(n_paths), nu_index=nu_index,
                            nu_k_ok=nu_k_ok, sup_dist=sup_dist,
                            mono_min=mono_min, skipped_pairs=skipped)

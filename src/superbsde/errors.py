@@ -10,7 +10,8 @@ class ExtrapolationRangeError(SuperbsdeError):
 
 
 class UnboundedConjugateError(SuperbsdeError):
-    """Numeric Fenchel conjugate failed to bracket a finite supremum."""
+    """Fenchel conjugate of a sampled generator is +inf: past the last
+    slope the supremum leaves the sampled range."""
 
 
 class NotSuperquadraticError(SuperbsdeError):

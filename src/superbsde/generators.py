@@ -12,7 +12,6 @@ reads.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,10 +250,16 @@ class ClosedFormConjugate:
 
 
 class Conjugate:
-    """Fenchel-Legendre transform f(x) = sup_z (z.x - g(z)) of a generator.
+    """Fenchel-Legendre transform f(x) = sup_z (z.x - g(z)) of a convex generator.
 
-    Power and quadratic kinds use the closed form; anything else falls back
-    to an adaptive bracket plus golden-section search on the radial profile.
+    Power and quadratic kinds use the closed form.  A sampled profile is
+    convex and piecewise linear, and so is its conjugate, exactly (Lucet,
+    Numer. Algorithms 16, 1997): on slopes[i-1] < |x| <= slopes[i] the sup
+    sits at node r_i, so f(x) = r_i |x| - g_i with
+    i = searchsorted(slopes, |x|, "left").  Past the last slope the sup
+    leaves the sampled range and eval raises UnboundedConjugateError.  No
+    other kind has an exact conjugate here (a truncated generator is not
+    even convex), so construction raises TypeError.
     """
 
     def __init__(self, source):
@@ -266,59 +271,26 @@ class Conjugate:
             self.closed_form = ClosedFormConjugate(p, (q - 1.0) * q ** (-p))
         elif isinstance(source, QuadraticGenerator):
             self.closed_form = ClosedFormConjugate(2.0, 1.0 / (4.0 * source.gamma))
+        elif not isinstance(source, SampledGenerator):
+            raise TypeError(f"no exact conjugate of {source!r}: "
+                            "power, quadratic and sampled kinds only")
 
     def eval(self, x):
         """f(x); scalar in, scalar out; 1-d arrays are batches."""
+        r = np.abs(np.asarray(x, dtype=float))
         if self.closed_form is not None:
-            r = np.abs(np.asarray(x, dtype=float))
             out = self.closed_form.coefficient * r ** self.closed_form.exponent
-            return float(out) if np.ndim(out) == 0 else out
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return self._numeric(abs(float(x)))
-        return np.array([self._numeric(abs(v)) for v in x.ravel()]).reshape(x.shape)
-
-    def _numeric(self, s, tol=1e-10):
-        """sup_{r>=0} (r*s - h(r)) by bracket doubling + golden section."""
-        if s == 0.0:
-            return 0.0
-        h = self.source.h
-        obj = lambda r: r * s - float(h(r))
-        r_max = math.inf
-        if isinstance(self.source, SampledGenerator):
-            r_max = float(self.source.nodes_r[-1])
-        hi = min(1.0, r_max)
-        for _ in range(200):
-            if hi >= r_max:
-                hi = r_max
-                # still increasing at the domain boundary: the sup wants to
-                # escape the sampled range, so the conjugate is unbounded
-                if obj(hi) > obj(hi * 0.5):
-                    raise UnboundedConjugateError(
-                        f"conjugate not bracketed within sampled range at x={s}")
-                break
-            if obj(hi) < obj(hi * 0.5):
-                break
-            hi *= 2.0
         else:
-            raise UnboundedConjugateError(f"conjugate failed to bracket at x={s}")
-        lo = 0.0
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = obj(c), obj(d)
-        while b - a > tol:
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = obj(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = obj(d)
-        r_star = 0.5 * (a + b)
-        return max(0.0, obj(r_star))
+            gen = self.source
+            if np.any(r > gen.slopes[-1]):
+                raise UnboundedConjugateError(
+                    f"|x| = {np.max(r)} beyond the last sampled slope "
+                    f"{gen.slopes[-1]}: the sup leaves the sampled range")
+            i = np.searchsorted(gen.slopes, r, side="left")
+            # node 0 gives f >= 0; just past slopes[0], r_1 |x| - g_1 can
+            # round below it
+            out = np.maximum(gen.nodes_r[i] * r - gen.nodes_g[i], 0.0)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def conjugate_of(gen):

@@ -320,7 +320,16 @@ def joint_reference(cfg, k_max, n_paths, seed, n_coarse):
     drift_at = np.stack([cx._comb_drift_integral(cfg, k, edges)
                          for k in range(1, k_max + 1)], axis=1)
     xi = path_normals(seed, 3, 0, n_paths, (n_coarse, k_max))
-    dm = np.einsum("ikl,bil->bik", roots, xi)
+    # ascending-l sum of the root terms whose column is not identically zero
+    dm = np.zeros((n_paths, n_coarse, k_max))
+    for k in range(k_max):
+        for l in range(k_max):
+            if np.any(roots[:, k, l] != 0.0):
+                dm[:, :, k] += roots[:, k, l] * xi[:, :, l]
+    if cfg.q == 3.0:
+        # every cross pair is skipped, so each root row has one non-zero
+        # entry and the old einsum increments are these bytes too
+        assert np.einsum("ikl,bil->bik", roots, xi).tobytes() == dm.tobytes()
     m = np.concatenate([np.zeros((n_paths, 1, k_max)), np.cumsum(dm, axis=1)], axis=1)
     viol = np.abs(m) > thresholds[None, None, :]
     any_viol = np.any(viol, axis=2)
@@ -333,6 +342,15 @@ def joint_reference(cfg, k_max, n_paths, seed, n_coarse):
             np.min(np.diff(y, axis=2), axis=1))
 
 
+def joint_stats(joint):
+    return (joint.nu_index, joint.nu_k_ok, joint.sup_dist, joint.mono_min)
+
+
+def same_bytes(got, want):
+    return all(g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
 class TestJointStatsOffNu:
     @pytest.mark.parametrize("q", [3.0, 10.0])
     @pytest.mark.parametrize("k_max", [1, 2, 3])
@@ -341,12 +359,50 @@ class TestJointStatsOffNu:
         n_paths = 2 * cx._JOINT_BATCH + 37
         joint = cx.thm34_joint_paths(cfg, k_max, n_paths, 12, n_coarse=512)
         want = joint_reference(cfg, k_max, n_paths, 12, 512)
-        got = (joint.nu_index, joint.nu_k_ok, joint.sup_dist, joint.mono_min)
-        for g, w in zip(got, want):
+        for g, w in zip(joint_stats(joint), want):
             assert g.shape == w.shape and g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
         # both stopped and unstopped paths occur
         assert 0 < np.sum(joint.nu_index < 512) < n_paths
+
+    @pytest.mark.parametrize("q", [3.0, 10.0])
+    def test_independent_of_the_batch_split(self, monkeypatch, q):
+        cfg = cx.build_thm34(q, 3, 1.0)
+        n_paths = 150
+        want = joint_stats(cx.thm34_joint_paths(cfg, 3, n_paths, 21, n_coarse=256))
+        assert 0 < np.sum(want[0] < 256) < n_paths
+        for batch in (1, 37, n_paths):
+            monkeypatch.setattr(cx, "_JOINT_BATCH", batch)
+            got = joint_stats(cx.thm34_joint_paths(cfg, 3, n_paths, 21, n_coarse=256))
+            assert same_bytes(got, want)
+
+    def test_dropped_cross_column_is_caught(self, monkeypatch):
+        # q = 10 sweeps every cross pair, so every root column is live
+        cfg = cx.build_thm34(10.0, 3, 1.0)
+        want = joint_reference(cfg, 3, 300, 12, 512)
+        increments = cx._joint_increments
+
+        def dropped(roots, xi, dm):
+            roots = roots.copy()
+            roots[:, 0, 2] = 0.0
+            increments(roots, xi, dm)
+
+        assert same_bytes(joint_stats(cx.thm34_joint_paths(cfg, 3, 300, 12, 512)), want)
+        monkeypatch.setattr(cx, "_joint_increments", dropped)
+        assert not same_bytes(joint_stats(cx.thm34_joint_paths(cfg, 3, 300, 12, 512)), want)
+
+    def test_normal_paired_with_wrong_column_is_caught(self, monkeypatch):
+        # the same law, so only the pathwise comparison can see it
+        cfg = cx.build_thm34(3.0, 3, 1.0)
+        want = joint_reference(cfg, 3, 300, 12, 512)
+
+        def mispaired(roots, xi, dm):
+            for k in range(roots.shape[1]):
+                for l in range(roots.shape[2]):
+                    dm[k] += roots[:, k, l] * xi[:, :, k]
+
+        monkeypatch.setattr(cx, "_joint_increments", mispaired)
+        assert not same_bytes(joint_stats(cx.thm34_joint_paths(cfg, 3, 300, 12, 512)), want)
 
 
 # ---------------------------------------------------------------------------

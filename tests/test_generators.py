@@ -96,6 +96,32 @@ class TestConjugate:
         with pytest.raises(UnboundedConjugateError):
             conj.eval(100.0)
 
+    def test_sampled_is_max_over_nodes_up_to_last_slope(self):
+        r = np.linspace(0.0, 4.0, 81)
+        gen = SampledGenerator(r, r**3)
+        conj = Conjugate(gen)
+        last = gen.slopes[-1]
+        # the whole finite range, every slope itself, and the endpoint
+        s = np.concatenate([np.linspace(0.0, last, 401), gen.slopes, [last]])
+        brute = np.max(r[None, :] * s[:, None] - gen.nodes_g[None, :], axis=1)
+        got = conj.eval(s)
+        assert np.max(np.abs(got - brute)) <= 1e-12 * np.max(brute)
+        assert conj.eval(-s[200]) == got[200]
+        for v in s[::25]:
+            assert conj.eval(v) == pytest.approx(
+                grid_sup_conjugate(gen, v, z_hi=4.0 - 1e-5), abs=1e-6)
+        assert np.isfinite(conj.eval(last))
+        with pytest.raises(UnboundedConjugateError):
+            conj.eval(np.nextafter(last, np.inf))
+        with pytest.raises(UnboundedConjugateError):
+            conj.eval(np.array([0.0, np.nextafter(-last, -np.inf)]))
+
+    def test_truncated_has_no_conjugate(self):
+        # rho_N * g vanishes past N + 1, so sup_z (z x - g(z)) is +inf; a
+        # local search would return a finite local maximum instead
+        with pytest.raises(TypeError, match="no exact conjugate"):
+            Conjugate(truncate(PowerGenerator(3.0), 5.0))
+
 
 class TestYoungGap:
     def test_equality_at_gradient(self):
