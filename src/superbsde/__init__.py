@@ -5,13 +5,11 @@ path-level bound checks, and the three ill-posedness constructions.
 """
 
 from .generators import (Conjugate, PowerGenerator, QuadraticGenerator,
-                         SampledGenerator, TruncatedGenerator, check_growth_duality,
-                         conjugate_of, superquadratic_probe, truncate, young_gap)
+                         SampledGenerator, conjugate_of)
 from .terminal_data import (TerminalCondition, inf_convolution, sup_convolution,
                             uniform_gap_bound)
 from .forward_model import (ForwardModel, LinearDrift, PathBundle, TanhDrift,
-                            ZeroDrift, check_compat_417, gaussian_terminal_law,
-                            simulate_paths)
+                            ZeroDrift, simulate_paths)
 from .hj_solver import (GridSpec, PdeSolution, cole_hopf_reference, solve,
                         solve_regularized_family)
 from .dual_mc import (ConstantControl, DualEstimate, FeedbackControl,

@@ -4,8 +4,8 @@ The Hamilton-Jacobi step (``hj_base_step`` with its ``ImplicitDiffusion``
 solve), the Euler-Maruyama path loop (``em_paths``) and the comb sweep
 (``comb_cross_overlap``) are vectorized over cells, paths and teeth
 respectively.  The step and the path loop take generator profiles, drifts,
-tilts and running costs as vectorized Python callables, so every kind
-(sampled, truncated, custom) runs the same code.
+tilts and running costs as vectorized Python callables, so every
+generator, drift and control kind runs the same code.
 
 ``em_paths`` is the package's one Euler loop.  ``simulate_paths`` asks it
 for the stored x/flow knots; the dual Monte Carlo pass stores no knots and
@@ -115,7 +115,7 @@ def hj_base_step(u, bvals, dx, sigma, h_vec, hp_vec, pcap, dt_base, max_substeps
     hyperbolic bound dtau <= cfl dx / theta_max limits the substep; with
     cfl <= 1 the explicit part is monotone and (I - c D2)^{-1} >= 0, so the
     step is monotone.  h_vec/hp_vec are vectorized radial profiles, so any
-    generator (sampled, truncated, custom) works.
+    generator (power, quadratic, sampled) works.
 
     Returns (u_new, n_substeps, cap_hit); n_substeps == -1 signals the
     substep ceiling was exceeded.  A non-finite theta ends the step early

@@ -45,7 +45,7 @@ _SCHEMA = {
     "terminal": {"profile": str, "amplitude": float, "frequency": float,
                  "offset": float, "jump": float, "low": float, "high": float,
                  "csv": str, "inf_convolve_m": float},
-    "model": {"drift": object, "sigma": float, "T": float, "lambda": float},
+    "model": {"drift": object, "sigma": float, "T": float},
     "grid": {"n_x": int, "dt": float, "pad": float, "x_lo": float, "x_hi": float},
     "mc": {"n_paths": int, "n_steps": int, "seed": int},
     "x0": float,
@@ -284,7 +284,7 @@ def build_model(cfg):
     else:
         raise ConfigError("model.drift",
                           f"expected 'zero', {{linear: b}} or {{tanh: a}}, got {spec!r}")
-    return ForwardModel(drift, m["sigma"], m["T"], lam=m.get("lambda"))
+    return ForwardModel(drift, m["sigma"], m["T"])
 
 
 def build_grid(cfg):

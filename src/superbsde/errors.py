@@ -14,16 +14,12 @@ class UnboundedConjugateError(SuperbsdeError):
     slope the supremum leaves the sampled range."""
 
 
-class NotSuperquadraticError(SuperbsdeError):
-    """No probe point with g(z)/z^2 >= k exists below the overflow cap."""
-
-
 class NoModulusError(SuperbsdeError):
     """Terminal condition lacks the continuity modulus the bound needs."""
 
 
 class NotGaussianError(SuperbsdeError):
-    """Exact Gaussian terminal law requested for a model with drift."""
+    """Cole-Hopf reference requested for a model with drift."""
 
 
 class SimulationDivergedError(SuperbsdeError):

@@ -32,11 +32,12 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import _kernels
-from .errors import NotGaussianError, SimulationDivergedError
+from .errors import SimulationDivergedError
 
 
 class Drift:
-    """Drift b(t, x) with spatial derivative b_x(t, x), both vectorized."""
+    """Drift b(t, x) with spatial derivative b_x(t, x), both vectorized,
+    and the exact sup |b_x| over [0, T] x R, which every kind must give."""
 
     zero = False
 
@@ -47,8 +48,7 @@ class Drift:
         raise NotImplementedError
 
     def sup_dx(self):
-        """Exact sup |b_x| when known in closed form, else None."""
-        return None
+        raise NotImplementedError
 
 
 class ZeroDrift(Drift):
@@ -107,9 +107,12 @@ class TanhDrift(Drift):
 
 
 class CustomDrift(Drift):
-    def __init__(self, fn, fn_dx, name="custom"):
+    """b = fn, b_x = fn_dx, with sup |b_x| = sup_dx given by the caller."""
+
+    def __init__(self, fn, fn_dx, sup_dx, name="custom"):
         self.fn = fn
         self.fn_dx = fn_dx
+        self._sup_dx = float(sup_dx)
         self.name = name
 
     def __call__(self, t, x):
@@ -118,14 +121,22 @@ class CustomDrift(Drift):
     def dx(self, t, x):
         return np.asarray(self.fn_dx(t, np.asarray(x, dtype=float)), dtype=float)
 
+    def sup_dx(self):
+        return self._sup_dx
+
     def __repr__(self):
         return f"CustomDrift({self.name})"
 
 
 class ForwardModel:
-    """Scalar diffusion with constant sigma on the horizon [0, T]."""
+    """Scalar diffusion with constant sigma on the horizon [0, T].
 
-    def __init__(self, drift, sigma, horizon, b_x_bound=None, lam=None):
+    lam = sup |b_x|, read off the drift: in the scalar case it is the
+    smallest constant of the compatibility inequality |b_x| <= lambda that
+    the Markovian existence result needs, so it holds by construction.
+    """
+
+    def __init__(self, drift, sigma, horizon):
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
         if not horizon > 0.0:
@@ -133,25 +144,11 @@ class ForwardModel:
         self.drift = drift
         self.sigma = float(sigma)
         self.horizon = float(horizon)
-        if b_x_bound is None:
-            b_x_bound = drift.sup_dx()
-        if b_x_bound is None:
-            b_x_bound = _probe_sup_dx(drift, horizon)
-        self.b_x_bound = float(b_x_bound)
-        # in the scalar case the structural constant lambda of the
-        # drift/volatility compatibility inequality reduces to sup |b_x|
-        self.lam = float(lam) if lam is not None else self.b_x_bound
+        self.lam = float(drift.sup_dx())
 
     def __repr__(self):
         return (f"ForwardModel({self.drift!r}, sigma={self.sigma}, "
                 f"T={self.horizon}, lambda={self.lam})")
-
-
-def _probe_sup_dx(drift, horizon, n=512):
-    rng = Generator(Philox(key=0))
-    ts = rng.uniform(0.0, horizon, n)
-    xs = rng.uniform(-20.0, 20.0, n)
-    return float(np.max(np.abs(drift.dx(ts, xs))))
 
 
 @dataclass
@@ -263,37 +260,3 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     return PathBundle(times=times, x_paths=x, flow_paths=flow, noise=dw,
                       seed=int(seed), x0=float(x0), t0=float(t0),
                       tilted=tilt is not None)
-
-
-@dataclass(frozen=True)
-class CompatReport:
-    """Outcome of probing the drift/volatility compatibility inequality."""
-
-    lam: float
-    measured_sup: float
-    worst_t: float
-    worst_x: float
-    passed: bool
-
-
-def check_compat_417(model, probe_count, seed=0):
-    """Probe |eta^T sigma sigma^T b_x^T eta| <= lambda |eta^T sigma|^2; in the
-    scalar case this is sup |b_x| <= lambda."""
-    if probe_count < 1:
-        raise ValueError("need probe_count >= 1")
-    rng = Generator(Philox(key=(int(seed) << 64) + 0x417))
-    ts = rng.uniform(0.0, model.horizon, probe_count)
-    xs = rng.uniform(-20.0, 20.0, probe_count)
-    vals = np.abs(model.drift.dx(ts, xs))
-    worst = int(np.argmax(vals))
-    measured = float(vals[worst])
-    return CompatReport(lam=model.lam, measured_sup=measured,
-                        worst_t=float(ts[worst]), worst_x=float(xs[worst]),
-                        passed=measured <= model.lam + 1e-12)
-
-
-def gaussian_terminal_law(model, x0, t0):
-    """Exact (mean, variance) of X_T for the driftless model."""
-    if not model.drift.zero:
-        raise NotGaussianError("terminal law is Gaussian only for zero drift")
-    return float(x0), model.sigma**2 * (model.horizon - t0)

@@ -1,11 +1,9 @@
-"""Convex generators, their gradients, Fenchel-Legendre conjugates and
-smooth truncations.
+"""Convex generators, their gradients and Fenchel-Legendre conjugates.
 
 A generator is a convex function g >= 0 with g(0) = 0 acting radially,
 g(z) = h(|z|) with h convex increasing.  Three concrete kinds are
-provided (power |z|**q with q > 2, quadratic gamma*|z|**2, and sampled
-piecewise-linear profiles loaded from CSV) plus the smooth truncation
-rho_N * g used by the Markovian solver.
+provided: power |z|**q with q > 2, quadratic gamma*|z|**2, and sampled
+piecewise-linear profiles loaded from CSV.
 
 All objects are immutable after construction and safe for concurrent
 reads.
@@ -16,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ExtrapolationRangeError,
-    NotSuperquadraticError,
-    UnboundedConjugateError,
-)
-
-_OVERFLOW_CAP = 1e8
+from .errors import ExtrapolationRangeError, UnboundedConjugateError
 
 
 def read_two_columns(path):
@@ -60,20 +52,10 @@ class Generator:
 
     def grad(self, z):
         """Gradient h'(|z|) * sign(z) (0 at the origin)."""
-        g, _ = self.grad_info(z)
-        return g
-
-    def grad_info(self, z):
-        """Gradient plus a smoothness flag (False only at sampled nodes)."""
         z = np.asarray(z, dtype=float)
         r = np.abs(z)
         val = np.where(r > 0.0, self.hp(np.where(r > 0.0, r, 1.0)) * np.sign(z), 0.0)
-        if val.ndim == 0:
-            return float(val), True
-        return val, True
-
-    def is_superquadratic(self):
-        return True
+        return float(val) if val.ndim == 0 else val
 
 
 class PowerGenerator(Generator):
@@ -108,9 +90,6 @@ class QuadraticGenerator(Generator):
 
     def hp(self, r):
         return 2.0 * self.gamma * np.asarray(r, dtype=float)
-
-    def is_superquadratic(self):
-        return False
 
     def __repr__(self):
         return f"QuadraticGenerator(gamma={self.gamma})"
@@ -168,77 +147,22 @@ class SampledGenerator(Generator):
     def hp(self, r):
         return self.slopes[self._segment(self._in_range(r))]
 
-    def grad_info(self, z):
+    def grad(self, z):
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         za = np.atleast_1d(z)
         r = self._in_range(np.abs(za))
-        # interior nodes are kinks: report the subgradient midpoint, flagged
+        # interior nodes are kinks: report the subgradient midpoint
         at_node = np.isin(r, self.nodes_r[1:-1])
         slope = self.slopes[self._segment(r)].astype(float)
         if np.any(at_node):
             node_idx = np.searchsorted(self.nodes_r, r[at_node])
             slope[at_node] = 0.5 * (self.slopes[node_idx - 1] + self.slopes[node_idx])
         out = np.where(r > 0.0, slope * np.sign(za), 0.0)
-        smooth = not bool(np.any(at_node))
-        if scalar:
-            return float(out[0]), smooth
-        return out, smooth
-
-    def is_superquadratic(self):
-        r = self.nodes_r[1:]
-        return bool(np.any(self.nodes_g[1:] / r**2 >= 1.0))
+        return float(out[0]) if scalar else out
 
     def __repr__(self):
         return f"SampledGenerator({self.nodes_r.size} nodes, r_max={self.nodes_r[-1]})"
-
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return 3.0 * t * t - 2.0 * t * t * t
-
-
-def _smoothstep_deriv(t):
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 6.0 * t - 6.0 * t * t, 0.0)
-
-
-class TruncatedGenerator(Generator):
-    """rho_N(|z|) * g(z) with rho_N the cubic smoothstep cutoff on [N, N+1].
-
-    Agrees with the base generator bit-for-bit on |z| <= N and vanishes on
-    |z| >= N+1; bounded and Lipschitz, hence no longer convex globally.
-    """
-
-    def __init__(self, base, N):
-        if not N > 0.0:
-            raise ValueError("truncation level N must be positive")
-        self.base = base
-        self.N = float(N)
-
-    def rho(self, r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 - _smoothstep(r - self.N)
-
-    def h(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.where(r >= self.N + 1.0, 0.0, self.rho(r) * self.base.h(np.minimum(r, self.N + 1.0)))
-        # bit-for-bit agreement below the cutoff
-        out = np.where(r <= self.N, self.base.h(r), out)
-        return out
-
-    def hp(self, r):
-        r = np.asarray(r, dtype=float)
-        rc = np.minimum(r, self.N + 1.0)
-        d = -_smoothstep_deriv(r - self.N) * self.base.h(rc) + self.rho(r) * self.base.hp(rc)
-        return np.where(r <= self.N, self.base.hp(r), np.where(r >= self.N + 1.0, 0.0, d))
-
-    def is_superquadratic(self):
-        return False
-
-    def __repr__(self):
-        return f"TruncatedGenerator({self.base!r}, N={self.N})"
 
 
 @dataclass(frozen=True)
@@ -258,8 +182,8 @@ class Conjugate:
     sits at node r_i, so f(x) = r_i |x| - g_i with
     i = searchsorted(slopes, |x|, "left").  Past the last slope the sup
     leaves the sampled range and eval raises UnboundedConjugateError.  No
-    other kind has an exact conjugate here (a truncated generator is not
-    even convex), so construction raises TypeError.
+    other kind has an exact conjugate here, so construction raises
+    TypeError.
     """
 
     def __init__(self, source):
@@ -295,72 +219,3 @@ class Conjugate:
 
 def conjugate_of(gen):
     return Conjugate(gen)
-
-
-def young_gap(gen, conj, z, x):
-    """g(z) + f(x) - z.x; >= 0 by Young's inequality, 0 iff x = grad g(z)."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    pair = float(np.sum(z * x)) if z.ndim else float(z * x)
-    return gen.eval(z) + conj.eval(x) - pair
-
-
-def truncate(gen, N):
-    """Smoothly truncated generator rho_N * g (cubic smoothstep on [N, N+1])."""
-    return TruncatedGenerator(gen, N)
-
-
-def superquadratic_probe(gen, K):
-    """K probe points (z_k, g(z_k)/z_k**2) with ratio >= k, else raise."""
-    if K < 1:
-        raise ValueError("need K >= 1")
-    if not gen.is_superquadratic():
-        raise NotSuperquadraticError(f"{gen!r} has bounded ratio g(z)/z^2")
-    if isinstance(gen, PowerGenerator):
-        ks = np.arange(1, K + 1, dtype=float)
-        z = ks ** (1.0 / (gen.q - 2.0))
-        if z[-1] > _OVERFLOW_CAP:
-            raise NotSuperquadraticError(
-                f"probe z_{K} = {z[-1]:.3g} exceeds the overflow cap")
-        return list(zip(z.tolist(), (gen.h(z) / z**2).tolist()))
-    # generic scan on a geometric grid (bounded kinds will fail)
-    if isinstance(gen, SampledGenerator):
-        grid = gen.nodes_r[gen.nodes_r > 0.0]
-    else:
-        grid = np.geomspace(1e-3, _OVERFLOW_CAP, 4096)
-    ratios = np.asarray(gen.h(grid), dtype=float) / grid**2
-    out = []
-    for k in range(1, K + 1):
-        hit = np.nonzero(ratios >= k)[0]
-        if hit.size == 0:
-            raise NotSuperquadraticError(
-                f"no z with g(z)/z^2 >= {k} below the overflow cap")
-        out.append((float(grid[hit[0]]), float(ratios[hit[0]])))
-    return out
-
-
-@dataclass(frozen=True)
-class GrowthDualityReport:
-    radii: tuple
-    f_ratios: tuple
-    g_ratios: tuple
-    f_ratio_vanishes: bool
-    g_ratio_diverges: bool
-    M: float
-    alpha: float
-    alpha_positive: bool
-
-
-def check_growth_duality(gen, conj, probe_radius, M=1.0):
-    """Quadratic-growth duality probe: f(x)/|x|^2 vs g(z)/|z|^2 on a radius
-    ladder, plus the conjugate coercivity constant alpha = min_{|x|=M} f."""
-    if not probe_radius > 0.0:
-        raise ValueError("probe radius must be positive")
-    radii = (probe_radius / 16.0, probe_radius / 4.0, probe_radius)
-    f_ratios = tuple(conj.eval(R) / R**2 for R in radii)
-    g_ratios = tuple(gen.eval(R) / R**2 for R in radii)
-    f_vanishes = f_ratios[2] < 0.5 * f_ratios[0]
-    g_diverges = g_ratios[2] > 2.0 * g_ratios[0]
-    alpha = conj.eval(M)
-    return GrowthDualityReport(radii, f_ratios, g_ratios, f_vanishes,
-                               g_diverges, float(M), float(alpha), alpha > 0.0)

@@ -23,15 +23,15 @@ level that turns non-finite raises ResolutionError.
 
 The superquadratic Hamiltonian has an unbounded gradient Lipschitz
 constant, so the gradient argument of g is clamped at 1.5x the a-priori
-envelope 2 exp(lambda T) ||Phi|| (T-s)^{-1/2} / sigma; for Lipschitz
-terminal data the time-uniform bound L sigma exp(2 ||b_x|| T) is taken
-when smaller, which keeps the dissipation coefficient (and the substep
-count) bounded away from the terminal layer.  The clamp is applied one
+envelope 2 exp(lambda T) ||Phi|| (T-s)^{-1/2} / sigma, lambda = sup |b_x|
+(`model.lam`); for Lipschitz terminal data the time-uniform bound
+L sigma exp(2 lambda T) is taken when smaller, which keeps the
+dissipation coefficient (and the substep count) bounded away from the
+terminal layer.  The clamp is applied one
 level in: stepping out of s = T uses the envelope at T - dt, never at T
 itself.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +78,6 @@ class PdeSolution:
     model: object
     gen: object
     tc: object
-    domain_warning: bool = False
 
     @property
     def dx(self):
@@ -154,7 +153,7 @@ def _p_cap(model, sup_norm, lip, tau):
     c1 = 2.0 * np.exp(model.lam * model.horizon)
     cap_z = c1 * sup_norm / np.sqrt(tau)
     if lip is not None:
-        cap_z = min(cap_z, lip * model.sigma * np.exp(2.0 * model.b_x_bound * model.horizon))
+        cap_z = min(cap_z, lip * model.sigma * np.exp(2.0 * model.lam * model.horizon))
     return CAP_SAFETY * cap_z / model.sigma
 
 
@@ -171,7 +170,7 @@ def _grid_arrays(model, grid, t0):
     else:
         b0 = abs(float(np.asarray(model.drift(t0, np.array([grid.x_center]))).ravel()[0]))
         radius = (6.0 * model.sigma * np.sqrt(span) + grid.pad
-                  + b0 * span * np.exp(model.b_x_bound * span))
+                  + b0 * span * np.exp(model.lam * span))
         x_lo, x_hi = grid.x_center - radius, grid.x_center + radius
     if not x_lo < x_hi:
         raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
@@ -183,7 +182,7 @@ def _grid_arrays(model, grid, t0):
 
 
 def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
-          envelope_lipschitz=None, domain_check=False):
+          envelope_lipschitz=None):
     """Solve the terminal-value problem backward from T to t0.
 
     envelope_sup_norm / envelope_lipschitz override ||Phi|| and L in the
@@ -237,38 +236,9 @@ def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
         cap_active[k + 1] = hit
         substeps[k + 1] = nsub
 
-    sol = PdeSolution(x_grid=x, t_grid=t_desc, u=u, z=z, cap_active=cap_active,
-                      substeps=substeps, sup_norm_used=sup_norm,
-                      model=model, gen=gen, tc=tc)
-    if domain_check:
-        _domain_check(sol, model, gen, tc, grid, t0, envelope_sup_norm)
-    return sol
-
-
-def _domain_check(sol, model, gen, tc, grid, t0, envelope_sup_norm):
-    """Coarse rerun on a 20%-wider domain; warn if the reporting window moved."""
-    x_lo = sol.x_grid[0] - 0.2 * (sol.x_grid[-1] - sol.x_grid[0]) / 2.0
-    x_hi = sol.x_grid[-1] + 0.2 * (sol.x_grid[-1] - sol.x_grid[0]) / 2.0
-    wide = GridSpec(n_x=max(64, grid.n_x // 2 + 1), dt=grid.dt * 2.0,
-                    x_lo=x_lo, x_hi=x_hi, max_substeps=grid.max_substeps)
-    ref = solve(model, gen, tc, wide, t0, envelope_sup_norm=envelope_sup_norm)
-    # also rerun on the original domain at the same coarse resolution so the
-    # comparison isolates the boundary influence, not the refinement error
-    base = GridSpec(n_x=max(64, grid.n_x // 2 + 1), dt=grid.dt * 2.0,
-                    x_lo=float(sol.x_grid[0]), x_hi=float(sol.x_grid[-1]),
-                    max_substeps=grid.max_substeps)
-    coarse = solve(model, gen, tc, base, t0, envelope_sup_norm=envelope_sup_norm)
-    span = model.horizon - t0
-    center = 0.5 * (sol.x_grid[0] + sol.x_grid[-1])
-    window = 3.0 * model.sigma * np.sqrt(span)
-    xs = np.linspace(center - window, center + window, 129)
-    gap = float(np.max(np.abs(np.interp(xs, ref.x_grid, ref.u[-1])
-                              - np.interp(xs, coarse.x_grid, coarse.u[-1]))))
-    tol = max(1e-6, 1e-3 * max(1.0, sol.sup_norm_used))
-    if gap > tol:
-        sol.domain_warning = True
-        warnings.warn(f"domain too small: widening moved u(t0) by {gap:.3g} "
-                      f"on the reporting window (tol {tol:.3g})")
+    return PdeSolution(x_grid=x, t_grid=t_desc, u=u, z=z, cap_active=cap_active,
+                       substeps=substeps, sup_norm_used=sup_norm,
+                       model=model, gen=gen, tc=tc)
 
 
 _GH_NODES, _GH_WEIGHTS = hermegauss(64)

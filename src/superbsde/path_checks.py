@@ -129,8 +129,8 @@ def _worst_level(sol, peak, threshold):
 
 
 def apriori_z_bound(sol, model, sup_norm):
-    """max_x |Z(s, .)| against 2 exp(lambda T) ||Phi|| (T-s)^{-1/2} on every
-    level with T-s >= 10 dt."""
+    """max_x |Z(s, .)| against 2 exp(lambda T) ||Phi|| (T-s)^{-1/2}, with
+    lambda = sup |b_x| = model.lam, on every level with T-s >= 10 dt."""
     c1 = 2.0 * np.exp(model.lam * model.horizon)
     return _worst_level(sol, lambda z: np.max(np.abs(z)),
                         lambda tau: c1 * sup_norm / np.sqrt(tau))

@@ -54,7 +54,7 @@ def quadratic_solution():
 
 @pytest.fixture(scope="module")
 def a4_solutions():
-    model = ForwardModel(TanhDrift(0.3), 1.0, 1.0, lam=0.3)
+    model = ForwardModel(TanhDrift(0.3), 1.0, 1.0)
     tc = TerminalCondition.analytic("cos", amplitude=1.0)
     grid = GridSpec(n_x=1601, dt=1e-3, x_lo=-8.0, x_hi=8.0)
     return model, tc, {q: solve(model, PowerGenerator(q), tc, grid, 0.0)

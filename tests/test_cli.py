@@ -216,6 +216,7 @@ class TestCommands:
         ("solve", "grid: {x_lo: -1.0, x_hi: 1.0}\nx0: 5.0", "x0"),
         ("solve", "grid: {pad: -50.0}", "grid"),
         ("solve", "model: {drift: {linear: null}}", "model.drift"),
+        ("solve", "model: {drift: {linear: 2.0}, lambda: 0.0}", "model.lambda"),
     ], ids=["n_steps", "n_paths", "cx_n_paths", "n_x", "dt", "sigma", "q",
             "generator_csv_missing", "generator_csv_one_column",
             "terminal_csv_missing", "terminal_csv_one_column",
@@ -223,7 +224,8 @@ class TestCommands:
             "m_list_not_a_list", "dual_constants_not_numbers", "cx33_theta",
             "cx34_K_zero", "cx31_q", "cx34_K_overflow", "oracle_power",
             "oracle_drift", "t0_past_horizon", "x_lo_above_x_hi", "x_lo_alone",
-            "x0_outside_domain", "default_domain_empty", "drift_not_a_number"])
+            "x0_outside_domain", "default_domain_empty", "drift_not_a_number",
+            "lambda_is_not_a_setting"])
     def test_main_rejects_bad_value_before_compute(self, tmp_path, capsys,
                                                     command, text, field):
         (tmp_path / "one.csv").write_text("x\n0.0\n1.0\n")

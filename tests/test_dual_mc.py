@@ -41,14 +41,13 @@ class TestEvaluateControl:
                                  0.0, 0.0, n_paths, 10, seed=1)
 
     def test_zero_control_matches_quadrature(self):
-        from superbsde.forward_model import gaussian_terminal_law
-
         model = bm_model()
         gen = QuadraticGenerator(0.5)
         tc = TerminalCondition.analytic("inv_quad", amplitude=1.0)
         est = evaluate_control(model, gen, conjugate_of(gen), tc, ZeroControl(),
                                0.0, 0.0, 50_000, 100, seed=1)
-        mean, var = gaussian_terminal_law(model, 0.0, 0.0)
+        # driftless: X_T ~ N(x0, sigma^2 (T - t0)) with x0 = t0 = 0
+        mean, var = 0.0, model.sigma**2 * (model.horizon - 0.0)
         target = gauss_expectation(tc, mean, var)
         assert abs(est.value - target) <= 3.0 * est.std_error
         assert est.penalty_mean == 0.0
@@ -158,8 +157,8 @@ class TestBlockedPass:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.where(np.abs(x) > level, x * 1e308, 0.0)
 
-        return ForwardModel(CustomDrift(drift, lambda t, x: np.zeros_like(x)),
-                            1.0, 1.0, b_x_bound=0.0)
+        return ForwardModel(CustomDrift(drift, lambda t, x: np.zeros_like(x), 0.0),
+                            1.0, 1.0)
 
     @pytest.mark.parametrize("ctrl", [ZeroControl(), ConstantControl(0.3)],
                              ids=["zero", "constant"])

@@ -7,11 +7,10 @@ from numpy.random import Generator, Philox
 
 from superbsde import forward_model
 from superbsde.dual_mc import ConstantControl
-from superbsde.errors import NotGaussianError, SimulationDivergedError
-from superbsde.forward_model import (CustomDrift, ForwardModel, LinearDrift,
-                                     TanhDrift, ZeroDrift, check_compat_417,
-                                     gaussian_terminal_law, path_normals,
-                                     simulate_paths)
+from superbsde.errors import SimulationDivergedError
+from superbsde.forward_model import (CustomDrift, Drift, ForwardModel,
+                                     LinearDrift, TanhDrift, ZeroDrift,
+                                     path_normals, simulate_paths)
 
 
 def model_bm(sigma=1.0, T=1.0):
@@ -46,14 +45,14 @@ class TestSimulate:
         model = ForwardModel(TanhDrift(0.4), 1.0, 1.0)
         bundle = simulate_paths(model, 0.0, 0.0, 256, 64, seed=5)
         assert np.all(bundle.flow_paths > 0.0)
-        cap = math.exp(model.b_x_bound * model.horizon)
+        cap = math.exp(model.lam * model.horizon)
         assert np.all(bundle.flow_paths <= cap * (1 + 1e-12))
         assert np.all(bundle.flow_paths >= (1 + 1e-12) ** -1 / cap)
 
     def test_divergence_reported_with_step(self):
         # explosive custom drift forces non-finite state quickly
-        drift = CustomDrift(lambda t, x: x**3 * 1e6, lambda t, x: 3e6 * x**2)
-        model = ForwardModel(drift, 1.0, 1.0, b_x_bound=np.inf)
+        drift = CustomDrift(lambda t, x: x**3 * 1e6, lambda t, x: 3e6 * x**2, np.inf)
+        model = ForwardModel(drift, 1.0, 1.0)
         with pytest.raises(SimulationDivergedError):
             simulate_paths(model, 5.0, 0.0, 4, 64, seed=6)
 
@@ -123,37 +122,31 @@ class TestPathNormals:
 
 
 class TestCompat:
-    def test_zero_drift_passes_lambda_zero(self):
-        rep = check_compat_417(model_bm(), 64)
-        assert rep.passed and rep.lam == 0.0
+    """|b_x| <= lambda holds by construction: lambda = sup_dx() bounds b_x."""
 
-    def test_linear_drift_minimal_lambda(self):
-        model = ForwardModel(LinearDrift(0.3), 1.0, 1.0)
-        rep = check_compat_417(model, 64)
-        assert rep.lam == pytest.approx(0.3)
-        assert rep.passed
+    @pytest.mark.parametrize("drift", [ZeroDrift(), LinearDrift(0.3), LinearDrift(-0.3),
+                                       TanhDrift(0.4), TanhDrift(-0.4)],
+                             ids=["zero", "linear+", "linear-", "tanh+", "tanh-"])
+    def test_sup_dx_bounds_dx_on_dense_grid(self, drift):
+        model = ForwardModel(drift, 1.0, 1.0)
+        t, x = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(-20.0, 20.0, 4001))
+        measured = np.max(np.abs(drift.dx(t, x)))
+        assert model.lam == drift.sup_dx()
+        assert measured <= model.lam
+        # the bound is the sup, not just a bound: every kind attains it
+        # (tanh at x = 0, which the grid contains)
+        assert measured == model.lam
 
-    def test_sin_drift_fails_small_lambda(self):
-        drift = CustomDrift(lambda t, x: np.sin(x), lambda t, x: np.cos(x))
-        model = ForwardModel(drift, 1.0, 1.0, b_x_bound=1.0, lam=0.5)
-        rep = check_compat_417(model, 512)
-        assert not rep.passed
-        assert rep.measured_sup > 0.5
+    def test_drift_without_sup_dx_refused(self):
+        class Sine(Drift):
+            def __call__(self, t, x):
+                return np.sin(np.asarray(x, dtype=float))
 
+            def dx(self, t, x):
+                return np.cos(np.asarray(x, dtype=float))
 
-class TestGaussianLaw:
-    def test_unit(self):
-        assert gaussian_terminal_law(model_bm(), 0.0, 0.0) == (0.0, 1.0)
-
-    def test_scaled(self):
-        model = ForwardModel(ZeroDrift(), 2.0, 1.0)
-        mean, var = gaussian_terminal_law(model, 3.0, 0.75)
-        assert (mean, var) == (3.0, pytest.approx(1.0))
-
-    def test_drift_rejected(self):
-        model = ForwardModel(LinearDrift(1.0), 1.0, 1.0)
-        with pytest.raises(NotGaussianError):
-            gaussian_terminal_law(model, 0.0, 0.0)
+        with pytest.raises(NotImplementedError):
+            ForwardModel(Sine(), 1.0, 1.0)
 
 
 class TestExport:

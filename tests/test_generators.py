@@ -1,14 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from superbsde.errors import (ExtrapolationRangeError, NotSuperquadraticError,
-                              UnboundedConjugateError)
-from superbsde.generators import (Conjugate, PowerGenerator, QuadraticGenerator,
-                                  SampledGenerator, check_growth_duality,
-                                  conjugate_of, superquadratic_probe, truncate,
-                                  young_gap)
+from superbsde.errors import ExtrapolationRangeError, UnboundedConjugateError
+from superbsde.generators import (Conjugate, Generator, PowerGenerator,
+                                  QuadraticGenerator, SampledGenerator,
+                                  conjugate_of)
 
 
 def grid_sup_conjugate(gen, x, z_hi=10.0, step=1e-5):
@@ -45,17 +41,15 @@ class TestGrad:
 
     def test_sampled_interior_matches_finite_difference(self):
         gen = SampledGenerator([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
-        val, smooth = gen.grad_info(0.5)
+        val = gen.grad(0.5)
         h = 1e-7
         fd = (gen.eval(0.5 + h) - gen.eval(0.5 - h)) / (2 * h)
         assert val == pytest.approx(fd, abs=1e-6)
-        assert smooth
 
     def test_sampled_node_subgradient_midpoint(self):
         gen = SampledGenerator([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
-        val, smooth = gen.grad_info(1.0)
-        assert val == pytest.approx(0.5 * (1.0 + 3.0))
-        assert not smooth
+        assert gen.grad(1.0) == pytest.approx(0.5 * (1.0 + 3.0))
+        assert gen.grad(-1.0) == pytest.approx(-0.5 * (1.0 + 3.0))
 
 
 class TestConjugate:
@@ -117,25 +111,38 @@ class TestConjugate:
             conj.eval(np.array([0.0, np.nextafter(-last, -np.inf)]))
 
     def test_truncated_has_no_conjugate(self):
-        # rho_N * g vanishes past N + 1, so sup_z (z x - g(z)) is +inf; a
-        # local search would return a finite local maximum instead
+        # |z|^3 cut to 0 past |z| = 5 is not convex and sup_z (z x - g(z))
+        # is +inf; a local search would return a finite local maximum
+        class Truncated(Generator):
+            def h(self, r):
+                r = np.asarray(r, dtype=float)
+                return np.where(r <= 5.0, r**3, 0.0)
+
+            def hp(self, r):
+                r = np.asarray(r, dtype=float)
+                return np.where(r <= 5.0, 3.0 * r**2, 0.0)
+
         with pytest.raises(TypeError, match="no exact conjugate"):
-            Conjugate(truncate(PowerGenerator(3.0), 5.0))
+            Conjugate(Truncated())
 
 
 class TestYoungGap:
+    """g(z) + f(x) - z x >= 0 (Young), with equality iff x = g'(z)."""
+
     def test_equality_at_gradient(self):
         gen = PowerGenerator(3.0)
         conj = conjugate_of(gen)
-        assert young_gap(gen, conj, 2.0, 12.0) == pytest.approx(0.0, abs=1e-9)
+        gap = gen.eval(2.0) + conj.eval(12.0) - 2.0 * 12.0
+        assert gap == pytest.approx(0.0, abs=1e-9)
 
     def test_both_zero(self):
         gen = PowerGenerator(3.0)
-        assert young_gap(gen, conjugate_of(gen), 0.0, 0.0) == 0.0
+        assert gen.eval(0.0) + conjugate_of(gen).eval(0.0) - 0.0 * 0.0 == 0.0
 
     def test_off_gradient(self):
         gen = PowerGenerator(3.0)
-        assert young_gap(gen, conjugate_of(gen), 1.0, 0.0) == pytest.approx(1.0)
+        gap = gen.eval(1.0) + conjugate_of(gen).eval(0.0) - 1.0 * 0.0
+        assert gap == pytest.approx(1.0)
 
     def test_young_inequality_random_pairs(self):
         rng = np.random.default_rng(42)
@@ -166,80 +173,6 @@ class TestYoungGap:
             x = np.linspace(0.0, 3.5 * gen.grad(z), 20001)
             bi = np.max(z * x - np.asarray(conj.eval(x)))
             assert bi == pytest.approx(gen.eval(z), rel=1e-4)
-
-
-class TestTruncate:
-    def test_plateau_below(self):
-        t = truncate(PowerGenerator(3.0), 5.0)
-        assert t.eval(2.0) == PowerGenerator(3.0).eval(2.0)
-
-    def test_vanishes_above(self):
-        t = truncate(PowerGenerator(3.0), 5.0)
-        assert t.eval(7.0) == 0.0
-
-    def test_midpoint_smoothstep(self):
-        t = truncate(PowerGenerator(3.0), 5.0)
-        assert t.eval(5.5) == pytest.approx(0.5 * 5.5**3)
-
-    def test_bit_for_bit_below_and_zero_above(self):
-        gen = PowerGenerator(2.7)
-        t = truncate(gen, 3.0)
-        z = np.linspace(0.0, 3.0, 257)
-        assert np.all(np.asarray(t.eval(z)) == np.asarray(gen.eval(z)))
-        z = np.linspace(4.0, 10.0, 57)
-        assert np.all(np.asarray(t.eval(z)) == 0.0)
-
-    def test_gradient_matches_finite_difference(self):
-        t = truncate(PowerGenerator(3.0), 5.0)
-        for z in (4.5, 5.25, 5.75, 6.5):
-            h = 1e-6
-            fd = (t.eval(z + h) - t.eval(z - h)) / (2 * h)
-            assert t.grad(z) == pytest.approx(fd, rel=1e-4, abs=1e-4)
-
-
-class TestSuperquadraticProbe:
-    def test_power_q3(self):
-        pts = superquadratic_probe(PowerGenerator(3.0), 3)
-        zs = [p[0] for p in pts]
-        ratios = [p[1] for p in pts]
-        assert zs == pytest.approx([1.0, 2.0, 3.0])
-        assert ratios == pytest.approx([1.0, 2.0, 3.0])
-
-    def test_power_q4(self):
-        pts = superquadratic_probe(PowerGenerator(4.0), 4)
-        zs = [p[0] for p in pts]
-        assert zs == pytest.approx([1.0, math.sqrt(2), math.sqrt(3), 2.0])
-
-    def test_quadratic_fails(self):
-        with pytest.raises(NotSuperquadraticError):
-            superquadratic_probe(QuadraticGenerator(1.0), 1)
-
-    def test_ratios_dominate_index(self):
-        for q in (2.5, 3.0, 5.0):
-            for k, (_, ratio) in enumerate(superquadratic_probe(PowerGenerator(q), 6), 1):
-                assert ratio >= k - 1e-9
-
-
-class TestGrowthDuality:
-    def test_power_ratios(self):
-        gen = PowerGenerator(3.0)
-        conj = conjugate_of(gen)
-        rep = check_growth_duality(gen, conj, 100.0)
-        # f(x) = 2 3^{-3/2} x^{3/2}: f(100)/100^2 = 0.03849
-        assert rep.f_ratios[-1] == pytest.approx(2.0 * 3.0**-1.5 * 100.0**1.5 / 1e4)
-        assert rep.f_ratio_vanishes and rep.g_ratio_diverges
-
-    def test_quadratic_ratios_flat(self):
-        gen = QuadraticGenerator(1.0)
-        rep = check_growth_duality(gen, conjugate_of(gen), 64.0)
-        assert all(r == pytest.approx(0.25) for r in rep.f_ratios)
-        assert not rep.f_ratio_vanishes and not rep.g_ratio_diverges
-
-    def test_coercivity_constant(self):
-        gen = PowerGenerator(3.0)
-        rep = check_growth_duality(gen, conjugate_of(gen), 10.0, M=1.0)
-        assert rep.alpha == pytest.approx(2.0 * 3.0**-1.5)
-        assert rep.alpha_positive
 
 
 class TestCsv:

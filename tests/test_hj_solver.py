@@ -273,14 +273,6 @@ class TestSchemeProperties:
         sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
         assert not sol.cap_active.any()
 
-    def test_domain_warning_on_tiny_domain(self):
-        tc = TerminalCondition.analytic("cos", amplitude=0.5)
-        tiny = GridSpec(n_x=64, dt=5e-3, x_lo=-1.0, x_hi=1.0)
-        with pytest.warns(UserWarning, match="domain too small"):
-            sol = solve(bm_model(), PowerGenerator(3.0), tc, tiny, 0.0,
-                        domain_check=True)
-        assert sol.domain_warning
-
 
 class TestRegularizedFamily:
     def test_constant_profile_ladder_identical(self):
