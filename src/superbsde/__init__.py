@@ -6,8 +6,7 @@ path-level bound checks, and the three ill-posedness constructions.
 
 from .generators import (Conjugate, PowerGenerator, QuadraticGenerator,
                          SampledGenerator, conjugate_of)
-from .terminal_data import (TerminalCondition, inf_convolution, sup_convolution,
-                            uniform_gap_bound)
+from .terminal_data import TerminalCondition, inf_convolution, uniform_gap_bound
 from .forward_model import (ForwardModel, LinearDrift, PathBundle, TanhDrift,
                             ZeroDrift, simulate_paths)
 from .hj_solver import (GridSpec, PdeSolution, cole_hopf_reference, solve,

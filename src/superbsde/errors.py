@@ -15,7 +15,7 @@ class UnboundedConjugateError(SuperbsdeError):
 
 
 class NoModulusError(SuperbsdeError):
-    """Terminal condition lacks the continuity modulus the bound needs."""
+    """Terminal condition has no Lipschitz constant, which the gap bound needs."""
 
 
 class NotGaussianError(SuperbsdeError):

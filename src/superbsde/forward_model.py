@@ -106,28 +106,6 @@ class TanhDrift(Drift):
         return f"TanhDrift(scale={self.scale})"
 
 
-class CustomDrift(Drift):
-    """b = fn, b_x = fn_dx, with sup |b_x| = sup_dx given by the caller."""
-
-    def __init__(self, fn, fn_dx, sup_dx, name="custom"):
-        self.fn = fn
-        self.fn_dx = fn_dx
-        self._sup_dx = float(sup_dx)
-        self.name = name
-
-    def __call__(self, t, x):
-        return np.asarray(self.fn(t, np.asarray(x, dtype=float)), dtype=float)
-
-    def dx(self, t, x):
-        return np.asarray(self.fn_dx(t, np.asarray(x, dtype=float)), dtype=float)
-
-    def sup_dx(self):
-        return self._sup_dx
-
-    def __repr__(self):
-        return f"CustomDrift({self.name})"
-
-
 class ForwardModel:
     """Scalar diffusion with constant sigma on the horizon [0, T].
 

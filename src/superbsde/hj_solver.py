@@ -40,10 +40,10 @@ from numpy.polynomial.hermite_e import hermegauss
 from . import _kernels
 from .errors import NotGaussianError, ResolutionError
 from .generators import QuadraticGenerator
-from .terminal_data import Lipschitz
 
 CAP_SAFETY = 1.5
 CFL_SAFETY = 0.9  # hyperbolic CFL factor; <= 1 keeps the explicit part monotone
+MAX_SUBSTEPS = 1 << 21  # per level; more raises ResolutionError
 
 
 @dataclass
@@ -61,7 +61,6 @@ class GridSpec:
     pad: float = 2.0
     x_lo: float = None
     x_hi: float = None
-    max_substeps: int = 1 << 21
 
 
 @dataclass
@@ -194,16 +193,13 @@ def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
     translation holds to rounding.
 
     Raises ResolutionError when a level needs more than
-    grid.max_substeps substeps or turns non-finite.
+    MAX_SUBSTEPS substeps or turns non-finite.
     """
     x, t_desc = _grid_arrays(model, grid, t0)
     dx = float(x[1] - x[0])
     dt_base = float(t_desc[0] - t_desc[1])
     sup_norm = float(envelope_sup_norm) if envelope_sup_norm is not None else tc.sup_norm
-    if envelope_lipschitz is not None:
-        lip = float(envelope_lipschitz)
-    else:
-        lip = tc.regularity.L if isinstance(tc.regularity, Lipschitz) else None
+    lip = float(envelope_lipschitz) if envelope_lipschitz is not None else tc.lipschitz
 
     n_t = t_desc.size
     u = np.empty((n_t, x.size))
@@ -224,10 +220,10 @@ def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
         bvals = np.asarray(model.drift(s_src, x), dtype=float)
         unew, nsub, hit = _kernels.hj_base_step(
             u[k], bvals, dx, model.sigma, h_vec, hp_vec, pcap,
-            dt_base, grid.max_substeps, CFL_SAFETY, diffusion)
+            dt_base, MAX_SUBSTEPS, CFL_SAFETY, diffusion)
         if nsub < 0:
             raise ResolutionError(
-                f"CFL substep ceiling {grid.max_substeps} exceeded at level {k}")
+                f"CFL substep ceiling {MAX_SUBSTEPS} exceeded at level {k}")
         if not np.all(np.isfinite(unew)):
             raise ResolutionError(
                 f"non-finite solution at level {k + 1} (t = {t_desc[k + 1]:.6g})")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import subprocess
 import sys
@@ -102,7 +103,7 @@ class TestBuilders:
         assert tc(1.0) == 1.0
         cfg.terminal["inf_convolve_m"] = 50.0
         tc = build_terminal(cfg)
-        assert tc.regularity.L == 50.0
+        assert tc.lipschitz == 50.0
 
 
 def _run_cli(args, cwd, env):
@@ -176,6 +177,51 @@ class TestCommands:
                    str(tmp_path / "o")])
         assert rc == 0
         assert (tmp_path / "o" / "regularize.csv").exists()
+
+    def test_regularize_csv_cells_are_numbers(self, tmp_path):
+        # inv_quad's Lipschitz constant 3 sqrt(3) / 8 is computed with numpy;
+        # the certificate column must still read as plain floats
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CHECKS.replace("{profile: cos, amplitude: 0.5}",
+                                            "{profile: inv_quad, amplitude: 1.0}")
+                        + "regularize: {m_list: [2.0, 8.0]}\n")
+        out = tmp_path / "o"
+        assert main(["regularize", "--config", str(cfgp), "--out", str(out)]) == 0
+        for name, first in (("regularize.csv", 0), ("checks.csv", 1)):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, name
+            for row in rows:
+                for cell in row[first:]:
+                    float(cell)
+
+    def test_understated_lipschitz_fails_certificate(self, tmp_path):
+        # the slope-50 spike claimed 1-Lipschitz certifies 2 ||Phi|| L / m =
+        # 0.125 at m = 16, below its measured terminal gap of about 0.68
+        (tmp_path / "spike.csv").write_text(
+            "x,phi\n-8.0,0.0\n-0.02,0.0\n0.0,1.0\n0.02,0.0\n8.0,0.0\n")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(f"terminal: {{profile: tabulated, csv: {tmp_path}/spike.csv}}\n")
+
+        def certificate_row(cfg, sub):
+            cfg.out = str(tmp_path / sub)
+            rc = run(cfg)
+            with open(tmp_path / sub / "checks.csv", newline="") as fh:
+                rows = {r["check"]: r for r in csv.DictReader(fh)}
+            return rc, rows["certified terminal gap >= measured"]
+
+        cfg = load_config(cfgp, command="regularize")
+        tc = cfg.inputs.tc
+        assert tc.lipschitz == pytest.approx(50.0)
+        rc, row = certificate_row(cfg, "honest")
+        assert rc == 0 and row["pass"] == "1"
+        assert float(row["threshold"]) == 2.0  # 2 ||Phi|| L / 16, capped at 2 ||Phi||
+        cfg.inputs = dataclasses.replace(cfg.inputs, tc=terminal_data.TerminalCondition(
+            tc.fn, tc.lo, tc.hi, lipschitz=1.0, crit=tc.crit))
+        rc, row = certificate_row(cfg, "understated")
+        assert rc == 1 and row["pass"] == "0"
+        assert float(row["threshold"]) == 0.125
+        assert float(row["statistic"]) > 0.6
 
     @pytest.mark.parametrize("argv", [["counterexample", "3.3", "--seed", "-1"],
                                       ["dual", "--seed", "18446744073709551615"]])

@@ -9,8 +9,8 @@ from superbsde.dual_mc import (ConstantControl, PiecewiseConstantControl,
                                ZeroControl, duality_gap, evaluate_control,
                                feedback_control)
 from superbsde.errors import SimulationDivergedError
-from superbsde.forward_model import (CustomDrift, ForwardModel, TanhDrift,
-                                     ZeroDrift, simulate_paths)
+from superbsde.forward_model import (Drift, ForwardModel, TanhDrift, ZeroDrift,
+                                     simulate_paths)
 from superbsde.generators import (PowerGenerator, QuadraticGenerator,
                                   conjugate_of)
 from superbsde.hj_solver import GridSpec, solve
@@ -151,14 +151,23 @@ class TestBlockedPass:
         evaluate_control(model, gen, conj, tc, ctrl, 0.0, 0.0, 1000, 20, seed=3)
         assert sum(seen) == (0 if kind == "zero" else 1000 * 20)
 
-    @staticmethod
-    def exploding_model(level=1.5):
-        def drift(t, x):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.where(np.abs(x) > level, x * 1e308, 0.0)
+    class _ExplodingDrift(Drift):
+        """b = 1e308 x beyond |x| > 1.5, so a path that gets there overflows."""
 
-        return ForwardModel(CustomDrift(drift, lambda t, x: np.zeros_like(x), 0.0),
-                            1.0, 1.0)
+        def __call__(self, t, x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.where(np.abs(x) > 1.5, x * 1e308, 0.0)
+
+        def dx(self, t, x):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        def sup_dx(self):
+            return 0.0
+
+    @classmethod
+    def exploding_model(cls):
+        return ForwardModel(cls._ExplodingDrift(), 1.0, 1.0)
 
     @pytest.mark.parametrize("ctrl", [ZeroControl(), ConstantControl(0.3)],
                              ids=["zero", "constant"])

@@ -8,9 +8,8 @@ from numpy.random import Generator, Philox
 from superbsde import forward_model
 from superbsde.dual_mc import ConstantControl
 from superbsde.errors import SimulationDivergedError
-from superbsde.forward_model import (CustomDrift, Drift, ForwardModel,
-                                     LinearDrift, TanhDrift, ZeroDrift,
-                                     path_normals, simulate_paths)
+from superbsde.forward_model import (Drift, ForwardModel, LinearDrift, TanhDrift,
+                                     ZeroDrift, path_normals, simulate_paths)
 
 
 def model_bm(sigma=1.0, T=1.0):
@@ -51,8 +50,17 @@ class TestSimulate:
 
     def test_divergence_reported_with_step(self):
         # explosive custom drift forces non-finite state quickly
-        drift = CustomDrift(lambda t, x: x**3 * 1e6, lambda t, x: 3e6 * x**2, np.inf)
-        model = ForwardModel(drift, 1.0, 1.0)
+        class CubicDrift(Drift):
+            def __call__(self, t, x):
+                return np.asarray(x, dtype=float) ** 3 * 1e6
+
+            def dx(self, t, x):
+                return 3e6 * np.asarray(x, dtype=float) ** 2
+
+            def sup_dx(self):
+                return np.inf
+
+        model = ForwardModel(CubicDrift(), 1.0, 1.0)
         with pytest.raises(SimulationDivergedError):
             simulate_paths(model, 5.0, 0.0, 4, 64, seed=6)
 

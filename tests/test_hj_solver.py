@@ -65,15 +65,15 @@ class TestBasics:
         with pytest.raises(ValueError, match=match):
             solve(bm_model(), PowerGenerator(3.0), tc, grid, t0)
 
-    def test_substep_ceiling(self):
+    def test_substep_ceiling(self, monkeypatch):
         # step data is not Lipschitz: the clamp grows like tau^{-1/2}, so
         # the hyperbolic CFL bound needs several substeps on the first level
         tc = TerminalCondition.step(0.0, -1.0, 1.0)
         free = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
         assert free.substeps[1] > 1
-        tight = GridSpec(n_x=401, dt=5e-3, x_lo=-8, x_hi=8, max_substeps=1)
-        with pytest.raises(ResolutionError):
-            solve(bm_model(), PowerGenerator(3.0), tc, tight, 0.0)
+        monkeypatch.setattr(hj_solver, "MAX_SUBSTEPS", 1)
+        with pytest.raises(ResolutionError, match="CFL substep ceiling 1 exceeded"):
+            solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
 
     def test_cfl_defect_raises_instead_of_nan(self, monkeypatch):
         # twice the hyperbolic CFL bound breaks monotonicity and the step
@@ -251,7 +251,7 @@ class TestSchemeProperties:
         for _ in range(5):
             lo, hi = self._random_tabulated_pair(rng)
             env_sup = max(lo.sup_norm, hi.sup_norm)
-            env_lip = max(lo.regularity.L, hi.regularity.L)
+            env_lip = max(lo.lipschitz, hi.lipschitz)
             s_lo = solve(bm_model(), gen, lo, GRID, 0.0,
                          envelope_sup_norm=env_sup, envelope_lipschitz=env_lip)
             s_hi = solve(bm_model(), gen, hi, GRID, 0.0,
@@ -298,7 +298,7 @@ class TestRegularizedFamily:
         gaps = [u.u_at(0.0, 0.0) - l.u_at(0.0, 0.0)
                 for u, l in zip(upper, lower)]
         assert gaps[0] >= gaps[1] - 1e-12 >= gaps[2] - 2e-12
-        assert gaps[-1] <= 2.0 * (2.0 * tc.sup_norm * tc.regularity.L / ms[-1])
+        assert gaps[-1] <= 2.0 * (2.0 * tc.sup_norm * tc.lipschitz / ms[-1])
 
     def test_unsorted_m_list_rejected(self):
         tc = TerminalCondition.analytic("cos")

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from superbsde.errors import NoModulusError
-from superbsde.terminal_data import (Lipschitz, LowerSemiContinuous,
-                                     TerminalCondition, UniformlyContinuous,
-                                     inf_convolution, sup_convolution,
+from superbsde.terminal_data import (TerminalCondition, inf_convolution,
                                      uniform_gap_bound)
 
 
@@ -55,17 +53,17 @@ class TestInfConvolution:
 class TestSupConvolution:
     def test_constant_profile(self):
         tc = TerminalCondition.analytic("const", amplitude=-0.4)
-        assert sup_convolution(tc, 3.0, 0.2) == pytest.approx(-0.4, abs=1e-9)
+        assert tc.sup_convolved(3.0)(0.2) == pytest.approx(-0.4, abs=1e-9)
 
     def test_step_example(self):
         tc = TerminalCondition.step(0.0, 0.0, 1.0)
-        assert sup_convolution(tc, 2.0, -0.25) == pytest.approx(0.5, abs=1e-6)
+        assert tc.sup_convolved(2.0)(-0.25) == pytest.approx(0.5, abs=1e-6)
 
     def test_duality_with_inf_convolution(self):
         tc = TerminalCondition.analytic("inv_quad", amplitude=0.8)
         neg = tc.negated()
         for u in (-0.7, 0.1, 1.9):
-            assert sup_convolution(tc, 3.0, u) == pytest.approx(
+            assert tc.sup_convolved(3.0)(u) == pytest.approx(
                 -inf_convolution(neg, 3.0, u), abs=1e-9)
 
 
@@ -80,7 +78,7 @@ class TestInvariants:
         us = rng.uniform(-4.0, 4.0, 1000)
         for m in (1.0, 2.0, 5.0, 10.0, 50.0):
             lo = inf_convolution(tc, m, us)
-            hi = sup_convolution(tc, m, us)
+            hi = tc.sup_convolved(m)(us)
             phi = np.asarray(tc(us))
             assert np.all(lo >= -tc.sup_norm - 1e-9)
             assert np.all(lo <= phi + 1e-9)
@@ -95,7 +93,7 @@ class TestInvariants:
         prev_hi = None
         for m in (1.0, 2.0, 5.0, 10.0, 50.0):
             lo = inf_convolution(tc, m, us)
-            hi = sup_convolution(tc, m, us)
+            hi = tc.sup_convolved(m)(us)
             if prev_lo is not None:
                 assert np.all(lo >= prev_lo - 1e-9)
                 assert np.all(hi <= prev_hi + 1e-9)
@@ -130,20 +128,9 @@ class TestUniformGapBound:
         tc = TerminalCondition.analytic("const", amplitude=0.7)
         assert uniform_gap_bound(tc, 3.0) == 0.0
 
-    def test_modulus_table(self):
-        table = tuple((eps, eps) for eps in (0.01, 0.02, 0.05, 0.1))
-        tc = TerminalCondition(TerminalCondition.analytic("cos").profile,
-                               sup_norm=1.0,
-                               regularity=UniformlyContinuous(table))
-        assert uniform_gap_bound(tc, 100.0) == pytest.approx(0.02)
-        # verify by sampling the actual gap
-        us = np.linspace(-7.0, 7.0, 2001)
-        gap = np.max(np.asarray(tc(us)) - inf_convolution(tc, 100.0, us))
-        assert gap <= 0.02 + 1e-9
-
     def test_no_modulus(self):
         tc = TerminalCondition.step(0.0, 0.0, 1.0)
-        assert isinstance(tc.regularity, LowerSemiContinuous)
+        assert tc.lipschitz is None
         with pytest.raises(NoModulusError):
             uniform_gap_bound(tc, 10.0)
 
@@ -152,8 +139,7 @@ class TestDerivedConditions:
     def test_inf_convolved_is_lipschitz(self):
         tc = TerminalCondition.step(0.0, -1.0, 1.0)
         smooth = tc.inf_convolved(50.0)
-        assert isinstance(smooth.regularity, Lipschitz)
-        assert smooth.regularity.L == 50.0
+        assert smooth.lipschitz == 50.0
         xs = np.linspace(-0.2, 0.2, 81)
         vals = np.asarray(smooth(xs))
         slopes = np.abs(np.diff(vals) / np.diff(xs))
