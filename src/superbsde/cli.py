@@ -383,7 +383,9 @@ def _run_dual(cfg, inp, out):
                                   r.attainment_gap,
                                   3.0 * r.std_error + report.scheme_tol,
                                   r.attainment_within_tol, hard=False))
-    return rows, [f"u(t0, x0) = {report.u0!r}"]
+    rng = (f"rng: per-path Philox keys (seed << 64) + (salt << 48) + p; the "
+           f"{len(report.rows)} controls share salt 0 of seed {cfg.mc['seed']}")
+    return rows, [f"u(t0, x0) = {report.u0!r}", rng]
 
 
 def _run_checks(cfg, inp, out):
@@ -454,9 +456,14 @@ def _run_regularize(cfg, inp, out):
                   gaps[0] + 1e-10, gaps[-1] <= gaps[0] + 1e-10),
     ]
     if certified:
-        # solve starts each member at u[0] = Phi_m on its grid
+        # solve starts each member at u[0] = Phi_m on its grid; a kink between
+        # two nodes is seen only at Phi's own critical points, so read those too
         top = lower[-1]
         measured = float(np.max(np.asarray(tc(top.x_grid)) - top.u[0]))
+        crit = [c for c in tc.crit if top.x_grid[0] <= c <= top.x_grid[-1]]
+        if crit:
+            measured = max(measured, float(np.max(np.asarray(tc(crit))
+                                                  - np.asarray(top.tc(crit)))))
         rows.append(CheckLine("certified terminal gap >= measured", measured,
                               certs[-1], measured <= certs[-1] + 1e-9))
     return rows, [f"gaps: {[repr(g) for g in gaps]}"]

@@ -10,6 +10,12 @@ same grid as the Euler step, and is accumulated in that step: q is read
 once per knot, and the pass holds only X_T and the per-path penalty of one
 block of paths, never the paths themselves.  Path p's increments depend
 only on (seed, p), so the results do not depend on the block size.
+
+All controls of one pass (`evaluate_controls`, and so `duality_gap`) read
+the same increments, salt 0 of `seed`: each block is drawn once and every
+control's Euler loop runs on it (common random numbers; Glasserman,
+"Monte Carlo Methods in Financial Engineering", 2004, 4.2).  Each row keeps
+the law it has alone; the rows become positively correlated.
 """
 
 from dataclasses import dataclass
@@ -87,7 +93,8 @@ class FeedbackControl(ControlProcess):
 
 @dataclass(frozen=True)
 class DualEstimate:
-    """Sample statistics of Phi(X_T^Q) + int f(q) du."""
+    """Sample statistics of Phi(X_T^Q) + int f(q) du over the paths driven
+    by salt 0 of `seed`, the draw every control of one pass shares."""
 
     value: float
     std_error: float
@@ -97,44 +104,64 @@ class DualEstimate:
     control_kind: str
 
 
-def evaluate_control(model, gen, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
-    """Monte Carlo dual value for one control.
+def evaluate_controls(model, gen, conj, tc, controls, x0, t0, n_paths, n_steps,
+                      seed):
+    """Monte Carlo dual values of several controls on one Brownian draw.
 
-    Each block of paths draws its salt-0 increments, transposes them once
-    to step-major and runs one Euler loop that reads q = rate(t_k, X_k) once
-    per step and adds conj(q) dt to the penalty in the same step.  The
-    zero control runs untilted with penalty 0.  A non-finite state raises
-    SimulationDivergedError naming the earliest diverged step over all
+    Each block of paths draws its salt-0 increments of `seed` once and
+    transposes them once to step-major; every control then runs its own
+    Euler loop on those same increments (common random numbers), reading
+    q = rate(t_k, X_k) once per step and adding conj(q) dt to the penalty
+    in the same step.  The zero control runs untilted with penalty 0.  A
+    control's estimate does not depend on which other controls share the
+    pass; the rows share their noise and are positively correlated.
+    Returns one DualEstimate per control, in order.
+
+    A non-finite state raises SimulationDivergedError for the first control
+    (in order) that diverged, naming its earliest diverged step over all
     blocks, the step `simulate_paths` names on the same inputs.  The
     standard error needs n_paths >= 2; fewer raise ValueError.
     """
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2, got {n_paths}")
     dt = time_step(model, t0, n_steps)
-    rate, cost = (None, None) if isinstance(ctrl, ZeroControl) else (ctrl.rate, conj.eval)
-    x_end = np.empty(n_paths)
-    penalty = np.zeros(n_paths)
-    diverged = []
+    plans = [(None, None) if isinstance(c, ZeroControl) else (c.rate, conj.eval)
+             for c in controls]
+    x_end = np.empty((len(plans), n_paths))
+    penalty = np.zeros((len(plans), n_paths))
+    diverged = [[] for _ in plans]
     for start in range(0, n_paths, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, n_paths)
         dw = draw_increments(seed, stop - start, n_steps, dt, start=start)
-        xb, pb, _, k = _kernels.em_paths(float(x0), float(t0), dt,
-                                         np.ascontiguousarray(dw.T), model.sigma,
-                                         model.drift, rate=rate, cost=cost)
-        if k >= 0:
-            diverged.append(k)
-        x_end[start:stop] = xb
-        if pb is not None:
-            penalty[start:stop] = pb
-    if diverged:
-        raise SimulationDivergedError(min(diverged))
-    payoff = np.asarray(tc(x_end), dtype=float)
-    total = payoff + penalty
-    value = float(np.mean(total))
-    se = float(np.std(total, ddof=1) / np.sqrt(n_paths))
-    return DualEstimate(value=value, std_error=se,
-                        penalty_mean=float(np.mean(penalty)),
-                        n_paths=int(n_paths), seed=int(seed), control_kind=ctrl.kind)
+        dw = np.ascontiguousarray(dw.T)
+        for i, (rate, cost) in enumerate(plans):
+            xb, pb, _, k = _kernels.em_paths(float(x0), float(t0), dt, dw,
+                                             model.sigma, model.drift,
+                                             rate=rate, cost=cost)
+            if k >= 0:
+                diverged[i].append(k)
+            x_end[i, start:stop] = xb
+            if pb is not None:
+                penalty[i, start:stop] = pb
+    for steps in diverged:
+        if steps:
+            raise SimulationDivergedError(min(steps))
+    out = []
+    for ctrl, xc, pen in zip(controls, x_end, penalty):
+        total = np.asarray(tc(xc), dtype=float) + pen
+        out.append(DualEstimate(
+            value=float(np.mean(total)),
+            std_error=float(np.std(total, ddof=1) / np.sqrt(n_paths)),
+            penalty_mean=float(np.mean(pen)), n_paths=int(n_paths), seed=int(seed),
+            control_kind=ctrl.kind))
+    return out
+
+
+def evaluate_control(model, gen, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
+    """Monte Carlo dual value for one control: `evaluate_controls` with
+    that control alone."""
+    return evaluate_controls(model, gen, conj, tc, (ctrl,), x0, t0, n_paths,
+                             n_steps, seed)[0]
 
 
 def feedback_control(sol, gen):
@@ -176,18 +203,20 @@ def duality_gap(model, gen, conj, tc, sol, x0, t0, n_paths, seed,
     """Dual values for the zero and feedback controls (plus extras) against
     u(t0, x0).
 
-    Hard, one-sided check per control: value + 3 SE >= u0 - scheme_tol
-    (every admissible measure upper-bounds the solution).  The feedback
-    attainment gap is also reported; it is a soft diagnostic because
-    attainment can genuinely fail for superquadratic generators.
+    Every control reads the same Brownian increments, salt 0 of `seed`
+    (one `evaluate_controls` pass), so the rows are correlated but each
+    row's law is that of its control alone.  Hard, one-sided check per
+    control: value + 3 SE >= u0 - scheme_tol (every admissible measure
+    upper-bounds the solution).  The feedback attainment gap is also
+    reported; it is a soft diagnostic because attainment can genuinely fail
+    for superquadratic generators.
     """
     u0 = float(sol.u_at(t0, x0))
-    controls = [ZeroControl(), feedback_control(sol, gen)]
-    controls.extend(extra_controls)
+    controls = [ZeroControl(), feedback_control(sol, gen), *extra_controls]
+    ests = evaluate_controls(model, gen, conj, tc, controls, x0, t0, n_paths,
+                             n_steps, seed)
     rows = []
-    for i, ctrl in enumerate(controls):
-        est = evaluate_control(model, gen, conj, tc, ctrl, x0, t0,
-                               n_paths, n_steps, seed + i)
+    for ctrl, est in zip(controls, ests):
         lower_ok = est.value + 3.0 * est.std_error >= u0 - scheme_tol
         if ctrl.kind == "feedback":
             gap = est.value - u0

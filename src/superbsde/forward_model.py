@@ -18,11 +18,12 @@ pass, 1 and 2 the two Thm 3.3 channels, 3 the Thm 3.4 joint channel,
 10 + k the Thm 3.4 nu_k channel.
 
 `simulate_paths` stores every knot of x and of the flow.  The dual pass
-(`dual_mc.evaluate_control`) draws the same salt-0 increments one block of
+(`dual_mc.evaluate_controls`) draws the same salt-0 increments one block of
 paths at a time through `draw_increments(..., start=)` and runs the same
 Euler loop (`_kernels.em_paths`) with the penalty accumulated in the step,
 holding only X_T and the per-path penalty; because path p's numbers depend
-only on (seed, p), its results do not depend on the block size.
+only on (seed, p), its results do not depend on the block size.  Every
+dual control of one pass reads that one salt-0 draw of `seed`.
 """
 
 import math
@@ -222,7 +223,7 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     With a tilt q the drift becomes b + sigma*q and the stored increments
     are the Q-Brownian ones.  The variational flow integrates alongside
     with the exact per-step exponential exp(b_x dt).  Every knot is stored;
-    the dual Monte Carlo pass (`dual_mc.evaluate_control`) runs the same
+    the dual Monte Carlo pass (`dual_mc.evaluate_controls`) runs the same
     Euler loop over blocks of paths and keeps only X_T and the penalty.
     """
     dt = time_step(model, t0, n_steps)

@@ -94,9 +94,10 @@ class PdeSolution:
     def horizon(self):
         return float(self.t_grid[0])
 
-    def _bilinear(self, mat, t, x):
+    def _weights(self, t, x):
+        """Cell indices and offsets (it, lt, ix, lx) of the bilinear lookup
+        at (t, x); one set serves every field on the grid."""
         t_asc = self.t_grid[::-1]
-        m_asc = mat[::-1]
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         ft = (t - t_asc[0]) / (t_asc[1] - t_asc[0])
@@ -105,6 +106,13 @@ class PdeSolution:
         fx = (x - self.x_grid[0]) / self.dx
         ix = np.clip(fx.astype(int), 0, self.x_grid.size - 2)
         lx = np.clip(fx - ix, 0.0, 1.0)
+        return it, lt, ix, lx
+
+    def _interpolate(self, mat, weights):
+        """Bilinear value of the field mat (levels from T down) at the
+        points whose `_weights` are given."""
+        it, lt, ix, lx = weights
+        m_asc = mat[::-1]
         if it.ndim == 0:
             # one time level pair: gather from two rows, same arithmetic
             lo, hi = m_asc[it], m_asc[it + 1]
@@ -117,11 +125,11 @@ class PdeSolution:
 
     def u_at(self, t, x):
         """Bilinear interpolation of u (x clamped to the grid)."""
-        return self._bilinear(self.u, t, x)
+        return self._interpolate(self.u, self._weights(t, x))
 
     def z_at(self, t, x):
         """Bilinear interpolation of the Z-field (x clamped to the grid)."""
-        return self._bilinear(self.z, t, x)
+        return self._interpolate(self.z, self._weights(t, x))
 
     def level_time_to_go(self):
         return self.horizon - self.t_grid

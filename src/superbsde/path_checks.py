@@ -53,25 +53,29 @@ def bsde_residual(sol, model, gen, bundle):
     if excluded > MAX_EXCLUDED:
         raise DomainError(
             f"{excluded:.1%} of paths left the grid (limit {MAX_EXCLUDED:.1%})")
-    x = x[inside]
+    # the kept knots step-major, so each knot's states are contiguous; one
+    # set of lookup weights per knot serves u and Z
+    x_knots = np.compress(inside, x.T, axis=1)
     dw = bundle.noise[inside]
-    n_used, n_knots = x.shape
+    n_knots, n_used = x_knots.shape
     times = bundle.times
     dt = bundle.dt
 
-    y = np.empty_like(x)
+    # path-major, so the reductions below sum along contiguous rows
+    y = np.empty((n_used, n_knots))
     z = np.empty((n_used, n_knots - 1))
     gz = np.empty_like(z)
     for k in range(n_knots):
-        y[:, k] = sol.u_at(times[k], x[:, k])
+        w = sol._weights(times[k], x_knots[k])
+        y[:, k] = sol._interpolate(sol.u, w)
         if k < n_knots - 1:
-            z[:, k] = sol.z_at(times[k], x[:, k])
+            z[:, k] = sol._interpolate(sol.z, w)
             gz[:, k] = np.asarray(gen.eval(z[:, k]), dtype=float)
 
     increments = gz * dt - z * dw
     step_res = y[:, 1:] - y[:, :-1] - increments
     y_num_T = sol.u_at(bundle.t0, bundle.x0) + increments.sum(axis=1)
-    terminal = y_num_T - np.asarray(sol.tc(x[:, -1]), dtype=float)
+    terminal = y_num_T - np.asarray(sol.tc(x_knots[-1]), dtype=float)
     energy_paths = (z * z).sum(axis=1) * dt
     return ResidualReport(
         rms_terminal_residual=float(np.sqrt(np.mean(terminal**2))),

@@ -223,6 +223,31 @@ class TestCommands:
         assert float(row["threshold"]) == 0.125
         assert float(row["statistic"]) > 0.6
 
+    @pytest.mark.parametrize("lipschitz, status", [(1.0, 1), (50.0, 0)])
+    def test_certificate_sees_a_kink_between_grid_nodes(self, tmp_path, lipschitz,
+                                                        status):
+        # a slope-50 spike at 0.025 lies between the default grid's nodes (at
+        # multiples of 0.05), so Phi - Phi_m reads 0 on every node; its table
+        # nodes are critical points, and the apex gap 1 - 16 * 0.02 = 0.68
+        # beats the 0.125 that L = 1 certifies at m = 16
+        (tmp_path / "spike.csv").write_text(
+            "x,phi\n-8.0,0.0\n0.005,0.0\n0.025,1.0\n0.045,0.0\n8.0,0.0\n")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(f"terminal: {{profile: tabulated, csv: {tmp_path}/spike.csv}}\n")
+        cfg = load_config(cfgp, command="regularize")
+        tc = cfg.inputs.tc
+        cfg.inputs = dataclasses.replace(cfg.inputs, tc=terminal_data.TerminalCondition(
+            tc.fn, tc.lo, tc.hi, lipschitz=lipschitz, crit=tc.crit))
+        cfg.out = str(tmp_path / "o")
+        x_grid, _ = hj_solver._grid_arrays(cfg.inputs.model, cfg.inputs.grid, cfg.t0)
+        assert np.max(np.asarray(tc(x_grid))) == 0.0
+        assert run(cfg) == status
+        with open(tmp_path / "o" / "checks.csv", newline="") as fh:
+            row = {r["check"]: r for r in csv.DictReader(fh)}[
+                "certified terminal gap >= measured"]
+        assert row["pass"] == str(1 - status)
+        assert float(row["statistic"]) == pytest.approx(0.68, abs=1e-6)
+
     @pytest.mark.parametrize("argv", [["counterexample", "3.3", "--seed", "-1"],
                                       ["dual", "--seed", "18446744073709551615"]])
     def test_main_rejects_bad_seed_before_compute(self, tmp_path, capsys, argv):

@@ -7,7 +7,7 @@ import pytest
 from superbsde import dual_mc
 from superbsde.dual_mc import (ConstantControl, PiecewiseConstantControl,
                                ZeroControl, duality_gap, evaluate_control,
-                               feedback_control)
+                               evaluate_controls, feedback_control)
 from superbsde.errors import SimulationDivergedError
 from superbsde.forward_model import (Drift, ForwardModel, TanhDrift, ZeroDrift,
                                      simulate_paths)
@@ -136,6 +136,19 @@ class TestBlockedPass:
         assert (est.value, est.std_error, est.penalty_mean) == expected
         assert est.control_kind == kind
 
+    @pytest.mark.parametrize("block", [1, 777, 4096])
+    def test_shared_draw_matches_stored_paths_for_every_control(self, setup,
+                                                                monkeypatch, block):
+        model, gen, conj, tc, controls = setup
+        args = (0.1, 0.0, self.N_PATHS, self.N_STEPS, 11)
+        expected = [stored_path_oracle(model, conj, tc, c, *args)
+                    for c in controls.values()]
+        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", block)
+        ests = evaluate_controls(model, gen, conj, tc, list(controls.values()), *args)
+        assert [(e.value, e.std_error, e.penalty_mean) for e in ests] == expected
+        assert [e.control_kind for e in ests] == list(controls)
+        assert all(e.seed == 11 for e in ests)
+
     @pytest.mark.parametrize("kind", ["zero", "constant", "feedback"])
     def test_rate_read_once_per_knot(self, setup, monkeypatch, kind):
         model, gen, conj, tc, controls = setup
@@ -259,6 +272,50 @@ class TestDualityGap:
         zero = [r for r in rep.rows if r.control_kind == "zero"][0]
         assert zero.value - rep.u0 > 3.0 * zero.std_error
         assert rep.all_lower_bounds_pass
+
+    @pytest.fixture(scope="class")
+    def tanh_case(self):
+        model = ForwardModel(TanhDrift(0.7), 0.8, 1.0)
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(model, gen, tc, GRID, 0.0)
+        extras = (ConstantControl(0.6),
+                  PiecewiseConstantControl([0.3, 0.55], [0.2, -1.0, 1.5]))
+        return model, gen, conjugate_of(gen), tc, sol, extras
+
+    def test_every_row_reads_the_draw_of_seed(self, tanh_case):
+        # each row is the control's value on salt 0 of `seed` itself, not of
+        # seed + i: all controls share one Brownian draw
+        model, gen, conj, tc, sol, extras = tanh_case
+        rep = duality_gap(model, gen, conj, tc, sol, 0.1, 0.0, 700, seed=21,
+                          n_steps=30, extra_controls=extras)
+        controls = [ZeroControl(), feedback_control(sol, gen), *extras]
+        assert [r.control_kind for r in rep.rows] == [c.kind for c in controls]
+        for row, ctrl in zip(rep.rows, controls):
+            est = evaluate_control(model, gen, conj, tc, ctrl, 0.1, 0.0, 700, 30,
+                                   seed=21)
+            assert (row.value, row.std_error, row.penalty_mean) == (
+                est.value, est.std_error, est.penalty_mean)
+
+    @pytest.mark.parametrize("n_extras", [0, 2])
+    @pytest.mark.parametrize("block", [250, 300, 4096])
+    def test_one_draw_per_block_whatever_the_controls(self, tanh_case, monkeypatch,
+                                                      n_extras, block):
+        n_paths = 1000
+        model, gen, conj, tc, sol, extras = tanh_case
+        draw, calls = dual_mc.draw_increments, []
+
+        def counting_draw(*args, **kwargs):
+            calls.append(kwargs["start"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(dual_mc, "draw_increments", counting_draw)
+        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", block)
+        rep = duality_gap(model, gen, conj, tc, sol, 0.1, 0.0, n_paths, seed=22,
+                          n_steps=10, extra_controls=extras[:n_extras])
+        assert len(rep.rows) == 2 + n_extras
+        # one draw per block: ceil(n_paths / block) of them
+        assert calls == list(range(0, n_paths, block))
 
     def test_csv_emission(self, tmp_path):
         model = bm_model()

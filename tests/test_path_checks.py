@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from superbsde.errors import DomainError, ResolutionError
-from superbsde.forward_model import (ForwardModel, LinearDrift, ZeroDrift,
-                                     simulate_paths)
+from superbsde.forward_model import (ForwardModel, LinearDrift, TanhDrift,
+                                     ZeroDrift, simulate_paths)
 from superbsde.generators import (PowerGenerator, QuadraticGenerator,
                                   conjugate_of)
 from superbsde.hj_solver import GridSpec, solve
-from superbsde.path_checks import (NoFitError, apriori_z_bound,
-                                   bmo_energy_check, bsde_residual,
-                                   exponent_fit, penalty_bound_check)
+from superbsde.path_checks import (MAX_EXCLUDED, NoFitError, ResidualReport,
+                                   apriori_z_bound, bmo_energy_check,
+                                   bsde_residual, exponent_fit,
+                                   penalty_bound_check)
 from superbsde.terminal_data import TerminalCondition
 
 GRID = GridSpec(n_x=401, dt=5e-3, x_lo=-8.0, x_hi=8.0)
@@ -84,6 +85,51 @@ class TestResidual:
         r1 = bsde_residual(sol, model, gen, b)
         r2 = bsde_residual(sol, model, gen, b)
         assert r1 == r2
+
+    @staticmethod
+    def per_knot_residual(sol, gen, bundle):
+        """The residual with one u_at and one z_at lookup per knot on
+        path-major columns, each computing its own bilinear weights."""
+        x = bundle.x_paths
+        inside = np.all((x >= sol.x_grid[0]) & (x <= sol.x_grid[-1]), axis=1)
+        excluded = 1.0 - float(np.mean(inside))
+        x = x[inside]
+        dw = bundle.noise[inside]
+        n_used, n_knots = x.shape
+        dt = bundle.dt
+        y = np.empty_like(x)
+        z = np.empty((n_used, n_knots - 1))
+        gz = np.empty_like(z)
+        for k in range(n_knots):
+            y[:, k] = sol.u_at(bundle.times[k], x[:, k])
+            if k < n_knots - 1:
+                z[:, k] = sol.z_at(bundle.times[k], x[:, k])
+                gz[:, k] = np.asarray(gen.eval(z[:, k]), dtype=float)
+        increments = gz * dt - z * dw
+        step_res = y[:, 1:] - y[:, :-1] - increments
+        y_num_T = sol.u_at(bundle.t0, bundle.x0) + increments.sum(axis=1)
+        terminal = y_num_T - np.asarray(sol.tc(x[:, -1]), dtype=float)
+        energy_paths = (z * z).sum(axis=1) * dt
+        return ResidualReport(
+            rms_terminal_residual=float(np.sqrt(np.mean(terminal**2))),
+            max_step_residual=float(np.max(np.abs(step_res))),
+            energy=float(np.mean(energy_paths)),
+            energy_se=float(np.std(energy_paths, ddof=1) / np.sqrt(n_used)),
+            step_sizes=(dt, sol.dx), excluded_fraction=excluded,
+            n_paths_used=int(n_used))
+
+    @pytest.mark.parametrize("gen", [PowerGenerator(3.0), QuadraticGenerator(0.5)],
+                             ids=["power3", "quadratic"])
+    def test_equals_per_knot_lookups_with_exclusions(self, gen):
+        # a narrow grid under a tanh drift: some paths leave it, but fewer
+        # than MAX_EXCLUDED, so the report covers a strict subset of paths
+        model = ForwardModel(TanhDrift(0.7), 1.2, 1.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(model, gen, tc, GridSpec(n_x=201, dt=5e-3, x_lo=-3.8, x_hi=3.8), 0.0)
+        bundle = simulate_paths(model, 0.0, 0.0, 3000, 50, seed=9)
+        rep = bsde_residual(sol, model, gen, bundle)
+        assert 0.0 < rep.excluded_fraction <= MAX_EXCLUDED
+        assert rep == self.per_knot_residual(sol, gen, bundle)
 
 
 class TestBmo:
