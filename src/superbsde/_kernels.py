@@ -117,11 +117,13 @@ def hj_base_step(u, bvals, dx, sigma, h_vec, hp_vec, pcap, dt_base, max_substeps
     step is monotone.  h_vec/hp_vec are vectorized radial profiles, so any
     generator (power, quadratic, sampled) works.
 
-    Returns (u_new, n_substeps, cap_hit); n_substeps == -1 signals the
-    substep ceiling was exceeded.  A non-finite theta ends the step early
-    and returns the non-finite state for the caller to reject.
+    u is one row of cells or a stack of rows (members, n_x); every row
+    takes the same substeps, sized by theta_max over the whole stack.
+
+    Returns (u_new, n_substeps, cap_hit), cap_hit per row; n_substeps == -1
+    signals the substep ceiling was exceeded.  A non-finite theta ends the
+    step early and returns the non-finite state for the caller to reject.
     """
-    n = u.shape[0]
     cur = u.copy()
     sig2 = sigma * sigma
     asig = abs(sigma)
@@ -129,18 +131,19 @@ def hj_base_step(u, bvals, dx, sigma, h_vec, hp_vec, pcap, dt_base, max_substeps
     babs = np.abs(bvals)
     consumed = 0.0
     nsub = 0
-    cap_hit = False
-    pad = np.empty(n + 2)
+    cap_hit = np.zeros(u.shape[:-1], dtype=bool)
+    pad = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
     while consumed < dt_base:
-        pad[1:-1] = cur
-        pad[0] = cur[0]
-        pad[-1] = cur[-1]
-        pp = (pad[2:] - cur) / dx
-        pm = (cur - pad[:-2]) / dx
+        pad[..., 1:-1] = cur
+        pad[..., 0] = cur[..., 0]
+        pad[..., -1] = cur[..., -1]
+        pp = (pad[..., 2:] - cur) / dx
+        pm = (cur - pad[..., :-2]) / dx
         pc = 0.5 * (pp + pm)
         pa = np.abs(pc)
-        if np.any(pa > pcap):
-            cap_hit = True
+        hit = np.any(pa > pcap, axis=-1)
+        if np.any(hit):
+            cap_hit |= hit
             pa = np.minimum(pa, pcap)
         pl = np.minimum(np.maximum(np.abs(pp), np.abs(pm)), pcap)
         theta = asig * hp_vec(asig * pl) + babs
@@ -150,7 +153,7 @@ def hj_base_step(u, bvals, dx, sigma, h_vec, hp_vec, pcap, dt_base, max_substeps
         rem = dt_base - consumed
         dtau = rem if theta_max == 0.0 else min(cfl * dx / theta_max, rem)
         ham = h_vec(asig * pa) - pc * bvals
-        d2 = (pad[2:] - 2.0 * cur + pad[:-2]) / dx2
+        d2 = (pad[..., 2:] - 2.0 * cur + pad[..., :-2]) / dx2
         inc = dtau * (0.5 * sig2 * d2 - ham + 0.5 * theta * dx * d2)
         cur = cur + diffusion(inc, 0.5 * sig2 * dtau / dx2)
         consumed += dtau

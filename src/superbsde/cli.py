@@ -35,7 +35,7 @@ _DEFAULTS = {
     "t0": 0.0,
     "out": "out",
     "counterexample": {"q": 3.0, "K": None, "T": 1.0, "n": 2, "theta": 0.5,
-                       "epsilon": 0.5, "full_simulation": False},
+                       "epsilon": 0.5},
     "regularize": {"m_list": [2.0, 4.0, 8.0, 16.0]},
     "dual": {"scheme_tol": 1e-2, "constants": []},
 }
@@ -52,7 +52,7 @@ _SCHEMA = {
     "t0": float,
     "out": str,
     "counterexample": {"q": float, "K": int, "T": float, "n": int,
-                       "theta": float, "epsilon": float, "full_simulation": bool},
+                       "theta": float, "epsilon": float},
     "regularize": {"m_list": list},
     "dual": {"scheme_tol": float, "constants": list},
 }
@@ -88,7 +88,6 @@ class RunConfig:
     counterexample: dict = field(default_factory=dict)
     regularize: dict = field(default_factory=dict)
     dual: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
     inputs: Inputs = field(default_factory=Inputs)
 
     def echo(self):
@@ -228,12 +227,7 @@ def _build_construction(cfg):
         return cx.build_thm31(p["q"], max(K, 10), p["T"])
     if cfg.which == "3.3":
         return cx.build_thm33(p["q"], p["n"], p["theta"], p["epsilon"], min(K, 16), p["T"])
-    cfg34 = cx.build_thm34(p["q"], K, p["T"])
-    if p["full_simulation"] and K > cx.PATH_K_MAX:
-        cfg.warnings.append(
-            "full simulation requested but the path channel is capped at "
-            f"k <= {cx.PATH_K_MAX}; higher k get the deterministic checks only")
-    return cfg34
+    return cx.build_thm34(p["q"], K, p["T"])
 
 
 def build_generator(cfg):
@@ -318,8 +312,6 @@ def _write_summary(cfg, rows, extra_lines, path):
     with open(path, "w") as fh:
         fh.write(f"command: {cfg.command} {cfg.which}".rstrip() + "\n")
         fh.write(f"config: {cfg.echo()}\n")
-        for w in cfg.warnings:
-            fh.write(f"warning: {w}\n")
         for line in extra_lines:
             fh.write(line + "\n")
         for r in rows:
@@ -334,7 +326,7 @@ def _solution_rows(sol):
     lo, hi = float(np.min(sol.u[0])), float(np.max(sol.u[0]))
     terminal_err = float(np.max(np.abs(sol.u[0] - np.asarray(sol.tc(sol.x_grid)))))
     u_max, u_min = float(np.max(sol.u)), float(np.min(sol.u))
-    u_abs, bound = float(np.max(np.abs(sol.u))), sol.sup_norm_used + 1e-9
+    u_abs, bound = float(np.max(np.abs(sol.u))), sol.tc.sup_norm + 1e-9
     return [
         CheckLine("terminal layer imposed exactly", terminal_err, 1e-12,
                   terminal_err <= 1e-12),
@@ -520,8 +512,6 @@ def run(cfg):
     rows, extra = _RUNNERS[cfg.command](cfg, cfg.inputs, out)
     _write_checks(rows, out / "checks.csv")
     ok = _write_summary(cfg, rows, extra, out / "summary.txt")
-    for w in cfg.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     print(f"{cfg.command}: {'ok' if ok else 'HARD CHECK FAILED'} "
           f"({len(rows)} checks) -> {out}")
     return 0 if ok else 1

@@ -104,8 +104,7 @@ class DualEstimate:
     control_kind: str
 
 
-def evaluate_controls(model, gen, conj, tc, controls, x0, t0, n_paths, n_steps,
-                      seed):
+def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed):
     """Monte Carlo dual values of several controls on one Brownian draw.
 
     Each block of paths draws its salt-0 increments of `seed` once and
@@ -157,11 +156,11 @@ def evaluate_controls(model, gen, conj, tc, controls, x0, t0, n_paths, n_steps,
     return out
 
 
-def evaluate_control(model, gen, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
+def evaluate_control(model, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
     """Monte Carlo dual value for one control: `evaluate_controls` with
     that control alone."""
-    return evaluate_controls(model, gen, conj, tc, (ctrl,), x0, t0, n_paths,
-                             n_steps, seed)[0]
+    return evaluate_controls(model, conj, tc, (ctrl,), x0, t0, n_paths, n_steps,
+                             seed)[0]
 
 
 def feedback_control(sol, gen):
@@ -213,8 +212,8 @@ def duality_gap(model, gen, conj, tc, sol, x0, t0, n_paths, seed,
     """
     u0 = float(sol.u_at(t0, x0))
     controls = [ZeroControl(), feedback_control(sol, gen), *extra_controls]
-    ests = evaluate_controls(model, gen, conj, tc, controls, x0, t0, n_paths,
-                             n_steps, seed)
+    ests = evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps,
+                             seed)
     rows = []
     for ctrl, est in zip(controls, ests):
         lower_ok = est.value + 3.0 * est.std_error >= u0 - scheme_tol

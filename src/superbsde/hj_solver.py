@@ -32,7 +32,8 @@ level in: stepping out of s = T uses the envelope at T - dt, never at T
 itself.
 """
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -65,7 +66,9 @@ class GridSpec:
 
 @dataclass
 class PdeSolution:
-    """u and Z = -u_x sigma on the grid; t_grid runs from T down to t0."""
+    """u and Z = -u_x sigma on the grid; t_grid runs from T down to t0.
+    A stacked solve has a member axis after the level axis; lookups and
+    to_csv read one member, so split it with `members()` first."""
 
     x_grid: np.ndarray
     t_grid: np.ndarray
@@ -73,7 +76,6 @@ class PdeSolution:
     z: np.ndarray
     cap_active: np.ndarray
     substeps: np.ndarray
-    sup_norm_used: float
     model: object
     gen: object
     tc: object
@@ -131,6 +133,13 @@ class PdeSolution:
         """Bilinear interpolation of the Z-field (x clamped to the grid)."""
         return self._interpolate(self.z, self._weights(t, x))
 
+    def members(self):
+        """One solution per member of a stacked solve, as views."""
+        return [replace(self, u=self.u[:, i], z=self.z[:, i],
+                        cap_active=self.cap_active[:, i],
+                        substeps=self.substeps[:, i], tc=tc)
+                for i, tc in enumerate(self.tc)]
+
     def level_time_to_go(self):
         return self.horizon - self.t_grid
 
@@ -149,9 +158,9 @@ class PdeSolution:
 
 def _central_z(u_row, dx, sigma):
     z = np.empty_like(u_row)
-    z[1:-1] = -(u_row[2:] - u_row[:-2]) / (2.0 * dx) * sigma
-    z[0] = -(u_row[1] - u_row[0]) / dx * sigma
-    z[-1] = -(u_row[-1] - u_row[-2]) / dx * sigma
+    z[..., 1:-1] = -(u_row[..., 2:] - u_row[..., :-2]) / (2.0 * dx) * sigma
+    z[..., 0] = -(u_row[..., 1] - u_row[..., 0]) / dx * sigma
+    z[..., -1] = -(u_row[..., -1] - u_row[..., -2]) / dx * sigma
     return z
 
 
@@ -188,17 +197,16 @@ def _grid_arrays(model, grid, t0):
     return x, t_desc
 
 
-def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
-          envelope_lipschitz=None):
-    """Solve the terminal-value problem backward from T to t0.
+def solve(model, gen, tc, grid, t0):
+    """Solve the terminal-value problem backward from T to t0 for one
+    TerminalCondition, or for a sequence of them in lockstep.
 
-    envelope_sup_norm / envelope_lipschitz override ||Phi|| and L in the
-    gradient clamp; passing common values across runs gives them the same
-    clamp, which is what the comparison/translation properties and the
-    regularization ladders need.  The substep schedule still follows each
-    run's own theta_max, so runs whose gradients differ take different
-    substeps; data shifted by a constant keeps the schedule, so
-    translation holds to rounding.
+    A stack shares the gradient clamp (the largest sup norm and Lipschitz
+    constant over it; none if a member has none) and every substep (sized
+    by the largest theta over it), so all members go through one monotone
+    operator: ordered data stay ordered at every node (discrete comparison
+    principle; Barles and Souganidis 1991) and shifted data stay shifted
+    to rounding.  It returns one PdeSolution; see `PdeSolution.members`.
 
     Raises ResolutionError when a level needs more than
     MAX_SUBSTEPS substeps or turns non-finite.
@@ -206,15 +214,21 @@ def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
     x, t_desc = _grid_arrays(model, grid, t0)
     dx = float(x[1] - x[0])
     dt_base = float(t_desc[0] - t_desc[1])
-    sup_norm = float(envelope_sup_norm) if envelope_sup_norm is not None else tc.sup_norm
-    lip = float(envelope_lipschitz) if envelope_lipschitz is not None else tc.lipschitz
+    stacked = isinstance(tc, Sequence)
+    stack = tuple(tc) if stacked else (tc,)
+    if not stack:
+        raise ValueError("need at least one terminal condition")
+    sup_norm = max(phi.sup_norm for phi in stack)
+    lips = [phi.lipschitz for phi in stack]
+    lip = None if None in lips else max(lips)
 
     n_t = t_desc.size
-    u = np.empty((n_t, x.size))
+    rows = (len(stack),) if stacked else ()
+    u = np.empty((n_t, *rows, x.size))
     z = np.empty_like(u)
-    cap_active = np.zeros(n_t, dtype=bool)
-    substeps = np.zeros(n_t, dtype=np.int64)
-    u[0] = np.asarray(tc(x), dtype=float)
+    cap_active = np.zeros((n_t, *rows), dtype=bool)
+    substeps = np.zeros((n_t, *rows), dtype=np.int64)
+    u[0] = np.reshape([np.asarray(phi(x), dtype=float) for phi in stack], u.shape[1:])
     z[0] = _central_z(u[0], dx, model.sigma)
 
     h_vec = lambda r: np.asarray(gen.h(r), dtype=float)
@@ -241,8 +255,8 @@ def solve(model, gen, tc, grid, t0, envelope_sup_norm=None,
         substeps[k + 1] = nsub
 
     return PdeSolution(x_grid=x, t_grid=t_desc, u=u, z=z, cap_active=cap_active,
-                       substeps=substeps, sup_norm_used=sup_norm,
-                       model=model, gen=gen, tc=tc)
+                       substeps=substeps, model=model, gen=gen,
+                       tc=stack if stacked else tc)
 
 
 _GH_NODES, _GH_WEIGHTS = hermegauss(64)
@@ -278,24 +292,17 @@ def cole_hopf_reference(model, gen, tc, t, x):
 
 def solve_regularized_family(model, gen, tc, m_list, side, grid, t0):
     """PDE ladder with terminal data Phi_m (side='lower') or upper
-    regularizations (side='upper'), one solve per member.
+    regularizations (side='upper'): one stacked `solve` of every member,
+    returned as one PdeSolution per m.
 
-    All members share the clamp envelope of the unregularized Phi (its
-    sup norm and the Lipschitz bound max(m)), so they step the same
-    monotone scheme.  They do not share the substep schedule: each
-    member's CFL bound follows its own gradients (for the slope-50 spike
-    on 801 x 2e-3, the lower ladder m = 2, 4, 8, 16 takes 2, 2, 3, 4
-    substeps on the first level), so member-to-member order is the
-    comparison principle of the continuous problem, kept up to the
+    The members share the clamp (sup norm ||Phi|| and Lipschitz bound
+    max(m)) and every substep, so the ladder's order in m holds at every
+    node and level of the scheme itself, not only up to its
     discretization error."""
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     if list(m_list) != sorted(m_list):
         raise ValueError("m_list must be increasing")
-    lip = float(max(m_list))  # every member is also max(m)-Lipschitz
-    out = []
-    for m in m_list:
-        tc_m = tc.inf_convolved(m) if side == "lower" else tc.sup_convolved(m)
-        out.append(solve(model, gen, tc_m, grid, t0,
-                         envelope_sup_norm=tc.sup_norm, envelope_lipschitz=lip))
-    return out
+    members = [tc.inf_convolved(m) if side == "lower" else tc.sup_convolved(m)
+               for m in m_list]
+    return solve(model, gen, members, grid, t0).members()

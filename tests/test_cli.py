@@ -57,11 +57,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="n_x"):
             load_config(p, command="solve")
 
-    def test_full_simulation_cap_warning(self, tmp_path):
+    def test_full_simulation_key_rejected(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text("counterexample: {K: 10, full_simulation: true}\n")
-        cfg = load_config(p, command="counterexample", which="3.4")
-        assert any("capped" in w for w in cfg.warnings)
+        with pytest.raises(ConfigError, match="counterexample.full_simulation: unknown key"):
+            load_config(p, command="counterexample", which="3.4")
 
     def test_invalid_generator_value_fails_before_compute(self, tmp_path):
         p = tmp_path / "c.yaml"

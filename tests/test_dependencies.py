@@ -25,7 +25,7 @@ gen, tc = PowerGenerator(3.0), TerminalCondition.analytic("cos")
 sol = solve(model, gen, tc, GridSpec(n_x=64, dt=0.25, x_lo=-4.0, x_hi=4.0), 0.0)
 bundle = superbsde.simulate_paths(model, 0.0, 0.0, 4, 8, seed=1,
                                   tilt=ConstantControl(0.5))
-est = evaluate_control(model, gen, conjugate_of(gen), tc, ConstantControl(0.5),
+est = evaluate_control(model, conjugate_of(gen), tc, ConstantControl(0.5),
                        0.0, 0.0, 4, 8, seed=1)
 ov = _kernels.comb_cross_overlap(4, 0.25, 1.0 / 16, 1.0 / 16, 1.0 / 256,
                                  np.linspace(0.0, 1.0, 3))

@@ -37,14 +37,14 @@ class TestEvaluateControl:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_paths >= 2"):
-                evaluate_control(bm_model(), gen, conjugate_of(gen), tc, ZeroControl(),
+                evaluate_control(bm_model(), conjugate_of(gen), tc, ZeroControl(),
                                  0.0, 0.0, n_paths, 10, seed=1)
 
     def test_zero_control_matches_quadrature(self):
         model = bm_model()
         gen = QuadraticGenerator(0.5)
         tc = TerminalCondition.analytic("inv_quad", amplitude=1.0)
-        est = evaluate_control(model, gen, conjugate_of(gen), tc, ZeroControl(),
+        est = evaluate_control(model, conjugate_of(gen), tc, ZeroControl(),
                                0.0, 0.0, 50_000, 100, seed=1)
         # driftless: X_T ~ N(x0, sigma^2 (T - t0)) with x0 = t0 = 0
         mean, var = 0.0, model.sigma**2 * (model.horizon - 0.0)
@@ -56,7 +56,7 @@ class TestEvaluateControl:
         model = bm_model()
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("const", amplitude=0.3)
-        est = evaluate_control(model, gen, conjugate_of(gen), tc,
+        est = evaluate_control(model, conjugate_of(gen), tc,
                                ConstantControl(1.5), 0.0, 0.0, 500, 50, seed=2)
         assert est.value == pytest.approx(0.3 + est.penalty_mean, abs=1e-12)
         assert est.penalty_mean >= 0.0
@@ -65,7 +65,7 @@ class TestEvaluateControl:
         model = bm_model()
         gen = PowerGenerator(3.0)
         conj = conjugate_of(gen)
-        est = evaluate_control(model, gen, conj, tc=TerminalCondition.analytic("cos"),
+        est = evaluate_control(model, conj, tc=TerminalCondition.analytic("cos"),
                                ctrl=ConstantControl(2.0), x0=0.0, t0=0.0,
                                n_paths=64, n_steps=37, seed=3)
         assert est.penalty_mean == pytest.approx(conj.eval(2.0) * 1.0, rel=1e-12)
@@ -75,7 +75,7 @@ class TestEvaluateControl:
         gen = PowerGenerator(3.0)
         conj = conjugate_of(gen)
         ctrl = PiecewiseConstantControl([0.5], [1.0, 3.0])
-        est = evaluate_control(model, gen, conj, TerminalCondition.analytic("cos"),
+        est = evaluate_control(model, conj, TerminalCondition.analytic("cos"),
                                ctrl, 0.0, 0.0, 64, 100, seed=4)
         expected = 0.5 * conj.eval(1.0) + 0.5 * conj.eval(3.0)
         assert est.penalty_mean == pytest.approx(expected, rel=1e-10)
@@ -87,8 +87,8 @@ class TestEvaluateControl:
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         up = tc.shifted(0.4)
         for ctrl in (ZeroControl(), ConstantControl(0.7)):
-            a = evaluate_control(model, gen, conj, tc, ctrl, 0.0, 0.0, 2000, 50, seed=5)
-            b = evaluate_control(model, gen, conj, up, ctrl, 0.0, 0.0, 2000, 50, seed=5)
+            a = evaluate_control(model, conj, tc, ctrl, 0.0, 0.0, 2000, 50, seed=5)
+            b = evaluate_control(model, conj, up, ctrl, 0.0, 0.0, 2000, 50, seed=5)
             assert b.value - a.value == pytest.approx(0.4, abs=1e-12)
 
 
@@ -132,7 +132,7 @@ class TestBlockedPass:
         args = (0.1, 0.0, self.N_PATHS, self.N_STEPS, 11)
         expected = stored_path_oracle(model, conj, tc, ctrl, *args)
         monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", block)
-        est = evaluate_control(model, gen, conj, tc, ctrl, *args)
+        est = evaluate_control(model, conj, tc, ctrl, *args)
         assert (est.value, est.std_error, est.penalty_mean) == expected
         assert est.control_kind == kind
 
@@ -144,7 +144,7 @@ class TestBlockedPass:
         expected = [stored_path_oracle(model, conj, tc, c, *args)
                     for c in controls.values()]
         monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", block)
-        ests = evaluate_controls(model, gen, conj, tc, list(controls.values()), *args)
+        ests = evaluate_controls(model, conj, tc, list(controls.values()), *args)
         assert [(e.value, e.std_error, e.penalty_mean) for e in ests] == expected
         assert [e.control_kind for e in ests] == list(controls)
         assert all(e.seed == 11 for e in ests)
@@ -161,7 +161,7 @@ class TestBlockedPass:
 
         ctrl.rate = counting_rate
         monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 300)
-        evaluate_control(model, gen, conj, tc, ctrl, 0.0, 0.0, 1000, 20, seed=3)
+        evaluate_control(model, conj, tc, ctrl, 0.0, 0.0, 1000, 20, seed=3)
         assert sum(seen) == (0 if kind == "zero" else 1000 * 20)
 
     class _ExplodingDrift(Drift):
@@ -201,7 +201,7 @@ class TestBlockedPass:
         assert simulated_step(30) > step
         monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 30)
         with pytest.raises(SimulationDivergedError) as err:
-            evaluate_control(model, gen, conjugate_of(gen), tc, ctrl, 0.0, 0.0,
+            evaluate_control(model, conjugate_of(gen), tc, ctrl, 0.0, 0.0,
                              120, 40, seed=0)
         assert err.value.step_index == step
 
@@ -292,7 +292,7 @@ class TestDualityGap:
         controls = [ZeroControl(), feedback_control(sol, gen), *extras]
         assert [r.control_kind for r in rep.rows] == [c.kind for c in controls]
         for row, ctrl in zip(rep.rows, controls):
-            est = evaluate_control(model, gen, conj, tc, ctrl, 0.1, 0.0, 700, 30,
+            est = evaluate_control(model, conj, tc, ctrl, 0.1, 0.0, 700, 30,
                                    seed=21)
             assert (row.value, row.std_error, row.penalty_mean) == (
                 est.value, est.std_error, est.penalty_mean)

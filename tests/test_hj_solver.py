@@ -250,28 +250,56 @@ class TestSchemeProperties:
         gen = PowerGenerator(3.0)
         for _ in range(5):
             lo, hi = self._random_tabulated_pair(rng)
-            env_sup = max(lo.sup_norm, hi.sup_norm)
-            env_lip = max(lo.lipschitz, hi.lipschitz)
-            s_lo = solve(bm_model(), gen, lo, GRID, 0.0,
-                         envelope_sup_norm=env_sup, envelope_lipschitz=env_lip)
-            s_hi = solve(bm_model(), gen, hi, GRID, 0.0,
-                         envelope_sup_norm=env_sup, envelope_lipschitz=env_lip)
+            s_lo, s_hi = solve(bm_model(), gen, [lo, hi], GRID, 0.0).members()
             assert np.all(s_lo.u <= s_hi.u + 1e-10)
 
     def test_translation_exact(self):
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         up = tc.shifted(0.25)
-        base = solve(bm_model(), gen, tc, GRID, 0.0,
-                     envelope_sup_norm=1.0, envelope_lipschitz=0.5)
-        shifted = solve(bm_model(), gen, up, GRID, 0.0,
-                        envelope_sup_norm=1.0, envelope_lipschitz=0.5)
+        base, shifted = solve(bm_model(), gen, [tc, up], GRID, 0.0).members()
         assert np.max(np.abs(shifted.u - base.u - 0.25)) <= 1e-12
 
     def test_lipschitz_cap_inactive_for_smooth_data(self):
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
         assert not sol.cap_active.any()
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("tc", [TerminalCondition.analytic("cos", amplitude=0.5),
+                                    TerminalCondition.step(0.0, 0.0, 1.0)],
+                             ids=["cos", "step"])
+    def test_one_member_stack_is_the_single_solve(self, tc):
+        single = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
+        stack = solve(bm_model(), PowerGenerator(3.0), [tc], GRID, 0.0)
+        assert stack.u.shape == (single.t_grid.size, 1, single.x_grid.size)
+        assert stack.substeps.shape == stack.cap_active.shape == (single.t_grid.size, 1)
+        (member,) = stack.members()
+        for field in ("u", "z", "cap_active", "substeps"):
+            assert np.array_equal(getattr(member, field), getattr(single, field))
+        assert member.tc is tc
+
+    def test_members_are_views_sharing_one_schedule(self):
+        tcs = [TerminalCondition.analytic("cos", amplitude=0.5),
+               TerminalCondition.step(0.0, 0.0, 1.0)]
+        stack = solve(bm_model(), PowerGenerator(3.0), tcs, GRID, 0.0)
+        members = stack.members()
+        for i, member in enumerate(members):
+            assert np.shares_memory(member.u, stack.u)
+            assert np.array_equal(member.u, stack.u[:, i])
+            assert member.tc is tcs[i]
+        assert np.array_equal(members[0].substeps, members[1].substeps)
+        # the step member sets every substep size, and the stack's clamp is
+        # the step's own (the larger sup norm, no Lipschitz bound), so it
+        # reads as it does alone
+        alone = solve(bm_model(), PowerGenerator(3.0), tcs[1], GRID, 0.0)
+        for field in ("u", "z", "cap_active", "substeps"):
+            assert np.array_equal(getattr(members[1], field), getattr(alone, field))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            solve(bm_model(), PowerGenerator(3.0), [], GRID, 0.0)
 
 
 class TestRegularizedFamily:
@@ -299,6 +327,24 @@ class TestRegularizedFamily:
                 for u, l in zip(upper, lower)]
         assert gaps[0] >= gaps[1] - 1e-12 >= gaps[2] - 2e-12
         assert gaps[-1] <= 2.0 * (2.0 * tc.sup_norm * tc.lipschitz / ms[-1])
+
+    @pytest.mark.parametrize("grid", [GridSpec(n_x=801, dt=2e-3, x_lo=-8.0, x_hi=8.0),
+                                      GridSpec(n_x=401, dt=5e-3, x_lo=-8.0, x_hi=8.0)],
+                             ids=["801x2e-3", "401x5e-3"])
+    def test_spike_ladders_ordered_at_every_node(self, grid):
+        # the A10 spike (slope 50): members stepped in lockstep keep the
+        # order of their terminal data at every node of every level
+        tc = TerminalCondition.tabulated([-8.0, -0.02, 0.0, 0.02, 8.0],
+                                         [0.0, 0.0, 1.0, 0.0, 0.0])
+        ms = [2.0, 4.0, 8.0, 16.0]
+        lower = solve_regularized_family(bm_model(), PowerGenerator(3.0), tc,
+                                         ms, "lower", grid, 0.0)
+        upper = solve_regularized_family(bm_model(), PowerGenerator(3.0), tc,
+                                         ms, "upper", grid, 0.0)
+        for a, b in zip(lower, lower[1:]):
+            assert np.max(a.u - b.u) <= 1e-14
+        for a, b in zip(upper, upper[1:]):
+            assert np.max(b.u - a.u) <= 1e-14
 
     def test_unsorted_m_list_rejected(self):
         tc = TerminalCondition.analytic("cos")
