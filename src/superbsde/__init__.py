@@ -13,7 +13,7 @@ from .hj_solver import (GridSpec, PdeSolution, cole_hopf_reference, solve,
                         solve_regularized_family)
 from .dual_mc import (ConstantControl, DualEstimate, FeedbackControl,
                       PiecewiseConstantControl, ZeroControl, duality_gap,
-                      evaluate_control, evaluate_controls, feedback_control)
+                      evaluate_control, evaluate_controls)
 from .path_checks import (apriori_z_bound, bmo_energy_check, bsde_residual,
                           exponent_fit, penalty_bound_check)
 from .counterexamples import (build_thm31, build_thm33, build_thm34,

@@ -163,11 +163,6 @@ def evaluate_control(model, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
                              seed)[0]
 
 
-def feedback_control(sol, gen):
-    """The candidate optimizer q* = g'(Z) read off a computed solution."""
-    return FeedbackControl(sol, gen)
-
-
 @dataclass(frozen=True)
 class ControlRow:
     control_kind: str
@@ -211,7 +206,7 @@ def duality_gap(model, gen, conj, tc, sol, x0, t0, n_paths, seed,
     for superquadratic generators.
     """
     u0 = float(sol.u_at(t0, x0))
-    controls = [ZeroControl(), feedback_control(sol, gen), *extra_controls]
+    controls = [ZeroControl(), FeedbackControl(sol, gen), *extra_controls]
     ests = evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps,
                              seed)
     rows = []

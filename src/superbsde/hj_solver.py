@@ -34,6 +34,7 @@ itself.
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -66,14 +67,16 @@ class GridSpec:
 
 @dataclass
 class PdeSolution:
-    """u and Z = -u_x sigma on the grid; t_grid runs from T down to t0.
+    """u on the grid, levels from T down to t0 in t_grid.  It stores u
+    only: Z = -u_x sigma (central differences inside, one-sided at the
+    edges) is computed from u on first use of `z` and cached.
     A stacked solve has a member axis after the level axis; lookups and
-    to_csv read one member, so split it with `members()` first."""
+    to_csv read one member and raise ValueError on a stack, so split it
+    with `members()` first."""
 
     x_grid: np.ndarray
     t_grid: np.ndarray
     u: np.ndarray
-    z: np.ndarray
     cap_active: np.ndarray
     substeps: np.ndarray
     model: object
@@ -95,6 +98,15 @@ class PdeSolution:
     @property
     def horizon(self):
         return float(self.t_grid[0])
+
+    @cached_property
+    def z(self):
+        """Z = -u_x sigma at every level (and member), computed once."""
+        return _central_z(self.u, self.dx, self.model.sigma)
+
+    def _one_member(self):
+        if self.u.ndim == 3:
+            raise ValueError("split a stacked solution with members()")
 
     def _weights(self, t, x):
         """Cell indices and offsets (it, lt, ix, lx) of the bilinear lookup
@@ -127,16 +139,17 @@ class PdeSolution:
 
     def u_at(self, t, x):
         """Bilinear interpolation of u (x clamped to the grid)."""
+        self._one_member()
         return self._interpolate(self.u, self._weights(t, x))
 
     def z_at(self, t, x):
         """Bilinear interpolation of the Z-field (x clamped to the grid)."""
+        self._one_member()
         return self._interpolate(self.z, self._weights(t, x))
 
     def members(self):
         """One solution per member of a stacked solve, as views."""
-        return [replace(self, u=self.u[:, i], z=self.z[:, i],
-                        cap_active=self.cap_active[:, i],
+        return [replace(self, u=self.u[:, i], cap_active=self.cap_active[:, i],
                         substeps=self.substeps[:, i], tc=tc)
                 for i, tc in enumerate(self.tc)]
 
@@ -145,6 +158,7 @@ class PdeSolution:
 
     def to_csv(self, path):
         """Long format: t,x,u,z,cap_active (one row per grid node)."""
+        self._one_member()
         # repr of a numpy scalar is "np.float64(...)" under numpy 2, so format
         # Python floats; tolist() one level at a time keeps memory flat
         xs = self.x_grid.tolist()
@@ -225,11 +239,9 @@ def solve(model, gen, tc, grid, t0):
     n_t = t_desc.size
     rows = (len(stack),) if stacked else ()
     u = np.empty((n_t, *rows, x.size))
-    z = np.empty_like(u)
     cap_active = np.zeros((n_t, *rows), dtype=bool)
     substeps = np.zeros((n_t, *rows), dtype=np.int64)
     u[0] = np.reshape([np.asarray(phi(x), dtype=float) for phi in stack], u.shape[1:])
-    z[0] = _central_z(u[0], dx, model.sigma)
 
     h_vec = lambda r: np.asarray(gen.h(r), dtype=float)
     hp_vec = lambda r: np.asarray(gen.hp(r), dtype=float)
@@ -250,11 +262,10 @@ def solve(model, gen, tc, grid, t0):
             raise ResolutionError(
                 f"non-finite solution at level {k + 1} (t = {t_desc[k + 1]:.6g})")
         u[k + 1] = unew
-        z[k + 1] = _central_z(unew, dx, model.sigma)
         cap_active[k + 1] = hit
         substeps[k + 1] = nsub
 
-    return PdeSolution(x_grid=x, t_grid=t_desc, u=u, z=z, cap_active=cap_active,
+    return PdeSolution(x_grid=x, t_grid=t_desc, u=u, cap_active=cap_active,
                        substeps=substeps, model=model, gen=gen,
                        tc=stack if stacked else tc)
 

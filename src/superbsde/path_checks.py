@@ -44,6 +44,10 @@ def bsde_residual(sol, model, gen, bundle):
     integrates the dynamics forward from u(t0, x0) and compares against
     Phi(X_T).  Paths leaving the spatial grid are excluded; more than
     MAX_EXCLUDED of them is a domain error.
+
+    It walks the knots in order, one set of lookup weights per knot for u
+    and Z, and holds two (paths x steps) arrays beside the bundle: the
+    increments g(Z) dt - Z dB and Z^2.
     """
     if bundle.tilted:
         raise ValueError("bsde_residual expects an untilted bundle")
@@ -53,33 +57,35 @@ def bsde_residual(sol, model, gen, bundle):
     if excluded > MAX_EXCLUDED:
         raise DomainError(
             f"{excluded:.1%} of paths left the grid (limit {MAX_EXCLUDED:.1%})")
-    # the kept knots step-major, so each knot's states are contiguous; one
-    # set of lookup weights per knot serves u and Z
-    x_knots = np.compress(inside, x.T, axis=1)
-    dw = bundle.noise[inside]
-    n_knots, n_used = x_knots.shape
+    n_used = int(np.count_nonzero(inside))
+    n_steps = x.shape[1] - 1
     times = bundle.times
     dt = bundle.dt
 
-    # path-major, so the reductions below sum along contiguous rows
-    y = np.empty((n_used, n_knots))
-    z = np.empty((n_used, n_knots - 1))
-    gz = np.empty_like(z)
-    for k in range(n_knots):
-        w = sol._weights(times[k], x_knots[k])
-        y[:, k] = sol._interpolate(sol.u, w)
-        if k < n_knots - 1:
-            z[:, k] = sol._interpolate(sol.z, w)
-            gz[:, k] = np.asarray(gen.eval(z[:, k]), dtype=float)
+    # path-major, so the row sums below run along contiguous rows
+    increments = np.empty((n_used, n_steps))
+    zz = np.empty_like(increments)
+    max_step = 0.0
+    for k in range(n_steps + 1):
+        xk = x[:, k][inside]
+        w = sol._weights(times[k], xk)
+        yk = sol._interpolate(sol.u, w)
+        if k > 0:
+            max_step = np.maximum(max_step, np.max(np.abs(yk - y_prev - inc)))
+        if k < n_steps:
+            zk = sol._interpolate(sol.z, w)
+            gz = np.asarray(gen.eval(zk), dtype=float)
+            inc = gz * dt - zk * bundle.noise[:, k][inside]
+            increments[:, k] = inc
+            zz[:, k] = zk * zk
+        y_prev = yk
 
-    increments = gz * dt - z * dw
-    step_res = y[:, 1:] - y[:, :-1] - increments
     y_num_T = sol.u_at(bundle.t0, bundle.x0) + increments.sum(axis=1)
-    terminal = y_num_T - np.asarray(sol.tc(x_knots[-1]), dtype=float)
-    energy_paths = (z * z).sum(axis=1) * dt
+    terminal = y_num_T - np.asarray(sol.tc(xk), dtype=float)
+    energy_paths = zz.sum(axis=1) * dt
     return ResidualReport(
         rms_terminal_residual=float(np.sqrt(np.mean(terminal**2))),
-        max_step_residual=float(np.max(np.abs(step_res))),
+        max_step_residual=float(max_step),
         energy=float(np.mean(energy_paths)),
         energy_se=float(np.std(energy_paths, ddof=1) / np.sqrt(n_used)),
         step_sizes=(dt, sol.dx),

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from superbsde import dual_mc
-from superbsde.dual_mc import (ConstantControl, PiecewiseConstantControl,
-                               ZeroControl, duality_gap, evaluate_control,
-                               evaluate_controls, feedback_control)
+from superbsde.dual_mc import (ConstantControl, FeedbackControl,
+                               PiecewiseConstantControl, ZeroControl, duality_gap,
+                               evaluate_control, evaluate_controls)
 from superbsde.errors import SimulationDivergedError
 from superbsde.forward_model import (Drift, ForwardModel, TanhDrift, ZeroDrift,
                                      simulate_paths)
@@ -121,7 +121,7 @@ class TestBlockedPass:
         sol = solve(model, gen, tc, GRID, 0.0)
         controls = {"zero": ZeroControl(), "constant": ConstantControl(0.6),
                     "piecewise": PiecewiseConstantControl([0.3, 0.55], [0.2, -1.0, 1.5]),
-                    "feedback": feedback_control(sol, gen)}
+                    "feedback": FeedbackControl(sol, gen)}
         return model, gen, conjugate_of(gen), tc, controls
 
     @pytest.mark.parametrize("block", [1, 777, 1000, 4096])
@@ -212,7 +212,7 @@ class TestFeedback:
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("const", amplitude=0.7)
         sol = solve(model, gen, tc, GRID, 0.0)
-        ctrl = feedback_control(sol, gen)
+        ctrl = FeedbackControl(sol, gen)
         assert np.max(np.abs(ctrl.rate(0.5, np.linspace(-3, 3, 11)))) == 0.0
 
     def test_rate_is_gradient_of_z(self):
@@ -222,7 +222,7 @@ class TestFeedback:
         sol = solve(model, gen, tc, GRID, 0.0)
         xq = np.array([0.3, 1.2])
         z = sol.z_at(0.4, xq)
-        assert np.allclose(ctrl_rate := feedback_control(sol, gen).rate(0.4, xq),
+        assert np.allclose(ctrl_rate := FeedbackControl(sol, gen).rate(0.4, xq),
                            gen.grad(z))
         assert np.all(np.isfinite(ctrl_rate))
 
@@ -232,7 +232,7 @@ class TestFeedback:
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         sol = solve(model, gen, tc, GRID, 0.0)
         mid = sol.x_grid[np.argmin(np.abs(sol.x_grid))]
-        assert abs(feedback_control(sol, gen).rate(0.2, np.array([mid]))[0]) <= 1e-8
+        assert abs(FeedbackControl(sol, gen).rate(0.2, np.array([mid]))[0]) <= 1e-8
 
 
 class TestDualityGap:
@@ -289,7 +289,7 @@ class TestDualityGap:
         model, gen, conj, tc, sol, extras = tanh_case
         rep = duality_gap(model, gen, conj, tc, sol, 0.1, 0.0, 700, seed=21,
                           n_steps=30, extra_controls=extras)
-        controls = [ZeroControl(), feedback_control(sol, gen), *extras]
+        controls = [ZeroControl(), FeedbackControl(sol, gen), *extras]
         assert [r.control_kind for r in rep.rows] == [c.kind for c in controls]
         for row, ctrl in zip(rep.rows, controls):
             est = evaluate_control(model, conj, tc, ctrl, 0.1, 0.0, 700, 30,

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ def bm_model(T=1.0, sigma=1.0):
 
 
 GRID = GridSpec(n_x=401, dt=5e-3, x_lo=-8.0, x_hi=8.0)
+# the A10 spike (slope 50)
+SPIKE = TerminalCondition.tabulated([-8.0, -0.02, 0.0, 0.02, 8.0],
+                                    [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 class TestBasics:
@@ -301,6 +305,73 @@ class TestStackedSolve:
         with pytest.raises(ValueError, match="at least one"):
             solve(bm_model(), PowerGenerator(3.0), [], GRID, 0.0)
 
+    @staticmethod
+    def two_cos_stack():
+        tcs = [TerminalCondition.analytic("cos", amplitude=0.5),
+               TerminalCondition.analytic("cos", amplitude=0.25)]
+        return solve(bm_model(), PowerGenerator(3.0), tcs,
+                     GridSpec(n_x=64, dt=0.25, x_lo=-4.0, x_hi=4.0), 0.0)
+
+    @pytest.mark.parametrize("x", [0.0, -4.0])
+    def test_u_at_rejects_a_stack(self, x):
+        with pytest.raises(ValueError, match=r"split a stacked solution with members\(\)"):
+            self.two_cos_stack().u_at(0.0, x)
+
+    @pytest.mark.parametrize("x", [0.0, -4.0])
+    def test_z_at_rejects_a_stack(self, x):
+        with pytest.raises(ValueError, match=r"split a stacked solution with members\(\)"):
+            self.two_cos_stack().z_at(0.0, x)
+
+    def test_to_csv_rejects_a_stack(self, tmp_path):
+        path = tmp_path / "solution.csv"
+        with pytest.raises(ValueError, match=r"split a stacked solution with members\(\)"):
+            self.two_cos_stack().to_csv(path)
+        assert not path.exists()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestLazyZ:
+    """A solution stores u only; Z is computed from u on first use."""
+
+    @pytest.mark.parametrize("tc", [TerminalCondition.analytic("cos", amplitude=0.5),
+                                    TerminalCondition.step(0.0, 0.0, 1.0), SPIKE],
+                             ids=["cos", "step", "spike"])
+    def test_each_level_is_the_central_difference_of_u(self, tc):
+        sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
+        assert "z" not in vars(sol)
+        for k in range(sol.t_grid.size):
+            row = hj_solver._central_z(sol.u[k], sol.dx, sol.model.sigma)
+            assert np.array_equal(_bits(sol.z[k]), _bits(row))
+        assert sol.z is sol.z
+
+    def test_members_read_the_stack_z(self):
+        tcs = [TerminalCondition.analytic("cos", amplitude=0.5),
+               TerminalCondition.step(0.0, 0.0, 1.0), SPIKE]
+        stack = solve(bm_model(), PowerGenerator(3.0), tcs, GRID, 0.0)
+        members = stack.members()
+        for k in range(stack.t_grid.size):
+            row = hj_solver._central_z(stack.u[k], stack.dx, stack.model.sigma)
+            assert np.array_equal(_bits(stack.z[k]), _bits(row))
+        for i, member in enumerate(members):
+            assert "z" not in vars(member)
+            assert np.array_equal(_bits(member.z), _bits(stack.z[:, i]))
+
+    def test_solve_allocates_u_only(self):
+        # a Z field stored beside u would read about 2
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        grid = GridSpec(n_x=801, dt=1e-3, x_lo=-8.0, x_hi=8.0)
+        tracemalloc.start()
+        try:
+            sol = solve(bm_model(), PowerGenerator(3.0), tc, grid, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sol.u.nbytes
+        assert "z" not in vars(sol)
+
 
 class TestRegularizedFamily:
     def test_constant_profile_ladder_identical(self):
@@ -332,14 +403,12 @@ class TestRegularizedFamily:
                                       GridSpec(n_x=401, dt=5e-3, x_lo=-8.0, x_hi=8.0)],
                              ids=["801x2e-3", "401x5e-3"])
     def test_spike_ladders_ordered_at_every_node(self, grid):
-        # the A10 spike (slope 50): members stepped in lockstep keep the
-        # order of their terminal data at every node of every level
-        tc = TerminalCondition.tabulated([-8.0, -0.02, 0.0, 0.02, 8.0],
-                                         [0.0, 0.0, 1.0, 0.0, 0.0])
+        # members stepped in lockstep keep the order of their terminal data
+        # at every node of every level
         ms = [2.0, 4.0, 8.0, 16.0]
-        lower = solve_regularized_family(bm_model(), PowerGenerator(3.0), tc,
+        lower = solve_regularized_family(bm_model(), PowerGenerator(3.0), SPIKE,
                                          ms, "lower", grid, 0.0)
-        upper = solve_regularized_family(bm_model(), PowerGenerator(3.0), tc,
+        upper = solve_regularized_family(bm_model(), PowerGenerator(3.0), SPIKE,
                                          ms, "upper", grid, 0.0)
         for a, b in zip(lower, lower[1:]):
             assert np.max(a.u - b.u) <= 1e-14

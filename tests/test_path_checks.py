@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,25 @@ class TestResidual:
         rep = bsde_residual(sol, model, gen, bundle)
         assert 0.0 < rep.excluded_fraction <= MAX_EXCLUDED
         assert rep == self.per_knot_residual(sol, gen, bundle)
+
+    def test_holds_two_path_by_step_arrays(self):
+        # beside the bundle and the cached Z field, the residual needs two
+        # (paths x steps) arrays; the bound sits between that and the
+        # ratio of about 8 that holding every knot's lookups at once reads
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(model, gen, tc, GRID, 0.0)
+        n_paths, n_steps = 5000, 50
+        bundle = simulate_paths(model, 0.0, 0.0, n_paths, n_steps, seed=503)
+        sol.z
+        tracemalloc.start()
+        try:
+            bsde_residual(sol, model, gen, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n_paths * n_steps * 8
 
 
 class TestBmo:
