@@ -1,11 +1,12 @@
 """Hot numeric kernels, all pure numpy.
 
-The Hamilton-Jacobi step (``hj_base_step`` with its ``ImplicitDiffusion``
-solve), the Euler-Maruyama path loop (``em_paths``) and the comb sweep
+The implicit diffusion solve of the Hamilton-Jacobi substep
+(``ImplicitDiffusion``; ``hj_solver.solve`` runs the substep loop), the
+Euler-Maruyama path loop (``em_paths``) and the comb sweep
 (``comb_cross_overlap``) are vectorized over cells, paths and teeth
-respectively.  The step and the path loop take generator profiles, drifts,
-tilts and running costs as vectorized Python callables, so every
-generator, drift and control kind runs the same code.
+respectively.  The path loop takes drifts, tilts and running costs as
+vectorized Python callables, so every drift and control kind runs the
+same code.
 
 ``em_paths`` is the package's one Euler loop.  ``simulate_paths`` asks it
 for the stored x/flow knots; the dual Monte Carlo pass stores no knots and
@@ -21,7 +22,7 @@ USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# Hamilton-Jacobi single base step (IMEX: implicit diffusion, explicit LLF)
+# Implicit diffusion of the Hamilton-Jacobi substep
 # ---------------------------------------------------------------------------
 
 class ImplicitDiffusion:
@@ -29,7 +30,7 @@ class ImplicitDiffusion:
 
     D2 is the second difference whose ghost nodes copy the edge values
     (u_{-1} = u_0, u_n = u_{n-1}), the closure of the explicit stencil in
-    hj_base_step.  I - c D2 (c >= 0) is a symmetric M-matrix with unit row
+    hj_solver.solve.  I - c D2 (c >= 0) is a symmetric M-matrix with unit row
     sums, so its inverse is entrywise nonnegative with max-norm 1.
 
     The Thomas pivots d_i of I - c D2 = L diag(d) L^T follow from the
@@ -97,70 +98,6 @@ class ImplicitDiffusion:
             # sweep brings the residual back to that of a sequential solve
             y += self._sweep(rhs - self._apply(y, c))
         return y
-
-
-def hj_base_step(u, bvals, dx, sigma, h_vec, hp_vec, pcap, dt_base, max_substeps,
-                 cfl, diffusion):
-    """Advance one backward base step of size dt_base by IMEX substeps.
-
-    Each substep forms the explicit increment
-
-        inc = dtau (0.5 sigma^2 d2 - H + 0.5 theta dx d2)
-
-    (centered second differences, local Lax-Friedrichs Hamiltonian H with
-    dissipation theta, edge ghosts copying the edge value) and adds
-    diffusion(inc, c) with c = 0.5 sigma^2 dtau / dx^2.  That is the delta
-    form of (I - c D2) u_new = u + dtau (0.5 theta dx d2 - H): the diffusion
-    is implicit, and a zero increment leaves u exactly unchanged.  Only the
-    hyperbolic bound dtau <= cfl dx / theta_max limits the substep; with
-    cfl <= 1 the explicit part is monotone and (I - c D2)^{-1} >= 0, so the
-    step is monotone.  h_vec/hp_vec are vectorized radial profiles, so any
-    generator (power, quadratic, sampled) works.
-
-    u is one row of cells or a stack of rows (members, n_x); every row
-    takes the same substeps, sized by theta_max over the whole stack.
-
-    Returns (u_new, n_substeps, cap_hit), cap_hit per row; n_substeps == -1
-    signals the substep ceiling was exceeded.  A non-finite theta ends the
-    step early and returns the non-finite state for the caller to reject.
-    """
-    cur = u.copy()
-    sig2 = sigma * sigma
-    asig = abs(sigma)
-    dx2 = dx * dx
-    babs = np.abs(bvals)
-    consumed = 0.0
-    nsub = 0
-    cap_hit = np.zeros(u.shape[:-1], dtype=bool)
-    pad = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
-    while consumed < dt_base:
-        pad[..., 1:-1] = cur
-        pad[..., 0] = cur[..., 0]
-        pad[..., -1] = cur[..., -1]
-        pp = (pad[..., 2:] - cur) / dx
-        pm = (cur - pad[..., :-2]) / dx
-        pc = 0.5 * (pp + pm)
-        pa = np.abs(pc)
-        hit = np.any(pa > pcap, axis=-1)
-        if np.any(hit):
-            cap_hit |= hit
-            pa = np.minimum(pa, pcap)
-        pl = np.minimum(np.maximum(np.abs(pp), np.abs(pm)), pcap)
-        theta = asig * hp_vec(asig * pl) + babs
-        theta_max = theta.max()
-        if not np.isfinite(theta_max):
-            return cur, nsub, cap_hit
-        rem = dt_base - consumed
-        dtau = rem if theta_max == 0.0 else min(cfl * dx / theta_max, rem)
-        ham = h_vec(asig * pa) - pc * bvals
-        d2 = (pad[..., 2:] - 2.0 * cur + pad[..., :-2]) / dx2
-        inc = dtau * (0.5 * sig2 * d2 - ham + 0.5 * theta * dx * d2)
-        cur = cur + diffusion(inc, 0.5 * sig2 * dtau / dx2)
-        consumed += dtau
-        nsub += 1
-        if nsub > max_substeps:
-            return cur, -1, cap_hit
-    return cur, nsub, cap_hit
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,9 @@ def _check_config(cfg):
             raise ConfigError(where, f"must be >= {low}, got {value}")
     if not cfg.grid["dt"] > 0.0:
         raise ConfigError("grid.dt", f"must be > 0, got {cfg.grid['dt']}")
+    if not 0.0 <= cfg.dual["scheme_tol"] < np.inf:
+        raise ConfigError("dual.scheme_tol",
+                          f"must be finite and >= 0, got {cfg.dual['scheme_tol']}")
 
 
 def _built(where, build, *args):

@@ -631,7 +631,6 @@ def thm34_checks(cfg, n_paths, n_steps, seed):
 @dataclass(frozen=True)
 class WitnessReport(_Report):
     rows: tuple
-    sup_distance: float
 
 
 def limit_not_solution_witness(cfg, seed, n_paths=256, n_coarse=4096):
@@ -650,4 +649,4 @@ def limit_not_solution_witness(cfg, seed, n_paths=256, n_coarse=4096):
     bound = 10.0 * 2.0**-k
     rows = (CheckRow("3.4", f"sup |Y^{k} - t^nu| <= 10*2^-{k} on good paths",
                      sup_dist, bound, sup_dist <= bound + 1e-12),)
-    return WitnessReport(rows=rows, sup_distance=sup_dist)
+    return WitnessReport(rows=rows)

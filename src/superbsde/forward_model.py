@@ -136,6 +136,8 @@ class PathBundle:
 
     When a tilt was applied, `noise` holds the Q-Brownian increments (the
     tilted simulation is the Q-law; no density reweighting is involved).
+    `dt` is the Euler step the paths were simulated with; a difference of
+    two `times` can differ from it in the last bits.
     """
 
     times: np.ndarray
@@ -145,11 +147,8 @@ class PathBundle:
     seed: int
     x0: float
     t0: float
+    dt: float
     tilted: bool = False
-
-    @property
-    def dt(self):
-        return float(self.times[1] - self.times[0])
 
     def to_csv(self, path):
         """One row per (path, step): path,t,x,flow,dB."""
@@ -237,5 +236,5 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     if bad >= 0:
         raise SimulationDivergedError(bad)
     return PathBundle(times=times, x_paths=x, flow_paths=flow, noise=dw,
-                      seed=int(seed), x0=float(x0), t0=float(t0),
+                      seed=int(seed), x0=float(x0), t0=float(t0), dt=dt,
                       tilted=tilt is not None)

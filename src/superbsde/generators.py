@@ -59,11 +59,11 @@ class Generator:
 
 
 class PowerGenerator(Generator):
-    """g(z) = |z|**q with q > 2 (the paper's canonical superquadratic case)."""
+    """g(z) = |z|**q with finite q > 2 (the paper's canonical superquadratic case)."""
 
     def __init__(self, q):
-        if not q > 2.0:
-            raise ValueError(f"power exponent must exceed 2, got {q}")
+        if not 2.0 < q < np.inf:
+            raise ValueError(f"power exponent must be finite and exceed 2, got {q}")
         self.q = float(q)
 
     def h(self, r):
@@ -77,11 +77,12 @@ class PowerGenerator(Generator):
 
 
 class QuadraticGenerator(Generator):
-    """g(z) = gamma*|z|**2, the boundary (non-superquadratic) case."""
+    """g(z) = gamma*|z|**2 with finite gamma > 0, the boundary
+    (non-superquadratic) case."""
 
     def __init__(self, gamma):
-        if not gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0.0 < gamma < np.inf:
+            raise ValueError(f"gamma must be finite and positive, got {gamma}")
         self.gamma = float(gamma)
 
     def h(self, r):
@@ -98,9 +99,9 @@ class QuadraticGenerator(Generator):
 class SampledGenerator(Generator):
     """Piecewise-linear convex profile through nodes (r_i, g_i).
 
-    Nodes must start at (0, 0), be strictly increasing in r, and have
-    nondecreasing divided differences (convexity).  Evaluation beyond the
-    last node raises ExtrapolationRangeError.
+    Nodes must be finite, start at (0, 0), be strictly increasing in r,
+    and have nondecreasing divided differences (convexity).  Evaluation
+    beyond the last node raises ExtrapolationRangeError.
     """
 
     def __init__(self, nodes_r, nodes_g):
@@ -108,6 +109,8 @@ class SampledGenerator(Generator):
         g = np.asarray(nodes_g, dtype=float).copy()
         if r.ndim != 1 or r.shape != g.shape or r.size < 2:
             raise ValueError("need matching 1-d node arrays with >= 2 nodes")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(g))):
+            raise ValueError("nodes must be finite")
         if r[0] != 0.0 or g[0] != 0.0:
             raise ValueError("first node must be (0, 0) so that g(0) = 0")
         if np.any(np.diff(r) <= 0.0):

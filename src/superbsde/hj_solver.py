@@ -19,7 +19,8 @@ dissipation at the larger (clamped) one-sided slope p_i, not the dx^2
 diffusion bound.  The implicit part is the inverse of an M-matrix and
 the explicit part is monotone under that bound, so the scheme is
 monotone and the discrete comparison and maximum principles hold.  A
-level that turns non-finite raises ResolutionError.
+level that turns non-finite or meets a non-finite theta raises
+ResolutionError.
 
 The superquadratic Hamiltonian has an unbounded gradient Lipschitz
 constant, so the gradient argument of g is clamped at 1.5x the a-priori
@@ -80,7 +81,6 @@ class PdeSolution:
     cap_active: np.ndarray
     substeps: np.ndarray
     model: object
-    gen: object
     tc: object
 
     @property
@@ -172,16 +172,26 @@ class PdeSolution:
 
 def _central_z(u_row, dx, sigma):
     z = np.empty_like(u_row)
-    z[..., 1:-1] = -(u_row[..., 2:] - u_row[..., :-2]) / (2.0 * dx) * sigma
+    # the interior is written in place: no temporary the size of u
+    inner = z[..., 1:-1]
+    np.subtract(u_row[..., 2:], u_row[..., :-2], out=inner)
+    np.negative(inner, out=inner)
+    inner /= 2.0 * dx
+    inner *= sigma
     z[..., 0] = -(u_row[..., 1] - u_row[..., 0]) / dx * sigma
     z[..., -1] = -(u_row[..., -1] - u_row[..., -2]) / dx * sigma
     return z
 
 
+def z_envelope(model, sup_norm, tau):
+    """The a-priori bound 2 exp(lambda T) ||Phi|| tau^{-1/2} on |Z| at
+    time-to-go tau, lambda = sup |b_x| = model.lam."""
+    return 2.0 * np.exp(model.lam * model.horizon) * sup_norm / np.sqrt(tau)
+
+
 def _p_cap(model, sup_norm, lip, tau):
     """Clamp level for |u_x| when stepping with time-to-go tau."""
-    c1 = 2.0 * np.exp(model.lam * model.horizon)
-    cap_z = c1 * sup_norm / np.sqrt(tau)
+    cap_z = z_envelope(model, sup_norm, tau)
     if lip is not None:
         cap_z = min(cap_z, lip * model.sigma * np.exp(2.0 * model.lam * model.horizon))
     return CAP_SAFETY * cap_z / model.sigma
@@ -215,6 +225,18 @@ def solve(model, gen, tc, grid, t0):
     """Solve the terminal-value problem backward from T to t0 for one
     TerminalCondition, or for a sequence of them in lockstep.
 
+    Each base step is a run of IMEX substeps.  A substep forms the
+    explicit increment
+
+        inc = dtau (0.5 sigma^2 d2 - H + 0.5 theta dx d2)
+
+    (centered second differences d2, local Lax-Friedrichs Hamiltonian H
+    from gen.h, dissipation theta from gen.hp) and adds
+    `_kernels.ImplicitDiffusion` of it with c = 0.5 sigma^2 dtau / dx^2,
+    the delta form of (I - c D2) u_new = u + dtau (0.5 theta dx d2 - H),
+    so a zero increment leaves u exactly unchanged.  dtau is the rest of
+    the base step or CFL_SAFETY dx / max theta, whichever is smaller.
+
     A stack shares the gradient clamp (the largest sup norm and Lipschitz
     constant over it; none if a member has none) and every substep (sized
     by the largest theta over it), so all members go through one monotone
@@ -222,8 +244,8 @@ def solve(model, gen, tc, grid, t0):
     principle; Barles and Souganidis 1991) and shifted data stay shifted
     to rounding.  It returns one PdeSolution; see `PdeSolution.members`.
 
-    Raises ResolutionError when a level needs more than
-    MAX_SUBSTEPS substeps or turns non-finite.
+    Raises ResolutionError naming the level when a level needs more than
+    MAX_SUBSTEPS substeps, turns non-finite, or meets a non-finite theta.
     """
     x, t_desc = _grid_arrays(model, grid, t0)
     dx = float(x[1] - x[0])
@@ -243,30 +265,60 @@ def solve(model, gen, tc, grid, t0):
     substeps = np.zeros((n_t, *rows), dtype=np.int64)
     u[0] = np.reshape([np.asarray(phi(x), dtype=float) for phi in stack], u.shape[1:])
 
-    h_vec = lambda r: np.asarray(gen.h(r), dtype=float)
-    hp_vec = lambda r: np.asarray(gen.hp(r), dtype=float)
+    sig2 = model.sigma * model.sigma
+    asig = abs(model.sigma)
+    dx2 = dx * dx
     diffusion = _kernels.ImplicitDiffusion(x.size)
+    # edge ghosts copy the edge value
+    pad = np.empty(u.shape[1:-1] + (x.size + 2,))
 
     for k in range(n_t - 1):
         s_src = t_desc[k]
         tau = max(model.horizon - s_src, dt_base)
         pcap = _p_cap(model, sup_norm, lip, tau)
         bvals = np.asarray(model.drift(s_src, x), dtype=float)
-        unew, nsub, hit = _kernels.hj_base_step(
-            u[k], bvals, dx, model.sigma, h_vec, hp_vec, pcap,
-            dt_base, MAX_SUBSTEPS, CFL_SAFETY, diffusion)
-        if nsub < 0:
+        babs = np.abs(bvals)
+        cur = u[k]
+        consumed = 0.0
+        nsub = 0
+        while consumed < dt_base:
+            pad[..., 1:-1] = cur
+            pad[..., 0] = cur[..., 0]
+            pad[..., -1] = cur[..., -1]
+            pp = (pad[..., 2:] - cur) / dx
+            pm = (cur - pad[..., :-2]) / dx
+            pc = 0.5 * (pp + pm)
+            pa = np.abs(pc)
+            hit = np.any(pa > pcap, axis=-1)
+            if np.any(hit):
+                cap_active[k + 1] |= hit
+                pa = np.minimum(pa, pcap)
+            pl = np.minimum(np.maximum(np.abs(pp), np.abs(pm)), pcap)
+            theta = asig * gen.hp(asig * pl) + babs
+            theta_max = theta.max()
+            if not np.isfinite(theta_max):
+                break
+            rem = dt_base - consumed
+            dtau = rem if theta_max == 0.0 else min(CFL_SAFETY * dx / theta_max, rem)
+            ham = gen.h(asig * pa) - pc * bvals
+            d2 = (pad[..., 2:] - 2.0 * cur + pad[..., :-2]) / dx2
+            inc = dtau * (0.5 * sig2 * d2 - ham + 0.5 * theta * dx * d2)
+            cur = cur + diffusion(inc, 0.5 * sig2 * dtau / dx2)
+            consumed += dtau
+            nsub += 1
+            if nsub > MAX_SUBSTEPS:
+                raise ResolutionError(
+                    f"CFL substep ceiling {MAX_SUBSTEPS} exceeded at level {k}")
+        finite = np.all(np.isfinite(cur))
+        if not finite or consumed < dt_base:
+            what = "dissipation theta" if finite else "solution"
             raise ResolutionError(
-                f"CFL substep ceiling {MAX_SUBSTEPS} exceeded at level {k}")
-        if not np.all(np.isfinite(unew)):
-            raise ResolutionError(
-                f"non-finite solution at level {k + 1} (t = {t_desc[k + 1]:.6g})")
-        u[k + 1] = unew
-        cap_active[k + 1] = hit
+                f"non-finite {what} at level {k + 1} (t = {t_desc[k + 1]:.6g})")
+        u[k + 1] = cur
         substeps[k + 1] = nsub
 
     return PdeSolution(x_grid=x, t_grid=t_desc, u=u, cap_active=cap_active,
-                       substeps=substeps, model=model, gen=gen,
+                       substeps=substeps, model=model,
                        tc=stack if stacked else tc)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError, SuperbsdeError
+from .hj_solver import z_envelope
 
 
 class NoFitError(SuperbsdeError):
@@ -30,9 +31,7 @@ class ResidualReport:
     max_step_residual: float
     energy: float
     energy_se: float
-    step_sizes: tuple
     excluded_fraction: float
-    n_paths_used: int
 
 
 def bsde_residual(sol, model, gen, bundle):
@@ -88,9 +87,7 @@ def bsde_residual(sol, model, gen, bundle):
         max_step_residual=float(max_step),
         energy=float(np.mean(energy_paths)),
         energy_se=float(np.std(energy_paths, ddof=1) / np.sqrt(n_used)),
-        step_sizes=(dt, sol.dx),
         excluded_fraction=excluded,
-        n_paths_used=int(n_used),
     )
 
 
@@ -98,7 +95,6 @@ def bsde_residual(sol, model, gen, bundle):
 class BmoReport:
     energy: float
     bound: float
-    slack: float
     passed: bool
 
 
@@ -107,7 +103,6 @@ def bmo_energy_check(report, sup_norm):
     bound = 4.0 * sup_norm**2
     limit = bound + 3.0 * report.energy_se
     return BmoReport(energy=report.energy, bound=bound,
-                     slack=limit - report.energy,
                      passed=report.energy <= limit)
 
 
@@ -141,9 +136,8 @@ def _worst_level(sol, peak, threshold):
 def apriori_z_bound(sol, model, sup_norm):
     """max_x |Z(s, .)| against 2 exp(lambda T) ||Phi|| (T-s)^{-1/2}, with
     lambda = sup |b_x| = model.lam, on every level with T-s >= 10 dt."""
-    c1 = 2.0 * np.exp(model.lam * model.horizon)
     return _worst_level(sol, lambda z: np.max(np.abs(z)),
-                        lambda tau: c1 * sup_norm / np.sqrt(tau))
+                        lambda tau: z_envelope(model, sup_norm, tau))
 
 
 def _composite_convex(gen, conj, r_hi, n=256):
@@ -174,7 +168,6 @@ class ExponentFit:
     stderr: float
     expected: float
     n_levels: int
-    window: tuple
 
 
 def exponent_fit(sol, q):
@@ -198,5 +191,4 @@ def exponent_fit(sol, q):
     sxx = float(np.sum((lx - lx.mean()) ** 2))
     stderr = float(np.sqrt(ssr / max(n - 2, 1) / sxx))
     return ExponentFit(slope=slope, stderr=stderr, expected=-1.0 / q,
-                       n_levels=int(n), window=(float(EDGE_STEPS * sol.dt),
-                                                float(span / 10.0)))
+                       n_levels=int(n))

@@ -44,6 +44,9 @@ class TerminalCondition:
         if kind not in _KINDS:
             raise ValueError(f"unknown analytic profile {kind!r}; choose from {_KINDS}")
         amp, freq, off = float(amplitude), float(frequency), float(offset)
+        if not np.all(np.isfinite([amp, freq, off])):
+            raise ValueError("amplitude, frequency and offset must be finite, got "
+                             f"{amp}, {freq}, {off}")
         a = abs(amp)
         if kind == "const":
             return cls(lambda x: np.full_like(x, amp) + off, amp + off, amp + off,
@@ -63,6 +66,8 @@ class TerminalCondition:
         phis = np.asarray(phis, dtype=float).copy()
         if xs.ndim != 1 or xs.shape != phis.shape or xs.size < 2:
             raise ValueError("need matching 1-d arrays with >= 2 entries")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(phis))):
+            raise ValueError("table entries must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("abscissae must be strictly increasing")
         return cls(lambda x: np.interp(x, xs, phis), phis.min(), phis.max(),

@@ -288,6 +288,13 @@ class TestCommands:
         ("solve", "grid: {pad: -50.0}", "grid"),
         ("solve", "model: {drift: {linear: null}}", "model.drift"),
         ("solve", "model: {drift: {linear: 2.0}, lambda: 0.0}", "model.lambda"),
+        ("solve", "generator: {kind: power, q: .inf}", "generator"),
+        ("solve", "generator: {kind: quadratic, gamma: .inf}", "generator"),
+        ("solve", "generator: {kind: sampled, csv: nan_node.csv}", "generator"),
+        ("solve", "terminal: {profile: cos, amplitude: .inf}", "terminal"),
+        ("solve", "terminal: {profile: tabulated, csv: nan_node.csv}", "terminal"),
+        ("dual", "dual: {scheme_tol: .nan}", "dual.scheme_tol"),
+        ("dual", "dual: {scheme_tol: -0.1}", "dual.scheme_tol"),
     ], ids=["n_steps", "n_paths", "cx_n_paths", "n_x", "dt", "sigma", "q",
             "generator_csv_missing", "generator_csv_one_column",
             "terminal_csv_missing", "terminal_csv_one_column",
@@ -296,10 +303,13 @@ class TestCommands:
             "cx34_K_zero", "cx31_q", "cx34_K_overflow", "oracle_power",
             "oracle_drift", "t0_past_horizon", "x_lo_above_x_hi", "x_lo_alone",
             "x0_outside_domain", "default_domain_empty", "drift_not_a_number",
-            "lambda_is_not_a_setting"])
+            "lambda_is_not_a_setting", "q_inf", "gamma_inf", "generator_nan_node",
+            "amplitude_inf", "terminal_nan_node", "scheme_tol_nan",
+            "scheme_tol_negative"])
     def test_main_rejects_bad_value_before_compute(self, tmp_path, capsys,
                                                     command, text, field):
         (tmp_path / "one.csv").write_text("x\n0.0\n1.0\n")
+        (tmp_path / "nan_node.csv").write_text("x,y\n0.0,0.0\n1.0,nan\n10.0,1000.0\n")
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(text.replace("csv: ", f"csv: {tmp_path}/") + "\n")
         out = tmp_path / "o"

@@ -73,6 +73,13 @@ class TestSimulate:
         b3 = simulate_paths(model, 0.0, 0.0, 128, 32, seed=8)
         assert not np.array_equal(b1.x_paths, b3.x_paths)
 
+    def test_bundle_dt_is_the_simulated_step(self):
+        # times[1] - times[0] rounds differently: 0.007000000000000006 here
+        model = model_bm()
+        bundle = simulate_paths(model, 0.0, 0.3, 4, 100, seed=3)
+        assert bundle.dt == forward_model.time_step(model, 0.3, 100)
+        assert bundle.dt != float(bundle.times[1] - bundle.times[0])
+
     def test_weak_euler_first_order(self):
         model = ForwardModel(LinearDrift(1.0), 1.0, 1.0)
         errs = []

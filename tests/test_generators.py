@@ -191,3 +191,17 @@ class TestCsv:
     def test_nonconvex_rejected(self):
         with pytest.raises(ValueError):
             SampledGenerator([0.0, 1.0, 2.0], [0.0, 3.0, 4.0])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("build", [
+        lambda: PowerGenerator(np.inf),
+        lambda: PowerGenerator(np.nan),
+        lambda: QuadraticGenerator(np.inf),
+        lambda: QuadraticGenerator(np.nan),
+        lambda: SampledGenerator([0.0, 1.0, 10.0], [0.0, np.nan, 1000.0]),
+        lambda: SampledGenerator([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]),
+    ], ids=["q_inf", "q_nan", "gamma_inf", "gamma_nan", "g_nan", "r_inf"])
+    def test_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()

@@ -88,6 +88,17 @@ class TestBasics:
                 pytest.raises(ResolutionError, match="non-finite solution at level"):
             solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
 
+    def test_non_finite_theta_raises(self):
+        # a finite state whose dissipation is not: the level must not be
+        # accepted unchanged with zero substeps
+        class InfiniteSlope(PowerGenerator):
+            def hp(self, r):
+                return np.full_like(np.asarray(r, dtype=float), np.inf)
+
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        with pytest.raises(ResolutionError, match=r"theta at level 1 \("):
+            solve(bm_model(), InfiniteSlope(3.0), tc, GRID, 0.0)
+
 
 def _dense_implicit_diffusion(n, c):
     """I - c D2 with ghost nodes copying the edge values."""
@@ -371,6 +382,19 @@ class TestLazyZ:
             tracemalloc.stop()
         assert peak <= 1.1 * sol.u.nbytes
         assert "z" not in vars(sol)
+
+    def test_first_z_read_allocates_z_only(self):
+        # a temporary the size of u beside Z would read about 2
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        grid = GridSpec(n_x=801, dt=1e-3, x_lo=-8.0, x_hi=8.0)
+        sol = solve(bm_model(), PowerGenerator(3.0), tc, grid, 0.0)
+        tracemalloc.start()
+        try:
+            sol.z
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sol.u.nbytes
 
 
 class TestRegularizedFamily:

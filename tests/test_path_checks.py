@@ -117,8 +117,7 @@ class TestResidual:
             max_step_residual=float(np.max(np.abs(step_res))),
             energy=float(np.mean(energy_paths)),
             energy_se=float(np.std(energy_paths, ddof=1) / np.sqrt(n_used)),
-            step_sizes=(dt, sol.dx), excluded_fraction=excluded,
-            n_paths_used=int(n_used))
+            excluded_fraction=excluded)
 
     @pytest.mark.parametrize("gen", [PowerGenerator(3.0), QuadraticGenerator(0.5)],
                              ids=["power3", "quadratic"])

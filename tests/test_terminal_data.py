@@ -27,6 +27,23 @@ class TestEval:
         assert tc(-3.0) == 0.5 and tc(4.0) == 0.7
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("kwargs", [{"amplitude": np.inf},
+                                        {"frequency": np.nan},
+                                        {"offset": -np.inf}],
+                             ids=["amplitude", "frequency", "offset"])
+    def test_analytic_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            TerminalCondition.analytic("cos", **kwargs)
+
+    @pytest.mark.parametrize("xs, phis", [([-1.0, 0.0, 1.0], [0.0, np.nan, 0.0]),
+                                          ([-1.0, np.nan, 1.0], [0.0, 1.0, 0.0])],
+                             ids=["phi_nan", "x_nan"])
+    def test_tabulated_rejected(self, xs, phis):
+        with pytest.raises(ValueError, match="finite"):
+            TerminalCondition.tabulated(xs, phis)
+
+
 class TestInfConvolution:
     def test_constant_profile(self):
         tc = TerminalCondition.analytic("const", amplitude=0.3)
