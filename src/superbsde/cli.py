@@ -177,6 +177,9 @@ def _check_config(cfg):
         value = getattr(cfg, section)[key]
         if value < low:
             raise ConfigError(where, f"must be >= {low}, got {value}")
+    # the default grid is centred on x0
+    if not np.isfinite(cfg.x0):
+        raise ConfigError("x0", f"must be finite, got {cfg.x0!r}")
     if not cfg.grid["dt"] > 0.0:
         raise ConfigError("grid.dt", f"must be > 0, got {cfg.grid['dt']}")
     if not 0.0 <= cfg.dual["scheme_tol"] < np.inf:

@@ -18,16 +18,19 @@ from numpy.random import Generator, Philox  # noqa: F401
 
 from . import _kernels
 from .errors import RangeOverflowError, ResolutionError
-from .forward_model import path_normals
+from .forward_model import map_path_blocks, path_normals
 
 # Paths per block in the Thm 3.4 channels (memory only: per-path streams make
-# the results independent of it; a joint block holds its integrals
-# component-major, k_max x _JOINT_BATCH x (n_coarse + 1) floats, beside the
-# block's normals), the knots of thm34_mc_nu's time-changed Brownian motion,
-# the terms summed before the Euler-Maclaurin tail, and the multiple of
-# 1/alpha the Thm 3.1 divergence witness waits for.
-_NU_BATCH = 512
-_JOINT_BATCH = 256
+# the results independent of it; memory is the blocks in flight, at most
+# forward_model.WORKERS, x block size, and a joint block holds its normals
+# and its integrals component-major, k_max x _JOINT_BATCH x (n_coarse + 1)
+# floats; sized and measured on 2 CPUs only: blocks twice as large ran
+# about 4 % faster, but at the 256-path witness two of them in flight
+# peaked about 30 MB above one serial block of 256 joint paths), the knots of thm34_mc_nu's time-changed
+# Brownian motion, the terms summed before the Euler-Maclaurin tail, and the
+# multiple of 1/alpha the Thm 3.1 divergence witness waits for.
+_NU_BATCH = 128
+_JOINT_BATCH = 64
 _NU_GRID = 2048
 _ZETA_DIRECT = 2048
 _DIVERGENCE_BUDGET = 10.0
@@ -415,13 +418,17 @@ def thm34_mc_nu(cfg, k, n_paths, seed):
     ds = S / _NU_GRID
     root = np.sqrt(ds)
     cross = np.empty(n_paths)
-    for start in range(0, n_paths, _NU_BATCH):
-        stop = min(start + _NU_BATCH, n_paths)
+
+    def draw(start, stop):
+        return path_normals(seed, 10 + k, start, stop, (_NU_GRID,))
+
+    def block(start, stop, normals):
         w = np.zeros((stop - start, _NU_GRID + 1))
-        normals = path_normals(seed, 10 + k, start, stop, (_NU_GRID,))
         normals *= root
         np.cumsum(normals, axis=1, out=w[:, 1:])
         cross[start:stop] = _bridge_cross(w, ds, a, two_sided=True)
+
+    map_path_blocks(draw, block, n_paths, _NU_BATCH)
     est = float(np.mean(cross))
     se = float(np.std(cross, ddof=1) / np.sqrt(n_paths))
     bound = 4.0**-k
@@ -540,12 +547,13 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     sup_dist = np.empty((n_paths, k_max))
     mono_min = np.empty((n_paths, max(k_max - 1, 0)))
     knots = np.arange(nb + 1)
-    for start in range(0, n_paths, _JOINT_BATCH):
-        stop = min(start + _JOINT_BATCH, n_paths)
-        xi = path_normals(seed, 3, start, stop, (nb, k_max))
+
+    def draw(start, stop):
+        return path_normals(seed, 3, start, stop, (nb, k_max))
+
+    def block(start, stop, xi):
         m = np.zeros((k_max, stop - start, nb + 1))
         _joint_increments(roots, xi, m[:, :, 1:])
-        del xi
         np.cumsum(m, axis=2, out=m)
 
         ok = (np.max(m, axis=2) <= thresholds) & (np.min(m, axis=2) >= -thresholds)
@@ -574,6 +582,8 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
         y[:, dead] = 0.0
         dist[:, stopped] = np.max(np.abs(y, out=y), axis=2)
         sup_dist[start:stop] = dist.T
+
+    map_path_blocks(draw, block, n_paths, _JOINT_BATCH)
     return Thm34JointStats(k_max=k_max, n_paths=int(n_paths), nu_index=nu_index,
                            nu_k_ok=nu_k_ok, sup_dist=sup_dist,
                            mono_min=mono_min, skipped_pairs=skipped)

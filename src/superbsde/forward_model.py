@@ -17,6 +17,16 @@ and do not depend on how paths are split into batches or workers.  Salts:
 pass, 1 and 2 the two Thm 3.3 channels, 3 the Thm 3.4 joint channel,
 10 + k the Thm 3.4 nu_k channel.
 
+`map_path_blocks` overlaps a channel's path blocks on the CPUs this
+process may use (`WORKERS`): the calling thread draws each block's
+normals in block order while a thread pool runs the rest of earlier
+blocks; numpy's Philox fill and the block reductions release the GIL.
+Every generator is built and read on the calling thread, so code that
+wraps or counts them sees one thread.  Each block writes only its own
+rows of preallocated outputs, so results are bit-identical for every
+worker count and block size.  Memory is the blocks in flight (at most
+`WORKERS`, the one being drawn included) times the block size.
+
 `simulate_paths` stores every knot of x and of the flow.  The dual pass
 (`dual_mc.evaluate_controls`) draws the same salt-0 increments one block of
 paths at a time through `draw_increments(..., start=)` and runs the same
@@ -26,7 +36,9 @@ only on (seed, p), its results do not depend on the block size.  Every
 dual control of one pass reads that one salt-0 draw of `seed`.
 """
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +128,10 @@ class ForwardModel:
     """
 
     def __init__(self, drift, sigma, horizon):
-        if not sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {sigma}")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {horizon}")
         self.drift = drift
         self.sigma = float(sigma)
         self.horizon = float(horizon)
@@ -197,6 +209,58 @@ def path_normals(seed, salt, start, stop, shape=()):
         bits.state = fresh
         gen.standard_normal(out=rows[i])
     return out
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+# worker threads of map_path_blocks: the CPUs this process may run on
+WORKERS = _usable_cpus()
+
+
+@functools.cache
+def _pool(workers):
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="path-block")
+
+
+def map_path_blocks(draw, fn, n_paths, block):
+    """Call fn(start, stop, draw(start, stop)) for the blocks [start, stop)
+    of `block` paths that cover 0..n_paths-1, and return when every block
+    is done.
+
+    draw runs on the calling thread, one block after another.  With more
+    than one block and more than one worker, fn runs on a pool of WORKERS
+    threads, built on first use (so importing the package starts no
+    threads), while later blocks are drawn; a block is drawn only once
+    fewer than WORKERS blocks are in flight.  Otherwise every block runs
+    inline, in order.  fn must write only its own block's rows of the
+    caller's outputs.  Once every started block has finished, a failing
+    draw's exception is re-raised, else that of the first failing fn in
+    block order.
+    """
+    bounds = [(start, min(start + block, n_paths))
+              for start in range(0, n_paths, block)]
+    if WORKERS == 1 or len(bounds) == 1:
+        for start, stop in bounds:
+            fn(start, stop, draw(start, stop))
+        return
+    pool = _pool(WORKERS)
+    futures = []
+    try:
+        for start, stop in bounds:
+            if len(futures) >= WORKERS:
+                futures[-WORKERS].exception()  # waits for that block
+            futures.append(pool.submit(fn, start, stop, draw(start, stop)))
+    finally:
+        for future in futures:
+            future.exception()
+    for future in futures:
+        future.result()
 
 
 def draw_increments(seed, n_paths, n_steps, dt, start=0):

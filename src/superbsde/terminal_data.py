@@ -84,6 +84,8 @@ class TerminalCondition:
         """Jump at `jump` from `low` to `high`; the value at the jump is `low`
         (lower semi-continuous when high > low), so no Lipschitz constant."""
         jump, low, high = float(jump), float(low), float(high)
+        if not np.all(np.isfinite([jump, low, high])):
+            raise ValueError(f"jump, low and high must be finite, got {jump}, {low}, {high}")
         # both one-sided limits at the jump matter
         eps = 1e-9 * max(1.0, abs(jump))
         return cls(lambda x: np.where(x > jump, high, low), min(low, high), max(low, high),
@@ -105,7 +107,9 @@ class TerminalCondition:
                                  self.lipschitz, self.crit, sup_norm=self.sup_norm)
 
     def inf_convolved(self, m):
-        """Lower m-Lipschitz regularization as a new condition."""
+        """Lower m-Lipschitz regularization as a new condition; a
+        non-finite or negative m raises ValueError here, not at evaluation."""
+        m = _check_m(m)
         return TerminalCondition(lambda x: inf_convolution(self, m, x),
                                  -self.sup_norm, self.sup_norm, m, self.crit,
                                  sup_norm=self.sup_norm)
@@ -148,14 +152,20 @@ def _scan_inf(phi, m, u, window, crit=(), n=257, refinements=3):
     return best_val
 
 
+def _check_m(m):
+    m = float(m)
+    if not 0.0 <= m < np.inf:
+        raise ValueError(f"need a finite m >= 0, got {m}")
+    return m
+
+
 def inf_convolution(tc, m, u):
     """Phi_m(u) = inf_p { Phi(p) + m|p-u| }; m = 0 gives the global infimum.
 
     The scan window u +- (2||Phi||/m + 1) is exact: outside it the penalty
     exceeds the largest possible payoff gain 2||Phi||.
     """
-    if m < 0.0:
-        raise ValueError("need m >= 0")
+    m = _check_m(m)
     shape = np.shape(u)
     if m == 0.0:
         out = np.full(shape or (1,), tc.lo)

@@ -295,6 +295,11 @@ class TestCommands:
         ("solve", "terminal: {profile: tabulated, csv: nan_node.csv}", "terminal"),
         ("dual", "dual: {scheme_tol: .nan}", "dual.scheme_tol"),
         ("dual", "dual: {scheme_tol: -0.1}", "dual.scheme_tol"),
+        ("solve", "terminal: {profile: step, high: .inf}", "terminal"),
+        ("solve", "terminal: {profile: cos, inf_convolve_m: .nan}", "terminal"),
+        ("solve", "model: {sigma: .inf}", "model"),
+        ("solve", "model: {T: .inf}", "model"),
+        ("solve", "x0: .nan", "x0"),
     ], ids=["n_steps", "n_paths", "cx_n_paths", "n_x", "dt", "sigma", "q",
             "generator_csv_missing", "generator_csv_one_column",
             "terminal_csv_missing", "terminal_csv_one_column",
@@ -305,7 +310,8 @@ class TestCommands:
             "x0_outside_domain", "default_domain_empty", "drift_not_a_number",
             "lambda_is_not_a_setting", "q_inf", "gamma_inf", "generator_nan_node",
             "amplitude_inf", "terminal_nan_node", "scheme_tol_nan",
-            "scheme_tol_negative"])
+            "scheme_tol_negative", "step_high_inf", "inf_convolve_m_nan",
+            "sigma_inf", "horizon_inf", "x0_nan"])
     def test_main_rejects_bad_value_before_compute(self, tmp_path, capsys,
                                                     command, text, field):
         (tmp_path / "one.csv").write_text("x\n0.0\n1.0\n")

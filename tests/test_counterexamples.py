@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Generator
 from scipy.special import zeta
 
-from superbsde import _kernels
+from superbsde import _kernels, forward_model
 from superbsde import counterexamples as cx
 from superbsde.errors import RangeOverflowError, ResolutionError
 from superbsde.forward_model import path_normals
@@ -231,6 +233,15 @@ class TestThm34Checks:
         assert wit.all_passed
         assert [r.check for r in wit.rows] == ["sup |Y^3 - t^nu| <= 10*2^-3 on good paths"]
 
+    def test_nu_row_independent_of_the_split(self, monkeypatch):
+        cfg = cx.build_thm34(3.0, 3, 1.0)
+        n_paths = 2 * cx._NU_BATCH + 37
+        want, got = split_runs(monkeypatch,
+                               lambda: cx.thm34_mc_nu(cfg, 1, n_paths, seed=8))
+        assert 0.0 < want[1] < 1.0
+        for row_est_se in got:
+            assert row_est_se == want
+
     def test_reproducible(self):
         cfg = cx.build_thm34(3.0, 3, 1.0)
         r1 = cx.thm34_checks(cfg, 500, 512, seed=11)
@@ -342,6 +353,29 @@ def joint_reference(cfg, k_max, n_paths, seed, n_coarse):
             np.min(np.diff(y, axis=2), axis=1))
 
 
+def split_runs(monkeypatch, channel):
+    """channel() as one block over all paths without map_path_blocks, then
+    through it with one worker, with the default pool, and with blocks of
+    1 and 7 paths on the default pool."""
+    helper = cx.map_path_blocks
+    monkeypatch.setattr(cx, "map_path_blocks",
+                        lambda draw, fn, n, block: fn(0, n, draw(0, n)))
+    want = channel()
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(cx, "map_path_blocks", helper)
+        m.setattr(forward_model, "WORKERS", 1)
+        got.append(channel())
+    monkeypatch.setattr(cx, "map_path_blocks", helper)
+    got.append(channel())
+    for size in (1, 7):
+        with monkeypatch.context() as m:
+            m.setattr(cx, "map_path_blocks", lambda draw, fn, n, block, size=size:
+                      helper(draw, fn, n, size))
+            got.append(channel())
+    return want, got
+
+
 def joint_stats(joint):
     return (joint.nu_index, joint.nu_k_ok, joint.sup_dist, joint.mono_min)
 
@@ -368,13 +402,12 @@ class TestJointStatsOffNu:
     @pytest.mark.parametrize("q", [3.0, 10.0])
     def test_independent_of_the_batch_split(self, monkeypatch, q):
         cfg = cx.build_thm34(q, 3, 1.0)
-        n_paths = 150
-        want = joint_stats(cx.thm34_joint_paths(cfg, 3, n_paths, 21, n_coarse=256))
+        n_paths = 2 * cx._JOINT_BATCH + 37
+        want, got = split_runs(monkeypatch, lambda: joint_stats(
+            cx.thm34_joint_paths(cfg, 3, n_paths, 21, n_coarse=256)))
         assert 0 < np.sum(want[0] < 256) < n_paths
-        for batch in (1, 37, n_paths):
-            monkeypatch.setattr(cx, "_JOINT_BATCH", batch)
-            got = joint_stats(cx.thm34_joint_paths(cfg, 3, n_paths, 21, n_coarse=256))
-            assert same_bytes(got, want)
+        for stats in got:
+            assert same_bytes(stats, want)
 
     def test_dropped_cross_column_is_caught(self, monkeypatch):
         # q = 10 sweeps every cross pair, so every root column is live
@@ -403,6 +436,68 @@ class TestJointStatsOffNu:
 
         monkeypatch.setattr(cx, "_joint_increments", mispaired)
         assert not same_bytes(joint_stats(cx.thm34_joint_paths(cfg, 3, 300, 12, 512)), want)
+
+
+class TestPoolThreads:
+    """The Thm 3.4 channels draw on the calling thread, work on the pool."""
+
+    @pytest.mark.parametrize("channel", ["nu", "joint"])
+    def test_generators_stay_on_the_calling_thread(self, monkeypatch, channel):
+        # a counting wrapper like the benchmark tracer's: an unlocked += from
+        # two threads could lose counts, so every call must come from one
+        monkeypatch.setattr(forward_model, "WORKERS", 2)
+        cfg = cx.build_thm34(3.0, 3, 1.0)
+        n_paths = 4 * cx._JOINT_BATCH + 5
+        threads, counts = set(), [0]
+
+        class CountingGenerator(Generator):
+            def standard_normal(self, *args, **kwargs):
+                threads.add(threading.current_thread())
+                out = super().standard_normal(*args, **kwargs)
+                counts[0] += int(np.size(kwargs["out"]))
+                return out
+
+        monkeypatch.setattr(forward_model, "Generator", CountingGenerator)
+        if channel == "nu":
+            cx.thm34_mc_nu(cfg, 1, n_paths, seed=8)
+            assert counts[0] == n_paths * cx._NU_GRID
+        else:
+            cx.thm34_joint_paths(cfg, 3, n_paths, 8, n_coarse=64)
+            assert counts[0] == n_paths * 64 * 3
+        assert threads == {threading.current_thread()}
+
+    @pytest.mark.parametrize("channel, seed", [("nu", 8), ("joint", 8),
+                                               ("nu", 2**64), ("joint", 2**64)])
+    def test_last_block_failure_reaches_the_caller(self, monkeypatch, channel, seed):
+        # a worker fails on the short last block; seed 2**64 puts every
+        # path's Philox key past 2**128, so the first draw fails instead
+        monkeypatch.setattr(forward_model, "WORKERS", 2)
+        cfg = cx.build_thm34(3.0, 3, 1.0)
+        n_paths = 4 * cx._JOINT_BATCH + 5
+        threads = []
+        name = "_bridge_cross" if channel == "nu" else "_joint_increments"
+        work = getattr(cx, name)
+
+        def failing_tail(*args, **kwargs):
+            rows = args[0] if channel == "nu" else args[1]
+            if rows.shape[0] == 5:
+                threads.append(threading.current_thread())
+                raise ValueError("no work for the last 5 paths")
+            return work(*args, **kwargs)
+
+        monkeypatch.setattr(cx, name, failing_tail)
+        match = ("no work for the last 5 paths" if seed == 8
+                 else r"Philox key outside .* paths 0\.\.")
+        with pytest.raises(ValueError, match=match):
+            if channel == "nu":
+                cx.thm34_mc_nu(cfg, 1, n_paths, seed=seed)
+            else:
+                cx.thm34_joint_paths(cfg, 3, n_paths, seed, n_coarse=64)
+        if seed == 8:
+            assert len(threads) == 1
+            assert threads[0] is not threading.main_thread()
+        else:
+            assert threads == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Importing ``scipy.linalg`` costs about 0.3 s and 19 MB on a 2-core
 machine, so a stray scipy import would show in every command's set-up
-time and peak memory.
+time and peak memory.  For the same reason the path-block thread pool
+(``forward_model.map_path_blocks``) and ``concurrent.futures`` load only
+when a Monte Carlo channel first runs more than one block.
 """
 
 import subprocess
@@ -13,6 +15,7 @@ import sys
 sys.modules["numba"] = sys.modules["scipy"] = None
 import numpy as np
 import superbsde, superbsde.cli
+assert "concurrent.futures" not in sys.modules
 from superbsde import _kernels
 from superbsde.dual_mc import ConstantControl, evaluate_control
 from superbsde.forward_model import ForwardModel, TanhDrift

@@ -1,5 +1,7 @@
 import csv
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +136,95 @@ class TestPathNormals:
     def test_key_out_of_range(self, seed, salt, start, stop):
         with pytest.raises(ValueError, match="outside"):
             path_normals(seed, salt, start, stop, (2,))
+
+
+class TestModel:
+    @pytest.mark.parametrize("sigma, horizon", [(np.inf, 1.0), (np.nan, 1.0),
+                                                (0.0, 1.0), (1.0, np.inf),
+                                                (1.0, np.nan), (1.0, -1.0)])
+    def test_sigma_and_horizon_must_be_finite_and_positive(self, sigma, horizon):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ForwardModel(ZeroDrift(), sigma, horizon)
+
+
+class TestMapPathBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_paths, block", [(1, 4), (10, 1), (10, 3), (10, 10),
+                                                (10, 64)])
+    def test_each_block_once_in_its_own_slice(self, monkeypatch, workers,
+                                              n_paths, block):
+        monkeypatch.setattr(forward_model, "WORKERS", workers)
+        drawn, seen = [], []
+        out = np.full(n_paths, -1)
+
+        def draw(start, stop):
+            drawn.append((start, stop, threading.current_thread()))
+            return np.arange(start, stop)
+
+        def fn(start, stop, rows):
+            seen.append((start, stop))
+            out[start:stop] = rows
+
+        forward_model.map_path_blocks(draw, fn, n_paths, block)
+        want = [(s, min(s + block, n_paths)) for s in range(0, n_paths, block)]
+        main = threading.current_thread()
+        assert drawn == [(start, stop, main) for start, stop in want]
+        assert sorted(seen) == want
+        if workers == 1:
+            assert seen == want
+        assert np.array_equal(out, np.arange(n_paths))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_workers_blocks_in_flight(self, monkeypatch, workers):
+        monkeypatch.setattr(forward_model, "WORKERS", workers)
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def draw(start, stop):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+
+        def fn(start, stop, rows):
+            time.sleep(0.01)
+            with lock:
+                in_flight[0] -= 1
+
+        forward_model.map_path_blocks(draw, fn, 12, 1)
+        assert peak[0] == workers
+        assert in_flight[0] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_block_is_raised_after_all_finish(self, monkeypatch,
+                                                            workers):
+        monkeypatch.setattr(forward_model, "WORKERS", workers)
+        done = []
+
+        def fn(start, stop, rows):
+            if start in (4, 8):
+                raise ValueError(f"block {start}")
+            done.append(start)
+
+        with pytest.raises(ValueError, match="block 4"):
+            forward_model.map_path_blocks(lambda start, stop: None, fn, 10, 2)
+        # the pool waits for every block; inline runs stop at the failure
+        assert sorted(done) == ([0, 2] if workers == 1 else [0, 2, 6])
+
+    def test_failing_draw_is_raised_after_started_blocks_finish(self, monkeypatch):
+        monkeypatch.setattr(forward_model, "WORKERS", 2)
+        done = []
+
+        def draw(start, stop):
+            if start == 4:
+                raise ValueError("no normals")
+
+        def fn(start, stop, rows):
+            time.sleep(0.02)
+            done.append(start)
+
+        with pytest.raises(ValueError, match="no normals"):
+            forward_model.map_path_blocks(draw, fn, 10, 2)
+        assert sorted(done) == [0, 2]
 
 
 class TestCompat:

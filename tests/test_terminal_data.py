@@ -43,6 +43,22 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="finite"):
             TerminalCondition.tabulated(xs, phis)
 
+    @pytest.mark.parametrize("args", [(np.nan, 0.0, 1.0), (0.0, -np.inf, 1.0),
+                                      (0.0, 0.0, np.inf)],
+                             ids=["jump", "low", "high"])
+    def test_step_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            TerminalCondition.step(*args)
+
+    @pytest.mark.parametrize("m", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("side", ["inf_convolved", "sup_convolved"])
+    def test_convolution_m_rejected_when_called(self, side, m):
+        tc = TerminalCondition.analytic("cos")
+        with pytest.raises(ValueError, match="finite m >= 0"):
+            getattr(tc, side)(m)
+        with pytest.raises(ValueError, match="finite m >= 0"):
+            inf_convolution(tc, m, 0.0)
+
 
 class TestInfConvolution:
     def test_constant_profile(self):
