@@ -20,21 +20,19 @@ from . import _kernels
 from .errors import RangeOverflowError, ResolutionError
 from .forward_model import map_path_blocks, path_normals
 
-# Paths per block in the Thm 3.4 channels (memory only: per-path streams make
-# the results independent of it; memory is the blocks in flight, at most
-# forward_model.WORKERS, x block size, and a joint block holds its normals
-# and its integrals component-major, k_max x _JOINT_BATCH x (n_coarse + 1)
-# floats; sized and measured on 2 CPUs only: blocks twice as large ran
-# about 4 % faster, but at the 256-path witness two of them in flight
-# peaked about 30 MB above one serial block of 256 joint paths), the knots of thm34_mc_nu's time-changed
-# Brownian motion, the terms summed before the Euler-Maclaurin tail, and the
-# multiple of 1/alpha the Thm 3.1 divergence witness waits for.
-_NU_BATCH = 128
+# Paths per block in the Thm 3.4 joint channel (memory only: per-path
+# streams make the results independent of it).  Memory is the blocks in
+# flight, at most forward_model.WORKERS, times the block size; a joint block
+# holds its normals and its integrals component-major, k_max x _JOINT_BATCH
+# x (n_coarse + 1) floats.  Measured on 2 CPUs: blocks twice as large ran
+# about 4 % faster, but at the 256-path witness two of them in flight peaked
+# about 30 MB above one serial block of 256 joint paths.
 _JOINT_BATCH = 64
-_NU_GRID = 2048
+# terms summed before the Euler-Maclaurin tail of zeta
 _ZETA_DIRECT = 2048
+# the multiple of 1/alpha the Thm 3.1 divergence witness waits for
 _DIVERGENCE_BUDGET = 10.0
-# the Thm 3.4 path channels (dip probabilities, joint channel, witness) stop here
+# the Thm 3.4 joint channel and the witness stop here
 PATH_K_MAX = 3
 
 
@@ -238,22 +236,16 @@ def _exp_neg(arg):
     return out
 
 
-def _bridge_cross(w, var_steps, a, two_sided=False):
-    """P(path leaves (-a, inf)), or (-a, a) when two_sided, per path for a
-    Brownian motion with piecewise constant drift observed at the knots w
-    (n_paths, n_knots): one minus the product over steps of the bridge
-    survival 1 - exp(-2 d0 d1 / var), where d0, d1 are the knot distances to
-    the barrier, clipped at 0 (Glasserman 2004).  A knot on or past a barrier
-    thus gives its steps crossing probability 1.  The two barriers' step
-    crossing chances add, capped at 1.  var_steps (> 0) is the step
-    variance, a scalar or one per step."""
+def _bridge_cross(w, var_steps, a):
+    """P(path leaves (-a, inf)) per path for a Brownian motion with piecewise
+    constant drift observed at the knots w (n_paths, n_knots): one minus the
+    product over steps of the bridge survival 1 - exp(-2 d0 d1 / var), where
+    d0, d1 are the knot distances to the barrier, clipped at 0 (Glasserman
+    2004).  A knot on or past the barrier thus gives its steps crossing
+    probability 1.  var_steps (> 0) is the step variance, a scalar or one
+    per step."""
     dist = np.maximum(w + a, 0.0)
     p = _exp_neg(-2.0 * dist[:, :-1] * dist[:, 1:] / var_steps)
-    if two_sided:
-        np.subtract(a, w, out=dist)
-        np.maximum(dist, 0.0, out=dist)
-        p += _exp_neg(-2.0 * dist[:, :-1] * dist[:, 1:] / var_steps)
-        np.minimum(p, 1.0, out=p)
     np.subtract(1.0, p, out=p)
     return 1.0 - np.prod(p, axis=1)
 
@@ -406,34 +398,30 @@ def thm34_deterministic(cfg):
     return rows
 
 
-def thm34_mc_nu(cfg, k, n_paths, seed):
-    """P[nu_k < T] = P[sup |int Z^k dB| > 2^-k] by the exact time change:
-    the stochastic integral is a Brownian motion run at speed z_k^2 on the
-    teeth, so its sup has the law of sup |W| on [0, z_k^2 T / alpha_k],
-    sampled on _NU_GRID steps with the two-sided bridge correction."""
-    _check_n_paths(n_paths)
+# Keeps its Monte Carlo name: perfbench/tracer.py wraps it by that name.
+def thm34_mc_nu(cfg, k):
+    """The hard row P[nu_k < T] <= 4^-k, computed exactly.
+
+    P[nu_k < T] = P[sup |int Z^k dB| > 2^-k] by the exact time change: the
+    stochastic integral is a Brownian motion run at speed z_k^2 on the
+    teeth, so its sup has the law of sup |W| on [0, S], S = z_k^2 T / alpha_k.
+    The two-sided exit law of Brownian motion (Feller 1971; Borodin and
+    Salminen 2002) gives P[sup |W| > a] = 4 sum_{n>=1} (-1)^{n+1}
+    Phi-bar((2n-1) a / sqrt(S)) with a = 2^-k.  By construction
+    S / a^2 <= 4^-k, so a / sqrt(S) >= 2, and the sum stops at the first
+    term that underflows to 0, after about ten terms."""
     z = cfg.z[k - 1]
     S = z * z * cfg.T / float(cfg.alpha[k - 1])
     a = 2.0**-k
-    ds = S / _NU_GRID
-    root = np.sqrt(ds)
-    cross = np.empty(n_paths)
-
-    def draw(start, stop):
-        return path_normals(seed, 10 + k, start, stop, (_NU_GRID,))
-
-    def block(start, stop, normals):
-        w = np.zeros((stop - start, _NU_GRID + 1))
-        normals *= root
-        np.cumsum(normals, axis=1, out=w[:, 1:])
-        cross[start:stop] = _bridge_cross(w, ds, a, two_sided=True)
-
-    map_path_blocks(draw, block, n_paths, _NU_BATCH)
-    est = float(np.mean(cross))
-    se = float(np.std(cross, ddof=1) / np.sqrt(n_paths))
+    # 4 Phi-bar(y) = 2 erfc(y / sqrt(2))
+    x = a / math.sqrt(2.0 * S)
+    p, n = 0.0, 0
+    while (term := math.erfc((2 * n + 1) * x)) > 0.0:
+        p += -term if n % 2 else term
+        n += 1
+    p *= 2.0
     bound = 4.0**-k
-    return CheckRow("3.4", f"k={k} P[nu_k < T] <= 4^-k + 3SE",
-                    est, bound + 3.0 * se, est <= bound + 3.0 * se), est, se
+    return CheckRow("3.4", f"k={k} P[nu_k < T] <= 4^-k", p, bound, p <= bound)
 
 
 SWEEP_ALPHA_CAP = 1 << 22
@@ -616,25 +604,19 @@ def thm34_pathwise_checks(joint):
 class Thm34Report(_Report):
     rows: tuple
     p_nu_T: float
-    mc_estimates: tuple
     skipped_pairs: tuple
 
 
 def thm34_checks(cfg, n_paths, n_steps, seed):
-    """Deterministic bounds for every built k, the per-k dip probabilities
-    by exact time change, and the joint pathwise channel for k <= PATH_K_MAX."""
+    """Deterministic bounds and exact dip probabilities for every built k,
+    and the joint pathwise channel for k <= PATH_K_MAX."""
     _check_n_paths(n_paths)
-    k_max = min(PATH_K_MAX, cfg.K)
     rows = list(thm34_deterministic(cfg))
-    mc = []
-    for k in range(1, k_max + 1):
-        row, est, se = thm34_mc_nu(cfg, k, n_paths, seed)
-        rows.append(row)
-        mc.append((k, est, se))
-    joint = thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=n_steps)
+    rows.extend(thm34_mc_nu(cfg, k) for k in range(1, cfg.K + 1))
+    joint = thm34_joint_paths(cfg, PATH_K_MAX, n_paths, seed, n_coarse=n_steps)
     path_rows, p_nu = thm34_pathwise_checks(joint)
     rows.extend(path_rows)
-    return Thm34Report(rows=tuple(rows), p_nu_T=p_nu, mc_estimates=tuple(mc),
+    return Thm34Report(rows=tuple(rows), p_nu_T=p_nu,
                        skipped_pairs=joint.skipped_pairs)
 
 

@@ -20,6 +20,10 @@ from .errors import NoModulusError
 from .generators import read_two_columns
 
 _KINDS = ("const", "cos", "inv_quad", "tanh")
+# points of each pass of the convolution scan, and the refining passes after
+# the first
+_SCAN_POINTS = 257
+_SCAN_REFINEMENTS = 3
 
 
 class TerminalCondition:
@@ -120,7 +124,7 @@ class TerminalCondition:
         return self.negated().inf_convolved(m).negated()
 
 
-def _scan_inf(phi, m, u, window, crit=(), n=257, refinements=3):
+def _scan_inf(phi, m, u, window, crit=()):
     """min_p phi(p) + m|p - u| over p in [u-window, u+window], vectorized in u.
 
     Coarse scan (p = u always sampled) plus local refinements around the
@@ -130,12 +134,12 @@ def _scan_inf(phi, m, u, window, crit=(), n=257, refinements=3):
     Smooth profiles are resolved to ~1e-6 * window by the refinements.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
-    offsets = np.linspace(-window, window, n)
+    offsets = np.linspace(-window, window, _SCAN_POINTS)
     best_val = np.full(u.shape, np.inf)
     best_p = u.copy()
     center = u.copy()
     half = window
-    for _ in range(refinements + 1):
+    for _ in range(_SCAN_REFINEMENTS + 1):
         p = center[:, None] + offsets[None, :] * (half / window)
         vals = phi(p) + m * np.abs(p - u[:, None])
         idx = np.argmin(vals, axis=1)
@@ -145,7 +149,7 @@ def _scan_inf(phi, m, u, window, crit=(), n=257, refinements=3):
         best_val = np.where(take, cand, best_val)
         best_p = np.where(take, p[rows, idx], best_p)
         center = best_p
-        half = half * (2.0 / (n - 1)) * 2.0
+        half = half * (2.0 / (_SCAN_POINTS - 1)) * 2.0
     for c in crit:
         cand = float(phi(np.asarray(c, dtype=float))) + m * np.abs(c - u)
         best_val = np.minimum(best_val, cand)

@@ -171,7 +171,7 @@ def test_A7_counterexample_34():
     wit = cx.limit_not_solution_witness(cfg, seed=77)
     p_row = [r for r in rep.rows if r.check.startswith("P[nu = T]")][0]
     ok = rep.all_passed and wit.all_passed
-    criterion("A7", ok, f"det k<=6 + MC k<=3 + pathwise all pass, "
+    criterion("A7", ok, f"det + exact dip k<=6 + pathwise k<=3 all pass, "
                         f"P[nu=T]={rep.p_nu_T:.3f} >= {p_row.threshold:.3f}")
 
 

@@ -123,14 +123,34 @@ class TestCommands:
         assert (tmp_path / "o" / "summary.txt").exists()
 
     def test_checks_tiny_domain_nonzero_exit(self, tmp_path, child_env):
+        # no path stays in [-0.25, 0.25], so there is no residual to report
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(FAST_CHECKS.replace("x_lo: -8.0, x_hi: 8.0",
-                                            "x_lo: -0.5, x_hi: 0.5"))
+                                            "x_lo: -0.25, x_hi: 0.25"))
         res = _run_cli(["checks", "--config", str(cfgp), "--out",
                         str(tmp_path / "o")], tmp_path, child_env)
         assert res.returncode == 1
         assert res.stderr.startswith("error: "), res.stderr
-        assert "error" in res.stderr or "paths left the grid" in res.stderr
+        assert "paths left the grid" in res.stderr
+
+    def test_checks_exclusion_row_fails_the_run(self, tmp_path, child_env):
+        # about 98 % of the paths leave [-0.5, 0.5]: the run completes, and
+        # the hard exclusion row is what fails it
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CHECKS.replace("x_lo: -8.0, x_hi: 8.0",
+                                            "x_lo: -0.5, x_hi: 0.5"))
+        out = tmp_path / "o"
+        res = _run_cli(["checks", "--config", str(cfgp), "--dump-paths",
+                        "--out", str(out)], tmp_path, child_env)
+        assert res.returncode == 1
+        assert res.stderr == ""
+        for name in ("solution.csv", "paths.csv", "checks.csv", "summary.txt"):
+            assert (out / name).exists(), name
+        with open(out / "checks.csv", newline="") as fh:
+            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        row = rows["path exclusion fraction <= 1%"]
+        assert row["pass"] == "0"
+        assert float(row["statistic"]) > 0.9
 
     def test_oracle_requires_quadratic(self, tmp_path, child_env):
         cfgp = tmp_path / "c.yaml"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -216,9 +217,18 @@ class TestThm34Checks:
         rep = cx.thm34_checks(cfg, 2000, 1024, seed=8)
         assert rep.all_passed
         assert rep.p_nu_T >= 2.0 / 3.0
-        # k=1 crossing probability is ~ 4 Phi(-2) ~ 0.091, well under 1/4
-        k1 = rep.mc_estimates[0]
-        assert 0.05 <= k1[1] <= 0.15
+        # one exact dip row per built k; k=1 is ~ 4 Phi(-2), well under 1/4
+        dips = [r for r in rep.rows if "P[nu_k < T]" in r.check]
+        assert [r.check for r in dips] == [f"k={k} P[nu_k < T] <= 4^-k"
+                                           for k in range(1, 5)]
+        assert (dips[0].value, dips[0].threshold) == (0.0910005238463663, 0.25)
+
+    @pytest.mark.parametrize("K", [2, 6])
+    def test_only_the_joint_channel_draws(self, monkeypatch, K):
+        cfg = cx.build_thm34(3.0, K, 1.0)
+        counts, _ = count_normals(monkeypatch)
+        cx.thm34_checks(cfg, 300, 128, seed=8)
+        assert counts[0] == 300 * 128 * min(3, K)
 
     def test_sweepable_combs_q10(self):
         # q = 10 gives alpha_k = 32^k: all cross pairs are swept exactly
@@ -233,15 +243,6 @@ class TestThm34Checks:
         assert wit.all_passed
         assert [r.check for r in wit.rows] == ["sup |Y^3 - t^nu| <= 10*2^-3 on good paths"]
 
-    def test_nu_row_independent_of_the_split(self, monkeypatch):
-        cfg = cx.build_thm34(3.0, 3, 1.0)
-        n_paths = 2 * cx._NU_BATCH + 37
-        want, got = split_runs(monkeypatch,
-                               lambda: cx.thm34_mc_nu(cfg, 1, n_paths, seed=8))
-        assert 0.0 < want[1] < 1.0
-        for row_est_se in got:
-            assert row_est_se == want
-
     def test_reproducible(self):
         cfg = cx.build_thm34(3.0, 3, 1.0)
         r1 = cx.thm34_checks(cfg, 500, 512, seed=11)
@@ -249,9 +250,80 @@ class TestThm34Checks:
         assert r1.rows == r2.rows
 
 
+def eigenfunction_exit(S, a, terms=200):
+    """P[sup_{[0,S]} |W| > a] from the eigenfunction series of the heat
+    equation on (-a, a), summed independently of the image series."""
+    n = np.arange(terms)
+    r = math.pi**2 * S / (8.0 * a * a)
+    return 1.0 - 4.0 / math.pi * float(np.sum((-1.0) ** n / (2 * n + 1)
+                                               * np.exp(-(2 * n + 1) ** 2 * r)))
+
+
+def dip_time(cfg, k):
+    """The clock S = z_k^2 T / alpha_k and the barrier a = 2^-k."""
+    z = cfg.z[k - 1]
+    return z * z * cfg.T / float(cfg.alpha[k - 1]), 2.0**-k
+
+
+def bridge_nu_estimate(cfg, k, n_paths, seed):
+    """The sampled estimator the exact law replaced: sup |W| on [0, S] over
+    2048 steps of salt 10 + k, with the two-sided bridge correction, in
+    blocks of 250 paths; returns the estimate and its standard error."""
+    S, a = dip_time(cfg, k)
+    n_grid = 2048
+    ds = S / n_grid
+    cross = []
+    for start in range(0, n_paths, 250):
+        stop = min(start + 250, n_paths)
+        steps = path_normals(seed, 10 + k, start, stop, (n_grid,)) * np.sqrt(ds)
+        w = np.concatenate([np.zeros((stop - start, 1)),
+                            np.cumsum(steps, axis=1)], axis=1)
+        cross.append(two_sided_reference(w, a, ds))
+    cross = np.concatenate(cross)
+    return float(np.mean(cross)), float(np.std(cross, ddof=1) / np.sqrt(n_paths))
+
+
+class TestExitLaw:
+    @pytest.mark.parametrize("q, k", [(3.0, 1), (3.0, 2), (3.0, 3), (10.0, 1)])
+    def test_matches_eigenfunction_series(self, q, k):
+        cfg = cx.build_thm34(q, 3, 1.0)
+        row = cx.thm34_mc_nu(cfg, k)
+        assert abs(row.value - eigenfunction_exit(*dip_time(cfg, k))) <= 1e-15
+        assert row.passed and row.threshold == 4.0**-k
+
+    def test_bridge_estimator_within_3se(self):
+        cfg = cx.build_thm34(3.0, 3, 1.0)
+        est, se = bridge_nu_estimate(cfg, 1, 2000, seed=8)
+        assert abs(est - cx.thm34_mc_nu(cfg, 1).value) <= 3.0 * se
+
+    def test_rows_pass_for_every_built_k(self):
+        # at k = 6, a / sqrt(S) = 64: the first term underflows and p = 0
+        cfg = cx.build_thm34(3.0, 6, 1.0)
+        rows = [cx.thm34_mc_nu(cfg, k) for k in range(1, 7)]
+        assert all(r.passed for r in rows)
+        assert rows[-1].value == 0.0
+
+
+def count_normals(monkeypatch):
+    """Counters of the normals forward_model's generators draw and of the
+    threads that draw them, through a counting Generator subclass like the
+    benchmark tracer's."""
+    threads, counts = set(), [0]
+
+    class CountingGenerator(Generator):
+        def standard_normal(self, *args, **kwargs):
+            threads.add(threading.current_thread())
+            out = super().standard_normal(*args, **kwargs)
+            counts[0] += int(np.size(kwargs["out"]))
+            return out
+
+    monkeypatch.setattr(forward_model, "Generator", CountingGenerator)
+    return counts, threads
+
+
 # ---------------------------------------------------------------------------
 # The bridge-crossing kernel and the nu-stopped statistics against copies of
-# the two earlier implementations, bit for bit
+# earlier implementations, bit for bit
 # ---------------------------------------------------------------------------
 
 def one_sided_reference(v, a, var_steps):
@@ -267,6 +339,7 @@ def one_sided_reference(v, a, var_steps):
 
 
 def two_sided_reference(w, a, ds):
+    """The two-sided bridge crossing of the former sampled nu_k channel."""
     direct = np.any(np.abs(w) >= a, axis=1)
     up0 = np.maximum(a - w[:, :-1], 0.0)
     up1 = np.maximum(a - w[:, 1:], 0.0)
@@ -296,30 +369,20 @@ class TestBridgeCross:
         assert np.array_equal(w, w_in)
         assert 0.0 < got.mean() < 1.0
 
-    @pytest.mark.parametrize("a", [0.2, 0.4, 0.6])
-    def test_two_sided_matches_reference(self, a):
-        ds = 1.0 / 2048 / 16
-        w = walk(22, 1500, 0.0, np.full(2048, np.sqrt(ds)))
-        got = cx._bridge_cross(w, ds, a, two_sided=True)
-        assert got.tobytes() == two_sided_reference(w, a, ds).tobytes()
-        assert 0.0 < got.mean() < 1.0
-
     def test_knot_on_the_barrier_is_a_breach(self):
         w = np.array([[0.0, 0.1, -0.5, 0.0], [0.0, 0.1, 0.5, 0.0], [0.0, 0.1, 0.2, 0.0]])
-        one = cx._bridge_cross(w, 1e-6, 0.5)
-        two = cx._bridge_cross(w, 1e-6, 0.5, two_sided=True)
-        assert one.tolist() == [1.0, 0.0, 0.0]
-        assert two.tolist() == [1.0, 1.0, 0.0]
+        assert cx._bridge_cross(w, 1e-6, 0.5).tolist() == [1.0, 0.0, 0.0]
+        assert two_sided_reference(w, 0.5, 1e-6).tolist() == [1.0, 1.0, 0.0]
 
     def test_two_barrier_chances_add_up_to_one(self):
         # one step from 0 to 0: each barrier at distance a is crossed with
-        # probability exp(-2 a^2 / var)
+        # probability exp(-2 a^2 / var); the reference adds the two, capped at 1
         w = np.zeros((1, 2))
         one = math.exp(-2.0 * 0.5**2)
         assert cx._bridge_cross(w, 1.0, 0.5)[0] == pytest.approx(one, rel=1e-15)
-        assert cx._bridge_cross(w, 1.0, 0.5, two_sided=True)[0] == 1.0
+        assert two_sided_reference(w, 0.5, 1.0)[0] == 1.0
         two = 2.0 * math.exp(-2.0 * 1.5**2 / 4.0)
-        assert cx._bridge_cross(w, 4.0, 1.5, two_sided=True)[0] == pytest.approx(two, rel=1e-15)
+        assert two_sided_reference(w, 1.5, 4.0)[0] == pytest.approx(two, rel=1e-15)
 
 
 def joint_reference(cfg, k_max, n_paths, seed, n_coarse):
@@ -439,35 +502,26 @@ class TestJointStatsOffNu:
 
 
 class TestPoolThreads:
-    """The Thm 3.4 channels draw on the calling thread, work on the pool."""
+    """The Thm 3.4 joint channel draws on the calling thread, works on the
+    pool; thm34_checks and the witness run it."""
 
-    @pytest.mark.parametrize("channel", ["nu", "joint"])
+    @pytest.mark.parametrize("channel", ["joint", "checks"])
     def test_generators_stay_on_the_calling_thread(self, monkeypatch, channel):
-        # a counting wrapper like the benchmark tracer's: an unlocked += from
-        # two threads could lose counts, so every call must come from one
+        # an unlocked += from two threads could lose counts, so every call
+        # must come from one; the exact dip rows add no draws
         monkeypatch.setattr(forward_model, "WORKERS", 2)
         cfg = cx.build_thm34(3.0, 3, 1.0)
         n_paths = 4 * cx._JOINT_BATCH + 5
-        threads, counts = set(), [0]
-
-        class CountingGenerator(Generator):
-            def standard_normal(self, *args, **kwargs):
-                threads.add(threading.current_thread())
-                out = super().standard_normal(*args, **kwargs)
-                counts[0] += int(np.size(kwargs["out"]))
-                return out
-
-        monkeypatch.setattr(forward_model, "Generator", CountingGenerator)
-        if channel == "nu":
-            cx.thm34_mc_nu(cfg, 1, n_paths, seed=8)
-            assert counts[0] == n_paths * cx._NU_GRID
-        else:
+        counts, threads = count_normals(monkeypatch)
+        if channel == "joint":
             cx.thm34_joint_paths(cfg, 3, n_paths, 8, n_coarse=64)
-            assert counts[0] == n_paths * 64 * 3
+        else:
+            cx.thm34_checks(cfg, n_paths, 64, seed=8)
+        assert counts[0] == n_paths * 64 * 3
         assert threads == {threading.current_thread()}
 
-    @pytest.mark.parametrize("channel, seed", [("nu", 8), ("joint", 8),
-                                               ("nu", 2**64), ("joint", 2**64)])
+    @pytest.mark.parametrize("channel, seed", [("joint", 8), ("witness", 8),
+                                               ("joint", 2**64), ("witness", 2**64)])
     def test_last_block_failure_reaches_the_caller(self, monkeypatch, channel, seed):
         # a worker fails on the short last block; seed 2**64 puts every
         # path's Philox key past 2**128, so the first draw fails instead
@@ -475,24 +529,22 @@ class TestPoolThreads:
         cfg = cx.build_thm34(3.0, 3, 1.0)
         n_paths = 4 * cx._JOINT_BATCH + 5
         threads = []
-        name = "_bridge_cross" if channel == "nu" else "_joint_increments"
-        work = getattr(cx, name)
+        work = cx._joint_increments
 
-        def failing_tail(*args, **kwargs):
-            rows = args[0] if channel == "nu" else args[1]
-            if rows.shape[0] == 5:
+        def failing_tail(roots, xi, dm):
+            if xi.shape[0] == 5:
                 threads.append(threading.current_thread())
                 raise ValueError("no work for the last 5 paths")
-            return work(*args, **kwargs)
+            return work(roots, xi, dm)
 
-        monkeypatch.setattr(cx, name, failing_tail)
+        monkeypatch.setattr(cx, "_joint_increments", failing_tail)
         match = ("no work for the last 5 paths" if seed == 8
                  else r"Philox key outside .* paths 0\.\.")
         with pytest.raises(ValueError, match=match):
-            if channel == "nu":
-                cx.thm34_mc_nu(cfg, 1, n_paths, seed=seed)
-            else:
+            if channel == "joint":
                 cx.thm34_joint_paths(cfg, 3, n_paths, seed, n_coarse=64)
+            else:
+                cx.limit_not_solution_witness(cfg, seed, n_paths, n_coarse=64)
         if seed == 8:
             assert len(threads) == 1
             assert threads[0] is not threading.main_thread()
@@ -542,17 +594,25 @@ class TestDefectsAreCaught:
         assert rep.dominating_estimate == 0.0
         assert [r.passed for r in rep.rows if r.check == row] == [False]
 
-    def test_one_sided_nu_channel_misses_the_floor(self, monkeypatch):
-        # the k=1 floor of TestThm34Checks.test_full_report_q3 catches a
-        # nu_k channel that watches only the lower barrier
-        cfg = cx.build_thm34(3.0, 4, 1.0)
-        _, est, _ = cx.thm34_mc_nu(cfg, 1, 2000, seed=8)
-        assert est >= 0.05
-        bridge = cx._bridge_cross
-        monkeypatch.setattr(cx, "_bridge_cross",
-                            lambda w, var, a, two_sided=False: bridge(w, var, a))
-        _, est, _ = cx.thm34_mc_nu(cfg, 1, 2000, seed=8)
-        assert est < 0.05
+    @pytest.mark.parametrize("first_term", [0.5, 1.0], ids=["one_sided", "leading"])
+    def test_truncated_exit_law_fails_the_series_check(self, monkeypatch, first_term):
+        # the check of TestExitLaw.test_matches_eigenfunction_series catches
+        # the one-sided law 2 Phi-bar(a / sqrt(S)), half the leading term,
+        # and the leading term 4 Phi-bar(a / sqrt(S)) alone
+        cfg = cx.build_thm34(3.0, 3, 1.0)
+        want = eigenfunction_exit(*dip_time(cfg, 1))
+        assert abs(cx.thm34_mc_nu(cfg, 1).value - want) <= 1e-15
+        calls = []
+
+        def first_term_only(y):
+            calls.append(y)
+            return first_term * math.erfc(y) if len(calls) == 1 else 0.0
+
+        monkeypatch.setattr(cx, "math", types.SimpleNamespace(
+            sqrt=math.sqrt, erfc=first_term_only))
+        row = cx.thm34_mc_nu(cfg, 1)
+        assert row.passed
+        assert abs(row.value - want) > 1e-15
 
 
 class TestPathCountGuard:
@@ -566,7 +626,5 @@ class TestPathCountGuard:
                 cx.simulate_thm33_excursion(cfg33, n_paths, 64, seed=1)
             with pytest.raises(ValueError, match="n_paths >= 2"):
                 cx.thm34_checks(cfg34, n_paths, 256, seed=1)
-            with pytest.raises(ValueError, match="n_paths >= 2"):
-                cx.thm34_mc_nu(cfg34, 1, n_paths, seed=1)
             with pytest.raises(ValueError, match="n_paths >= 2"):
                 cx.limit_not_solution_witness(cfg34, seed=1, n_paths=n_paths)

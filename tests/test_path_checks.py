@@ -59,13 +59,28 @@ class TestResidual:
         assert r1.rms_terminal_residual / r2.rms_terminal_residual >= 1.5
 
     def test_domain_error_when_paths_escape(self):
+        # none of the 500 paths stays in [-0.25, 0.25], and the energy's
+        # standard error needs two
         model = bm_model()
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
-        sol = solve(model, gen, tc, GridSpec(n_x=64, dt=5e-3, x_lo=-1, x_hi=1), 0.0)
+        sol = solve(model, gen, tc, GridSpec(n_x=64, dt=5e-3, x_lo=-0.25, x_hi=0.25), 0.0)
         bundle = simulate_paths(model, 0.0, 0.0, 500, 50, seed=4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="0 stayed"):
             bsde_residual(sol, model, gen, bundle)
+
+    @pytest.mark.parametrize("n_paths", [1, 2])
+    def test_two_paths_on_the_grid_suffice(self, n_paths):
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(model, gen, tc, GRID, 0.0)
+        bundle = simulate_paths(model, 0.0, 0.0, n_paths, 50, seed=4)
+        if n_paths == 1:
+            with pytest.raises(DomainError, match="1 stayed"):
+                bsde_residual(sol, model, gen, bundle)
+        else:
+            assert bsde_residual(sol, model, gen, bundle).excluded_fraction == 0.0
 
     def test_tilted_bundle_rejected(self):
         from superbsde.dual_mc import ConstantControl
@@ -122,14 +137,26 @@ class TestResidual:
     @pytest.mark.parametrize("gen", [PowerGenerator(3.0), QuadraticGenerator(0.5)],
                              ids=["power3", "quadratic"])
     def test_equals_per_knot_lookups_with_exclusions(self, gen):
-        # a narrow grid under a tanh drift: some paths leave it, but fewer
-        # than MAX_EXCLUDED, so the report covers a strict subset of paths
+        # a narrow grid under a tanh drift: some paths leave it, fewer than
+        # MAX_EXCLUDED, so the report covers a strict subset of paths
         model = ForwardModel(TanhDrift(0.7), 1.2, 1.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         sol = solve(model, gen, tc, GridSpec(n_x=201, dt=5e-3, x_lo=-3.8, x_hi=3.8), 0.0)
         bundle = simulate_paths(model, 0.0, 0.0, 3000, 50, seed=9)
         rep = bsde_residual(sol, model, gen, bundle)
         assert 0.0 < rep.excluded_fraction <= MAX_EXCLUDED
+        assert rep == self.per_knot_residual(sol, gen, bundle)
+
+    def test_reports_any_excluded_share(self):
+        # more than half of the paths leave [-1, 1]; the `checks` row, not
+        # the residual, holds the share to MAX_EXCLUDED
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(model, gen, tc, GridSpec(n_x=64, dt=5e-3, x_lo=-1, x_hi=1), 0.0)
+        bundle = simulate_paths(model, 0.0, 0.0, 500, 50, seed=4)
+        rep = bsde_residual(sol, model, gen, bundle)
+        assert rep.excluded_fraction > 0.5
         assert rep == self.per_knot_residual(sol, gen, bundle)
 
     def test_holds_two_path_by_step_arrays(self):
