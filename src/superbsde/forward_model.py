@@ -14,7 +14,7 @@ of the stream family `salt` reads the counter-based Philox stream with key
 depend only on (seed, salt, p), so results are reproducible bit-for-bit
 and do not depend on how paths are split into batches or workers.  Salts:
 0 the Brownian increments of `simulate_paths` and of the dual Monte Carlo
-pass, 1 and 2 the two Thm 3.3 channels, 3 the Thm 3.4 joint channel.
+pass, 3 the Thm 3.4 joint channel; 1 and 2 are unused since Thm 3.3 is exact.
 
 `map_path_blocks` overlaps a channel's path blocks on the CPUs this
 process may use (`WORKERS`): the calling thread draws each block's

@@ -12,6 +12,7 @@ from superbsde import generators, hj_solver, terminal_data
 from superbsde.cli import (build_generator, build_grid, build_model, build_terminal,
                            load_config, main, run)
 from superbsde.errors import ConfigError
+from test_acceptance import FAST_CFG, QUAD_CFG
 
 FAST_CHECKS = """
 generator: {kind: power, q: 3.0}
@@ -385,3 +386,34 @@ class TestCommands:
                                              build_terminal(cfg), cfg.t0, xs)
         assert np.array_equal(vals[:, 0], xs)
         assert np.array_equal(vals[:, 1], want)
+
+
+class TestInProcessPasses:
+    COMMANDS = (("solve", "fast"), ("checks", "fast"), ("dual", "fast"),
+                ("regularize", "fast"), ("oracle", "quad"),
+                ("counterexample 3.1", "fast"), ("counterexample 3.3", "fast"),
+                ("counterexample 3.4", "fast"))
+
+    def test_every_pass_matches_the_first(self, tmp_path, capsys):
+        # A12's commands through main() in one process, three times: state
+        # that outlives a call, or a result that is not deterministic, shows
+        # as a late non-zero exit or a changed artifact, which A12's fresh
+        # processes cannot see
+        configs = {"fast": tmp_path / "fast.yaml", "quad": tmp_path / "quad.yaml"}
+        configs["fast"].write_text(FAST_CFG)
+        configs["quad"].write_text(QUAD_CFG)
+        passes = [tmp_path / f"pass{i}" for i in range(3)]
+        for root in passes:
+            for label, key in self.COMMANDS:
+                argv = [*label.split(), "--config", str(configs[key]),
+                        "--out", str(root / label.replace(" ", "_"))]
+                if label == "checks":
+                    argv.append("--dump-paths")
+                assert main(argv) == 0, (root.name, label, capsys.readouterr().err)
+        first = sorted(p.relative_to(passes[0]) for p in passes[0].rglob("*") if p.is_file())
+        assert len(first) == 25
+        for root in passes[1:]:
+            assert sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file()) == first
+            for rel in first:
+                same = (root / rel).read_bytes() == (passes[0] / rel).read_bytes()
+                assert same, (root.name, rel)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import sys
 import threading
 import types
 import warnings
@@ -8,10 +10,11 @@ import numpy as np
 import pytest
 from numpy.random import Generator
 from scipy.special import zeta
+from scipy.stats import norm
 
-from superbsde import _kernels, forward_model
+from superbsde import _kernels, cli, forward_model
 from superbsde import counterexamples as cx
-from superbsde.errors import RangeOverflowError, ResolutionError
+from superbsde.errors import RangeOverflowError
 from superbsde.forward_model import path_normals
 
 
@@ -52,6 +55,21 @@ class TestThm31:
         assert rep.q2_partial >= inv_a * 9.78
         assert rep.divergence_K == 16
 
+    def test_scaled_slots_fail_the_slot_row(self):
+        seq = cx.build_thm31(3.0, 100, 1.0)
+        bad = dataclasses.replace(seq, delta=seq.delta * (1.0 + 1e-6))
+        rows = cx.thm31_series_report(bad).rows
+        assert [r.passed for r in rows if r.check == "slot sum + tail = T"] == [False]
+
+    def test_zeta_error_cancels_in_the_slot_row(self, monkeypatch):
+        # alpha is built from the same zeta value as the tail, so a wrong
+        # zeta cannot fail the slot row; TestEulerMaclaurin covers zeta
+        zeta_em = cx._euler_maclaurin_zeta
+        monkeypatch.setattr(cx, "_euler_maclaurin_zeta", lambda s: 1.01 * zeta_em(s))
+        rep = cx.thm31_series_report(cx.build_thm31(3.0, 100, 1.0))
+        assert rep.slot_sum_with_tail == pytest.approx(1.0, abs=1e-15)
+        assert rep.all_passed
+
     def test_overflow_guard(self):
         with pytest.raises(RangeOverflowError):
             cx.build_thm31(2.001, 10_000, 1.0)
@@ -80,40 +98,140 @@ class TestThm33Config:
             cx.build_thm33(3.0, 2, 1.5, 0.5, 4)
 
 
+def first_passage_scipy(cfg):
+    """p_lo through scipy.stats.norm: the drifted first-passage law on the
+    first sub-interval, clock S = x_0^2 (1 - theta) delta_n."""
+    mu = cfg.x[0] ** (cfg.q - 2.0)
+    S = cfg.x[0] ** 2 * (1.0 - cfg.theta) * cfg.delta_n
+    a = cfg.barrier
+    return float(norm.cdf((-a - mu * S) / math.sqrt(S))
+                 + math.exp(-2.0 * mu * a) * norm.cdf((mu * S - a) / math.sqrt(S)))
+
+
+PREMISE = "min x_k^(q-2) >= 4^n, so P(min V < -{a:g}) <= exp(-2^n eps)"
+
+
 class TestThm33Excursion:
     def test_paper_bound_values(self):
         # exp(-2^n eps) at (n=2, eps=0.5) is e^-2; the dominating-process
-        # reflection value exp(-2 * 4^n * 2^(-n-1) eps) coincides with it
+        # value exp(-2 * 4^n * 2^(-n-1) eps) coincides with it
         cfg = cx.build_thm33(3.0, 2, 0.5, 0.5, 8)
-        rep = cx.simulate_thm33_excursion(cfg, 2000, 64, seed=3)
+        rep = cx.simulate_thm33_excursion(cfg)
         assert rep.paper_bound == pytest.approx(math.exp(-2.0))
-        assert rep.dominating_exact == pytest.approx(math.exp(-2.0))
+        assert rep.dominating_estimate == pytest.approx(math.exp(-2.0))
 
-    def test_two_channels_agree(self):
+    def test_bracket_closes_on_the_bound(self):
         cfg = cx.build_thm33(3.0, 2, 0.5, 0.5, 8)
-        rep = cx.simulate_thm33_excursion(cfg, 10_000, 64, seed=4)
+        rep = cx.simulate_thm33_excursion(cfg)
         assert rep.all_passed
-        assert [r.passed for r in rep.rows
-                if r.check == "divergence witness: median V at mesh end"] == [True]
-        assert abs(rep.dominating_estimate - rep.dominating_exact) <= 3.0 * rep.dominating_se
+        assert [r.check for r in rep.rows] == [PREMISE.format(a=0.0625),
+                                               "divergence witness: median V at mesh end"]
+        assert [r.passed for r in rep.rows] == [True, True]
+        assert rep.estimate == rep.dominating_estimate == rep.paper_bound == 0.1353352832366127
+        # the Gaussian law of V at the mesh end: mean sum g(x_k) L_k
+        assert rep.final_quantiles[1] == 87744.0
 
     def test_n3_bound(self):
         cfg = cx.build_thm33(3.0, 3, 0.5, 0.5, 8)
-        rep = cx.simulate_thm33_excursion(cfg, 10_000, 64, seed=5)
+        rep = cx.simulate_thm33_excursion(cfg)
         assert rep.paper_bound == pytest.approx(math.exp(-4.0))
-        assert rep.estimate <= rep.paper_bound + 3.0 * rep.std_error
-
-    def test_mesh_resolution_guard(self):
-        cfg = cx.build_thm33(3.0, 2, 0.5, 0.5, 8)
-        with pytest.raises(ResolutionError):
-            cx.simulate_thm33_excursion(cfg, 100, 16, seed=6)
+        assert rep.estimate == rep.dominating_estimate == 0.01831563888873418
+        assert rep.dominating_estimate <= rep.paper_bound
 
     def test_reproducible(self):
+        # nothing is drawn, so the Monte Carlo arguments change nothing
         cfg = cx.build_thm33(3.0, 2, 0.5, 0.5, 8)
         r1 = cx.simulate_thm33_excursion(cfg, 500, 64, seed=7)
-        r2 = cx.simulate_thm33_excursion(cfg, 500, 64, seed=7)
-        assert r1.estimate == r2.estimate
-        assert r1.final_quantiles == r2.final_quantiles
+        r2 = cx.simulate_thm33_excursion(cfg)
+        assert r1 == r2
+
+    def test_final_quantiles_are_the_gaussian_ones(self):
+        cfg = cx.build_thm33(2.5, 1, 0.5, 0.5, 3)
+        lengths = np.array([(0.5**k - 0.5 ** (k + 1)) * cfg.delta_n for k in range(3)])
+        law = norm(np.sum(cfg.x**2.5 * lengths), np.sqrt(np.sum(cfg.x**2 * lengths)))
+        got = cx.simulate_thm33_excursion(cfg).final_quantiles
+        assert got == pytest.approx(tuple(law.ppf([0.1, 0.5, 0.9])), rel=1e-14)
+
+
+class TestThm33Bracket:
+    @pytest.mark.parametrize("args, p_lo, p_hi", [
+        ((3.0, 0, 0.5, 0.5, 8), 0.365367, math.exp(-1.0)),
+        ((2.5, 0, 0.9, 0.99, 8), 0.121286, 0.123243)])
+    def test_p_lo_matches_scipy_where_the_bracket_is_open(self, args, p_lo, p_hi):
+        cfg = cx.build_thm33(*args)
+        rep = cx.simulate_thm33_excursion(cfg)
+        assert abs(rep.estimate - first_passage_scipy(cfg)) <= 1e-15
+        assert rep.estimate == pytest.approx(p_lo, abs=1e-6)
+        assert rep.dominating_estimate == pytest.approx(p_hi, abs=1e-6)
+        assert rep.estimate < rep.dominating_estimate < rep.paper_bound
+
+    @pytest.mark.parametrize("defect, value", [
+        (lambda law, mu, S, a: 0.5 * math.erfc((a + mu * S) / math.sqrt(2.0 * S)), 0.0122),
+        (lambda law, mu, S, a: law(mu, 0.5 * S, a), 0.353299)],
+        ids=["no_reflection_term", "halved_first_clock"])
+    def test_defective_law_fails_the_scipy_check(self, monkeypatch, defect, value):
+        cfg = cx.build_thm33(3.0, 0, 0.5, 0.5, 8)
+        law = cx._first_passage
+        monkeypatch.setattr(cx, "_first_passage",
+                            lambda mu, S, a: defect(law, mu, S, a))
+        rep = cx.simulate_thm33_excursion(cfg)
+        assert rep.estimate == pytest.approx(value, abs=1e-4)
+        assert abs(rep.estimate - first_passage_scipy(cfg)) > 1e-15
+
+    def test_shrunk_volatility_fails_the_premise_row(self):
+        cfg = cx.build_thm33(3.0, 2, 0.5, 0.5, 8)
+        rep = cx.simulate_thm33_excursion(dataclasses.replace(cfg, x=cfg.x * (1.0 - 1e-6)))
+        assert [r.passed for r in rep.rows if r.hard] == [False]
+        assert not rep.all_passed
+
+    def test_premise_holds_across_configs_up_to_rounding(self):
+        # x_k^(q-2) = 4^n exactly in theory wherever the growth branch binds;
+        # in floating point some configs read a hair below, and only the
+        # 1e-12 tolerance passes them
+        below = 0
+        grid = list(itertools.product((2.1, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0), range(9),
+                                      (0.1, 0.5, 0.9), (0.1, 0.5, 0.99), (1, 3, 8, 16)))
+        for q, n, theta, eps, K in grid:
+            rep = cx.simulate_thm33_excursion(cx.build_thm33(q, n, theta, eps, K))
+            assert rep.all_passed
+            assert rep.estimate <= rep.dominating_estimate <= rep.paper_bound * (1.0 + 1e-12)
+            below += rep.rows[0].value < 4.0**n
+        assert len(grid) == 2268 and below > 0
+
+
+def bridge_estimate(cfg, n_paths, n_steps, seed):
+    """The sampled estimator the exact bracket replaced: V on n_steps // K
+    Euler steps per sub-interval from salt 1, with the one-sided bridge
+    correction; returns the estimate and its standard error."""
+    steps_per = n_steps // cfg.K
+    dts, vols = [], []
+    for k in range(cfg.K):
+        length = (cfg.theta**k - cfg.theta ** (k + 1)) * cfg.delta_n
+        dts.append(np.full(steps_per, length / steps_per))
+        vols.append(np.full(steps_per, cfg.x[k]))
+    dt, vol = np.concatenate(dts), np.concatenate(vols)
+    cross = bridge_cross(walk(seed, n_paths, vol**cfg.q * dt, vol * np.sqrt(dt)),
+                         vol**2 * dt, cfg.barrier)
+    return float(np.mean(cross)), float(np.std(cross, ddof=1) / np.sqrt(n_paths))
+
+
+def within_3se_of_bracket(rep, est, se):
+    return rep.estimate - 3.0 * se <= est <= rep.dominating_estimate + 3.0 * se
+
+
+class TestBridgeReference:
+    @pytest.mark.parametrize("n, seed", [(2, 90), (3, 91)])
+    def test_estimate_within_3se_of_the_bracket(self, n, seed):
+        cfg = cx.build_thm33(3.0, n, 0.5, 0.5, 8)
+        rep = cx.simulate_thm33_excursion(cfg)
+        assert within_3se_of_bracket(rep, *bridge_estimate(cfg, 10_000, 64, seed))
+
+    def test_counterexample_33_draws_nothing(self, monkeypatch, tmp_path):
+        counts, _ = count_normals(monkeypatch)
+        assert cli.main(["counterexample", "3.3", "--out", str(tmp_path)]) == 0
+        assert counts[0] == 0
+        bridge_estimate(cx.build_thm33(3.0, 2, 0.5, 0.5, 8), 10, 64, 1)
+        assert counts[0] == 10 * 64
 
 
 class TestCombMeasure:
@@ -183,6 +301,21 @@ class TestThm34Deterministic:
         for q in (3.0, 5.0, 10.0):
             cfg = cx.build_thm34(q, 6, 1.0)
             assert all(r.passed for r in cx.thm34_deterministic(cfg))
+
+    def test_alpha_minus_one_fails_the_energy_rows(self):
+        # for q = 3, g(z_k) is an integer and the energy bound holds with
+        # equality; past k = 3, 1/alpha_k is below the 1e-12 tolerance
+        cfg = cx.build_thm34(3.0, 3, 1.0)
+        bad = dataclasses.replace(cfg, alpha=tuple(a - 1 for a in cfg.alpha))
+        energy = [r.passed for r in cx.thm34_deterministic(bad) if "energy" in r.check]
+        assert energy == [False] * 3
+
+    def test_shrunk_drift_fails_the_deviation_rows(self):
+        # g 10 % low lags t by about T/10, above 2^-k from k = 4 on
+        cfg = cx.build_thm34(3.0, 6, 1.0)
+        bad = dataclasses.replace(cfg, g_vals=cfg.g_vals * 0.9)
+        dev = [r.passed for r in cx.thm34_deterministic(bad) if "sup |int" in r.check]
+        assert dev == [True] * 3 + [False] * 3
 
 
 class TestCrossOverlap:
@@ -322,16 +455,40 @@ def count_normals(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The bridge-crossing kernel and the nu-stopped statistics against copies of
-# earlier implementations, bit for bit
+# The bridge-crossing kernel of the reference estimators and the nu-stopped
+# statistics against copies of earlier implementations, bit for bit
 # ---------------------------------------------------------------------------
+
+def _exp_neg(arg):
+    """exp(arg) for arg <= 0, evaluated only above the survival-product
+    noise floor; bridge arguments are usually huge and negative."""
+    out = np.zeros_like(arg)
+    mask = arg > -45.0
+    if np.any(mask):
+        out[mask] = np.exp(arg[mask])
+    return out
+
+
+def bridge_cross(w, var_steps, a):
+    """P(path leaves (-a, inf)) per path for a Brownian motion with piecewise
+    constant drift observed at the knots w (n_paths, n_knots): one minus the
+    product over steps of the bridge survival 1 - exp(-2 d0 d1 / var), where
+    d0, d1 are the knot distances to the barrier, clipped at 0 (Glasserman
+    2004).  A knot on or past the barrier thus gives its steps crossing
+    probability 1.  var_steps (> 0) is the step variance, a scalar or one
+    per step."""
+    dist = np.maximum(w + a, 0.0)
+    p = _exp_neg(-2.0 * dist[:, :-1] * dist[:, 1:] / var_steps)
+    np.subtract(1.0, p, out=p)
+    return 1.0 - np.prod(p, axis=1)
+
 
 def one_sided_reference(v, a, var_steps):
     d = v + a
     direct = np.any(d <= 0.0, axis=1)
     d0 = np.maximum(d[:, :-1], 0.0)
     d1 = np.maximum(d[:, 1:], 0.0)
-    p = cx._exp_neg(-2.0 * d0 * d1 / var_steps[None, :])
+    p = _exp_neg(-2.0 * d0 * d1 / var_steps[None, :])
     surv = np.prod(1.0 - np.where(var_steps[None, :] > 0.0, p, 0.0), axis=1)
     cross = 1.0 - surv
     cross[direct] = 1.0
@@ -345,8 +502,8 @@ def two_sided_reference(w, a, ds):
     up1 = np.maximum(a - w[:, 1:], 0.0)
     dn0 = np.maximum(w[:, :-1] + a, 0.0)
     dn1 = np.maximum(w[:, 1:] + a, 0.0)
-    p_cross = np.minimum(cx._exp_neg(-2.0 * up0 * up1 / ds)
-                         + cx._exp_neg(-2.0 * dn0 * dn1 / ds), 1.0)
+    p_cross = np.minimum(_exp_neg(-2.0 * up0 * up1 / ds)
+                         + _exp_neg(-2.0 * dn0 * dn1 / ds), 1.0)
     cb = 1.0 - np.prod(1.0 - p_cross, axis=1)
     cb[direct] = 1.0
     return cb
@@ -364,14 +521,14 @@ class TestBridgeCross:
         var = np.linspace(0.002, 0.03, 64)
         w = walk(21, 3000, drift * var, np.sqrt(var))
         w_in = w.copy()
-        got = cx._bridge_cross(w, var, a)
+        got = bridge_cross(w, var, a)
         assert got.tobytes() == one_sided_reference(w, a, var).tobytes()
         assert np.array_equal(w, w_in)
         assert 0.0 < got.mean() < 1.0
 
     def test_knot_on_the_barrier_is_a_breach(self):
         w = np.array([[0.0, 0.1, -0.5, 0.0], [0.0, 0.1, 0.5, 0.0], [0.0, 0.1, 0.2, 0.0]])
-        assert cx._bridge_cross(w, 1e-6, 0.5).tolist() == [1.0, 0.0, 0.0]
+        assert bridge_cross(w, 1e-6, 0.5).tolist() == [1.0, 0.0, 0.0]
         assert two_sided_reference(w, 0.5, 1e-6).tolist() == [1.0, 1.0, 0.0]
 
     def test_two_barrier_chances_add_up_to_one(self):
@@ -379,7 +536,7 @@ class TestBridgeCross:
         # probability exp(-2 a^2 / var); the reference adds the two, capped at 1
         w = np.zeros((1, 2))
         one = math.exp(-2.0 * 0.5**2)
-        assert cx._bridge_cross(w, 1.0, 0.5)[0] == pytest.approx(one, rel=1e-15)
+        assert bridge_cross(w, 1.0, 0.5)[0] == pytest.approx(one, rel=1e-15)
         assert two_sided_reference(w, 0.5, 1.0)[0] == 1.0
         two = 2.0 * math.exp(-2.0 * 1.5**2 / 4.0)
         assert two_sided_reference(w, 1.5, 4.0)[0] == pytest.approx(two, rel=1e-15)
@@ -559,8 +716,7 @@ class TestPoolThreads:
 class TestRowHardness:
     def test_only_report_rows_are_soft(self):
         rep31 = cx.thm31_series_report(cx.build_thm31(3.0, 100, 1.0))
-        rep33 = cx.simulate_thm33_excursion(cx.build_thm33(3.0, 2, 0.5, 0.5, 8),
-                                            500, 64, seed=7)
+        rep33 = cx.simulate_thm33_excursion(cx.build_thm33(3.0, 2, 0.5, 0.5, 8))
         cfg34 = cx.build_thm34(3.0, 3, 1.0)
         rep34 = cx.thm34_checks(cfg34, 200, 256, seed=11)
         wit = cx.limit_not_solution_witness(cfg34, seed=10, n_paths=64, n_coarse=256)
@@ -582,17 +738,19 @@ class TestPassRule:
 
 class TestDefectsAreCaught:
     @pytest.mark.parametrize("n, seed, exact", [(2, 90, 0.1353352832366127),
-                                                (3, 91, 0.01831563888873418)])
-    def test_dropped_bridge_term_fails_dominating_row(self, monkeypatch, n, seed, exact):
+                                                (3, 91, 0.01831563888873418)],
+                             ids=["n2", "n3"])
+    def test_dropped_bridge_term_fails_3se_check(self, monkeypatch, n, seed, exact):
+        # the check of TestBridgeReference.test_estimate_within_3se_of_the_bracket
+        # catches the estimator without its bridge correction, which reads 0
         cfg = cx.build_thm33(3.0, n, 0.5, 0.5, 8)
-        row = "dominating channel within 3SE of reflection value"
-        rep = cx.simulate_thm33_excursion(cfg, 10_000, 64, seed=seed)
-        assert [r.passed for r in rep.rows if r.check == row] == [True]
-        monkeypatch.setattr(cx, "_exp_neg", np.zeros_like)
-        rep = cx.simulate_thm33_excursion(cfg, 10_000, 64, seed=seed)
-        assert rep.dominating_exact == pytest.approx(exact, rel=1e-12)
-        assert rep.dominating_estimate == 0.0
-        assert [r.passed for r in rep.rows if r.check == row] == [False]
+        rep = cx.simulate_thm33_excursion(cfg)
+        assert rep.estimate == rep.dominating_estimate == pytest.approx(exact, rel=1e-12)
+        assert within_3se_of_bracket(rep, *bridge_estimate(cfg, 10_000, 64, seed))
+        monkeypatch.setattr(sys.modules[__name__], "_exp_neg", np.zeros_like)
+        est, se = bridge_estimate(cfg, 10_000, 64, seed)
+        assert est == 0.0
+        assert not within_3se_of_bracket(rep, est, se)
 
     @pytest.mark.parametrize("first_term", [0.5, 1.0], ids=["one_sided", "leading"])
     def test_truncated_exit_law_fails_the_series_check(self, monkeypatch, first_term):
@@ -618,12 +776,9 @@ class TestDefectsAreCaught:
 class TestPathCountGuard:
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_monte_carlo_entry_points_need_two_paths(self, n_paths):
-        cfg33 = cx.build_thm33(3.0, 2, 0.5, 0.5, 8)
         cfg34 = cx.build_thm34(3.0, 3, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="n_paths >= 2"):
-                cx.simulate_thm33_excursion(cfg33, n_paths, 64, seed=1)
             with pytest.raises(ValueError, match="n_paths >= 2"):
                 cx.thm34_checks(cfg34, n_paths, 256, seed=1)
             with pytest.raises(ValueError, match="n_paths >= 2"):
