@@ -4,15 +4,17 @@ The implicit diffusion solve of the Hamilton-Jacobi substep
 (``ImplicitDiffusion``; ``hj_solver.solve`` runs the substep loop), the
 Euler-Maruyama path loop (``em_paths``) and the comb sweep
 (``comb_cross_overlap``) are vectorized over cells, paths and teeth
-respectively.  The path loop takes drifts, tilts and running costs as
-vectorized Python callables, so every drift and control kind runs the
-same code.
+respectively.  The path loop takes drifts and controls as vectorized
+Python callables, so every drift and control kind runs the same code.
 
-``em_paths`` is the package's one Euler loop.  ``simulate_paths`` asks it
-for the stored x/flow knots; the dual Monte Carlo pass stores no knots and
-has it accumulate the penalty in the step itself, so that pass holds only
-X_T and the per-path penalty of a block of paths.  The loop is elementwise
-along the paths, which is why results do not depend on the block size.
+``em_paths`` is the package's one Euler loop.  It reads a control by step
+index k, not by (t_k, x): ``simulate_paths`` hands it the control's
+pointwise ``rate`` and asks for the stored x/flow knots; the dual Monte
+Carlo pass hands it each control's knot plan (``dual_mc``), stores no
+knots and has it accumulate the penalty in the step itself, so that pass
+holds only X_T and the per-path penalty of a block of paths.  The loop is
+elementwise along the paths, which is why results do not depend on the
+block size.
 """
 
 import numpy as np
@@ -104,14 +106,18 @@ class ImplicitDiffusion:
 # Euler-Maruyama path loop (optionally Girsanov-tilted)
 # ---------------------------------------------------------------------------
 
-def em_paths(x0, t0, dt, dw, sigma, drift, drift_x=None, rate=None, cost=None):
+def em_paths(x0, t0, dt, dw, sigma, drift, drift_x=None, control=None):
     """Euler-Maruyama over step-major increments dw of shape (n_steps, n_paths).
 
-    Step k reads t_k = t0 + k dt and the state X_k once: q = rate(t_k, X_k)
-    tilts the drift to b + sigma q (no tilt when rate is None), and cost(q) dt
-    is added to the per-path running cost in the same step, so the penalty
-    of a tilted run is the left-endpoint sum sum_k cost(q_k) dt (cost needs
-    rate).  drift, drift_x, rate and cost are vectorized Python callables.
+    Step k reads t_k = t0 + k dt and the state X_k once.  With a control,
+    (q, c) = control(k, X_k) tilts the drift to b + sigma q, and c dt is
+    added to the per-path running cost in the same step (c None adds
+    nothing), so the penalty of a tilted run is the left-endpoint sum
+    sum_k c_k dt.  q and c are arrays over the paths or scalars.  drift is
+    a forward_model.Drift; one flagged `zero` is not evaluated, b = 0.0
+    enters the same expressions, and every float is the one its zero
+    arrays would give.  drift, drift_x and control are vectorized Python
+    callables.
 
     Passing drift_x asks for the knots: x and the exact exponential
     variational flow prod exp(b_x dt), path-major (n_paths, n_steps + 1).
@@ -120,12 +126,12 @@ def em_paths(x0, t0, dt, dw, sigma, drift, drift_x=None, rate=None, cost=None):
     numbers do not depend on which other paths share the call.
 
     Returns (x_end, running, knots, diverged_step): the state where the loop
-    stopped, the running cost (None without cost), (x, flow) or None, and
-    the first step k whose new state X_{k+1} is non-finite (-1 if none).  A
-    diverged run stops at that step."""
+    stopped, the running cost (None without a control), (x, flow) or None,
+    and the first step k whose new state X_{k+1} is non-finite (-1 if
+    none).  A diverged run stops at that step."""
     n_steps, n_paths = dw.shape
     xc = np.full(n_paths, float(x0))
-    running = None if cost is None else np.zeros(n_paths)
+    running = None if control is None else np.zeros(n_paths)
     knots = None
     if drift_x is not None:
         x = np.empty((n_paths, n_steps + 1))
@@ -134,19 +140,24 @@ def em_paths(x0, t0, dt, dw, sigma, drift, drift_x=None, rate=None, cost=None):
         flow[:, 0] = 1.0
         fc = np.ones(n_paths)
         knots = (x, flow)
+    zero = drift.zero
+    b = bx = 0.0
     for k in range(n_steps):
         t = t0 + k * dt
-        b = drift(t, xc)
+        if not zero:
+            b = drift(t, xc)
         if knots is not None:
-            fc = fc * np.exp(drift_x(t, xc) * dt)
-        if rate is None:
+            if not zero:
+                bx = drift_x(t, xc)
+            fc = fc * np.exp(bx * dt)
+        if control is None:
             xc = xc + b * dt + sigma * dw[k]
         else:
-            q = rate(t, xc)
+            q, c = control(k, xc)
             xc = xc + (b + sigma * q) * dt + sigma * dw[k]
-            if running is not None:
-                running += np.asarray(cost(q), dtype=float) * dt
-        if not np.all(np.isfinite(xc)):
+            if c is not None:
+                running += c * dt
+        if not np.isfinite(xc).all():
             return xc, running, knots, k
         if knots is not None:
             x[:, k + 1] = xc

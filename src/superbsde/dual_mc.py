@@ -11,6 +11,14 @@ once per knot, and the pass holds only X_T and the per-path penalty of one
 block of paths, never the paths themselves.  Path p's increments depend
 only on (seed, p), so the results do not depend on the block size.
 
+The time grid of a pass is fixed, so before its Euler loop each control
+becomes a knot plan (`ControlProcess.knots`): step(k, x) -> (q_k, f(q_k))
+at knot t0 + k dt.  The constant and piecewise controls give one number
+per knot, the feedback control one row of g'(Z) per knot at the PDE's x
+nodes, read with one 1-D gather.  The penalty is always conj.eval of the
+q actually applied, so each estimate is exact for its control.  A plan
+lives in the call that built it; nothing is cached across passes.
+
 All controls of one pass (`evaluate_controls`, and so `duality_gap`) read
 the same increments, salt 0 of `seed`: each block is drawn once and every
 control's Euler loop runs on it (common random numbers; Glasserman,
@@ -23,27 +31,54 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import SimulationDivergedError
+from .errors import ExtrapolationRangeError, SimulationDivergedError
 from .forward_model import draw_increments, time_step
 
 # paths per block of the dual pass; results do not depend on it
 _BLOCK_PATHS = 4096
 
 
+def knot_times(t0, dt, n_steps):
+    """The Euler knots t0 + k dt, k < n_steps, as `em_paths` computes them."""
+    return t0 + np.arange(n_steps) * dt
+
+
 class ControlProcess:
-    """Drift control q(t, x); `rate` is vectorized in x."""
+    """Drift control q(t, x); `rate` is vectorized in x.
+
+    `knots` turns the control into the plan of one pass on a fixed Euler
+    grid: step(k, x) -> (q_k, f(q_k)) at knot t0 + k dt, with f = conj.eval
+    of the q actually applied, the same numbers `rate` gives at the knots;
+    None means no tilt and no penalty."""
 
     kind = "abstract"
 
     def rate(self, t, x):
         raise NotImplementedError
 
+    def knots(self, t0, dt, n_steps, conj):
+        raise NotImplementedError
+
+
+def _scalar_plan(q, conj):
+    """Plan of a control that is one number per knot: q holds them."""
+    # f comes from one array call: numpy's vectorized pow can round
+    # differently from its scalar pow, and conj.eval of rate's array is
+    # an array call
+    q, f = q.tolist(), conj.eval(q).tolist()
+    return lambda k, x: (q[k], f[k])
+
 
 class ZeroControl(ControlProcess):
+    """q = 0: the pass runs it untilted with penalty 0 (its plan is None)."""
+
     kind = "zero"
 
     def rate(self, t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
+
+    def knots(self, t0, dt, n_steps, conj):
+        return None
 
 
 class ConstantControl(ControlProcess):
@@ -54,6 +89,9 @@ class ConstantControl(ControlProcess):
 
     def rate(self, t, x):
         return np.full_like(np.asarray(x, dtype=float), self.q)
+
+    def knots(self, t0, dt, n_steps, conj):
+        return _scalar_plan(np.full(n_steps, self.q), conj)
 
 
 class PiecewiseConstantControl(ControlProcess):
@@ -75,11 +113,28 @@ class PiecewiseConstantControl(ControlProcess):
         idx = int(np.searchsorted(self.breakpoints, t, side="right"))
         return np.full_like(np.asarray(x, dtype=float), self.values[idx])
 
+    def knots(self, t0, dt, n_steps, conj):
+        idx = np.searchsorted(self.breakpoints, knot_times(t0, dt, n_steps),
+                              side="right")
+        return _scalar_plan(self.values[idx], conj)
+
 
 class FeedbackControl(ControlProcess):
-    """q*(t, x) = g'(Z(t, x)) with Z bilinearly interpolated off the PDE grid.
+    """q*(t, x) ~ g'(Z(t, x)) read off a table of g' at the PDE's x nodes.
 
-    Finite everywhere because the solver clamps its gradient argument."""
+    At time t the row holds g'((1 - lt) Z[it] + lt Z[it + 1]) at every x
+    node, Z linear in time between the levels it and it + 1; q is the
+    row's linear interpolant in x, q[ix] + lx (q[ix + 1] - q[ix]), with x
+    clamped to the grid.  At x nodes it is g'(Z) of the bilinear Z; between
+    nodes it interpolates g', not Z.  Any control gives a valid dual upper
+    bound, so this one is as admissible as g' of the bilinear Z.
+
+    `knots` builds one row per Euler knot of the pass (n_steps x n_x) and
+    each step reads its row with one 1-D gather; `rate` builds the row of
+    its t with the same code, so both give the same bits.  A row node where
+    |Z| exceeds the generator's range (a sampled generator) holds NaN, and
+    reading a cell next to one raises ExtrapolationRangeError; nodes no
+    path reads do not raise."""
 
     kind = "feedback"
 
@@ -87,8 +142,39 @@ class FeedbackControl(ControlProcess):
         self.sol = sol
         self.gen = gen
 
+    def _rows(self, t):
+        """The g' rows at the times t (a 1-d array), one row per time."""
+        sol = self.sol
+        sol._one_member()
+        it, lt = sol._time_weights(t)
+        lt = lt[:, None]
+        z = sol.z[::-1]
+        z = (1.0 - lt) * z[it] + lt * z[it + 1]
+        inside = np.abs(z) <= self.gen.r_max
+        rows = self.gen.grad(np.where(inside, z, 0.0))
+        rows[~inside] = np.nan
+        return rows
+
+    def _read(self, row, x):
+        """The row's linear interpolant in x (x clamped to the grid)."""
+        ix, lx = self.sol._space_weights(x)
+        q = row[ix] + lx * (row[1:] - row[:-1])[ix]
+        if np.isnan(q).any():
+            raise ExtrapolationRangeError(
+                f"|Z| beyond the generator's range {self.gen.r_max:g} at a grid "
+                "node next to a path: the feedback control is undefined there")
+        return q
+
     def rate(self, t, x):
-        return self.gen.grad(self.sol.z_at(t, x))
+        return self._read(self._rows(np.array([t], dtype=float))[0], x)
+
+    def knots(self, t0, dt, n_steps, conj):
+        table = self._rows(knot_times(t0, dt, n_steps))
+
+        def step(k, x):
+            q = self._read(table[k], x)
+            return q, conj.eval(q)
+        return step
 
 
 @dataclass(frozen=True)
@@ -107,11 +193,12 @@ class DualEstimate:
 def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed):
     """Monte Carlo dual values of several controls on one Brownian draw.
 
-    Each block of paths draws its salt-0 increments of `seed` once and
-    transposes them once to step-major; every control then runs its own
-    Euler loop on those same increments (common random numbers), reading
-    q = rate(t_k, X_k) once per step and adding conj(q) dt to the penalty
-    in the same step.  The zero control runs untilted with penalty 0.  A
+    Each control's knot plan is built once, then each block of paths draws
+    its salt-0 increments of `seed` once and transposes them once to
+    step-major; every control then runs its own Euler loop on those same
+    increments (common random numbers), reading its plan at knot k once
+    per step and adding conj(q) dt of the applied q to the penalty in the
+    same step.  The zero control runs untilted with penalty 0.  A
     control's estimate does not depend on which other controls share the
     pass; the rows share their noise and are positively correlated.
     Returns one DualEstimate per control, in order.
@@ -124,8 +211,9 @@ def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed)
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2, got {n_paths}")
     dt = time_step(model, t0, n_steps)
-    plans = [(None, None) if isinstance(c, ZeroControl) else (c.rate, conj.eval)
-             for c in controls]
+    t0 = float(t0)
+    # the plans live in this call only: a pass shares no state with another
+    plans = [c.knots(t0, dt, n_steps, conj) for c in controls]
     x_end = np.empty((len(plans), n_paths))
     penalty = np.zeros((len(plans), n_paths))
     diverged = [[] for _ in plans]
@@ -133,10 +221,9 @@ def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed)
         stop = min(start + _BLOCK_PATHS, n_paths)
         dw = draw_increments(seed, stop - start, n_steps, dt, start=start)
         dw = np.ascontiguousarray(dw.T)
-        for i, (rate, cost) in enumerate(plans):
-            xb, pb, _, k = _kernels.em_paths(float(x0), float(t0), dt, dw,
-                                             model.sigma, model.drift,
-                                             rate=rate, cost=cost)
+        for i, plan in enumerate(plans):
+            xb, pb, _, k = _kernels.em_paths(float(x0), t0, dt, dw, model.sigma,
+                                             model.drift, control=plan)
             if k >= 0:
                 diverged[i].append(k)
             x_end[i, start:stop] = xb

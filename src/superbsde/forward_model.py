@@ -26,13 +26,16 @@ rows of preallocated outputs, so results are bit-identical for every
 worker count and block size.  Memory is the blocks in flight (at most
 `WORKERS`, the one being drawn included) times the block size.
 
-`simulate_paths` stores every knot of x and of the flow.  The dual pass
+`simulate_paths` stores every knot of x and of the flow, and reads a
+tilt's pointwise `rate(t_k, X_k)`.  The dual pass
 (`dual_mc.evaluate_controls`) draws the same salt-0 increments one block of
 paths at a time through `draw_increments(..., start=)` and runs the same
-Euler loop (`_kernels.em_paths`) with the penalty accumulated in the step,
-holding only X_T and the per-path penalty; because path p's numbers depend
-only on (seed, p), its results do not depend on the block size.  Every
-dual control of one pass reads that one salt-0 draw of `seed`.
+Euler loop (`_kernels.em_paths`) on each control's per-pass knot plan
+(g'(Z) rows at the knots for the feedback control) with the penalty
+accumulated in the step, holding only X_T and the per-path penalty;
+because path p's numbers depend only on (seed, p), its results do not
+depend on the block size.  Every dual control of one pass reads that one
+salt-0 draw of `seed`.  Neither evaluates a drift flagged `zero`.
 """
 
 import functools
@@ -282,8 +285,9 @@ def time_step(model, t0, n_steps):
 def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     """Euler-Maruyama paths of the (optionally tilted) diffusion.
 
-    With a tilt q the drift becomes b + sigma*q and the stored increments
-    are the Q-Brownian ones.  The variational flow integrates alongside
+    With a tilt q the drift becomes b + sigma*q, with q = tilt.rate(t_k, X_k)
+    read pointwise at each knot, and the stored increments are the
+    Q-Brownian ones.  The variational flow integrates alongside
     with the exact per-step exponential exp(b_x dt).  Every knot is stored;
     the dual Monte Carlo pass (`dual_mc.evaluate_controls`) runs the same
     Euler loop over blocks of paths and keeps only X_T and the penalty.
@@ -292,10 +296,14 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     dw = draw_increments(seed, n_paths, n_steps, dt)
     times = t0 + dt * np.arange(n_steps + 1)
 
-    rate = None if tilt is None else tilt.rate
-    _, _, (x, flow), bad = _kernels.em_paths(float(x0), float(t0), dt, dw.T,
-                                             model.sigma, model.drift,
-                                             drift_x=model.drift.dx, rate=rate)
+    t0 = float(t0)
+    control = None
+    if tilt is not None:
+        def control(k, x):
+            return tilt.rate(t0 + k * dt, x), None
+    _, _, (x, flow), bad = _kernels.em_paths(float(x0), t0, dt, dw.T, model.sigma,
+                                             model.drift, drift_x=model.drift.dx,
+                                             control=control)
     if bad >= 0:
         raise SimulationDivergedError(bad)
     return PathBundle(times=times, x_paths=x, flow_paths=flow, noise=dw,

@@ -36,7 +36,10 @@ def read_two_columns(path):
 
 
 class Generator:
-    """Base class; concrete kinds implement the radial profile h and h'."""
+    """Base class; concrete kinds implement the radial profile h and h'.
+    h, h', eval and grad accept |z| <= r_max."""
+
+    r_max = np.inf
 
     def h(self, r):
         raise NotImplementedError
@@ -126,6 +129,7 @@ class SampledGenerator(Generator):
         self.nodes_r = r
         self.nodes_g = g
         self.slopes = slopes
+        self.r_max = float(r[-1]) * (1.0 + 1e-12)
 
     @classmethod
     def from_csv(cls, path):
@@ -135,7 +139,7 @@ class SampledGenerator(Generator):
     def _in_range(self, r):
         """r as a float array; |z| beyond the last node raises."""
         r = np.asarray(r, dtype=float)
-        if np.any(r > self.nodes_r[-1] * (1.0 + 1e-12)):
+        if np.any(r > self.r_max):
             raise ExtrapolationRangeError(
                 f"|z| beyond last sampled node {self.nodes_r[-1]}")
         return r

@@ -108,19 +108,23 @@ class PdeSolution:
         if self.u.ndim == 3:
             raise ValueError("split a stacked solution with members()")
 
+    def _time_weights(self, t):
+        """Level index and offset (it, lt) of time t, levels ascending."""
+        t_asc = self.t_grid[::-1]
+        ft = (np.asarray(t, dtype=float) - t_asc[0]) / (t_asc[1] - t_asc[0])
+        it = np.clip(ft.astype(int), 0, t_asc.size - 2)
+        return it, np.clip(ft - it, 0.0, 1.0)
+
+    def _space_weights(self, x):
+        """Cell index and offset (ix, lx) of x, clamped to the grid."""
+        fx = (np.asarray(x, dtype=float) - self.x_grid[0]) / self.dx
+        ix = np.clip(fx.astype(int), 0, self.x_grid.size - 2)
+        return ix, np.clip(fx - ix, 0.0, 1.0)
+
     def _weights(self, t, x):
         """Cell indices and offsets (it, lt, ix, lx) of the bilinear lookup
         at (t, x); one set serves every field on the grid."""
-        t_asc = self.t_grid[::-1]
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        ft = (t - t_asc[0]) / (t_asc[1] - t_asc[0])
-        it = np.clip(ft.astype(int), 0, t_asc.size - 2)
-        lt = np.clip(ft - it, 0.0, 1.0)
-        fx = (x - self.x_grid[0]) / self.dx
-        ix = np.clip(fx.astype(int), 0, self.x_grid.size - 2)
-        lx = np.clip(fx - ix, 0.0, 1.0)
-        return it, lt, ix, lx
+        return (*self._time_weights(t), *self._space_weights(x))
 
     def _interpolate(self, mat, weights):
         """Bilinear value of the field mat (levels from T down) at the

@@ -417,3 +417,33 @@ class TestInProcessPasses:
             for rel in first:
                 same = (root / rel).read_bytes() == (passes[0] / rel).read_bytes()
                 assert same, (root.name, rel)
+
+    def test_dual_alternating_configs_stay_byte_identical(self, tmp_path, child_env):
+        # two dual configs whose grids and Euler steps differ, run in turn
+        # three times in one process: a table, plan or cache that outlived
+        # its call would be read by the other config's pass.  Each config's
+        # first in-process run must also match a run in a fresh process,
+        # which no earlier call can have touched
+        configs = {"a": FAST_CFG,
+                   "b": FAST_CFG.replace("n_x: 128", "n_x: 96").replace(
+                       "n_steps: 40", "n_steps: 30")}
+        fresh = {}
+        for key, text in configs.items():
+            cfgp = tmp_path / f"{key}.yaml"
+            cfgp.write_text(text)
+            out = tmp_path / f"{key}_fresh"
+            res = _run_cli(["dual", "--config", str(cfgp), "--out", str(out)],
+                           tmp_path, child_env)
+            assert res.returncode == 0, res.stderr
+            fresh[key] = (out / "dual.csv").read_bytes()
+        assert fresh["a"] != fresh["b"]
+        first = {}
+        for i in range(3):
+            for key in configs:
+                out = tmp_path / f"{key}{i}"
+                rc = main(["dual", "--config", str(tmp_path / f"{key}.yaml"),
+                           "--out", str(out)])
+                assert rc == 0
+                got = (out / "dual.csv").read_bytes()
+                assert first.setdefault(key, got) == got, (key, i)
+        assert first == fresh

@@ -8,11 +8,11 @@ from superbsde import dual_mc
 from superbsde.dual_mc import (ConstantControl, FeedbackControl,
                                PiecewiseConstantControl, ZeroControl, duality_gap,
                                evaluate_control, evaluate_controls)
-from superbsde.errors import SimulationDivergedError
+from superbsde.errors import ExtrapolationRangeError, SimulationDivergedError
 from superbsde.forward_model import (Drift, ForwardModel, TanhDrift, ZeroDrift,
                                      simulate_paths)
 from superbsde.generators import (PowerGenerator, QuadraticGenerator,
-                                  conjugate_of)
+                                  SampledGenerator, conjugate_of)
 from superbsde.hj_solver import GridSpec, solve
 from superbsde.terminal_data import TerminalCondition
 
@@ -151,18 +151,81 @@ class TestBlockedPass:
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "feedback"])
     def test_rate_read_once_per_knot(self, setup, monkeypatch, kind):
+        # the pass builds each control's knot plan once per call (the
+        # feedback table once) and its Euler loop reads knot k at step k,
+        # once per step and block, never the pointwise rate
         model, gen, conj, tc, controls = setup
         ctrl = copy.copy(controls[kind])
-        rate, seen = ctrl.rate, []
+        knots, builds, steps = ctrl.knots, [], []
 
-        def counting_rate(t, x):
-            seen.append(np.size(x))
-            return rate(t, x)
+        def counting_knots(t0, dt, n_steps, conj):
+            builds.append((t0, dt, n_steps))
+            plan = knots(t0, dt, n_steps, conj)
+            if plan is None:
+                return None
 
-        ctrl.rate = counting_rate
+            def step(k, x):
+                steps.append((k, x.size))
+                return plan(k, x)
+            return step
+
+        def no_rate(t, x):
+            raise AssertionError("the pass read the pointwise rate")
+
+        ctrl.knots, ctrl.rate = counting_knots, no_rate
+        rows_of, rows_read = FeedbackControl._rows, []
+        tables = []
+
+        def counting_rows(self, t):
+            tables.append((t.copy(), rows_of(self, t)))
+            return tables[-1][1]
+
+        read = FeedbackControl._read
+
+        def recording_read(self, row, x):
+            rows_read.append(row.copy())
+            return read(self, row, x)
+
+        monkeypatch.setattr(FeedbackControl, "_rows", counting_rows)
+        monkeypatch.setattr(FeedbackControl, "_read", recording_read)
         monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 300)
         evaluate_control(model, conj, tc, ctrl, 0.0, 0.0, 1000, 20, seed=3)
-        assert sum(seen) == (0 if kind == "zero" else 1000 * 20)
+        assert builds == [(0.0, 0.05, 20)]
+        blocks = [300, 300, 300, 100]
+        assert steps == ([] if kind == "zero"
+                         else [(k, n) for n in blocks for k in range(20)])
+        if kind == "feedback":
+            assert len(tables) == 1
+            times, table = tables[0]
+            assert np.array_equal(times, 0.0 + np.arange(20) * 0.05)
+            assert table.shape == (20, GRID.n_x)
+            assert len(rows_read) == 20 * len(blocks)
+            for i, row in enumerate(rows_read):
+                assert np.array_equal(row, table[i % 20])
+        else:
+            assert tables == [] and rows_read == []
+
+    def test_look_ahead_row_fails_stored_path_oracle(self, setup, monkeypatch):
+        # a defect that reads the feedback row of knot k + 1 at step k
+        model, gen, conj, tc, controls = setup
+        ctrl = controls["feedback"]
+        args = (0.1, 0.0, self.N_PATHS, self.N_STEPS, 11)
+        expected = stored_path_oracle(model, conj, tc, ctrl, *args)
+        est = evaluate_control(model, conj, tc, ctrl, *args)
+        assert (est.value, est.std_error, est.penalty_mean) == expected
+
+        def look_ahead(self, t0, dt, n_steps, conj):
+            table = self._rows(dual_mc.knot_times(t0, dt, n_steps))
+
+            def step(k, x):
+                q = self._read(table[min(k + 1, n_steps - 1)], x)
+                return q, conj.eval(q)
+            return step
+
+        monkeypatch.setattr(FeedbackControl, "knots", look_ahead)
+        est = evaluate_control(model, conj, tc, ctrl, *args)
+        assert (est.value, est.std_error, est.penalty_mean) != expected
+        assert est.value != expected[0] and est.penalty_mean != expected[2]
 
     class _ExplodingDrift(Drift):
         """b = 1e308 x beyond |x| > 1.5, so a path that gets there overflows."""
@@ -206,6 +269,124 @@ class TestBlockedPass:
         assert err.value.step_index == step
 
 
+class TestZeroDriftFlag:
+    """em_paths evaluates no drift flagged zero; the floats are those of a
+    drift that returns zero arrays."""
+
+    class _UnflaggedZero(Drift):
+        def __call__(self, t, x):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        def dx(self, t, x):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        def sup_dx(self):
+            return 0.0
+
+    def models(self, monkeypatch):
+        """(unflagged, flagged) models; from here on ZeroDrift raises if
+        evaluated."""
+        def never(self, t, x):
+            raise AssertionError("a zero drift was evaluated")
+
+        monkeypatch.setattr(ZeroDrift, "__call__", never)
+        monkeypatch.setattr(ZeroDrift, "dx", never)
+        return (ForwardModel(self._UnflaggedZero(), 0.8, 1.0),
+                ForwardModel(ZeroDrift(), 0.8, 1.0))
+
+    @pytest.mark.parametrize("tilt", [None, ConstantControl(0.7)],
+                             ids=["untilted", "tilted"])
+    def test_simulate_paths_bytes(self, monkeypatch, tmp_path, tilt):
+        bundles = [simulate_paths(m, 0.3, 0.0, 50, 25, seed=4, tilt=tilt)
+                   for m in self.models(monkeypatch)]
+        assert np.array_equal(bundles[0].x_paths, bundles[1].x_paths)
+        assert np.array_equal(bundles[0].flow_paths, bundles[1].flow_paths)
+        paths = [tmp_path / "unflagged.csv", tmp_path / "flagged.csv"]
+        for bundle, path in zip(bundles, paths):
+            bundle.to_csv(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_evaluate_controls(self, monkeypatch):
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(bm_model(), gen, tc, GRID, 0.0)
+        controls = [ZeroControl(), ConstantControl(0.6),
+                    PiecewiseConstantControl([0.3, 0.55], [0.2, -1.0, 1.5]),
+                    FeedbackControl(sol, gen)]
+        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 300)
+        runs = [evaluate_controls(m, conjugate_of(gen), tc, controls, 0.1, 0.0,
+                                  700, 30, seed=12)
+                for m in self.models(monkeypatch)]
+        assert runs[0] == runs[1]
+
+
+class TestSampledGenerator:
+    """The dual pass with a sampled |z|^3 profile and its exact
+    piecewise-linear conjugate."""
+
+    @staticmethod
+    def sampled(r_max):
+        r = np.linspace(0.0, r_max, 41)
+        return SampledGenerator(r, r**3)
+
+    def test_duality_gap_matches_stored_paths(self):
+        model = ForwardModel(TanhDrift(0.7), 0.8, 1.0)
+        gen = self.sampled(4.0)
+        conj = conjugate_of(gen)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(model, gen, tc, GRID, 0.0)
+        extras = (ConstantControl(0.6),)
+        rep = duality_gap(model, gen, conj, tc, sol, 0.1, 0.0, 1000, seed=13,
+                          n_steps=40, extra_controls=extras)
+        controls = [ZeroControl(), FeedbackControl(sol, gen), *extras]
+        for row, ctrl in zip(rep.rows, controls):
+            assert (row.value, row.std_error, row.penalty_mean) == stored_path_oracle(
+                model, conj, tc, ctrl, 0.1, 0.0, 1000, 40, 13)
+        assert rep.all_lower_bounds_pass
+        fb = rep.rows[1]
+        assert fb.control_kind == "feedback" and fb.penalty_mean > 0.0
+
+    @pytest.fixture(scope="class")
+    def partial_range(self):
+        # a hat at the origin and a ramp of slope 25 at x = 5; with the
+        # coarse PDE step the gradient cap is active at T, so the solve
+        # stays inside r_max = 10 while |Z| reaches 12.5 at the ramp nodes
+        # of the top level, and the last Euler knots read that level
+        model = bm_model()
+        gen = self.sampled(10.0)
+        tc = TerminalCondition.tabulated([-8.0, -1.0, 0.0, 1.0, 5.0, 5.02, 8.0],
+                                         [0.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.5])
+        sol = solve(model, gen, tc, GridSpec(n_x=801, dt=0.04, x_lo=-8.0, x_hi=8.0),
+                    0.0)
+        return model, gen, conjugate_of(gen), tc, sol
+
+    def test_range_short_of_nodes_no_path_reads(self, partial_range):
+        # the paths from 0 never reach the ramp: no raise, as before the
+        # table existed, and the pass still matches the stored paths
+        model, gen, conj, tc, sol = partial_range
+        ctrl = FeedbackControl(sol, gen)
+        table = ctrl._rows(dual_mc.knot_times(0.0, 1.0 / 200, 200))
+        assert np.isnan(table[-1]).any() and not np.isnan(table[0]).any()
+        assert np.abs(sol.z[0]).max() > gen.r_max
+        rep = duality_gap(model, gen, conj, tc, sol, 0.0, 0.0, 2000, seed=14,
+                          n_steps=200)
+        fb = rep.rows[1]
+        assert (fb.value, fb.std_error, fb.penalty_mean) == stored_path_oracle(
+            model, conj, tc, ctrl, 0.0, 0.0, 2000, 200, 14)
+        assert rep.all_lower_bounds_pass
+
+    def test_range_short_of_nodes_a_path_reads_raises(self, partial_range):
+        # paths that start beside the ramp read its out-of-range nodes at
+        # the last knots: the pass and the stored paths both raise
+        # ExtrapolationRangeError (g' of the bilinear Z raised here too)
+        model, gen, conj, tc, sol = partial_range
+        ctrl = FeedbackControl(sol, gen)
+        with pytest.raises(ExtrapolationRangeError, match="feedback control"):
+            evaluate_control(model, conj, tc, ctrl, 4.5, 0.0, 500, 200, seed=14)
+        with pytest.raises(ExtrapolationRangeError, match="feedback control"):
+            simulate_paths(model, 4.5, 0.0, 500, 200, seed=14, tilt=ctrl)
+
+
 class TestFeedback:
     def test_constant_phi_gives_zero_rate(self):
         model = bm_model()
@@ -216,15 +397,28 @@ class TestFeedback:
         assert np.max(np.abs(ctrl.rate(0.5, np.linspace(-3, 3, 11)))) == 0.0
 
     def test_rate_is_gradient_of_z(self):
+        # dx = 1/16, so every node but the last is looked up with lx = 0;
+        # t = 0.4037 sits between two PDE levels
         model = bm_model()
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
-        sol = solve(model, gen, tc, GRID, 0.0)
-        xq = np.array([0.3, 1.2])
-        z = sol.z_at(0.4, xq)
-        assert np.allclose(ctrl_rate := FeedbackControl(sol, gen).rate(0.4, xq),
-                           gen.grad(z))
-        assert np.all(np.isfinite(ctrl_rate))
+        sol = solve(model, gen, tc, GridSpec(n_x=257, dt=5e-3, x_lo=-8.0, x_hi=8.0),
+                    0.0)
+        ctrl = FeedbackControl(sol, gen)
+        t, nodes = 0.4037, sol.x_grid[:-1]
+        assert np.all(sol._space_weights(nodes)[1] == 0.0)
+        assert 0.0 < sol._time_weights(t)[1] < 1.0
+        # at the nodes: g' of the Z-field, bit for bit
+        q = ctrl.rate(t, nodes)
+        assert np.array_equal(q, gen.grad(sol.z_at(t, nodes)))
+        assert np.all(np.isfinite(q)) and np.ptp(q) > 0.1
+        # between them: the linear interpolant of those node values
+        for frac in (0.25, 0.5, 0.75):
+            between = nodes[:-1] + frac * sol.dx
+            assert np.array_equal(ctrl.rate(t, between), q[:-1] + frac * (q[1:] - q[:-1]))
+        # which is not g' of the interpolated Z, as g' is not linear
+        mid = nodes[:-1] + 0.5 * sol.dx
+        assert not np.array_equal(ctrl.rate(t, mid), gen.grad(sol.z_at(t, mid)))
 
     def test_even_phi_zero_rate_at_origin(self):
         model = bm_model()
@@ -260,6 +454,32 @@ class TestDualityGap:
         fb = [r for r in rep.rows if r.control_kind == "feedback"][0]
         assert fb.attainment_within_tol
         assert rep.all_lower_bounds_pass
+
+    def test_halved_feedback_penalty_fails_lower_bound(self, monkeypatch):
+        # the quadratic attainment case above, where the feedback row is
+        # tight: a defect that adds f(q)/2 instead of f(q) fails its row
+        model = bm_model()
+        gen = QuadraticGenerator(0.5)
+        conj = conjugate_of(gen)
+        tc = TerminalCondition.analytic("inv_quad", amplitude=1.0)
+        sol = solve(model, gen, tc,
+                    GridSpec(n_x=801, dt=2e-3, x_lo=-8, x_hi=8), 0.0)
+        knots = FeedbackControl.knots
+
+        def half_penalty(self, t0, dt, n_steps, conj):
+            plan = knots(self, t0, dt, n_steps, conj)
+
+            def step(k, x):
+                q, f = plan(k, x)
+                return q, 0.5 * f
+            return step
+
+        monkeypatch.setattr(FeedbackControl, "knots", half_penalty)
+        rep = duality_gap(model, gen, conj, tc, sol, 0.0, 0.0, 20_000, seed=7,
+                          n_steps=100)
+        zero, fb = rep.rows
+        assert fb.control_kind == "feedback" and not fb.lower_bound_pass
+        assert zero.lower_bound_pass and not rep.all_lower_bounds_pass
 
     def test_superquadratic_zero_control_strictly_above(self):
         model = bm_model()
