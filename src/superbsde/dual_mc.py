@@ -86,6 +86,8 @@ class ConstantControl(ControlProcess):
 
     def __init__(self, q):
         self.q = float(q)
+        if not np.isfinite(self.q):
+            raise ValueError(f"need a finite constant q, got {self.q}")
 
     def rate(self, t, x):
         return np.full_like(np.asarray(x, dtype=float), self.q)

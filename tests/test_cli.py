@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from superbsde import counterexamples as cx
 from superbsde import generators, hj_solver, terminal_data
 from superbsde.cli import (build_generator, build_grid, build_model, build_terminal,
                            load_config, main, run)
@@ -180,6 +181,27 @@ class TestCommands:
         text = (tmp_path / "o" / "counterexample.csv").read_text()
         assert text.startswith("construction,check,value,threshold,pass")
 
+    @staticmethod
+    def counterexample_values(tmp_path, which, K):
+        cfgp = tmp_path / f"{which}.yaml"
+        cfgp.write_text(f"counterexample: {{K: {K}}}\n")
+        out = tmp_path / which
+        assert main(["counterexample", which, "--config", str(cfgp), "--out", str(out)]) == 0
+        with open(out / "counterexample.csv", newline="") as fh:
+            return {r["check"]: r["value"] for r in csv.DictReader(fh)}
+
+    def test_counterexample_33_runs_the_K_it_is_given(self, tmp_path):
+        # K = 20 is past the 16 that 3.3 was once clipped to
+        rows = self.counterexample_values(tmp_path, "3.3", 20)
+        want = cx.simulate_thm33_excursion(cx.build_thm33(3, 2, .5, .5, 20)).rows[1]
+        assert rows[want.check] == repr(want.value)
+
+    def test_counterexample_31_runs_at_least_K_10(self, tmp_path):
+        # the K shared with 3.4 (K: 3 in A12) is raised to the 10 build_thm31 needs
+        rows = self.counterexample_values(tmp_path, "3.1", 5)
+        want = cx.thm31_series_report(cx.build_thm31(3.0, 10, 1.0)).rows
+        assert rows == {r.check: repr(float(r.value)) for r in want}
+
     def test_determinism_byte_identical(self, tmp_path, child_env):
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(FAST_CHECKS)
@@ -294,11 +316,15 @@ class TestCommands:
         ("regularize", "regularize: {m_list: []}", "regularize.m_list"),
         ("regularize", "regularize: {m_list: [a]}", "regularize.m_list"),
         ("regularize", "regularize: {m_list: 2.0}", "regularize.m_list"),
+        ("regularize", "regularize: {m_list: [2.0, .inf]}", "regularize.m_list"),
         ("dual", "dual: {constants: [x]}", "dual.constants"),
+        ("dual", "dual: {constants: [.nan]}", "dual.constants"),
+        ("dual", "dual: {constants: [.inf]}", "dual.constants"),
         ("counterexample 3.3", "counterexample: {theta: 1.5}", "counterexample"),
         ("counterexample 3.4", "counterexample: {K: 0}", "counterexample"),
         ("counterexample 3.1", "counterexample: {q: 2.0}", "counterexample"),
         ("counterexample 3.4", "counterexample: {K: 100}", "counterexample"),
+        ("counterexample 3.3", "counterexample: {K: 400}", "counterexample"),
         ("oracle", "generator: {kind: power, q: 3.0}", "generator.kind"),
         ("oracle", "generator: {kind: quadratic}\nmodel: {drift: {linear: 0.5}}",
          "model.drift"),
@@ -325,8 +351,10 @@ class TestCommands:
             "generator_csv_missing", "generator_csv_one_column",
             "terminal_csv_missing", "terminal_csv_one_column",
             "m_list_decreasing", "m_list_empty", "m_list_not_numbers",
-            "m_list_not_a_list", "dual_constants_not_numbers", "cx33_theta",
-            "cx34_K_zero", "cx31_q", "cx34_K_overflow", "oracle_power",
+            "m_list_not_a_list", "m_list_inf", "dual_constants_not_numbers",
+            "dual_constants_nan", "dual_constants_inf", "cx33_theta",
+            "cx34_K_zero", "cx31_q", "cx34_K_overflow",
+            "cx33_K_overflow", "oracle_power",
             "oracle_drift", "t0_past_horizon", "x_lo_above_x_hi", "x_lo_alone",
             "x0_outside_domain", "default_domain_empty", "drift_not_a_number",
             "lambda_is_not_a_setting", "q_inf", "gamma_inf", "generator_nan_node",

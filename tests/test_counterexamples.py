@@ -16,6 +16,7 @@ from superbsde import _kernels, cli, forward_model
 from superbsde import counterexamples as cx
 from superbsde.errors import RangeOverflowError
 from superbsde.forward_model import path_normals
+from test_acceptance import FAST_CFG
 
 
 class TestEulerMaclaurin:
@@ -96,6 +97,16 @@ class TestThm33Config:
     def test_bad_theta_rejected(self):
         with pytest.raises(ValueError):
             cx.build_thm33(3.0, 2, 1.5, 0.5, 4)
+
+    def test_large_K_builds_until_g_overflows(self):
+        # theta^k underflows well before K = 400; the inf it gives is the
+        # overflow error, with no numpy warning on the way
+        rep = cx.simulate_thm33_excursion(cx.build_thm33(3.0, 2, 0.5, 0.5, 200))
+        assert rep.all_passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeOverflowError, match="K=400"):
+                cx.build_thm33(3.0, 2, 0.5, 0.5, 400)
 
 
 def first_passage_scipy(cfg):
@@ -375,6 +386,29 @@ class TestThm34Checks:
         wit = cx.limit_not_solution_witness(cfg, seed=10)
         assert wit.all_passed
         assert [r.check for r in wit.rows] == ["sup |Y^3 - t^nu| <= 10*2^-3 on good paths"]
+
+    @pytest.mark.parametrize("K", [2, 6])
+    def test_witness_row_is_read_off_the_checks_paths(self, K):
+        # a path's normals depend only on (seed, salt, path), so the two
+        # entry points run the joint channel on the same paths
+        cfg = cx.build_thm34(3.0, K, 1.0)
+        rep = cx.thm34_checks(cfg, 300, 128, seed=8)
+        wit = cx.limit_not_solution_witness(cfg, 8, n_paths=300, n_coarse=128)
+        k = min(3, K)
+        assert rep.rows[-1] == wit.rows[0]
+        assert rep.rows[-1].check == f"sup |Y^{k} - t^nu| <= 10*2^-{k} on good paths"
+
+    def test_counterexample_34_runs_the_joint_channel_once(self, monkeypatch, tmp_path):
+        # A12's config: 400 paths, K = 3, on the fixed 4096-interval grid;
+        # a second witness run would draw 256 x 4096 x 3 more
+        cfgp = tmp_path / "fast.yaml"
+        cfgp.write_text(FAST_CFG)
+        counts, _ = count_normals(monkeypatch)
+        argv = ["counterexample", "3.4", "--config", str(cfgp), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        assert counts[0] == 400 * 4096 * 3
+        rows = (tmp_path / "o" / "counterexample.csv").read_text().splitlines()
+        assert rows[-1].startswith('3.4,"sup |Y^3 - t^nu| <= 10*2^-3 on good paths",')
 
     def test_reproducible(self):
         cfg = cx.build_thm34(3.0, 3, 1.0)

@@ -107,6 +107,13 @@ def stored_path_oracle(model, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
             float(np.mean(penalty)))
 
 
+class TestConstantControl:
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_non_finite_q_rejected(self, q):
+        with pytest.raises(ValueError, match="finite constant q"):
+            ConstantControl(q)
+
+
 class TestBlockedPass:
     """evaluate_control streams blocks of paths through one fused Euler
     loop; it must agree exactly with the stored-path computation."""

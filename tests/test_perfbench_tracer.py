@@ -4,7 +4,8 @@ The tracer wraps package functions by name and reads counts off what they
 return, so a change to those names or return values can break
 ``perfbench/run.py --trace 1`` while every other test here passes.  These
 tests load the tracer from its file, as the benchmark does, and leave the
-package as they found it.
+package as they found it.  The workloads file is loaded the same way, so a
+change to a call shape it uses fails here too.
 """
 
 import importlib.util
@@ -12,16 +13,18 @@ from pathlib import Path
 
 import superbsde
 import superbsde.cli  # noqa: F401  (the tracer wraps cli as well)
+from superbsde import counterexamples as cx
 from superbsde import hj_solver
 from superbsde.forward_model import ForwardModel, ZeroDrift
 from superbsde.generators import PowerGenerator
 from superbsde.terminal_data import TerminalCondition
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,7 +32,7 @@ def load_tracer():
 
 def test_traced_ladder_counts_every_member_substep():
     solve = hj_solver.solve
-    tracer = load_tracer().Tracer()
+    tracer = load("tracer").Tracer()
     tracer.install(superbsde)
     try:
         spike = TerminalCondition.tabulated([-8.0, -0.02, 0.0, 0.02, 8.0],
@@ -45,3 +48,20 @@ def test_traced_ladder_counts_every_member_substep():
     assert tracer.counts["hj_solver.solves"] == 1
     assert tracer.counts["hj_solver.substeps"] == sum(int(s.substeps.sum())
                                                       for s in members) > 0
+
+
+def test_traced_comb_workload_runs_the_thm34_call_shapes():
+    # the cx_comb workload calls thm34_checks and the standalone witness
+    # with the shapes perfbench/run.py uses
+    witness = cx.limit_not_solution_witness
+    workload = load("workloads").CxComb(0, toy=True)
+    tracer = load("tracer").Tracer()
+    tracer.install(superbsde)
+    try:
+        checks, _ = workload.run_pass()
+    finally:
+        tracer.restore()
+    assert cx.limit_not_solution_witness is witness
+    assert checks and all(c.passed for c in checks)
+    names = {span[0] for span in tracer.spans}
+    assert {"counterexamples.thm34_witness", "counterexamples.thm34_joint"} <= names
