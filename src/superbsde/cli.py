@@ -11,6 +11,7 @@ are byte-identical.  Exit status is 0 iff every hard check passed.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -521,6 +522,15 @@ def run(cfg):
     return 0 if ok else 1
 
 
+@functools.cache
+def _defaults_yaml():
+    """The config sections' defaults as YAML, for the --help epilog; dumped
+    once per process."""
+    return yaml.safe_dump(
+        {k: v for k, v in _DEFAULTS.items() if isinstance(v, dict)},
+        default_flow_style=True, sort_keys=True, width=100)
+
+
 def main(argv=None):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="YAML run config")
@@ -528,16 +538,13 @@ def main(argv=None):
     common.add_argument("--out", default=None, help="override output directory")
     common.add_argument("--dump-paths", action="store_true",
                         help="also write simulated paths as CSV")
-    defaults = yaml.safe_dump(
-        {k: v for k, v in _DEFAULTS.items() if isinstance(v, dict)},
-        default_flow_style=True, sort_keys=True, width=100)
     parser = argparse.ArgumentParser(
         prog="superbsde",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Superquadratic Markovian BSDEs via the viscous "
                     "Hamilton-Jacobi PDE: solver, dual bounds, checks and "
                     "ill-posedness witnesses.",
-        epilog="config defaults (YAML):\n" + defaults)
+        epilog="config defaults (YAML):\n" + _defaults_yaml())
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "dual", "checks", "regularize", "oracle"):
         sub.add_parser(name, parents=[common])

@@ -216,7 +216,10 @@ def build_thm33(q, n, theta, epsilon, K, T=1.0):
         raise ValueError("need K >= 1 and n >= 0")
     delta_n = 2.0 ** (-n - 1) * T
     k = np.arange(K, dtype=float)
-    lower_growth = 4.0 ** (n / (q - 2.0))
+    try:
+        lower_growth = 4.0 ** (n / (q - 2.0))
+    except OverflowError:
+        raise RangeOverflowError(f"4^(n/(q-2)) overflows for q={q}, n={n}") from None
     # theta^k underflows to 0 for large K; the inf it gives fails below
     with np.errstate(divide="ignore", over="ignore"):
         lower_var = ((theta**k - theta ** (k + 1.0)) * theta**k * delta_n) ** -0.5

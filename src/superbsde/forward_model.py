@@ -165,16 +165,27 @@ class PathBundle:
     tilted: bool = False
 
     def to_csv(self, path):
-        """One row per (path, step): path,t,x,flow,dB."""
-        # Python floats from tolist(), one path at a time (see PdeSolution.to_csv)
-        times = self.times.tolist()
+        """One row per (path, step): path,t,x,flow,dB.
+
+        Each path is one string, built as `PdeSolution.to_csv` builds a
+        level: t and the separators once per call, the path label once
+        per path, x, flow and dB by slice assignment; memory holds one
+        path, never the whole file."""
+        # Python floats from tolist(); a row reads
+        # p "," t "," x "," flow "," dB "\n", and dB is 0.0 at t_0
+        n = self.times.size
+        parts = [","] * (8 * n)
+        parts[1::8] = [t + "," for t in map(repr, self.times.tolist())]
+        parts[6] = repr(0.0)
+        parts[7::8] = ["\n"] * n
         with open(path, "w", newline="") as fh:
             fh.write("path,t,x,flow,dB\n")
             for p in range(self.x_paths.shape[0]):
-                dbs = [0.0] + self.noise[p].tolist()
-                for t, x, flow, db in zip(times, self.x_paths[p].tolist(),
-                                          self.flow_paths[p].tolist(), dbs):
-                    fh.write(f"{p},{t!r},{x!r},{flow!r},{db!r}\n")
+                parts[0::8] = [f"{p},"] * n
+                parts[2::8] = map(repr, self.x_paths[p].tolist())
+                parts[4::8] = map(repr, self.flow_paths[p].tolist())
+                parts[14::8] = map(repr, self.noise[p].tolist())
+                fh.write("".join(parts))
 
 
 _KEY_LIMIT = 1 << 128

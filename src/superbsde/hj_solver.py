@@ -20,7 +20,9 @@ diffusion bound.  The implicit part is the inverse of an M-matrix and
 the explicit part is monotone under that bound, so the scheme is
 monotone and the discrete comparison and maximum principles hold.  A
 level that turns non-finite or meets a non-finite theta raises
-ResolutionError.
+ResolutionError.  The substep works in place on a state kept inside its
+ghost-padded buffer and gives the floats of the textbook form of the
+scheme bit for bit (see `solve`).
 
 The superquadratic Hamiltonian has an unbounded gradient Lipschitz
 constant, so the gradient argument of g is clamped at 1.5x the a-priori
@@ -33,6 +35,7 @@ level in: stepping out of s = T uses the envelope at T - dt, never at T
 itself.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -161,17 +164,27 @@ class PdeSolution:
         return self.horizon - self.t_grid
 
     def to_csv(self, path):
-        """Long format: t,x,u,z,cap_active (one row per grid node)."""
+        """Long format: t,x,u,z,cap_active (one row per grid node).
+
+        Each level is one string, joined from a list of parts whose x and
+        separator slots are filled once per call, t and the cap flag once
+        per level and u and z by slice assignment, then written at once:
+        memory holds one level, never the whole file."""
         self._one_member()
-        # repr of a numpy scalar is "np.float64(...)" under numpy 2, so format
-        # Python floats; tolist() one level at a time keeps memory flat
-        xs = self.x_grid.tolist()
+        # repr of a numpy scalar is "np.float64(...)" under numpy 2, so
+        # format Python floats from tolist(); a row reads
+        # t "," x "," u "," z "," cap "\n"
+        n = self.x_grid.size
+        parts = [","] * (6 * n)
+        parts[1::6] = [x + "," for x in map(repr, self.x_grid.tolist())]
         with open(path, "w", newline="") as fh:
             fh.write("t,x,u,z,cap_active\n")
-            for k, tk in enumerate(self.t_grid.tolist()):
-                cap = int(self.cap_active[k])
-                for x, u, z in zip(xs, self.u[k].tolist(), self.z[k].tolist()):
-                    fh.write(f"{tk!r},{x!r},{u!r},{z!r},{cap}\n")
+            for k, tk in enumerate(map(repr, self.t_grid.tolist())):
+                parts[0::6] = [tk + ","] * n
+                parts[2::6] = map(repr, self.u[k].tolist())
+                parts[4::6] = map(repr, self.z[k].tolist())
+                parts[5::6] = [f",{int(self.cap_active[k])}\n"] * n
+                fh.write("".join(parts))
 
 
 def _central_z(u_row, dx, sigma):
@@ -248,6 +261,17 @@ def solve(model, gen, tc, grid, t0):
     principle; Barles and Souganidis 1991) and shifted data stay shifted
     to rounding.  It returns one PdeSolution; see `PdeSolution.members`.
 
+    The state lives inside its ghost-padded buffer, so a substep only
+    refreshes the two ghosts.  One difference of the padded state gives
+    both one-sided slopes, and one abs of it gives the larger slope.  The
+    clamp test is one max over the stack; only a substep that clamps
+    takes the per-member max for cap_active.  The increment is formed in place as
+    theta (0.5 dx) d2, which equals (0.5 theta) dx d2 since halving is
+    exact (for normal theta).  A drift flagged `zero` is not evaluated
+    and its terms are skipped: b = 0 would only add zeros.
+    `tests/test_hj_solver.py` keeps the textbook loop and checks u,
+    cap_active and substeps against it bit for bit.
+
     Raises ResolutionError naming the level when a level needs more than
     MAX_SUBSTEPS substeps, turns non-finite, or meets a non-finite theta.
     """
@@ -272,48 +296,70 @@ def solve(model, gen, tc, grid, t0):
     sig2 = model.sigma * model.sigma
     asig = abs(model.sigma)
     dx2 = dx * dx
+    half_dx = 0.5 * dx  # theta * (0.5 dx) is (0.5 theta) dx: halving is exact
     diffusion = _kernels.ImplicitDiffusion(x.size)
-    # edge ghosts copy the edge value
-    pad = np.empty(u.shape[1:-1] + (x.size + 2,))
+    zero = model.drift.zero
+    # the state lives inside its ghost-padded buffer; the edge ghosts copy
+    # the edge values
+    pad = np.empty((*rows, x.size + 2))
+    cur = pad[..., 1:-1]
+    cur[...] = u[0]
 
     for k in range(n_t - 1):
         s_src = t_desc[k]
         tau = max(model.horizon - s_src, dt_base)
         pcap = _p_cap(model, sup_norm, lip, tau)
-        bvals = np.asarray(model.drift(s_src, x), dtype=float)
-        babs = np.abs(bvals)
-        cur = u[k]
+        if not zero:
+            bvals = np.asarray(model.drift(s_src, x), dtype=float)
+            babs = np.abs(bvals)
         consumed = 0.0
         nsub = 0
         while consumed < dt_base:
-            pad[..., 1:-1] = cur
-            pad[..., 0] = cur[..., 0]
-            pad[..., -1] = cur[..., -1]
-            pp = (pad[..., 2:] - cur) / dx
-            pm = (cur - pad[..., :-2]) / dx
-            pc = 0.5 * (pp + pm)
+            pad[..., 0] = pad[..., 1]
+            pad[..., -1] = pad[..., -2]
+            # one-sided slopes: slope[..., 1:] is p+, slope[..., :-1] is p-
+            slope = np.subtract(pad[..., 1:], pad[..., :-1])
+            slope /= dx
+            pc = slope[..., 1:] + slope[..., :-1]
+            pc *= 0.5
             pa = np.abs(pc)
-            hit = np.any(pa > pcap, axis=-1)
-            if np.any(hit):
-                cap_active[k + 1] |= hit
-                pa = np.minimum(pa, pcap)
-            pl = np.minimum(np.maximum(np.abs(pp), np.abs(pm)), pcap)
-            theta = asig * gen.hp(asig * pl) + babs
+            if pa.max() > pcap:
+                cap_active[k + 1] |= pa.max(axis=-1) > pcap
+                np.minimum(pa, pcap, out=pa)
+            np.abs(slope, out=slope)
+            pl = np.maximum(slope[..., 1:], slope[..., :-1])
+            np.minimum(pl, pcap, out=pl)
+            pl *= asig
+            theta = asig * gen.hp(pl)
+            if not zero:
+                theta += babs
             theta_max = theta.max()
-            if not np.isfinite(theta_max):
+            if not math.isfinite(theta_max):
                 break
             rem = dt_base - consumed
             dtau = rem if theta_max == 0.0 else min(CFL_SAFETY * dx / theta_max, rem)
-            ham = gen.h(asig * pa) - pc * bvals
-            d2 = (pad[..., 2:] - 2.0 * cur + pad[..., :-2]) / dx2
-            inc = dtau * (0.5 * sig2 * d2 - ham + 0.5 * theta * dx * d2)
-            cur = cur + diffusion(inc, 0.5 * sig2 * dtau / dx2)
+            pa *= asig
+            ham = gen.h(pa)
+            if not zero:
+                ham = ham - pc * bvals
+            d2 = np.multiply(cur, 2.0)
+            np.subtract(pad[..., 2:], d2, out=d2)
+            d2 += pad[..., :-2]
+            d2 /= dx2
+            # inc = dtau (0.5 sigma^2 d2 - ham + 0.5 theta dx d2), in place
+            theta *= half_dx
+            theta *= d2
+            d2 *= 0.5 * sig2
+            d2 -= ham
+            d2 += theta
+            d2 *= dtau
+            cur += diffusion(d2, 0.5 * sig2 * dtau / dx2)
             consumed += dtau
             nsub += 1
             if nsub > MAX_SUBSTEPS:
                 raise ResolutionError(
                     f"CFL substep ceiling {MAX_SUBSTEPS} exceeded at level {k}")
-        finite = np.all(np.isfinite(cur))
+        finite = np.isfinite(cur).all()
         if not finite or consumed < dt_base:
             what = "dissipation theta" if finite else "solution"
             raise ResolutionError(

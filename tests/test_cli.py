@@ -7,7 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from superbsde import cli
 from superbsde import counterexamples as cx
 from superbsde import generators, hj_solver, terminal_data
 from superbsde.cli import (build_generator, build_grid, build_model, build_terminal,
@@ -325,6 +327,7 @@ class TestCommands:
         ("counterexample 3.1", "counterexample: {q: 2.0}", "counterexample"),
         ("counterexample 3.4", "counterexample: {K: 100}", "counterexample"),
         ("counterexample 3.3", "counterexample: {K: 400}", "counterexample"),
+        ("counterexample 3.3", "counterexample: {n: 2000}", "counterexample"),
         ("oracle", "generator: {kind: power, q: 3.0}", "generator.kind"),
         ("oracle", "generator: {kind: quadratic}\nmodel: {drift: {linear: 0.5}}",
          "model.drift"),
@@ -354,7 +357,7 @@ class TestCommands:
             "m_list_not_a_list", "m_list_inf", "dual_constants_not_numbers",
             "dual_constants_nan", "dual_constants_inf", "cx33_theta",
             "cx34_K_zero", "cx31_q", "cx34_K_overflow",
-            "cx33_K_overflow", "oracle_power",
+            "cx33_K_overflow", "cx33_n_overflow", "oracle_power",
             "oracle_drift", "t0_past_horizon", "x_lo_above_x_hi", "x_lo_alone",
             "x0_outside_domain", "default_domain_empty", "drift_not_a_number",
             "lambda_is_not_a_setting", "q_inf", "gamma_inf", "generator_nan_node",
@@ -414,6 +417,24 @@ class TestCommands:
                                              build_terminal(cfg), cfg.t0, xs)
         assert np.array_equal(vals[:, 0], xs)
         assert np.array_equal(vals[:, 1], want)
+
+
+class TestHelp:
+    def test_epilog_lists_the_defaults_yaml(self, capsys):
+        # the epilog is dumped once per process and reads the same on
+        # every call
+        sections = {k: v for k, v in cli._DEFAULTS.items() if isinstance(v, dict)}
+        want = yaml.safe_dump(sections, default_flow_style=True, sort_keys=True,
+                              width=100)
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].endswith("config defaults (YAML):\n" + want)
+        assert cli._defaults_yaml() is cli._defaults_yaml()
 
 
 class TestInProcessPasses:

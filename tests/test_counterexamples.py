@@ -108,6 +108,13 @@ class TestThm33Config:
             with pytest.raises(RangeOverflowError, match="K=400"):
                 cx.build_thm33(3.0, 2, 0.5, 0.5, 400)
 
+    @pytest.mark.parametrize("n", [1100, 2000])
+    def test_large_n_overflow_is_typed(self, n):
+        # 4^(n/(q-2)) passes the float range in Python arithmetic, which
+        # raised a bare OverflowError
+        with pytest.raises(RangeOverflowError, match=f"n={n}"):
+            cx.build_thm33(3.0, n, 0.5, 0.5, 8)
+
 
 def first_passage_scipy(cfg):
     """p_lo through scipy.stats.norm: the drifted first-passage law on the

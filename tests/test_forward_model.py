@@ -10,8 +10,8 @@ from numpy.random import Generator, Philox
 from superbsde import forward_model
 from superbsde.dual_mc import ConstantControl
 from superbsde.errors import SimulationDivergedError
-from superbsde.forward_model import (Drift, ForwardModel, LinearDrift, TanhDrift,
-                                     ZeroDrift, path_normals, simulate_paths)
+from superbsde.forward_model import (Drift, ForwardModel, LinearDrift, PathBundle,
+                                     TanhDrift, ZeroDrift, path_normals, simulate_paths)
 
 
 def model_bm(sigma=1.0, T=1.0):
@@ -255,7 +255,47 @@ class TestCompat:
             ForwardModel(Sine(), 1.0, 1.0)
 
 
+def _reference_paths_csv(bundle, path):
+    """The row-by-row writer `PathBundle.to_csv` replaced: one f-string and
+    one write per (path, step)."""
+    times = bundle.times.tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write("path,t,x,flow,dB\n")
+        for p in range(bundle.x_paths.shape[0]):
+            dbs = [0.0] + bundle.noise[p].tolist()
+            for t, x, flow, db in zip(times, bundle.x_paths[p].tolist(),
+                                      bundle.flow_paths[p].tolist(), dbs):
+                fh.write(f"{p},{t!r},{x!r},{flow!r},{db!r}\n")
+
+
 class TestExport:
+    @staticmethod
+    def _same_bytes(bundle, tmp_path):
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        bundle.to_csv(new)
+        _reference_paths_csv(bundle, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        return new.read_text()
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 40])
+    def test_csv_bytes_match_the_row_writer(self, tmp_path, n_steps):
+        model = ForwardModel(TanhDrift(0.8), 0.7, 1.0)
+        bundle = simulate_paths(model, 0.3, 0.0, 12, n_steps, seed=4)
+        text = self._same_bytes(bundle, tmp_path)
+        assert len(text.splitlines()) == 1 + 12 * (n_steps + 1)
+
+    def test_csv_bytes_with_exponents_and_signed_zeros(self, tmp_path):
+        bundle = PathBundle(times=np.array([0.0, 1e-05, 2e-05]),
+                            x_paths=np.array([[-0.0, 1e-300, -1e+16],
+                                              [0.1, -1e-05, 5e-324]]),
+                            flow_paths=np.array([[1.0, 2.5e+300, 1.0 / 3.0],
+                                                 [1.0, 0.0, -0.0]]),
+                            noise=np.array([[-0.0, 1e-07], [3e-05, -2.0 / 3.0]]),
+                            seed=0, x0=0.0, t0=0.0, dt=1e-05)
+        text = self._same_bytes(bundle, tmp_path)
+        for token in ("0,0.0,-0.0,1.0,0.0\n", "1e-05", "5e-324", "-1e+16", ",-0.0\n"):
+            assert token in text
+
     def test_csv_dump(self, tmp_path):
         bundle = simulate_paths(model_bm(), 0.0, 0.0, 3, 4, seed=10)
         path = tmp_path / "paths.csv"

@@ -7,7 +7,7 @@ import pytest
 from superbsde import hj_solver
 from superbsde._kernels import ImplicitDiffusion
 from superbsde.errors import NotGaussianError, ResolutionError
-from superbsde.forward_model import ForwardModel, LinearDrift, ZeroDrift
+from superbsde.forward_model import ForwardModel, LinearDrift, TanhDrift, ZeroDrift
 from superbsde.generators import PowerGenerator, QuadraticGenerator
 from superbsde.hj_solver import (GridSpec, cole_hopf_reference, solve,
                                  solve_regularized_family)
@@ -22,6 +22,13 @@ GRID = GridSpec(n_x=401, dt=5e-3, x_lo=-8.0, x_hi=8.0)
 # the A10 spike (slope 50)
 SPIKE = TerminalCondition.tabulated([-8.0, -0.02, 0.0, 0.02, 8.0],
                                     [0.0, 0.0, 1.0, 0.0, 0.0])
+
+
+class InfiniteSlope(PowerGenerator):
+    """A power generator whose dissipation is infinite everywhere."""
+
+    def hp(self, r):
+        return np.full_like(np.asarray(r, dtype=float), np.inf)
 
 
 class TestBasics:
@@ -91,10 +98,6 @@ class TestBasics:
     def test_non_finite_theta_raises(self):
         # a finite state whose dissipation is not: the level must not be
         # accepted unchanged with zero substeps
-        class InfiniteSlope(PowerGenerator):
-            def hp(self, r):
-                return np.full_like(np.asarray(r, dtype=float), np.inf)
-
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         with pytest.raises(ResolutionError, match=r"theta at level 1 \("):
             solve(bm_model(), InfiniteSlope(3.0), tc, GRID, 0.0)
@@ -469,3 +472,189 @@ class TestExport:
         assert np.array_equal(vals[:, 2].reshape(shape), sol.u)
         assert np.array_equal(vals[:, 3].reshape(shape), sol.z)
         assert np.array_equal(vals[:, 4].reshape(shape)[:, 0], sol.cap_active)
+
+
+_COS = TerminalCondition.analytic("cos", amplitude=0.5)
+_STEP = TerminalCondition.step(0.0, -1.0, 1.0)
+# 2001 nodes on [-5, 5] at dt 1e-2: c = 0.5 dt / dx^2 = 200, past the
+# refinement threshold of ImplicitDiffusion
+_FINE = GridSpec(n_x=2001, dt=1e-2, x_lo=-5.0, x_hi=5.0)
+# the step's central slope at the jump, 2 / (2 dx) = 50, passes the
+# first level's clamp (about 42 at tau = 5e-3)
+_CAPPED = GridSpec(n_x=801, dt=5e-3, x_lo=-8.0, x_hi=8.0)
+
+
+def _reference_solution_csv(sol, path):
+    """The row-by-row writer `PdeSolution.to_csv` replaced: one f-string
+    and one write per grid node."""
+    xs = sol.x_grid.tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write("t,x,u,z,cap_active\n")
+        for k, tk in enumerate(sol.t_grid.tolist()):
+            cap = int(sol.cap_active[k])
+            for x, u, z in zip(xs, sol.u[k].tolist(), sol.z[k].tolist()):
+                fh.write(f"{tk!r},{x!r},{u!r},{z!r},{cap}\n")
+
+
+class TestCsvBytes:
+    """`PdeSolution.to_csv` writes the bytes of the row-by-row writer (a
+    stack still raises, see `TestStackedSolve`)."""
+
+    @staticmethod
+    def _same_bytes(sol, tmp_path):
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        sol.to_csv(new)
+        _reference_solution_csv(sol, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        return new.read_text()
+
+    def test_capped_level(self, tmp_path):
+        sol = solve(bm_model(T=0.05), PowerGenerator(3.0), _STEP, _CAPPED, 0.0)
+        assert sol.cap_active.any() and not sol.cap_active.all()
+        text = self._same_bytes(sol, tmp_path)
+        assert text.count(",1\n") == sol.cap_active.sum() * sol.x_grid.size
+
+    def test_exponents_and_signed_zeros(self, tmp_path):
+        # reprs with an exponent, a negative zero and full-length mantissas
+        x = np.array([-1e-05, -0.0, 0.0, 1e-05, 2.5e+300, 1.0 / 3.0])
+        t = np.array([1e-05, 5e-06, 0.0])
+        u = np.array([[-0.0, 1e-300, -1e-05, 0.1, 1e+16, np.pi],
+                      [0.0, -0.0, 5e-324, -2.0 / 3.0, 1e22, -1e-07],
+                      [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+        sol = hj_solver.PdeSolution(x_grid=x, t_grid=t, u=u,
+                                    cap_active=np.array([False, True, False]),
+                                    substeps=np.ones(3, dtype=np.int64),
+                                    model=bm_model(), tc=None)
+        sol.z = -u[::-1]
+        text = self._same_bytes(sol, tmp_path)
+        for token in ("1e-05,-0.0,", "5e-324", "1e+16", "2.5e+300", ",-0.0,0.0,1\n"):
+            assert token in text
+
+
+def _reference_solve(model, gen, tc, grid, t0):
+    """The substep loop as it was before the state moved into its padded
+    buffer: fresh arrays for every slope, two abs passes, np.any cap
+    tests and the drift terms evaluated even for a zero drift.  It returns
+    (u, cap_active, substeps) to compare bit for bit."""
+    x, t_desc = hj_solver._grid_arrays(model, grid, t0)
+    dx = float(x[1] - x[0])
+    dt_base = float(t_desc[0] - t_desc[1])
+    stacked = isinstance(tc, (list, tuple))
+    stack = tuple(tc) if stacked else (tc,)
+    sup_norm = max(phi.sup_norm for phi in stack)
+    lips = [phi.lipschitz for phi in stack]
+    lip = None if None in lips else max(lips)
+
+    n_t = t_desc.size
+    rows = (len(stack),) if stacked else ()
+    u = np.empty((n_t, *rows, x.size))
+    cap_active = np.zeros((n_t, *rows), dtype=bool)
+    substeps = np.zeros((n_t, *rows), dtype=np.int64)
+    u[0] = np.reshape([np.asarray(phi(x), dtype=float) for phi in stack], u.shape[1:])
+
+    sig2 = model.sigma * model.sigma
+    asig = abs(model.sigma)
+    dx2 = dx * dx
+    diffusion = ImplicitDiffusion(x.size)
+    pad = np.empty(u.shape[1:-1] + (x.size + 2,))
+
+    for k in range(n_t - 1):
+        s_src = t_desc[k]
+        tau = max(model.horizon - s_src, dt_base)
+        pcap = hj_solver._p_cap(model, sup_norm, lip, tau)
+        bvals = np.asarray(model.drift(s_src, x), dtype=float)
+        babs = np.abs(bvals)
+        cur = u[k]
+        consumed = 0.0
+        nsub = 0
+        while consumed < dt_base:
+            pad[..., 1:-1] = cur
+            pad[..., 0] = cur[..., 0]
+            pad[..., -1] = cur[..., -1]
+            pp = (pad[..., 2:] - cur) / dx
+            pm = (cur - pad[..., :-2]) / dx
+            pc = 0.5 * (pp + pm)
+            pa = np.abs(pc)
+            hit = np.any(pa > pcap, axis=-1)
+            if np.any(hit):
+                cap_active[k + 1] |= hit
+                pa = np.minimum(pa, pcap)
+            pl = np.minimum(np.maximum(np.abs(pp), np.abs(pm)), pcap)
+            theta = asig * gen.hp(asig * pl) + babs
+            theta_max = theta.max()
+            if not np.isfinite(theta_max):
+                break
+            rem = dt_base - consumed
+            dtau = rem if theta_max == 0.0 else min(hj_solver.CFL_SAFETY * dx / theta_max, rem)
+            ham = gen.h(asig * pa) - pc * bvals
+            d2 = (pad[..., 2:] - 2.0 * cur + pad[..., :-2]) / dx2
+            inc = dtau * (0.5 * sig2 * d2 - ham + 0.5 * theta * dx * d2)
+            cur = cur + diffusion(inc, 0.5 * sig2 * dtau / dx2)
+            consumed += dtau
+            nsub += 1
+            if nsub > hj_solver.MAX_SUBSTEPS:
+                raise ResolutionError(
+                    f"CFL substep ceiling {hj_solver.MAX_SUBSTEPS} exceeded at level {k}")
+        finite = np.all(np.isfinite(cur))
+        if not finite or consumed < dt_base:
+            what = "dissipation theta" if finite else "solution"
+            raise ResolutionError(
+                f"non-finite {what} at level {k + 1} (t = {t_desc[k + 1]:.6g})")
+        u[k + 1] = cur
+        substeps[k + 1] = nsub
+    return u, cap_active, substeps
+
+
+class TestSubstepBits:
+    """`solve` gives the floats of the reference loop bit for bit."""
+
+    @pytest.mark.parametrize("model, gen, tc, grid", [
+        (bm_model(), PowerGenerator(3.0), _COS, GRID),
+        (bm_model(), QuadraticGenerator(0.5),
+         TerminalCondition.analytic("inv_quad", amplitude=1.0), GRID),
+        (ForwardModel(LinearDrift(-0.7), 0.8, 1.0), PowerGenerator(3.0), _COS, GRID),
+        (ForwardModel(TanhDrift(1.3), 1.2, 1.0), PowerGenerator(4.0), _STEP, GRID),
+        (bm_model(), PowerGenerator(3.0), [_COS, _STEP, SPIKE], _CAPPED),
+        (ForwardModel(TanhDrift(0.5), 1.0, 1.0), PowerGenerator(3.0), [SPIKE, _COS], GRID),
+        (bm_model(), PowerGenerator(3.0), _STEP, _CAPPED),
+        (bm_model(T=0.1), PowerGenerator(3.0), _COS, _FINE),
+    ], ids=["zero_drift", "quadratic", "linear_drift", "tanh_drift_step", "stack",
+            "stack_tanh_drift", "capped_cfl_limited", "refinement_sweep"])
+    def test_matches_reference_loop(self, model, gen, tc, grid):
+        sol = solve(model, gen, tc, grid, 0.0)
+        u, cap_active, substeps = _reference_solve(model, gen, tc, grid, 0.0)
+        assert np.array_equal(_bits(sol.u), _bits(u))
+        assert np.array_equal(sol.cap_active, cap_active)
+        assert np.array_equal(sol.substeps, substeps)
+
+    def test_cases_reach_their_branches(self):
+        # the capped case caps a level and rebuilds the diffusion factor
+        # on CFL-limited levels; the fine grid refines every solve
+        sol = solve(bm_model(), PowerGenerator(3.0), _STEP, _CAPPED, 0.0)
+        assert sol.cap_active.any()
+        assert sol.substeps.max() > 1
+        stack = solve(bm_model(), PowerGenerator(3.0), [_COS, _STEP], _CAPPED, 0.0)
+        assert stack.cap_active[:, 1].any() and not stack.cap_active[:, 0].any()
+        dx = (_FINE.x_hi - _FINE.x_lo) / (_FINE.n_x - 1)
+        assert 0.5 * _FINE.dt / dx ** 2 > ImplicitDiffusion._REFINE_ABOVE
+
+    @pytest.mark.parametrize("gen, tc, settings, match", [
+        (InfiniteSlope(3.0), _COS, {}, r"non-finite dissipation theta at level 1 \("),
+        (PowerGenerator(3.0), _STEP, {"CFL_SAFETY": 2.0}, r"non-finite solution at level \d+ \("),
+        (PowerGenerator(3.0), _STEP, {"MAX_SUBSTEPS": 1},
+         r"CFL substep ceiling 1 exceeded at level 0$"),
+        # one-sided slopes of 2.5e308 overflow; the reference's pc * 0 made
+        # them NaN, and a zero drift's skipped terms leave the level failing
+        (PowerGenerator(3.0), "overflow", {}, r"at level 1 \("),
+    ], ids=["theta", "state", "ceiling", "overflowed_slopes"])
+    def test_failures_name_the_same_level(self, monkeypatch, gen, tc, settings, match):
+        for name, value in settings.items():
+            monkeypatch.setattr(hj_solver, name, value)
+        with np.errstate(all="ignore"):
+            if tc == "overflow":
+                tc = TerminalCondition.tabulated([-0.04, 0.04], [-1e307, 1e307])
+            with pytest.raises(ResolutionError, match=match) as new:
+                solve(bm_model(), gen, tc, GRID, 0.0)
+            with pytest.raises(ResolutionError) as ref:
+                _reference_solve(bm_model(), gen, tc, GRID, 0.0)
+        assert str(new.value) == str(ref.value)
