@@ -17,6 +17,8 @@ elementwise along the paths, which is why results do not depend on the
 block size.
 """
 
+import math
+
 import numpy as np
 
 # numba is not a dependency; perfbench/run.py reports this in its machine facts
@@ -40,9 +42,21 @@ class ImplicitDiffusion:
     has no loop over cells.  Both substitutions are first-order
     recurrences with the same multipliers beta_j = c / d_j, solved by
     Hillis-Steele doubling scans in log2(n) vectorized sweeps: cost does
-    not depend on the prime factors of n, and rows stack along leading
-    axes.  The scan multipliers are cached for the last c, which changes
-    only on substeps where the CFL bound, not the base step, is the limit.
+    not depend on the prime factors of n.
+
+    A stack of rows (any leading axes) is laid end to end on one
+    contiguous axis, and each scan level is one 1-D update of it, so a
+    stack costs about what one row of the same total length does.  The
+    level multipliers w_flat repeat the row's w with zeros where a step
+    would cross a row boundary; those products are then replaced by
+    -0.0, the one addend that leaves every float unchanged, so each row
+    comes out bit for bit as if solved alone, signed zeros included, and
+    a non-finite entry does not reach another row.  One row is the
+    rows = 1 case, whose w_flat is w itself.  The multipliers are cached
+    for the last c, which changes only on substeps where the CFL bound,
+    not the base step, is the limit; the flat ones are built on first
+    use for each row count.  An instance keeps its scan buffers, so it
+    serves one caller at a time.
     """
 
     # scan multipliers below this add less than rounding to any entry
@@ -73,16 +87,51 @@ class ImplicitDiffusion:
             if w.size == 0 or w.max() < self._NEGLIGIBLE:
                 break
             shift *= 2
-        self._c, self._inv_d, self._levels = c, 1.0 / d, levels
+        self._c, self._levels = c, levels
+        self._inv_d = 1.0 / d
+        self._plans = {}
+
+    def _plan(self, rows):
+        """The scan of `rows` rows laid end to end: a work buffer, inv_d
+        repeated per row, and the forward and backward levels.  A level
+        holds w_flat, fixed source, target and product views of the
+        buffers, and the product entries whose step crosses a row
+        boundary (None for one row)."""
+        plan = self._plans.get(rows)
+        if plan is None:
+            n = self.n
+            work = np.empty(rows * n)
+            prod = np.empty(rows * n)
+            cross = None
+            forward, backward = [], []
+            for shift, w in self._levels:
+                if rows > 1:
+                    w_flat = np.zeros(rows * n)
+                    w_flat.reshape(rows, n)[:, :n - shift] = w
+                    w = w_flat[:-shift]
+                    cross = prod.reshape(rows, n)[:-1, n - shift:]
+                forward.append((w, work[:-shift], work[shift:], prod[:-shift], cross))
+                backward.append((w, work[shift:], work[:-shift], prod[:-shift], cross))
+            plan = (work, np.tile(self._inv_d, rows), forward, backward)
+            self._plans[rows] = plan
+        return plan
+
+    @staticmethod
+    def _scan(levels):
+        for w, src, dst, prod, cross in levels:
+            np.multiply(w, src, out=prod)
+            if cross is not None:
+                cross[...] = -0.0
+            np.add(dst, prod, out=dst)
 
     def _sweep(self, rhs):
-        y = np.array(rhs, dtype=float)
-        for shift, w in self._levels:
-            y[..., shift:] += w * y[..., :-shift]
-        y *= self._inv_d
-        for shift, w in self._levels:
-            y[..., :-shift] += w * y[..., shift:]
-        return y
+        shape = np.shape(rhs)
+        work, inv_d, forward, backward = self._plan(math.prod(shape) // self.n)
+        work.reshape(shape)[...] = rhs
+        self._scan(forward)
+        work *= inv_d
+        self._scan(backward)
+        return work.reshape(shape).copy()
 
     def _apply(self, x, c):
         d2 = np.empty_like(x)

@@ -11,6 +11,15 @@ are the canonical m-Lipschitz squeezes used by the solver's
 approximation ladders; for L-Lipschitz Phi the uniform gap
 sup (Phi - lower_m) is certified by 2||Phi|| L / m.
 
+Data that are linear between their knots and constant beyond them
+(tabulated data, and their negations and shifts) are convolved exactly:
+p -> phi(p) + m|p - u| is then piecewise linear with corners only at the
+knots and at u, so its minimum is one of those candidates.  Any other
+data go through a sampling scan (`_scan_inf`) over a window around u,
+which also takes the knots, kinks and jump sides as candidates; it runs
+over chunks of _SCAN_CHUNK points of u, so its temporaries stay near
+2 MB however many points are asked for.
+
 Immutable after construction; concurrent reads are safe.
 """
 
@@ -24,6 +33,8 @@ _KINDS = ("const", "cos", "inv_quad", "tanh")
 # the first
 _SCAN_POINTS = 257
 _SCAN_REFINEMENTS = 3
+# points of u per scan chunk: a (chunk, _SCAN_POINTS) temporary is ~2 MB
+_SCAN_CHUNK = 1024
 
 
 class TerminalCondition:
@@ -31,14 +42,18 @@ class TerminalCondition:
     (None when fn is not Lipschitz) and its kinks and jumps `crit`: the
     abscissae the convolution scan must always sample, since basins at
     discontinuities can be narrower than any grid.  sup_norm defaults to
-    max(|lo|, |hi|)."""
+    max(|lo|, |hi|).  piecewise_linear says that fn is linear between
+    consecutive crit points and constant beyond them, so its
+    convolutions need only those points and no scan."""
 
-    def __init__(self, fn, lo, hi, lipschitz=None, crit=(), sup_norm=None):
+    def __init__(self, fn, lo, hi, lipschitz=None, crit=(), sup_norm=None,
+                 piecewise_linear=False):
         self.fn = fn
         self.lo = float(lo)
         self.hi = float(hi)
         self.lipschitz = float(lipschitz) if lipschitz is not None else None
         self.crit = tuple(crit)
+        self.piecewise_linear = bool(piecewise_linear)
         self.sup_norm = (float(sup_norm) if sup_norm is not None
                          else max(abs(self.lo), abs(self.hi)))
 
@@ -76,7 +91,7 @@ class TerminalCondition:
             raise ValueError("abscissae must be strictly increasing")
         return cls(lambda x: np.interp(x, xs, phis), phis.min(), phis.max(),
                    lipschitz=np.max(np.abs(np.diff(phis) / np.diff(xs))),
-                   crit=xs.tolist())
+                   crit=xs.tolist(), piecewise_linear=True)
 
     @classmethod
     def from_csv(cls, path):
@@ -103,12 +118,14 @@ class TerminalCondition:
     def shifted(self, a):
         """The condition phi + a (translation tests); same critical points."""
         return TerminalCondition(lambda x: self.fn(x) + a, self.lo + a, self.hi + a,
-                                 self.lipschitz, self.crit)
+                                 self.lipschitz, self.crit,
+                                 piecewise_linear=self.piecewise_linear)
 
     def negated(self):
         """The condition -phi; same sup-norm and critical points."""
         return TerminalCondition(lambda x: -self.fn(x), -self.hi, -self.lo,
-                                 self.lipschitz, self.crit, sup_norm=self.sup_norm)
+                                 self.lipschitz, self.crit, sup_norm=self.sup_norm,
+                                 piecewise_linear=self.piecewise_linear)
 
     def inf_convolved(self, m):
         """Lower m-Lipschitz regularization as a new condition; a
@@ -130,30 +147,60 @@ def _scan_inf(phi, m, u, window, crit=()):
     Coarse scan (p = u always sampled) plus local refinements around the
     running argmin, plus the profile's critical points as explicit
     candidates: jump basins are narrower than any grid, so sampling the
-    jump sides directly is what makes step/tabulated profiles exact.
-    Smooth profiles are resolved to ~1e-6 * window by the refinements.
+    jump sides directly is what makes step profiles exact.  Smooth
+    profiles are resolved to ~1e-6 * window by the refinements.  Every
+    point of u is independent, so the chunks of _SCAN_CHUNK points give
+    the bits of one pass over all of u.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
+    best = np.empty(u.shape)
+    for start in range(0, u.size, _SCAN_CHUNK):
+        stop = start + _SCAN_CHUNK
+        best[start:stop] = _grid_inf(phi, m, u[start:stop], window)
+    return _crit_inf(phi, m, u, best, crit)
+
+
+def _grid_inf(phi, m, u, window):
+    """The sampled part of `_scan_inf` for one chunk of u."""
     offsets = np.linspace(-window, window, _SCAN_POINTS)
     best_val = np.full(u.shape, np.inf)
     best_p = u.copy()
     center = u.copy()
     half = window
+    rows = np.arange(u.size)
     for _ in range(_SCAN_REFINEMENTS + 1):
         p = center[:, None] + offsets[None, :] * (half / window)
         vals = phi(p) + m * np.abs(p - u[:, None])
         idx = np.argmin(vals, axis=1)
-        rows = np.arange(u.size)
         cand = vals[rows, idx]
         take = cand < best_val
         best_val = np.where(take, cand, best_val)
         best_p = np.where(take, p[rows, idx], best_p)
         center = best_p
         half = half * (2.0 / (_SCAN_POINTS - 1)) * 2.0
+    return best_val
+
+
+def _crit_inf(phi, m, u, best_val, crit):
+    """best_val lowered to phi(c) + m|c - u| for every critical point c."""
     for c in crit:
         cand = float(phi(np.asarray(c, dtype=float))) + m * np.abs(c - u)
         best_val = np.minimum(best_val, cand)
     return best_val
+
+
+def _knot_inf(phi, m, u, knots):
+    """min_p phi(p) + m|p - u| over p in {u} and the knots: the exact
+    inf-convolution of data linear between the knots and constant beyond
+    them.  Each candidate is the scan's own expression for that p (its
+    first pass samples p = u + 0.0), so the result has `_scan_inf`'s bits
+    without its (points, _SCAN_POINTS) grids.  The one exception is an m
+    equal to a segment's slope: p -> phi(p) + m|p - u| is then flat on
+    that segment, and the scan may read a grid point there that rounds
+    a few ulps below every candidate."""
+    u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
+    p = u + 0.0
+    return _crit_inf(phi, m, u, phi(p) + m * np.abs(p - u), knots)
 
 
 def _check_m(m):
@@ -166,16 +213,22 @@ def _check_m(m):
 def inf_convolution(tc, m, u):
     """Phi_m(u) = inf_p { Phi(p) + m|p-u| }; m = 0 gives the global infimum.
 
-    The scan window u +- (2||Phi||/m + 1) is exact: outside it the penalty
-    exceeds the largest possible payoff gain 2||Phi||.
+    Piecewise-linear data take the exact knot candidates (`_knot_inf`);
+    any other data are scanned over the window u +- (2||Phi||/m + 1),
+    which is exact: outside it the penalty exceeds the largest possible
+    payoff gain 2||Phi||.
     """
     m = _check_m(m)
     shape = np.shape(u)
     if m == 0.0:
         out = np.full(shape or (1,), tc.lo)
         return float(out.flat[0]) if not shape else out
-    window = 2.0 * tc.sup_norm / m + 1.0
-    out = _scan_inf(tc.fn, m, u, window, crit=tc.crit).reshape(shape or (1,))
+    if tc.piecewise_linear:
+        out = _knot_inf(tc.fn, m, u, tc.crit)
+    else:
+        window = 2.0 * tc.sup_norm / m + 1.0
+        out = _scan_inf(tc.fn, m, u, window, crit=tc.crit)
+    out = out.reshape(shape or (1,))
     return float(out.flat[0]) if not shape else out
 
 

@@ -140,6 +140,79 @@ class TestImplicitDiffusion:
         ImplicitDiffusion(64)(rhs, 5.0)
         assert np.array_equal(rhs, keep)
 
+    # c on both sides of ImplicitDiffusion._REFINE_ABOVE = 100
+    STACK_CS = (0.158, 2.5, 200.0, 1e4)
+
+    @pytest.mark.parametrize("rows", [1, 4, 9])
+    @pytest.mark.parametrize("c", STACK_CS)
+    def test_stack_equals_rows_bit_for_bit(self, rows, c):
+        n = 801
+        rhs = _signed_zero_stack(rows, n)
+        solver = ImplicitDiffusion(n)
+        assert _same_bits(solver(rhs, c), [ImplicitDiffusion(n)(row, c) for row in rhs])
+        # one instance alternating stack and row calls, and the bare sweep
+        assert _same_bits(solver._sweep(rhs), [solver._sweep(row) for row in rhs])
+        assert _same_bits(solver(rhs, c), [solver(row, c) for row in rhs])
+
+    @pytest.mark.parametrize("c", STACK_CS)
+    def test_non_finite_row_stays_in_its_row(self, c):
+        n = 801
+        rhs = _signed_zero_stack(4, n)
+        rhs[2, 400] = np.inf
+        with np.errstate(all="ignore"):
+            whole = ImplicitDiffusion(n)(rhs, c)
+        keep = [0, 1, 3]
+        assert _same_bits(whole[keep], [ImplicitDiffusion(n)(rhs[i], c) for i in keep])
+
+    @pytest.mark.parametrize("fill", [0.0, 0.5], ids=["zero_padded", "not_zeroed"])
+    def test_row_boundary_products_kept_fail(self, monkeypatch, fill):
+        """Defect: w_flat padded with `fill` across row boundaries and the
+        products there kept instead of replaced by -0.0.  Zero padding
+        alone turns the -0.0 row behind a positive row into +0.0."""
+        real = ImplicitDiffusion._plan
+
+        def leaky(self, rows):
+            work, inv_d, forward, backward = real(self, rows)
+            n = self.n
+            ws = []
+            for shift, w in self._levels:
+                w_flat = np.full(rows * n, fill)
+                w_flat.reshape(rows, n)[:, :n - shift] = w
+                ws.append(w_flat[:-shift])
+            return (work, inv_d,
+                    [(w, *views[1:4], None) for w, views in zip(ws, forward)],
+                    [(w, *views[1:4], None) for w, views in zip(ws, backward)])
+
+        monkeypatch.setattr(ImplicitDiffusion, "_plan", leaky)
+        n = 801
+        rhs = _signed_zero_stack(4, n)
+        assert not _same_bits(ImplicitDiffusion(n)(rhs, 2.5),
+                              [ImplicitDiffusion(n)(row, 2.5) for row in rhs])
+
+
+def _signed_zero_stack(rows, n):
+    """Seeded rows; from four rows on, a positive row is followed by a
+    -0.0 row, an all +0.0 row and a row of mixed signed zeros, and from
+    nine rows on, a row ending in -0.0 precedes a positive row."""
+    rng = np.random.default_rng(rows)
+    rhs = rng.standard_normal((rows, n))
+    if rows >= 4:
+        rhs[0] = np.abs(rhs[0])
+        rhs[1] = -0.0
+        rhs[2] = 0.0
+        rhs[3] = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+    if rows >= 9:
+        rhs[5, :50] = -0.0
+        rhs[6, -50:] = -0.0
+        rhs[7] = np.abs(rhs[7])
+    return rhs
+
+
+def _same_bits(a, rows):
+    """a equals the stacked rows bit for bit, signed zeros included."""
+    b = np.asarray(rows, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
 
 class TestColeHopf:
     def test_constant(self):

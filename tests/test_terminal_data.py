@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from superbsde import terminal_data
 from superbsde.errors import NoModulusError
+from superbsde.forward_model import ForwardModel, ZeroDrift
+from superbsde.generators import PowerGenerator
+from superbsde.hj_solver import GridSpec, solve_regularized_family
 from superbsde.terminal_data import (TerminalCondition, inf_convolution,
                                      uniform_gap_bound)
+
+# the A10 spike (slope 50)
+SPIKE = TerminalCondition.tabulated([-8.0, -0.02, 0.0, 0.02, 8.0],
+                                    [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 def grid_inf_conv(tc, m, u, lo=-2.0, hi=2.0, step=1e-5):
@@ -199,3 +207,139 @@ class TestDerivedConditions:
         tc = TerminalCondition.from_csv(path)
         assert tc(0.5) == pytest.approx(0.5)
         assert tc.sup_norm == 1.0
+
+
+def _scan(tc, m, u):
+    """The sampling scan on any data, at inf_convolution's window."""
+    return terminal_data._scan_inf(tc.fn, m, u, 2.0 * tc.sup_norm / m + 1.0, crit=tc.crit)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _random_table(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-5.0, 5.0, rng.integers(2, 30)))
+    return TerminalCondition.tabulated(xs, rng.uniform(-2.0, 2.0, xs.size)
+                                       * rng.choice([0.01, 1.0, 10.0]))
+
+
+# grids of 801 and 321 nodes on [-8, 8], random points and both signed zeros
+KNOT_US = np.concatenate([np.linspace(-8.0, 8.0, 801), np.linspace(-8.0, 8.0, 321),
+                          np.random.default_rng(9).uniform(-9.0, 9.0, 300), [-0.0, 0.0]])
+
+
+class TestKnotPath:
+    def test_flag(self, tmp_path):
+        tab = TerminalCondition.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        path = tmp_path / "phi.csv"
+        path.write_text("x,phi\n-1,0.0\n0,1.0\n1,0.0\n")
+        for tc in (tab, tab.negated(), tab.shifted(0.3), tab.negated().shifted(-1.0),
+                   TerminalCondition.from_csv(path)):
+            assert tc.piecewise_linear
+        derived = [tab.inf_convolved(4.0), tab.sup_convolved(4.0),
+                   TerminalCondition.step(0.0, 0.0, 1.0)]
+        analytic = [TerminalCondition.analytic(k) for k in ("const", "cos", "inv_quad", "tanh")]
+        for tc in derived + analytic:
+            assert not tc.piecewise_linear
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_scan_bit_for_bit(self, seed):
+        tc = SPIKE if seed == 0 else _random_table(seed)
+        lip = tc.lipschitz
+        # below and above the table's Lipschitz constant, never equal to a
+        # segment slope (see test_flat_piece_differs_by_rounding_only)
+        for m in (0.3 * lip, 0.9 * lip, 1.1 * lip, 4.0 * lip, 0.5, 2.0, 16.0, 100.0):
+            assert np.array_equal(_bits(inf_convolution(tc, m, KNOT_US)),
+                                  _bits(_scan(tc, m, KNOT_US)))
+            neg = tc.negated()
+            assert np.array_equal(_bits(tc.sup_convolved(m)(KNOT_US)),
+                                  _bits(-_scan(neg, m, KNOT_US)))
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_flat_piece_differs_by_rounding_only(self, seed):
+        """m equal to a segment's slope makes phi(p) + m|p - u| flat on
+        it; the scan can then read a grid point a few ulps below every
+        knot candidate, never above (it holds them all)."""
+        tc = _random_table(seed)
+        xs = np.asarray(tc.crit)
+        slopes = np.abs(np.diff(np.asarray(tc(xs))) / np.diff(xs))
+        for side in (tc, tc.negated()):
+            for m in np.sort(slopes)[-3:]:
+                knot = inf_convolution(side, m, KNOT_US)
+                scan = _scan(side, m, KNOT_US)
+                assert np.all(scan <= knot)
+                assert np.max(knot - scan) <= 64.0 * np.finfo(float).eps * side.sup_norm
+
+    @pytest.mark.parametrize("drop", [-0.02, 0.0, 0.02])
+    def test_dropped_interior_knot_is_caught(self, drop):
+        """Defect: one interior knot missing from the candidates."""
+        crit = [c for c in SPIKE.crit if c != drop]
+        holed = TerminalCondition(SPIKE.fn, SPIKE.lo, SPIKE.hi, SPIKE.lipschitz, crit,
+                                  piecewise_linear=True)
+        misses = [not np.array_equal(_bits(conv(m)(KNOT_US)), _bits(ref(m)(KNOT_US)))
+                  for m in (2.0, 16.0)
+                  for conv, ref in ((holed.inf_convolved, SPIKE.inf_convolved),
+                                    (holed.sup_convolved, SPIKE.sup_convolved))]
+        assert any(misses)
+
+    def test_spike_ladder_never_scans(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tabulated data reached the sampling scan")
+
+        monkeypatch.setattr(terminal_data, "_scan_inf", refuse)
+        model = ForwardModel(ZeroDrift(), 1.0, 1.0)
+        grid = GridSpec(n_x=201, dt=5e-2, x_lo=-8.0, x_hi=8.0)
+        for side in ("lower", "upper"):
+            ladder = solve_regularized_family(model, PowerGenerator(3.0), SPIKE,
+                                              [2.0, 4.0, 8.0, 16.0], side, grid, 0.0)
+            assert len(ladder) == 4
+
+
+class TestScan:
+    @pytest.mark.parametrize("tc", [TerminalCondition.analytic("cos", amplitude=0.8, frequency=1.7),
+                                    TerminalCondition.step(0.3, -0.5, 0.5),
+                                    SPIKE.inf_convolved(8.0)],
+                             ids=["cos", "step", "nested"])
+    def test_chunks_give_one_pass_bits(self, monkeypatch, tc):
+        us = np.random.default_rng(4).uniform(-3.0, 3.0, 40)
+        whole = inf_convolution(tc, 3.0, us)
+        monkeypatch.setattr(terminal_data, "_SCAN_CHUNK", 7)
+        assert np.array_equal(_bits(inf_convolution(tc, 3.0, us)), _bits(whole))
+
+    # sup |phi''| of each analytic profile at amplitude a and frequency f
+    CURVATURE = {"cos": lambda a, f: a * f * f,
+                 "tanh": lambda a, f: a * f * f * 4.0 / (3.0 * np.sqrt(3.0)),
+                 "inv_quad": lambda a, f: 2.0 * a}
+
+    @classmethod
+    def worst_excess(cls):
+        """max over profiles, m and u of (scan - dense) / tol, where dense
+        is a 100001-point brute-force minimum over the scan window and
+        tol the value error of an argmin resolved to 1e-6 * window at the
+        profile's curvature; also checks that the scan never undercuts
+        the brute force by more than that grid's own Lipschitz error."""
+        worst = 0.0
+        us = np.linspace(-3.0, 3.0, 13) + 0.013
+        for kind, curv in cls.CURVATURE.items():
+            for amp, freq in ((0.8, 1.7), (1.0, 1.0), (2.0, 0.4)):
+                tc = TerminalCondition.analytic(kind, amplitude=amp, frequency=freq)
+                for m in (0.2, 0.7, 1.5, 4.0, 20.0):
+                    window = 2.0 * tc.sup_norm / m + 1.0
+                    tol = 0.5 * curv(amp, freq) * (1e-6 * window) ** 2
+                    grid_err = (tc.lipschitz + m) * window / 1e5
+                    scan = inf_convolution(tc, m, us)
+                    for u, got in zip(us, scan):
+                        p = u + np.linspace(-window, window, 100001)
+                        dense = np.min(np.asarray(tc(p)) + m * np.abs(p - u))
+                        assert got >= dense - grid_err
+                        worst = max(worst, (got - dense) / tol)
+        return worst
+
+    def test_smooth_profiles_resolved_to_claim(self):
+        assert self.worst_excess() <= 1.0
+
+    def test_one_refinement_misses_claim(self, monkeypatch):
+        monkeypatch.setattr(terminal_data, "_SCAN_REFINEMENTS", 1)
+        assert self.worst_excess() > 1.0
