@@ -9,7 +9,7 @@ Python callables, so every drift and control kind runs the same code.
 
 ``em_paths`` is the package's one Euler loop.  It reads a control by step
 index k, not by (t_k, x): ``simulate_paths`` hands it the control's
-pointwise ``rate`` and asks for the stored x/flow knots; the dual Monte
+pointwise ``rate`` and asks for the stored x knots; the dual Monte
 Carlo pass hands it each control's knot plan (``dual_mc``), stores no
 knots and has it accumulate the penalty in the step itself, so that pass
 holds only X_T and the per-path penalty of a block of paths.  The loop is
@@ -155,7 +155,7 @@ class ImplicitDiffusion:
 # Euler-Maruyama path loop (optionally Girsanov-tilted)
 # ---------------------------------------------------------------------------
 
-def em_paths(x0, t0, dt, dw, sigma, drift, drift_x=None, control=None):
+def em_paths(x0, t0, dt, dw, sigma, drift, store=False, control=None):
     """Euler-Maruyama over step-major increments dw of shape (n_steps, n_paths).
 
     Step k reads t_k = t0 + k dt and the state X_k once.  With a control,
@@ -165,40 +165,29 @@ def em_paths(x0, t0, dt, dw, sigma, drift, drift_x=None, control=None):
     sum_k c_k dt.  q and c are arrays over the paths or scalars.  drift is
     a forward_model.Drift; one flagged `zero` is not evaluated, b = 0.0
     enters the same expressions, and every float is the one its zero
-    arrays would give.  drift, drift_x and control are vectorized Python
-    callables.
+    arrays would give.  drift and control are vectorized Python callables.
 
-    Passing drift_x asks for the knots: x and the exact exponential
-    variational flow prod exp(b_x dt), path-major (n_paths, n_steps + 1).
+    store=True asks for the x knots, path-major (n_paths, n_steps + 1).
     Without it only the current state is held, so memory does not grow with
     n_steps.  Every operation is elementwise along the paths, so a path's
     numbers do not depend on which other paths share the call.
 
     Returns (x_end, running, knots, diverged_step): the state where the loop
-    stopped, the running cost (None without a control), (x, flow) or None,
-    and the first step k whose new state X_{k+1} is non-finite (-1 if
+    stopped, the running cost (None without a control), the x knots or
+    None, and the first step k whose new state X_{k+1} is non-finite (-1 if
     none).  A diverged run stops at that step."""
     n_steps, n_paths = dw.shape
     xc = np.full(n_paths, float(x0))
     running = None if control is None else np.zeros(n_paths)
     knots = None
-    if drift_x is not None:
-        x = np.empty((n_paths, n_steps + 1))
-        flow = np.empty((n_paths, n_steps + 1))
-        x[:, 0] = x0
-        flow[:, 0] = 1.0
-        fc = np.ones(n_paths)
-        knots = (x, flow)
+    if store:
+        knots = np.empty((n_paths, n_steps + 1))
+        knots[:, 0] = x0
     zero = drift.zero
-    b = bx = 0.0
+    b = 0.0
     for k in range(n_steps):
-        t = t0 + k * dt
         if not zero:
-            b = drift(t, xc)
-        if knots is not None:
-            if not zero:
-                bx = drift_x(t, xc)
-            fc = fc * np.exp(bx * dt)
+            b = drift(t0 + k * dt, xc)
         if control is None:
             xc = xc + b * dt + sigma * dw[k]
         else:
@@ -208,9 +197,8 @@ def em_paths(x0, t0, dt, dw, sigma, drift, drift_x=None, control=None):
                 running += c * dt
         if not np.isfinite(xc).all():
             return xc, running, knots, k
-        if knots is not None:
-            x[:, k + 1] = xc
-            flow[:, k + 1] = fc
+        if store:
+            knots[:, k + 1] = xc
     return xc, running, knots, -1
 
 

@@ -186,6 +186,9 @@ def _check_config(cfg):
     if not 0.0 <= cfg.dual["scheme_tol"] < np.inf:
         raise ConfigError("dual.scheme_tol",
                           f"must be finite and >= 0, got {cfg.dual['scheme_tol']}")
+    if not 0.0 < cfg.counterexample["T"] < np.inf:
+        raise ConfigError("counterexample.T",
+                          f"must be finite and > 0, got {cfg.counterexample['T']}")
 
 
 def _built(where, build, *args):
@@ -386,9 +389,16 @@ def _run_dual(cfg, inp, out):
                                   r.attainment_gap,
                                   3.0 * r.std_error + report.scheme_tol,
                                   r.attainment_within_tol, hard=False))
-    rng = (f"rng: per-path Philox keys (seed << 64) + (salt << 48) + p; the "
-           f"{len(report.rows)} controls share salt 0 of seed {cfg.mc['seed']}")
-    return rows, [f"u(t0, x0) = {report.u0!r}", rng]
+    sampled = [r.control_kind for r in report.rows if r.method == "monte_carlo"]
+    exact = [r.control_kind for r in report.rows if r.method == "quadrature"]
+    extra = [f"u(t0, x0) = {report.u0!r}",
+             f"rng: per-path Philox keys (seed << 64) + (salt << 48) + p; the "
+             f"sampled rows ({', '.join(sampled)}) read salt 0 of seed "
+             f"{cfg.mc['seed']}"]
+    if exact:
+        extra.append(f"quadrature rows ({', '.join(exact)}): Gauss-Hermite "
+                     "expectation of the Gaussian Euler X_T, no paths")
+    return rows, extra
 
 
 def _run_checks(cfg, inp, out):

@@ -1,4 +1,4 @@
-"""Penalty-representation Monte Carlo: E_Q[Phi(X_T) + int f(q) du] for
+"""Penalty-representation dual values: E_Q[Phi(X_T) + int f(q) du] for
 parametric drift controls, the PDE-induced feedback control q* = g'(Z),
 and the duality-gap report.
 
@@ -13,26 +13,38 @@ only on (seed, p), so the results do not depend on the block size.
 
 The time grid of a pass is fixed, so before its Euler loop each control
 becomes a knot plan (`ControlProcess.knots`): step(k, x) -> (q_k, f(q_k))
-at knot t0 + k dt.  The constant and piecewise controls give one number
-per knot, the feedback control one row of g'(Z) per knot at the PDE's x
-nodes, read with one 1-D gather.  The penalty is always conj.eval of the
-q actually applied, so each estimate is exact for its control.  A plan
-lives in the call that built it; nothing is cached across passes.
+at knot t0 + k dt.  The zero, constant and piecewise controls give one
+number per knot (`ControlProcess.knot_rates`), the feedback control one
+row of g'(Z) per knot at the PDE's x nodes, read with one 1-D gather.  The
+penalty is always conj.eval of the q actually applied, so each estimate is
+exact for its control.  A plan lives in the call that built it; nothing is
+cached across passes.
 
-All controls of one pass (`evaluate_controls`, and so `duality_gap`) read
-the same increments, salt 0 of `seed`: each block is drawn once and every
-control's Euler loop runs on it (common random numbers; Glasserman,
-"Monte Carlo Methods in Financial Engineering", 2004, 4.2).  Each row keeps
-the law it has alone; the rows become positively correlated.
+All controls of one Monte Carlo pass (`evaluate_controls`) read the same
+increments, salt 0 of `seed`: each block is drawn once and every control's
+Euler loop runs on it (common random numbers; Glasserman, "Monte Carlo
+Methods in Financial Engineering", 2004, 4.2).  Each row keeps the law it
+has alone; the rows become positively correlated.
+
+`duality_gap` samples only the rows that need it.  A control with one
+number per knot under a zero or linear drift leaves the Euler X_T exactly
+Gaussian (`forward_model.euler_gaussian_law`) and its penalty
+deterministic, so its row is E[Phi(X_T)] by Gauss-Hermite quadrature plus
+sum_k f(q_k) dt, with no standard error, whenever the 64- and 128-node
+rules agree (`gauss_hermite_expectation`); every other row, the feedback
+row always, is the Monte Carlo value of `evaluate_controls`.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from . import _kernels
 from .errors import ExtrapolationRangeError, SimulationDivergedError
-from .forward_model import draw_increments, time_step
+from .forward_model import draw_increments, euler_gaussian_law, time_step
 
 # paths per block of the dual pass; results do not depend on it
 _BLOCK_PATHS = 4096
@@ -49,7 +61,8 @@ class ControlProcess:
     `knots` turns the control into the plan of one pass on a fixed Euler
     grid: step(k, x) -> (q_k, f(q_k)) at knot t0 + k dt, with f = conj.eval
     of the q actually applied, the same numbers `rate` gives at the knots;
-    None means no tilt and no penalty."""
+    None means no tilt and no penalty.  `knot_rates` gives those q_k as one
+    array when they do not depend on the state, and None otherwise."""
 
     kind = "abstract"
 
@@ -58,6 +71,9 @@ class ControlProcess:
 
     def knots(self, t0, dt, n_steps, conj):
         raise NotImplementedError
+
+    def knot_rates(self, t0, dt, n_steps):
+        return None
 
 
 def _scalar_plan(q, conj):
@@ -80,6 +96,9 @@ class ZeroControl(ControlProcess):
     def knots(self, t0, dt, n_steps, conj):
         return None
 
+    def knot_rates(self, t0, dt, n_steps):
+        return np.zeros(n_steps)
+
 
 class ConstantControl(ControlProcess):
     kind = "constant"
@@ -93,7 +112,10 @@ class ConstantControl(ControlProcess):
         return np.full_like(np.asarray(x, dtype=float), self.q)
 
     def knots(self, t0, dt, n_steps, conj):
-        return _scalar_plan(np.full(n_steps, self.q), conj)
+        return _scalar_plan(self.knot_rates(t0, dt, n_steps), conj)
+
+    def knot_rates(self, t0, dt, n_steps):
+        return np.full(n_steps, self.q)
 
 
 class PiecewiseConstantControl(ControlProcess):
@@ -116,9 +138,12 @@ class PiecewiseConstantControl(ControlProcess):
         return np.full_like(np.asarray(x, dtype=float), self.values[idx])
 
     def knots(self, t0, dt, n_steps, conj):
+        return _scalar_plan(self.knot_rates(t0, dt, n_steps), conj)
+
+    def knot_rates(self, t0, dt, n_steps):
         idx = np.searchsorted(self.breakpoints, knot_times(t0, dt, n_steps),
                               side="right")
-        return _scalar_plan(self.values[idx], conj)
+        return self.values[idx]
 
 
 class FeedbackControl(ControlProcess):
@@ -132,9 +157,10 @@ class FeedbackControl(ControlProcess):
     bound, so this one is as admissible as g' of the bilinear Z.
 
     `knots` builds one row per Euler knot of the pass (n_steps x n_x) and
-    each step reads its row with one 1-D gather; `rate` builds the row of
-    its t with the same code, so both give the same bits.  A row node where
-    |Z| exceeds the generator's range (a sampled generator) holds NaN, and
+    its slope rows q[ix + 1] - q[ix] once, and each step reads both rows
+    of its knot with one 1-D gather each; `rate` builds the rows of its t
+    with the same code, so both give the same bits.  A row node where |Z|
+    exceeds the generator's range (a sampled generator) holds NaN, and
     reading a cell next to one raises ExtrapolationRangeError; nodes no
     path reads do not raise."""
 
@@ -157,10 +183,13 @@ class FeedbackControl(ControlProcess):
         rows[~inside] = np.nan
         return rows
 
-    def _read(self, row, x):
-        """The row's linear interpolant in x (x clamped to the grid)."""
+    def _read(self, row, slope, x):
+        """The row's linear interpolant in x (x clamped to the grid), with
+        slope = row[1:] - row[:-1]."""
         ix, lx = self.sol._space_weights(x)
-        q = row[ix] + lx * (row[1:] - row[:-1])[ix]
+        lx *= slope[ix]
+        q = row[ix]
+        q += lx
         if np.isnan(q).any():
             raise ExtrapolationRangeError(
                 f"|Z| beyond the generator's range {self.gen.r_max:g} at a grid "
@@ -168,13 +197,15 @@ class FeedbackControl(ControlProcess):
         return q
 
     def rate(self, t, x):
-        return self._read(self._rows(np.array([t], dtype=float))[0], x)
+        row = self._rows(np.array([t], dtype=float))[0]
+        return self._read(row, row[1:] - row[:-1], x)
 
     def knots(self, t0, dt, n_steps, conj):
         table = self._rows(knot_times(t0, dt, n_steps))
+        slopes = table[:, 1:] - table[:, :-1]
 
         def step(k, x):
-            q = self._read(table[k], x)
+            q = self._read(table[k], slopes[k], x)
             return q, conj.eval(q)
         return step
 
@@ -252,8 +283,69 @@ def evaluate_control(model, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
                              seed)[0]
 
 
+@functools.cache
+def _gauss_hermite_rule(n):
+    """Nodes and weights of the n-node rule for E[h(N)], N ~ N(0, 1)."""
+    nodes, weights = hermegauss(n)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
+
+
+# largest gap between the 64- and 128-node rules, relative to max(1, ||Phi||)
+_GH_AGREEMENT = 1e-12
+
+
+def gauss_hermite_expectation(tc, mean, var):
+    """E[Phi(mean + sqrt(var) N)], N ~ N(0, 1), by the 64-node
+    Gauss-Hermite rule of `hj_solver.cole_hopf_reference`, or None when
+    the 128-node rule differs from it by more than 1e-12 max(1, ||Phi||):
+    data that oscillate or turn on the scale of the rule's node spacing
+    (cos(5x) at a standard deviation of 3, say) get no value rather than a
+    wrong one.  Data with critical points (knots, jumps: `tc.crit`) get
+    None too, since a feature narrower than the node spacing can hide from
+    both rules: the A10 spike, 0.04 wide, reads 0.0 under both at a
+    standard deviation of 1, where its expectation is 0.008."""
+    if tc.crit:
+        return None
+    std = math.sqrt(var)
+    values = []
+    for n in (64, 128):
+        nodes, weights = _gauss_hermite_rule(n)
+        values.append(float(np.asarray(tc(mean + std * nodes), dtype=float) @ weights))
+    if not abs(values[0] - values[1]) <= _GH_AGREEMENT * max(1.0, tc.sup_norm):
+        return None
+    return values[0]
+
+
+def exact_dual_value(model, conj, tc, ctrl, x0, t0, n_steps):
+    """(value, penalty) of the control's row without paths, or None.
+
+    A control with one number q_k per knot (`knot_rates`) under a zero or
+    linear drift leaves the Euler X_T Gaussian (`euler_gaussian_law`), so
+    the value is `gauss_hermite_expectation` of that law plus the penalty
+    sum_k f(q_k) dt, added up in knot order as the Euler loop adds it.
+    None when the control depends on the state, the drift is neither, or
+    the two quadrature rules disagree."""
+    dt = time_step(model, t0, n_steps)
+    q = ctrl.knot_rates(float(t0), dt, n_steps)
+    if q is None:
+        return None
+    law = euler_gaussian_law(model, float(x0), dt, q)
+    if law is None:
+        return None
+    payoff = gauss_hermite_expectation(tc, *law)
+    if payoff is None:
+        return None
+    penalty = 0.0
+    for f in np.asarray(conj.eval(q), dtype=float).tolist():
+        penalty += f * dt
+    return payoff + penalty, penalty
+
+
 @dataclass(frozen=True)
 class ControlRow:
+    """One control's dual value.  method "quadrature" rows are exact for
+    the Euler scheme (std_error 0); "monte_carlo" rows are sampled."""
+
     control_kind: str
     value: float
     std_error: float
@@ -261,6 +353,7 @@ class ControlRow:
     lower_bound_pass: bool
     attainment_gap: float = float("nan")
     attainment_within_tol: bool = True
+    method: str = "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -275,10 +368,10 @@ class DualityReport:
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            fh.write("control_kind,value,std_error,penalty_mean,pass\n")
+            fh.write("control_kind,value,std_error,penalty_mean,pass,method\n")
             for r in self.rows:
                 fh.write(f"{r.control_kind},{r.value!r},{r.std_error!r},"
-                         f"{r.penalty_mean!r},{int(r.lower_bound_pass)}\n")
+                         f"{r.penalty_mean!r},{int(r.lower_bound_pass)},{r.method}\n")
 
 
 def duality_gap(model, gen, conj, tc, sol, x0, t0, n_paths, seed,
@@ -286,27 +379,35 @@ def duality_gap(model, gen, conj, tc, sol, x0, t0, n_paths, seed,
     """Dual values for the zero and feedback controls (plus extras) against
     u(t0, x0).
 
-    Every control reads the same Brownian increments, salt 0 of `seed`
-    (one `evaluate_controls` pass), so the rows are correlated but each
-    row's law is that of its control alone.  Hard, one-sided check per
-    control: value + 3 SE >= u0 - scheme_tol (every admissible measure
-    upper-bounds the solution).  The feedback attainment gap is also
-    reported; it is a soft diagnostic because attainment can genuinely fail
-    for superquadratic generators.
+    A row that `exact_dual_value` can give is exact (method "quadrature",
+    std_error 0).  The others, the feedback row always, read the same
+    Brownian increments, salt 0 of `seed` (one `evaluate_controls` pass),
+    so they are correlated but each row's law is that of its control alone.
+    Hard, one-sided check per control: value + 3 SE >= u0 - scheme_tol
+    (every admissible measure upper-bounds the solution).  The feedback
+    attainment gap is also reported; it is a soft diagnostic because
+    attainment can genuinely fail for superquadratic generators.
     """
     u0 = float(sol.u_at(t0, x0))
     controls = [ZeroControl(), FeedbackControl(sol, gen), *extra_controls]
-    ests = evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps,
-                             seed)
+    exact = [exact_dual_value(model, conj, tc, c, x0, t0, n_steps) for c in controls]
+    sampled = iter(evaluate_controls(
+        model, conj, tc, [c for c, e in zip(controls, exact) if e is None],
+        x0, t0, n_paths, n_steps, seed))
     rows = []
-    for ctrl, est in zip(controls, ests):
-        lower_ok = est.value + 3.0 * est.std_error >= u0 - scheme_tol
-        if ctrl.kind == "feedback":
-            gap = est.value - u0
-            rows.append(ControlRow(est.control_kind, est.value, est.std_error,
-                                   est.penalty_mean, lower_ok, gap,
-                                   abs(gap) <= 3.0 * est.std_error + scheme_tol))
+    for ctrl, ex in zip(controls, exact):
+        if ex is None:
+            est = next(sampled)
+            value, se, pen, method = (est.value, est.std_error, est.penalty_mean,
+                                      "monte_carlo")
         else:
-            rows.append(ControlRow(est.control_kind, est.value, est.std_error,
-                                   est.penalty_mean, lower_ok))
+            (value, pen), se, method = ex, 0.0, "quadrature"
+        lower_ok = value + 3.0 * se >= u0 - scheme_tol
+        if ctrl.kind == "feedback":
+            gap = value - u0
+            rows.append(ControlRow(ctrl.kind, value, se, pen, lower_ok, gap,
+                                   abs(gap) <= 3.0 * se + scheme_tol, method))
+        else:
+            rows.append(ControlRow(ctrl.kind, value, se, pen, lower_ok,
+                                   method=method))
     return DualityReport(u0=u0, scheme_tol=float(scheme_tol), rows=tuple(rows))

@@ -1,11 +1,10 @@
-"""Forward diffusion dX = b(s, X) ds + sigma dB, its variational flow,
-Euler-Maruyama simulation with optional Girsanov tilting, and the
-package's one RNG layout.
+"""Forward diffusion dX = b(s, X) ds + sigma dB, Euler-Maruyama
+simulation with optional Girsanov tilting, the exact law of that Euler
+scheme where it is Gaussian, and the package's one RNG layout.
 
 The model is scalar (a 1-D state, one Brownian driver, constant
-sigma > 0); the drift carries its own spatial derivative so the flow
-d(grad X) = b_x(X) grad X ds integrates with an exact exponential per
-step.
+sigma > 0); each drift kind gives the exact sup |b_x|, which sets the
+compatibility constant lambda.
 
 Every Monte Carlo normal in the package comes from `path_normals`: path p
 of the stream family `salt` reads the counter-based Philox stream with key
@@ -26,16 +25,19 @@ rows of preallocated outputs, so results are bit-identical for every
 worker count and block size.  Memory is the blocks in flight (at most
 `WORKERS`, the one being drawn included) times the block size.
 
-`simulate_paths` stores every knot of x and of the flow, and reads a
-tilt's pointwise `rate(t_k, X_k)`.  The dual pass
-(`dual_mc.evaluate_controls`) draws the same salt-0 increments one block of
-paths at a time through `draw_increments(..., start=)` and runs the same
-Euler loop (`_kernels.em_paths`) on each control's per-pass knot plan
-(g'(Z) rows at the knots for the feedback control) with the penalty
-accumulated in the step, holding only X_T and the per-path penalty;
-because path p's numbers depend only on (seed, p), its results do not
-depend on the block size.  Every dual control of one pass reads that one
-salt-0 draw of `seed`.  Neither evaluates a drift flagged `zero`.
+`simulate_paths` stores every knot of x, and reads a tilt's pointwise
+`rate(t_k, X_k)`.  The dual pass (`dual_mc.evaluate_controls`) draws the
+same salt-0 increments one block of paths at a time through
+`draw_increments(..., start=)` and runs the same Euler loop
+(`_kernels.em_paths`) on each control's per-pass knot plan (g'(Z) rows at
+the knots for the feedback control) with the penalty accumulated in the
+step, holding only X_T and the per-path penalty; because path p's numbers
+depend only on (seed, p), its results do not depend on the block size.
+Every dual control of one pass reads that one salt-0 draw of `seed`.
+Neither evaluates a drift flagged `zero`.  `euler_gaussian_law` gives the
+mean and variance of that scheme's X_T for a zero or linear drift under a
+tilt that does not depend on the state, which `dual_mc.duality_gap` uses
+in place of paths.
 """
 
 import functools
@@ -51,15 +53,12 @@ from .errors import SimulationDivergedError
 
 
 class Drift:
-    """Drift b(t, x) with spatial derivative b_x(t, x), both vectorized,
-    and the exact sup |b_x| over [0, T] x R, which every kind must give."""
+    """Drift b(t, x), vectorized, and the exact sup |b_x| over [0, T] x R,
+    which every kind must give."""
 
     zero = False
 
     def __call__(self, t, x):
-        raise NotImplementedError
-
-    def dx(self, t, x):
         raise NotImplementedError
 
     def sup_dx(self):
@@ -70,9 +69,6 @@ class ZeroDrift(Drift):
     zero = True
 
     def __call__(self, t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def dx(self, t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def sup_dx(self):
@@ -91,9 +87,6 @@ class LinearDrift(Drift):
     def __call__(self, t, x):
         return self.beta * np.asarray(x, dtype=float)
 
-    def dx(self, t, x):
-        return np.full_like(np.asarray(x, dtype=float), self.beta)
-
     def sup_dx(self):
         return abs(self.beta)
 
@@ -109,10 +102,6 @@ class TanhDrift(Drift):
 
     def __call__(self, t, x):
         return self.scale * np.tanh(np.asarray(x, dtype=float))
-
-    def dx(self, t, x):
-        th = np.tanh(np.asarray(x, dtype=float))
-        return self.scale * (1.0 - th * th)
 
     def sup_dx(self):
         return abs(self.scale)
@@ -146,7 +135,7 @@ class ForwardModel:
 
 @dataclass
 class PathBundle:
-    """Simulated paths, flows and the Brownian increments that drove them.
+    """Simulated paths and the Brownian increments that drove them.
 
     When a tilt was applied, `noise` holds the Q-Brownian increments (the
     tilted simulation is the Q-law; no density reweighting is involved).
@@ -156,7 +145,6 @@ class PathBundle:
 
     times: np.ndarray
     x_paths: np.ndarray
-    flow_paths: np.ndarray
     noise: np.ndarray
     seed: int
     x0: float
@@ -165,26 +153,25 @@ class PathBundle:
     tilted: bool = False
 
     def to_csv(self, path):
-        """One row per (path, step): path,t,x,flow,dB.
+        """One row per (path, step): path,t,x,dB.
 
         Each path is one string, built as `PdeSolution.to_csv` builds a
         level: t and the separators once per call, the path label once
-        per path, x, flow and dB by slice assignment; memory holds one
-        path, never the whole file."""
+        per path, x and dB by slice assignment; memory holds one path,
+        never the whole file."""
         # Python floats from tolist(); a row reads
-        # p "," t "," x "," flow "," dB "\n", and dB is 0.0 at t_0
+        # p "," t "," x "," dB "\n", and dB is 0.0 at t_0
         n = self.times.size
-        parts = [","] * (8 * n)
-        parts[1::8] = [t + "," for t in map(repr, self.times.tolist())]
-        parts[6] = repr(0.0)
-        parts[7::8] = ["\n"] * n
+        parts = [","] * (6 * n)
+        parts[1::6] = [t + "," for t in map(repr, self.times.tolist())]
+        parts[4] = repr(0.0)
+        parts[5::6] = ["\n"] * n
         with open(path, "w", newline="") as fh:
-            fh.write("path,t,x,flow,dB\n")
+            fh.write("path,t,x,dB\n")
             for p in range(self.x_paths.shape[0]):
-                parts[0::8] = [f"{p},"] * n
-                parts[2::8] = map(repr, self.x_paths[p].tolist())
-                parts[4::8] = map(repr, self.flow_paths[p].tolist())
-                parts[14::8] = map(repr, self.noise[p].tolist())
+                parts[0::6] = [f"{p},"] * n
+                parts[2::6] = map(repr, self.x_paths[p].tolist())
+                parts[10::6] = map(repr, self.noise[p].tolist())
                 fh.write("".join(parts))
 
 
@@ -298,10 +285,9 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
 
     With a tilt q the drift becomes b + sigma*q, with q = tilt.rate(t_k, X_k)
     read pointwise at each knot, and the stored increments are the
-    Q-Brownian ones.  The variational flow integrates alongside
-    with the exact per-step exponential exp(b_x dt).  Every knot is stored;
-    the dual Monte Carlo pass (`dual_mc.evaluate_controls`) runs the same
-    Euler loop over blocks of paths and keeps only X_T and the penalty.
+    Q-Brownian ones.  Every knot of x is stored; the dual Monte Carlo pass
+    (`dual_mc.evaluate_controls`) runs the same Euler loop over blocks of
+    paths and keeps only X_T and the penalty.
     """
     dt = time_step(model, t0, n_steps)
     dw = draw_increments(seed, n_paths, n_steps, dt)
@@ -312,11 +298,37 @@ def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     if tilt is not None:
         def control(k, x):
             return tilt.rate(t0 + k * dt, x), None
-    _, _, (x, flow), bad = _kernels.em_paths(float(x0), t0, dt, dw.T, model.sigma,
-                                             model.drift, drift_x=model.drift.dx,
-                                             control=control)
+    _, _, x, bad = _kernels.em_paths(float(x0), t0, dt, dw.T, model.sigma,
+                                     model.drift, store=True, control=control)
     if bad >= 0:
         raise SimulationDivergedError(bad)
-    return PathBundle(times=times, x_paths=x, flow_paths=flow, noise=dw,
-                      seed=int(seed), x0=float(x0), t0=float(t0), dt=dt,
-                      tilted=tilt is not None)
+    return PathBundle(times=times, x_paths=x, noise=dw, seed=int(seed),
+                      x0=float(x0), t0=float(t0), dt=dt, tilted=tilt is not None)
+
+
+def euler_gaussian_law(model, x0, dt, q):
+    """Mean and variance of the Euler X_T that `em_paths` simulates from x0
+    with the tilt q[k] at knot k (one number per knot, state-independent),
+    or None unless the drift is zero or linear.
+
+    With b(x) = beta x (beta = 0 for a zero drift) one step is
+    X_{k+1} = a X_k + sigma q_k dt + sigma dB_k with a = 1 + beta dt, so
+    X_T is Gaussian with mean a^n x0 + sigma dt sum_k a^(n-1-k) q_k and
+    variance sigma^2 dt sum_{j<n} a^(2j): the law of the scheme itself, not
+    of the diffusion.  For a zero drift that is x0 + sigma sum_k q_k dt and
+    sigma^2 n dt.  A law that overflows is None too."""
+    if model.drift.zero:
+        a = 1.0
+    elif isinstance(model.drift, LinearDrift):
+        a = 1.0 + model.drift.beta * dt
+    else:
+        return None
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.float64(a) ** np.arange(q.size + 1)  # a^0 .. a^n
+        head = powers[:-1]
+        mean = powers[-1] * x0 + model.sigma * dt * float(head[::-1] @ q)
+        var = model.sigma**2 * dt * float(head @ head)
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        return None
+    return mean, var

@@ -119,10 +119,19 @@ class PdeSolution:
         return it, np.clip(ft - it, 0.0, 1.0)
 
     def _space_weights(self, x):
-        """Cell index and offset (ix, lx) of x, clamped to the grid."""
-        fx = (np.asarray(x, dtype=float) - self.x_grid[0]) / self.dx
-        ix = np.clip(fx.astype(int), 0, self.x_grid.size - 2)
-        return ix, np.clip(fx - ix, 0.0, 1.0)
+        """Cell index and offset (ix, lx) of x, clamped to the grid; both
+        are arrays shaped like x (0-d for a scalar x)."""
+        x = np.asarray(x, dtype=float)
+        fx = np.subtract(x, self.x_grid[0], out=np.empty_like(x))
+        fx /= self.dx
+        ix = fx.astype(int)
+        # clamped in place: np.clip's Python wrapper costs more than the work
+        np.maximum(ix, 0, out=ix)
+        np.minimum(ix, self.x_grid.size - 2, out=ix)
+        fx -= ix
+        np.maximum(fx, 0.0, out=fx)
+        np.minimum(fx, 1.0, out=fx)
+        return ix, fx
 
     def _weights(self, t, x):
         """Cell indices and offsets (it, lt, ix, lx) of the bilinear lookup

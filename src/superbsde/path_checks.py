@@ -3,7 +3,10 @@ step/terminal residuals, the BMO energy bound, the a-priori Z and penalty
 envelopes, and the gradient-blowup exponent fit.
 
 All functions are pure over immutable inputs; reruns with the same
-(seed, grid) are bit-identical.
+(seed, grid) are bit-identical.  The residual walks the paths one knot at
+a time and keeps the per-path sums it reports as running sums, so beside
+the paths it holds arrays of one knot only.  An envelope whose threshold
+is zero (zero data) reads ratio 0 where Z is zero too and inf elsewhere.
 """
 
 from dataclasses import dataclass
@@ -49,13 +52,14 @@ def bsde_residual(sol, model, gen, bundle):
     domain error, since the energy's standard error needs two.
 
     It walks the knots in order, one set of lookup weights per knot for u
-    and Z, and holds two (paths x steps) arrays beside the bundle: the
-    increments g(Z) dt - Z dB and Z^2.
+    and Z, and streams the two per-path sums it reports, sum_k (g(Z_k) dt -
+    Z_k dB_k) and sum_k Z_k^2, one knot at a time in knot order; beside the
+    bundle it holds arrays of one knot only.
     """
     if bundle.tilted:
         raise ValueError("bsde_residual expects an untilted bundle")
     x = bundle.x_paths
-    inside = np.all((x >= sol.x_grid[0]) & (x <= sol.x_grid[-1]), axis=1)
+    inside = (x.min(axis=1) >= sol.x_grid[0]) & (x.max(axis=1) <= sol.x_grid[-1])
     excluded = 1.0 - float(np.mean(inside))
     n_used = int(np.count_nonzero(inside))
     if n_used < 2:
@@ -65,9 +69,8 @@ def bsde_residual(sol, model, gen, bundle):
     times = bundle.times
     dt = bundle.dt
 
-    # path-major, so the row sums below run along contiguous rows
-    increments = np.empty((n_used, n_steps))
-    zz = np.empty_like(increments)
+    inc_sum = np.zeros(n_used)
+    z2_sum = np.zeros(n_used)
     max_step = 0.0
     for k in range(n_steps + 1):
         xk = x[:, k][inside]
@@ -79,13 +82,13 @@ def bsde_residual(sol, model, gen, bundle):
             zk = sol._interpolate(sol.z, w)
             gz = np.asarray(gen.eval(zk), dtype=float)
             inc = gz * dt - zk * bundle.noise[:, k][inside]
-            increments[:, k] = inc
-            zz[:, k] = zk * zk
+            inc_sum += inc
+            z2_sum += zk * zk
         y_prev = yk
 
-    y_num_T = sol.u_at(bundle.t0, bundle.x0) + increments.sum(axis=1)
+    y_num_T = sol.u_at(bundle.t0, bundle.x0) + inc_sum
     terminal = y_num_T - np.asarray(sol.tc(xk), dtype=float)
-    energy_paths = zz.sum(axis=1) * dt
+    energy_paths = z2_sum * dt
     return ResidualReport(
         rms_terminal_residual=float(np.sqrt(np.mean(terminal**2))),
         max_step_residual=float(max_step),
@@ -123,14 +126,17 @@ class EnvelopeReport:
 def _worst_level(sol, peak, threshold):
     """Largest peak(z_k) / threshold(T - s_k) over the levels with
     T - s_k >= EDGE_STEPS dt, at the first level that attains it; an empty
-    window gives worst_ratio = -inf and passes."""
+    window gives worst_ratio = -inf and passes.  A zero threshold (zero
+    data) gives ratio 0 where the peak is 0 too and inf otherwise."""
     tau = sol.level_time_to_go()
     idx = np.nonzero(tau >= EDGE_STEPS * sol.dt - 1e-12)[0]
     if idx.size == 0:
         return EnvelopeReport(worst_ratio=-np.inf, worst_time_to_go=np.nan, n_levels=0,
                               threshold_at_worst=np.nan, passed=True)
     thr = threshold(tau[idx])
-    ratios = np.array([float(peak(sol.z[k])) for k in idx]) / thr
+    peaks = np.array([float(peak(sol.z[k])) for k in idx])
+    ratios = np.divide(peaks, thr, out=np.where(peaks == 0.0, 0.0, np.inf),
+                       where=thr != 0.0)
     j = int(np.argmax(ratios))
     return EnvelopeReport(worst_ratio=float(ratios[j]),
                           worst_time_to_go=float(tau[idx[j]]), n_levels=int(idx.size),

@@ -171,7 +171,36 @@ class TestCommands:
         res = _run_cli(["checks", "--config", str(cfgp), "--dump-paths",
                         "--out", str(tmp_path / "o")], tmp_path, child_env)
         assert res.returncode == 0, res.stderr
-        assert (tmp_path / "o" / "paths.csv").exists()
+        with open(tmp_path / "o" / "paths.csv") as fh:
+            assert fh.readline() == "path,t,x,dB\n"
+
+    def test_zero_payoff_checks_pass_without_warnings(self, tmp_path, child_env):
+        # u = 0 and Z = 0 are exact: both envelopes read 0 against a zero
+        # threshold, with no 0/0 (numpy warnings are errors in the child)
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CHECKS.replace("amplitude: 0.5", "amplitude: 0.0"))
+        out = tmp_path / "o"
+        res = subprocess.run([sys.executable, "-W", "error", "-m", "superbsde.cli",
+                              "checks", "--config", str(cfgp), "--out", str(out)],
+                             cwd=tmp_path, env=child_env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        with open(out / "checks.csv", newline="") as fh:
+            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        for name in ("Z envelope ratio <= 1", "penalty envelope ratio <= 1"):
+            assert (rows[name]["statistic"], rows[name]["pass"]) == ("0.0", "1")
+
+    def test_dual_summary_names_the_sampled_rows(self, tmp_path):
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CHECKS + "dual: {constants: [0.5]}\n")
+        out = tmp_path / "o"
+        assert main(["dual", "--config", str(cfgp), "--out", str(out)]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith(("rng:", "quadrature"))] == [
+            "rng: per-path Philox keys (seed << 64) + (salt << 48) + p; the sampled "
+            "rows (feedback) read salt 0 of seed 5",
+            "quadrature rows (zero, constant): Gauss-Hermite expectation of the "
+            "Gaussian Euler X_T, no paths"]
 
     def test_counterexample_34_defaults(self, tmp_path, child_env):
         cfgp = tmp_path / "c.yaml"
@@ -350,6 +379,11 @@ class TestCommands:
         ("solve", "model: {sigma: .inf}", "model"),
         ("solve", "model: {T: .inf}", "model"),
         ("solve", "x0: .nan", "x0"),
+        ("counterexample 3.1", "counterexample: {T: 0.0}\ngrid: {n_x: 64}",
+         "counterexample.T"),
+        ("counterexample 3.4", "counterexample: {T: -1.0}\ngrid: {n_x: 64}",
+         "counterexample.T"),
+        ("counterexample 3.3", "counterexample: {T: .inf}", "counterexample.T"),
     ], ids=["n_steps", "n_paths", "cx_n_paths", "n_x", "dt", "sigma", "q",
             "generator_csv_missing", "generator_csv_one_column",
             "terminal_csv_missing", "terminal_csv_one_column",
@@ -363,7 +397,8 @@ class TestCommands:
             "lambda_is_not_a_setting", "q_inf", "gamma_inf", "generator_nan_node",
             "amplitude_inf", "terminal_nan_node", "scheme_tol_nan",
             "scheme_tol_negative", "step_high_inf", "inf_convolve_m_nan",
-            "sigma_inf", "horizon_inf", "x0_nan"])
+            "sigma_inf", "horizon_inf", "x0_nan", "cx31_T_zero", "cx34_T_negative",
+            "cx33_T_inf"])
     def test_main_rejects_bad_value_before_compute(self, tmp_path, capsys,
                                                     command, text, field):
         (tmp_path / "one.csv").write_text("x\n0.0\n1.0\n")

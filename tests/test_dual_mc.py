@@ -9,8 +9,8 @@ from superbsde.dual_mc import (ConstantControl, FeedbackControl,
                                PiecewiseConstantControl, ZeroControl, duality_gap,
                                evaluate_control, evaluate_controls)
 from superbsde.errors import ExtrapolationRangeError, SimulationDivergedError
-from superbsde.forward_model import (Drift, ForwardModel, TanhDrift, ZeroDrift,
-                                     simulate_paths)
+from superbsde.forward_model import (Drift, ForwardModel, LinearDrift, TanhDrift,
+                                     ZeroDrift, simulate_paths)
 from superbsde.generators import (PowerGenerator, QuadraticGenerator,
                                   SampledGenerator, conjugate_of)
 from superbsde.hj_solver import GridSpec, solve
@@ -189,9 +189,10 @@ class TestBlockedPass:
 
         read = FeedbackControl._read
 
-        def recording_read(self, row, x):
+        def recording_read(self, row, slope, x):
             rows_read.append(row.copy())
-            return read(self, row, x)
+            assert np.array_equal(slope, row[1:] - row[:-1])
+            return read(self, row, slope, x)
 
         monkeypatch.setattr(FeedbackControl, "_rows", counting_rows)
         monkeypatch.setattr(FeedbackControl, "_read", recording_read)
@@ -225,7 +226,8 @@ class TestBlockedPass:
             table = self._rows(dual_mc.knot_times(t0, dt, n_steps))
 
             def step(k, x):
-                q = self._read(table[min(k + 1, n_steps - 1)], x)
+                row = table[min(k + 1, n_steps - 1)]
+                q = self._read(row, row[1:] - row[:-1], x)
                 return q, conj.eval(q)
             return step
 
@@ -241,9 +243,6 @@ class TestBlockedPass:
             x = np.asarray(x, dtype=float)
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.where(np.abs(x) > 1.5, x * 1e308, 0.0)
-
-        def dx(self, t, x):
-            return np.zeros_like(np.asarray(x, dtype=float))
 
         def sup_dx(self):
             return 0.0
@@ -284,9 +283,6 @@ class TestZeroDriftFlag:
         def __call__(self, t, x):
             return np.zeros_like(np.asarray(x, dtype=float))
 
-        def dx(self, t, x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
         def sup_dx(self):
             return 0.0
 
@@ -297,7 +293,6 @@ class TestZeroDriftFlag:
             raise AssertionError("a zero drift was evaluated")
 
         monkeypatch.setattr(ZeroDrift, "__call__", never)
-        monkeypatch.setattr(ZeroDrift, "dx", never)
         return (ForwardModel(self._UnflaggedZero(), 0.8, 1.0),
                 ForwardModel(ZeroDrift(), 0.8, 1.0))
 
@@ -307,7 +302,6 @@ class TestZeroDriftFlag:
         bundles = [simulate_paths(m, 0.3, 0.0, 50, 25, seed=4, tilt=tilt)
                    for m in self.models(monkeypatch)]
         assert np.array_equal(bundles[0].x_paths, bundles[1].x_paths)
-        assert np.array_equal(bundles[0].flow_paths, bundles[1].flow_paths)
         paths = [tmp_path / "unflagged.csv", tmp_path / "flagged.csv"]
         for bundle, path in zip(bundles, paths):
             bundle.to_csv(path)
@@ -426,6 +420,57 @@ class TestFeedback:
         # which is not g' of the interpolated Z, as g' is not linear
         mid = nodes[:-1] + 0.5 * sol.dx
         assert not np.array_equal(ctrl.rate(t, mid), gen.grad(sol.z_at(t, mid)))
+
+    @staticmethod
+    def differencing_read(sol, row, x):
+        """The read before the slope rows: np.clip weights, and the row
+        differenced again at every read."""
+        fx = (np.asarray(x, dtype=float) - sol.x_grid[0]) / sol.dx
+        ix = np.clip(fx.astype(int), 0, sol.x_grid.size - 2)
+        lx = np.clip(fx - ix, 0.0, 1.0)
+        return row[ix] + lx * (row[1:] - row[:-1])[ix]
+
+    def test_slope_rows_read_the_same_bits(self):
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        conj = conjugate_of(gen)
+        sol = solve(model, gen, TerminalCondition.analytic("cos", amplitude=0.5), GRID,
+                    0.0)
+        ctrl = FeedbackControl(sol, gen)
+        # inside, beyond both ends, on nodes and on the edges of the grid
+        x = np.concatenate([np.random.default_rng(3).normal(0.0, 5.0, 4000),
+                            sol.x_grid[::7], [-8.0, 8.0, -9.5, 11.0, -0.0]])
+        assert x.min() < sol.x_grid[0] and x.max() > sol.x_grid[-1]
+        table = ctrl._rows(dual_mc.knot_times(0.0, 0.01, 100))
+        plan = ctrl.knots(0.0, 0.01, 100, conj)
+        for k in (0, 37, 99):
+            q, f = plan(k, x)
+            assert np.array_equal(q, self.differencing_read(sol, table[k], x))
+            assert np.array_equal(f, conj.eval(q))
+        row = ctrl._rows(np.array([0.413]))[0]
+        assert np.array_equal(ctrl.rate(0.413, x), self.differencing_read(sol, row, x))
+        for xi in (-9.5, -8.0, 0.37, 8.0, 11.0):
+            ix, lx = sol._space_weights(xi)
+            fx = (xi - sol.x_grid[0]) / sol.dx
+            want_ix = np.clip(int(fx), 0, sol.x_grid.size - 2)
+            assert (ix, lx) == (want_ix, np.clip(fx - want_ix, 0.0, 1.0))
+
+    def test_cell_next_to_a_nan_node_raises(self):
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        sol = solve(model, gen, TerminalCondition.analytic("cos", amplitude=0.5), GRID,
+                    0.0)
+        ctrl = FeedbackControl(sol, gen)
+        row = ctrl._rows(np.array([0.5]))[0].copy()
+        row[200] = np.nan  # the node at x = 0
+        slope = row[1:] - row[:-1]
+        dx = sol.dx
+        for x in (-0.5 * dx, 0.0, 0.5 * dx):  # the cells on either side
+            with pytest.raises(ExtrapolationRangeError, match="feedback control"):
+                ctrl._read(row, slope, np.array([1.0, x]))
+        q = ctrl._read(row, slope, np.array([-1.5 * dx, 1.5 * dx]))
+        assert np.array_equal(q, self.differencing_read(
+            sol, row, np.array([-1.5 * dx, 1.5 * dx])))
 
     def test_even_phi_zero_rate_at_origin(self):
         model = bm_model()
@@ -555,5 +600,142 @@ class TestDualityGap:
         path = tmp_path / "dual.csv"
         rep.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "control_kind,value,std_error,penalty_mean,pass"
+        assert lines[0] == "control_kind,value,std_error,penalty_mean,pass,method"
         assert len(lines) == 4
+        # zero drift: the zero and constant rows are exact, feedback is sampled
+        assert [line.split(",")[-1] for line in lines[1:]] == [
+            "quadrature", "monte_carlo", "quadrature"]
+        assert lines[1].split(",")[2] == lines[3].split(",")[2] == "0.0"
+
+
+def dense_gauss_expectation(tc, mean, var):
+    """E[Phi(mean + sqrt(var) N)] by a 280,001-point rule on |N| <= 14."""
+    y = np.linspace(-14.0, 14.0, 280_001)
+    w = np.exp(-0.5 * y * y) * (y[1] - y[0]) / np.sqrt(2.0 * np.pi)
+    return float(np.asarray(tc(mean + np.sqrt(var) * y), dtype=float) @ w)
+
+
+class TestExactRows:
+    """Rows whose Euler X_T is Gaussian are the quadrature of that law plus
+    the deterministic penalty, and agree with the sampled rows."""
+
+    N_PATHS, N_STEPS, X0, T0 = 50_000, 50, 0.2, 0.1
+    CONTROLS = {"zero": ZeroControl(), "constant": ConstantControl(0.6),
+                "piecewise": PiecewiseConstantControl([0.3, 0.55], [0.2, -1.0, 1.5])}
+    DRIFTS = {"zero": ZeroDrift(), "linear": LinearDrift(0.8)}
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        """Monte Carlo rows of the three controls under each drift."""
+        gen = PowerGenerator(3.0)
+        conj = conjugate_of(gen)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        out = {}
+        for name, drift in self.DRIFTS.items():
+            model = ForwardModel(drift, 0.9, 1.0)
+            ests = evaluate_controls(model, conj, tc, list(self.CONTROLS.values()),
+                                     self.X0, self.T0, self.N_PATHS, self.N_STEPS,
+                                     seed=31)
+            out[name] = (model, dict(zip(self.CONTROLS, ests)))
+        return conj, tc, out
+
+    def exact(self, model, conj, tc, kind):
+        return dual_mc.exact_dual_value(model, conj, tc, self.CONTROLS[kind], self.X0,
+                                        self.T0, self.N_STEPS)
+
+    @pytest.mark.parametrize("kind", list(CONTROLS))
+    @pytest.mark.parametrize("drift", list(DRIFTS))
+    def test_agrees_with_the_sampled_row(self, sampled, drift, kind):
+        conj, tc, out = sampled
+        model, ests = out[drift]
+        est = ests[kind]
+        value, penalty = self.exact(model, conj, tc, kind)
+        assert abs(value - est.value) <= 4.0 * est.std_error
+        # every path pays the same penalty: the Euler loop's per-path sum
+        assert penalty == pytest.approx(est.penalty_mean, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("defect", ["variance_without_euler_factor",
+                                        "mean_without_tilt_shift"])
+    @pytest.mark.parametrize("kind", ["constant", "piecewise"])
+    def test_defective_law_disagrees(self, sampled, monkeypatch, defect, kind):
+        conj, tc, out = sampled
+        model, ests = out["linear"]
+        law = dual_mc.euler_gaussian_law
+
+        def defective(model, x0, dt, q):
+            mean, var = law(model, x0, dt, q)
+            if defect == "variance_without_euler_factor":
+                return mean, model.sigma**2 * dt * q.size
+            return law(model, x0, dt, np.zeros_like(q))[0], var
+
+        monkeypatch.setattr(dual_mc, "euler_gaussian_law", defective)
+        value, _ = self.exact(model, conj, tc, kind)
+        assert abs(value - ests[kind].value) > 4.0 * ests[kind].std_error
+
+    def test_duality_gap_samples_only_the_feedback_row(self, sampled):
+        conj, tc, out = sampled
+        model, ests = out["linear"]
+        gen = PowerGenerator(3.0)
+        sol = solve(model, gen, tc, GRID, self.T0)
+        extras = (self.CONTROLS["constant"], self.CONTROLS["piecewise"])
+        rep = duality_gap(model, gen, conj, tc, sol, self.X0, self.T0, 2000, seed=31,
+                          n_steps=self.N_STEPS, extra_controls=extras)
+        assert [(r.control_kind, r.method) for r in rep.rows] == [
+            ("zero", "quadrature"), ("feedback", "monte_carlo"),
+            ("constant", "quadrature"), ("piecewise", "quadrature")]
+        for row in rep.rows:
+            if row.method == "quadrature":
+                value, penalty = self.exact(model, conj, tc, row.control_kind)
+                assert (row.value, row.std_error, row.penalty_mean) == (value, 0.0,
+                                                                        penalty)
+        # the sampled row is the one a pass of the feedback control alone gives
+        est = evaluate_control(model, conj, tc, FeedbackControl(sol, gen), self.X0,
+                               self.T0, 2000, self.N_STEPS, seed=31)
+        assert (rep.rows[1].value, rep.rows[1].std_error) == (est.value, est.std_error)
+
+    def test_tanh_drift_keeps_sampled_rows(self):
+        model = ForwardModel(TanhDrift(0.7), 0.8, 1.0)
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        assert dual_mc.exact_dual_value(model, conjugate_of(gen), tc,
+                                        ConstantControl(0.6), 0.0, 0.0, 20) is None
+
+    def test_data_with_critical_points_keep_sampled_rows(self):
+        # both rules miss the spike between their nodes and agree on 0.0
+        spike = TerminalCondition.tabulated([-8.0, -0.02, 0.0, 0.02, 8.0],
+                                            [0.0, 0.0, 1.0, 0.0, 0.0])
+        for n in (64, 128):
+            nodes, weights = dual_mc._gauss_hermite_rule(n)
+            assert float(spike(nodes) @ weights) == 0.0
+        assert dense_gauss_expectation(spike, 0.0, 1.0) > 0.007
+        gen = PowerGenerator(3.0)
+        for tc in (spike, TerminalCondition.step(0.0, -1.0, 1.0)):
+            assert dual_mc.gauss_hermite_expectation(tc, 0.0, 1.0) is None
+            assert dual_mc.exact_dual_value(bm_model(), conjugate_of(gen), tc,
+                                            ZeroControl(), 0.0, 0.0, 20) is None
+
+    @staticmethod
+    def fast_cos_case():
+        # sigma sqrt(T - t0) = 3 and frequency 5: the 64-node rule is far off
+        model = ForwardModel(ZeroDrift(), 3.0, 1.0)
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=1.0, frequency=5.0)
+        return model, gen, conjugate_of(gen), tc
+
+    def test_rules_that_disagree_keep_the_sampled_row(self):
+        model, gen, conj, tc = self.fast_cos_case()
+        dense = dense_gauss_expectation(tc, 0.0, 9.0)
+        assert dual_mc.gauss_hermite_expectation(tc, 0.0, 9.0) is None
+        assert dual_mc.exact_dual_value(model, conj, tc, ZeroControl(), 0.0, 0.0,
+                                        40) is None
+        est = evaluate_control(model, conj, tc, ZeroControl(), 0.0, 0.0, 50_000, 40,
+                               seed=32)
+        assert abs(est.value - dense) <= 4.0 * est.std_error
+
+    def test_skipping_the_agreement_fails_the_dense_reference(self, monkeypatch):
+        model, gen, conj, tc = self.fast_cos_case()
+        dense = dense_gauss_expectation(tc, 0.0, 9.0)
+        monkeypatch.setattr(dual_mc, "_GH_AGREEMENT", np.inf)
+        value, _ = dual_mc.exact_dual_value(model, conj, tc, ZeroControl(), 0.0, 0.0,
+                                            40)
+        assert abs(value - dense) > 0.5

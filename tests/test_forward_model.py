@@ -2,6 +2,7 @@ import csv
 import math
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,11 +27,6 @@ class TestSimulate:
         assert abs(xT.mean()) <= 4.0 * se
         assert xT.var() == pytest.approx(1.0, rel=0.02)
 
-    def test_exact_flow_for_linear_drift(self):
-        model = ForwardModel(LinearDrift(0.3), 1.0, 1.0)
-        bundle = simulate_paths(model, 0.5, 0.0, 64, 32, seed=2)
-        assert np.allclose(bundle.flow_paths[:, -1], math.exp(0.3), rtol=1e-12)
-
     def test_constant_tilt_shifts_mean(self):
         bundle = simulate_paths(model_bm(), 0.0, 0.0, 100_000, 50, seed=3,
                                 tilt=ConstantControl(2.0))
@@ -42,22 +38,11 @@ class TestSimulate:
         bundle = simulate_paths(model_bm(), 1.25, 0.0, 16, 8, seed=4)
         assert np.all(bundle.x_paths[:, 0] == 1.25)
 
-    def test_flow_positive_and_bounded(self):
-        model = ForwardModel(TanhDrift(0.4), 1.0, 1.0)
-        bundle = simulate_paths(model, 0.0, 0.0, 256, 64, seed=5)
-        assert np.all(bundle.flow_paths > 0.0)
-        cap = math.exp(model.lam * model.horizon)
-        assert np.all(bundle.flow_paths <= cap * (1 + 1e-12))
-        assert np.all(bundle.flow_paths >= (1 + 1e-12) ** -1 / cap)
-
     def test_divergence_reported_with_step(self):
         # explosive custom drift forces non-finite state quickly
         class CubicDrift(Drift):
             def __call__(self, t, x):
                 return np.asarray(x, dtype=float) ** 3 * 1e6
-
-            def dx(self, t, x):
-                return 3e6 * np.asarray(x, dtype=float) ** 2
 
             def sup_dx(self):
                 return np.inf
@@ -227,6 +212,15 @@ class TestMapPathBlocks:
         assert sorted(done) == [0, 2]
 
 
+def drift_dx(drift, x):
+    """b_x of the three drift kinds, in closed form."""
+    if isinstance(drift, LinearDrift):
+        return np.full_like(x, drift.beta)
+    if isinstance(drift, TanhDrift):
+        return drift.scale * (1.0 - np.tanh(x) ** 2)
+    return np.zeros_like(x)
+
+
 class TestCompat:
     """|b_x| <= lambda holds by construction: lambda = sup_dx() bounds b_x."""
 
@@ -235,8 +229,12 @@ class TestCompat:
                              ids=["zero", "linear+", "linear-", "tanh+", "tanh-"])
     def test_sup_dx_bounds_dx_on_dense_grid(self, drift):
         model = ForwardModel(drift, 1.0, 1.0)
-        t, x = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(-20.0, 20.0, 4001))
-        measured = np.max(np.abs(drift.dx(t, x)))
+        x = np.linspace(-20.0, 20.0, 4001)
+        # the closed form agrees with central differences of the drift itself
+        h = 1e-6
+        slope = (drift(0.5, x + h) - drift(0.5, x - h)) / (2.0 * h)
+        assert np.allclose(slope, drift_dx(drift, x), rtol=0.0, atol=1e-8)
+        measured = np.max(np.abs(drift_dx(drift, x)))
         assert model.lam == drift.sup_dx()
         assert measured <= model.lam
         # the bound is the sup, not just a bound: every kind attains it
@@ -248,9 +246,6 @@ class TestCompat:
             def __call__(self, t, x):
                 return np.sin(np.asarray(x, dtype=float))
 
-            def dx(self, t, x):
-                return np.cos(np.asarray(x, dtype=float))
-
         with pytest.raises(NotImplementedError):
             ForwardModel(Sine(), 1.0, 1.0)
 
@@ -260,12 +255,11 @@ def _reference_paths_csv(bundle, path):
     one write per (path, step)."""
     times = bundle.times.tolist()
     with open(path, "w", newline="") as fh:
-        fh.write("path,t,x,flow,dB\n")
+        fh.write("path,t,x,dB\n")
         for p in range(bundle.x_paths.shape[0]):
             dbs = [0.0] + bundle.noise[p].tolist()
-            for t, x, flow, db in zip(times, bundle.x_paths[p].tolist(),
-                                      bundle.flow_paths[p].tolist(), dbs):
-                fh.write(f"{p},{t!r},{x!r},{flow!r},{db!r}\n")
+            for t, x, db in zip(times, bundle.x_paths[p].tolist(), dbs):
+                fh.write(f"{p},{t!r},{x!r},{db!r}\n")
 
 
 class TestExport:
@@ -288,12 +282,10 @@ class TestExport:
         bundle = PathBundle(times=np.array([0.0, 1e-05, 2e-05]),
                             x_paths=np.array([[-0.0, 1e-300, -1e+16],
                                               [0.1, -1e-05, 5e-324]]),
-                            flow_paths=np.array([[1.0, 2.5e+300, 1.0 / 3.0],
-                                                 [1.0, 0.0, -0.0]]),
                             noise=np.array([[-0.0, 1e-07], [3e-05, -2.0 / 3.0]]),
                             seed=0, x0=0.0, t0=0.0, dt=1e-05)
         text = self._same_bytes(bundle, tmp_path)
-        for token in ("0,0.0,-0.0,1.0,0.0\n", "1e-05", "5e-324", "-1e+16", ",-0.0\n"):
+        for token in ("0,0.0,-0.0,0.0\n", "1e-05", "5e-324", "-1e+16", ",-0.0\n"):
             assert token in text
 
     def test_csv_dump(self, tmp_path):
@@ -301,15 +293,56 @@ class TestExport:
         path = tmp_path / "paths.csv"
         bundle.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "path,t,x,flow,dB"
+        assert lines[0] == "path,t,x,dB"
         assert len(lines) == 1 + 3 * 5
         # every field parses as a number and round-trips the arrays exactly
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        vals = np.array([[float(v) for v in row] for row in rows]).reshape(3, 5, 5)
+        vals = np.array([[float(v) for v in row] for row in rows]).reshape(3, 5, 4)
         assert np.array_equal(vals[..., 0], np.repeat(np.arange(3.0)[:, None], 5, axis=1))
         assert np.array_equal(vals[..., 1], np.broadcast_to(bundle.times, (3, 5)))
         assert np.array_equal(vals[..., 2], bundle.x_paths)
-        assert np.array_equal(vals[..., 3], bundle.flow_paths)
-        assert np.array_equal(vals[:, 0, 4], np.zeros(3))
-        assert np.array_equal(vals[:, 1:, 4], bundle.noise)
+        assert np.array_equal(vals[:, 0, 3], np.zeros(3))
+        assert np.array_equal(vals[:, 1:, 3], bundle.noise)
+
+
+class TestEulerGaussianLaw:
+    @staticmethod
+    def recursion(model, x0, dt, q):
+        """Mean and variance of X_{k+1} = X_k + (b(X_k) + sigma q_k) dt +
+        sigma dB_k, one step at a time, for a drift b(x) = beta x."""
+        beta = 0.0 if model.drift.zero else model.drift.beta
+        mean, var = x0, 0.0
+        for qk in q:
+            mean = mean + (beta * mean + model.sigma * qk) * dt
+            var = (1.0 + beta * dt) ** 2 * var + model.sigma**2 * dt
+        return mean, var
+
+    @pytest.mark.parametrize("drift", [ZeroDrift(), LinearDrift(0.8), LinearDrift(-1.3)],
+                             ids=["zero", "linear+", "linear-"])
+    def test_matches_the_step_recursion(self, drift):
+        model = ForwardModel(drift, 0.7, 1.5)
+        q = np.linspace(-1.0, 2.0, 60)
+        dt = forward_model.time_step(model, 0.25, q.size)
+        mean, var = forward_model.euler_gaussian_law(model, 0.4, dt, q)
+        want = self.recursion(model, 0.4, dt, q)
+        assert mean == pytest.approx(want[0], rel=1e-13)
+        assert var == pytest.approx(want[1], rel=1e-13)
+
+    def test_zero_drift_closed_form(self):
+        model = ForwardModel(ZeroDrift(), 0.7, 1.5)
+        q = np.full(40, 0.5)
+        dt = forward_model.time_step(model, 0.0, 40)
+        mean, var = forward_model.euler_gaussian_law(model, 0.4, dt, q)
+        assert mean == pytest.approx(0.4 + 0.7 * 0.5 * 1.5, rel=1e-14)
+        assert var == pytest.approx(0.7**2 * 1.5, rel=1e-14)
+
+    def test_none_for_a_nonlinear_drift_or_an_overflow(self):
+        q = np.zeros(10)
+        assert forward_model.euler_gaussian_law(
+            ForwardModel(TanhDrift(0.4), 1.0, 1.0), 0.0, 0.1, q) is None
+        # a = 1 + 1e300 * 0.1: the variance overflows, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert forward_model.euler_gaussian_law(
+                ForwardModel(LinearDrift(1e300), 1.0, 1.0), 0.0, 0.1, q) is None
