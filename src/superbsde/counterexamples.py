@@ -22,14 +22,18 @@ from . import _kernels
 from .errors import RangeOverflowError
 from .forward_model import map_path_blocks, path_normals
 
-# Paths per block in the Thm 3.4 joint channel (memory only: per-path
-# streams make the results independent of it).  Memory is the blocks in
-# flight, at most forward_model.WORKERS, times the block size; a joint block
-# holds its normals and its integrals component-major, k_max x _JOINT_BATCH
-# x (n_coarse + 1) floats.  Measured on 2 CPUs: blocks twice as large ran
-# about 4 % faster, but on a 256-path run two of them in flight peaked
-# about 30 MB above one serial block of 256 joint paths.
-_JOINT_BATCH = 64
+# Bytes per block of the Thm 3.4 joint channel (memory only: per-path
+# streams make the results independent of the block size).  A joint block
+# holds its normals and its integrals component-major, each about
+# k_max x paths x (n_coarse + 1) floats, so `_joint_block` gives as many
+# paths as fit this budget, and memory is the blocks in flight, at most
+# forward_model.WORKERS, times the budget for any n_coarse.  At k_max = 3,
+# n_coarse = 4096 it gives 16 paths (98,328 bytes per path per array).
+# Measured on 2 CPUs against the former fixed 64-path blocks: cx_comb peak
+# RSS 80 -> 53 MB at the same wall time.  32-path blocks peaked at
+# 64-67 MB; 8-path blocks at 49.5 MB, but their per-block overhead read
+# 0.69-0.74 s per pass against 0.66-0.72 s, so blocks stay near 16 paths.
+_JOINT_BLOCK_BYTES = 1_600_000
 # terms summed before the Euler-Maclaurin tail of zeta
 _ZETA_DIRECT = 2048
 # the multiple of 1/alpha the Thm 3.1 divergence witness waits for
@@ -474,6 +478,12 @@ def _joint_increments(roots, xi, dm):
                 dm[k] += roots[:, k, l] * xi[:, :, l]
 
 
+def _joint_block(k_max, n_coarse):
+    """Paths per joint-channel block: as many as _JOINT_BLOCK_BYTES holds at
+    8 k_max (n_coarse + 1) bytes per path, and at least one."""
+    return max(1, _JOINT_BLOCK_BYTES // (8 * k_max * (n_coarse + 1)))
+
+
 def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     """Simulate the joint law of (M^1..M^k_max) at the coarse knots and
     reduce each path to the statistics the pathwise checks need.
@@ -486,6 +496,10 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     that violate.  Unstopped rows reduce their whole row; the dead knots
     past nu are masked (inf for the monotonicity minimum, 0 for the
     distance) on the stopped rows only."""
+    if n_coarse < 1:
+        raise ValueError(f"need n_coarse >= 1, got {n_coarse}")
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
     k_max = min(k_max, cfg.K)
     edges, cov, skipped = _joint_covariance(cfg, k_max, n_coarse)
     # symmetric square roots per interval (eigh handles zero-teeth intervals)
@@ -538,7 +552,7 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
         dist[:, stopped] = np.max(np.abs(y, out=y), axis=2)
         sup_dist[start:stop] = dist.T
 
-    map_path_blocks(draw, block, n_paths, _JOINT_BATCH)
+    map_path_blocks(draw, block, n_paths, _joint_block(k_max, nb))
     return Thm34JointStats(k_max=k_max, n_paths=int(n_paths), nu_index=nu_index,
                            nu_k_ok=nu_k_ok, sup_dist=sup_dist,
                            mono_min=mono_min, skipped_pairs=skipped)
@@ -590,6 +604,8 @@ def thm34_checks(cfg, n_paths, n_steps, seed):
     """Deterministic bounds and exact dip probabilities for every built k,
     then one joint channel run's pathwise and witness rows, k <= PATH_K_MAX."""
     _check_n_paths(n_paths)
+    if n_steps < 1:
+        raise ValueError(f"need n_steps >= 1, got {n_steps}")
     rows = list(thm34_deterministic(cfg))
     rows.extend(thm34_mc_nu(cfg, k) for k in range(1, cfg.K + 1))
     joint = thm34_joint_paths(cfg, PATH_K_MAX, n_paths, seed, n_coarse=n_steps)

@@ -23,7 +23,9 @@ Every generator is built and read on the calling thread, so code that
 wraps or counts them sees one thread.  Each block writes only its own
 rows of preallocated outputs, so results are bit-identical for every
 worker count and block size.  Memory is the blocks in flight (at most
-`WORKERS`, the one being drawn included) times the block size.
+`WORKERS`, the one being drawn included) times the block size; the Thm 3.4
+joint channel sizes its blocks by bytes (`counterexamples._joint_block`),
+about 1.6 MB per array, whatever its grid.
 
 `simulate_paths` stores every knot of x, and reads a tilt's pointwise
 `rate(t_k, X_k)`.  The dual pass (`dual_mc.evaluate_controls`) draws the
@@ -187,8 +189,11 @@ def path_normals(seed, salt, start, stop, shape=()):
     One Philox is re-keyed per path through its public state setter, which
     also resets the counter and the output buffer; constructing a Philox
     per path costs several times more, and a state dict of Python ints sets
-    faster than the numpy-array dict `bits.state` returns.  Raises
-    ValueError for a key outside [0, 2**128), as Philox does.
+    faster than the numpy-array dict `bits.state` returns.  The one Philox
+    is built from a fixed seed: the first re-key overwrites its whole
+    state, and a seedless construction would read 128 bits of OS entropy,
+    which releases the GIL.  Raises ValueError for a key outside
+    [0, 2**128), as Philox does.
     """
     n = stop - start
     first = (int(seed) << 64) + (int(salt) << 48) + int(start)
@@ -197,7 +202,7 @@ def path_normals(seed, salt, start, stop, shape=()):
                          f"salt {salt}, paths {start}..{stop - 1}")
     out = np.empty((n, *shape))
     rows = out.reshape(n, math.prod(shape))
-    bits = Philox(key=first)
+    bits = Philox(0)
     gen = Generator(bits)
     key = [0, 0]
     fresh = {"bit_generator": "Philox",  # counter 0, empty buffer
@@ -241,8 +246,10 @@ def map_path_blocks(draw, fn, n_paths, block):
     inline, in order.  fn must write only its own block's rows of the
     caller's outputs.  Once every started block has finished, a failing
     draw's exception is re-raised, else that of the first failing fn in
-    block order.
+    block order.  Raises ValueError for block < 1.
     """
+    if block < 1:
+        raise ValueError(f"need block >= 1, got {block}")
     bounds = [(start, min(start + block, n_paths))
               for start in range(0, n_paths, block)]
     if WORKERS == 1 or len(bounds) == 1:

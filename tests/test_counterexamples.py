@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import types
 import warnings
 
@@ -651,7 +652,7 @@ class TestJointStatsOffNu:
     @pytest.mark.parametrize("k_max", [1, 2, 3])
     def test_matches_clamped_gather(self, q, k_max):
         cfg = cx.build_thm34(q, 3, 1.0)
-        n_paths = 2 * cx._JOINT_BATCH + 37
+        n_paths = 2 * cx._joint_block(k_max, 512) + 37
         joint = cx.thm34_joint_paths(cfg, k_max, n_paths, 12, n_coarse=512)
         want = joint_reference(cfg, k_max, n_paths, 12, 512)
         for g, w in zip(joint_stats(joint), want):
@@ -663,7 +664,7 @@ class TestJointStatsOffNu:
     @pytest.mark.parametrize("q", [3.0, 10.0])
     def test_independent_of_the_batch_split(self, monkeypatch, q):
         cfg = cx.build_thm34(q, 3, 1.0)
-        n_paths = 2 * cx._JOINT_BATCH + 37
+        n_paths = 2 * cx._joint_block(3, 256) + 37
         want, got = split_runs(monkeypatch, lambda: joint_stats(
             cx.thm34_joint_paths(cfg, 3, n_paths, 21, n_coarse=256)))
         assert 0 < np.sum(want[0] < 256) < n_paths
@@ -699,6 +700,39 @@ class TestJointStatsOffNu:
         assert not same_bytes(joint_stats(cx.thm34_joint_paths(cfg, 3, 300, 12, 512)), want)
 
 
+class TestJointBlock:
+    """Joint-channel blocks are sized by bytes; sizing runs no channel."""
+
+    @pytest.mark.parametrize("k_max", [1, 3])
+    @pytest.mark.parametrize("n_coarse", [1, 64, 4096, 65536])
+    def test_largest_block_within_the_budget(self, k_max, n_coarse):
+        per_path = 8 * k_max * (n_coarse + 1)
+        paths = cx._joint_block(k_max, n_coarse)
+        assert paths >= 1
+        assert paths * per_path <= cx._JOINT_BLOCK_BYTES
+        assert (paths + 1) * per_path > cx._JOINT_BLOCK_BYTES
+
+    def test_default_grid_block(self):
+        assert cx._joint_block(3, 4096) == 16
+
+    def test_one_path_when_a_path_exceeds_the_budget(self):
+        assert 8 * 3 * (10**6 + 1) > cx._JOINT_BLOCK_BYTES
+        assert cx._joint_block(3, 10**6) == 1
+
+    def test_channel_peak_is_a_few_blocks(self, monkeypatch):
+        # two 16-path blocks in flight and their temporaries; the former
+        # fixed 64-path blocks peaked at 24.5 MiB on this run
+        monkeypatch.setattr(forward_model, "WORKERS", 2)
+        cfg = cx.build_thm34(3.0, 6, 1.0)
+        tracemalloc.start()
+        try:
+            cx.thm34_joint_paths(cfg, 3, 2000, 77, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
+
 class TestPoolThreads:
     """The Thm 3.4 joint channel draws on the calling thread, works on the
     pool; thm34_checks and the witness run it."""
@@ -709,7 +743,7 @@ class TestPoolThreads:
         # must come from one; the exact dip rows add no draws
         monkeypatch.setattr(forward_model, "WORKERS", 2)
         cfg = cx.build_thm34(3.0, 3, 1.0)
-        n_paths = 4 * cx._JOINT_BATCH + 5
+        n_paths = 4 * cx._joint_block(3, 64) + 5
         counts, threads = count_normals(monkeypatch)
         if channel == "joint":
             cx.thm34_joint_paths(cfg, 3, n_paths, 8, n_coarse=64)
@@ -725,7 +759,7 @@ class TestPoolThreads:
         # path's Philox key past 2**128, so the first draw fails instead
         monkeypatch.setattr(forward_model, "WORKERS", 2)
         cfg = cx.build_thm34(3.0, 3, 1.0)
-        n_paths = 4 * cx._JOINT_BATCH + 5
+        n_paths = 4 * cx._joint_block(3, 64) + 5
         threads = []
         work = cx._joint_increments
 
@@ -824,3 +858,16 @@ class TestPathCountGuard:
                 cx.thm34_checks(cfg34, n_paths, 256, seed=1)
             with pytest.raises(ValueError, match="n_paths >= 2"):
                 cx.limit_not_solution_witness(cfg34, seed=1, n_paths=n_paths)
+
+    def test_grid_needs_a_step(self):
+        cfg34 = cx.build_thm34(3.0, 3, 1.0)
+        with pytest.raises(ValueError, match="n_steps >= 1"):
+            cx.thm34_checks(cfg34, 10, 0, seed=1)
+        for n_coarse in (0, -1):
+            with pytest.raises(ValueError, match="n_coarse >= 1"):
+                cx.thm34_joint_paths(cfg34, 3, 10, 1, n_coarse=n_coarse)
+            with pytest.raises(ValueError, match="n_coarse >= 1"):
+                cx.limit_not_solution_witness(cfg34, seed=1, n_paths=10,
+                                              n_coarse=n_coarse)
+        with pytest.raises(ValueError, match="k_max >= 1"):
+            cx.thm34_joint_paths(cfg34, 0, 10, 1, n_coarse=64)

@@ -1,5 +1,6 @@
 import csv
 import math
+import random
 import threading
 import time
 import warnings
@@ -91,6 +92,21 @@ class TestPathNormals:
             want = Generator(Philox(key=key)).standard_normal(shape)
             assert np.array_equal(got[i], want), (salt, shape, p)
 
+    def test_reads_no_os_entropy(self, monkeypatch):
+        shape = (5, 3)
+        want = [Generator(Philox(key=(9 << 64) + (3 << 48) + p)).standard_normal(shape)
+                for p in range(2, 6)]
+
+        def no_entropy(n):
+            raise AssertionError("OS entropy read")
+
+        monkeypatch.setattr(random, "_urandom", no_entropy)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            Philox(key=1)  # the patch reaches a seedless construction
+        got = path_normals(9, 3, 2, 6, shape)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_split_invariance(self):
         whole = path_normals(17, 3, 0, 40, (6, 2))
         for a, b in ((0, 1), (5, 23), (23, 40), (39, 40)):
@@ -158,6 +174,17 @@ class TestMapPathBlocks:
         if workers == 1:
             assert seen == want
         assert np.array_equal(out, np.arange(n_paths))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [0, -3])
+    def test_block_below_one_is_refused(self, monkeypatch, workers, block):
+        monkeypatch.setattr(forward_model, "WORKERS", workers)
+        calls = []
+        with pytest.raises(ValueError, match="block >= 1"):
+            forward_model.map_path_blocks(lambda start, stop: calls.append(start),
+                                          lambda start, stop, rows: calls.append(stop),
+                                          10, block)
+        assert calls == []
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_at_most_workers_blocks_in_flight(self, monkeypatch, workers):
