@@ -166,6 +166,8 @@ def load_config(path=None, command="solve", which="", overrides=None):
 
 # smallest allowed values; grid.dt must also be positive
 _LOWER_BOUNDS = {"mc.n_paths": 2, "mc.n_steps": 1, "grid.n_x": 64}
+# the most floats (1 GiB) of one array a command sizes from its config
+_MAX_FLOATS = 2**27
 
 
 def _check_config(cfg):
@@ -178,17 +180,50 @@ def _check_config(cfg):
         value = getattr(cfg, section)[key]
         if value < low:
             raise ConfigError(where, f"must be >= {low}, got {value}")
-    # the default grid is centred on x0
-    if not np.isfinite(cfg.x0):
-        raise ConfigError("x0", f"must be finite, got {cfg.x0!r}")
+    # the default grid is centred on x0; no grid bound or time may be NaN or inf
+    for where, value in (("x0", cfg.x0), ("t0", cfg.t0),
+                         *((f"grid.{k}", cfg.grid.get(k)) for k in ("x_lo", "x_hi", "pad"))):
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(where, f"must be finite, got {value!r}")
     if not cfg.grid["dt"] > 0.0:
         raise ConfigError("grid.dt", f"must be > 0, got {cfg.grid['dt']}")
+    T = cfg.model["T"]
+    if 0.0 < T < np.inf and not cfg.t0 < T:  # building the model names a bad T
+        raise ConfigError("t0", f"must be below model.T = {T!r}, got {cfg.t0!r}")
     if not 0.0 <= cfg.dual["scheme_tol"] < np.inf:
         raise ConfigError("dual.scheme_tol",
                           f"must be finite and >= 0, got {cfg.dual['scheme_tol']}")
     if not 0.0 < cfg.counterexample["T"] < np.inf:
         raise ConfigError("counterexample.T",
                           f"must be finite and > 0, got {cfg.counterexample['T']}")
+    _check_sizes(cfg)
+
+
+def _check_sizes(cfg):
+    """Refuse a config that sizes one array past _MAX_FLOATS, before any is
+    allocated, naming the key of the larger factor.  The arrays: levels x
+    nodes of a PDE solve; the stored paths of `checks`; the feedback plan,
+    a drawn block and the per-path results of `dual`; the per-path
+    statistics of `counterexample 3.4`."""
+    n_x, n_paths, n_steps = cfg.grid["n_x"], cfg.mc["n_paths"], cfg.mc["n_steps"]
+    span = cfg.model["T"] - cfg.t0  # > 0 and finite for a valid model.T
+    arrays = {"checks": [("paths x knots", "mc.n_paths", n_paths, "mc.n_steps", n_steps + 1)],
+              "dual": [("knots x nodes", "mc.n_steps", n_steps, "grid.n_x", n_x),
+                       ("block paths x steps", "mc.n_paths",
+                        min(n_paths, dual_mc._BLOCK_PATHS), "mc.n_steps", n_steps),
+                       ("paths x controls", "mc.n_paths", n_paths,
+                        "dual.constants", 2 + len(cfg.dual["constants"]))],
+              "counterexample": [("paths x components", "mc.n_paths", n_paths, None,
+                                  cx.PATH_K_MAX)] if cfg.which == "3.4" else [],
+              }.get(cfg.command, [])
+    if cfg.command != "counterexample" and 0.0 < span < np.inf:
+        arrays.append(("levels x nodes", "grid.dt", max(1.0, span / cfg.grid["dt"]) + 1.0,
+                       "grid.n_x", n_x))
+    for what, key_a, a, key_b, b in arrays:
+        if float(a) * float(b) > _MAX_FLOATS:
+            raise ConfigError(key_a if a >= b or key_b is None else key_b,
+                              f"{what} = {a:.6g} x {b:.6g} = {float(a) * b:.3g} floats; "
+                              f"one array may hold at most 2**27")
 
 
 def _built(where, build, *args):

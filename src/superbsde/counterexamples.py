@@ -23,17 +23,16 @@ from .errors import RangeOverflowError
 from .forward_model import map_path_blocks, path_normals
 
 # Bytes per block of the Thm 3.4 joint channel (memory only: per-path
-# streams make the results independent of the block size).  A joint block
-# holds its normals and its integrals component-major, each about
-# k_max x paths x (n_coarse + 1) floats, so `_joint_block` gives as many
-# paths as fit this budget, and memory is the blocks in flight, at most
-# forward_model.WORKERS, times the budget for any n_coarse.  At k_max = 3,
-# n_coarse = 4096 it gives 16 paths (98,328 bytes per path per array).
-# Measured on 2 CPUs against the former fixed 64-path blocks: cx_comb peak
-# RSS 80 -> 53 MB at the same wall time.  32-path blocks peaked at
-# 64-67 MB; 8-path blocks at 49.5 MB, but their per-block overhead read
-# 0.69-0.74 s per pass against 0.66-0.72 s, so blocks stay near 16 paths.
-_JOINT_BLOCK_BYTES = 1_600_000
+# streams make the results independent of the block size).  A block's
+# normals and integrals are each about k_max x paths x (n_coarse + 1)
+# floats in buffers reused by every block, so memory is about twice this
+# for any n_coarse; at k_max = 3, n_coarse = 4096 it gives 8 paths.  On 2
+# CPUs and one thread, per cx_comb channel work (thm34_checks at 2000 paths
+# and the 256-path witness, median of 5, two runs) and traced peak of the
+# 2000-path channel: 2 paths 0.67 s, 2.0 MiB; 4 paths 0.63-0.64 s, 2.5 MiB;
+# 8 paths 0.59-0.64 s, 3.5 MiB; 16 paths 0.60-0.61 s, 5.2 MiB; 32 paths
+# 0.62 s, 8.9 MiB.  Per-block overhead shows below 4 paths.
+_JOINT_BLOCK_BYTES = 800_000
 # terms summed before the Euler-Maclaurin tail of zeta
 _ZETA_DIRECT = 2048
 # the multiple of 1/alpha the Thm 3.1 divergence witness waits for
@@ -464,14 +463,16 @@ def _comb_drift_integral(cfg, k, t):
     return cfg.g_vals[k - 1] * _kernels.comb_measure(t, cfg.period(k), cfg.width(k))
 
 
-def _joint_increments(roots, xi, dm):
-    """dm[k] = sum of roots[:, k, l] * xi[:, :, l] over l ascending, taken
-    over the root columns that are not identically zero.  A skipped column
-    would only add exact zeros, so the sum is the full one, and a diagonal
-    covariance costs one product per component.  dm starts zeroed."""
-    for k in range(roots.shape[1]):
-        cols = [l for l in range(roots.shape[2]) if np.any(roots[:, k, l])]
-        for n, l in enumerate(cols):
+def _joint_increments(roots, cols, xi, dm):
+    """dm[k] = sum of roots[:, k, l] * xi[:, :, l] over l in cols[k], the
+    ascending root columns not identically zero.  A skipped column would
+    only add exact zeros, so the sum is the full one, and a diagonal
+    covariance costs one product per component; a component with no such
+    column is zero."""
+    for k, live in enumerate(cols):
+        if not live:
+            dm[k] = 0.0
+        for n, l in enumerate(live):
             if n == 0:
                 np.multiply(roots[:, k, l], xi[:, :, l], out=dm[k])
             else:
@@ -488,14 +489,16 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     """Simulate the joint law of (M^1..M^k_max) at the coarse knots and
     reduce each path to the statistics the pathwise checks need.
 
+    Paths run in blocks of `_joint_block` paths, one after another on the
+    calling thread (map_path_blocks), in buffers allocated once per call.
     Each block is held component-major, m[k, b, knot], so every reduction
     runs along a contiguous row; _joint_increments fills it from the root
-    columns that are not identically zero.  A component violates its barrier
-    iff its row max exceeds 2^-k or its row min falls below -2^-k; the
-    first violating knot, and with it nu, is searched for only on rows
-    that violate.  Unstopped rows reduce their whole row; the dead knots
-    past nu are masked (inf for the monotonicity minimum, 0 for the
-    distance) on the stopped rows only."""
+    columns that are not identically zero, found once per call.  A
+    component violates its barrier iff its row max exceeds 2^-k or its row
+    min falls below -2^-k; the first violating knot, and with it nu, is
+    searched for only on rows that violate.  Unstopped rows reduce their
+    whole row; the dead knots past nu are masked (inf for the monotonicity
+    minimum, 0 for the distance) on the stopped rows only."""
     if n_coarse < 1:
         raise ValueError(f"need n_coarse >= 1, got {n_coarse}")
     if k_max < 1:
@@ -516,13 +519,26 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
     sup_dist = np.empty((n_paths, k_max))
     mono_min = np.empty((n_paths, max(k_max - 1, 0)))
     knots = np.arange(nb + 1)
+    cols = [[l for l in range(k_max) if np.any(roots[:, k, l])] for k in range(k_max)]
+
+    # One block's buffers, reused by every block.  The normals are dead once
+    # _joint_increments has read them, so the monotonicity gaps reuse their
+    # memory: (k_max - 1)(nb + 1) <= k_max nb whenever k_max <= nb + 1, and
+    # the max only matters on grids of fewer knots than components.
+    block = max(1, min(_joint_block(k_max, nb), n_paths))
+    spare = np.empty(block * max(nb * k_max, (k_max - 1) * (nb + 1)))
+    m_all = np.empty((k_max, block, nb + 1))
 
     def draw(start, stop):
-        return path_normals(seed, 3, start, stop, (nb, k_max))
+        n = stop - start
+        return path_normals(seed, 3, start, stop, (nb, k_max),
+                            out=spare[:n * nb * k_max].reshape(n, nb, k_max))
 
-    def block(start, stop, xi):
-        m = np.zeros((k_max, stop - start, nb + 1))
-        _joint_increments(roots, xi, m[:, :, 1:])
+    def reduce(start, stop, xi):
+        n = stop - start
+        m = m_all[:, :n]
+        m[:, :, 0] = 0.0
+        _joint_increments(roots, cols, xi, m[:, :, 1:])
         np.cumsum(m, axis=2, out=m)
 
         ok = (np.max(m, axis=2) <= thresholds) & (np.min(m, axis=2) >= -thresholds)
@@ -538,13 +554,13 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
         # m becomes y = drift - m, then y - t; knots past nu are dead
         y = np.subtract(drift_at, m, out=m)
         if k_max > 1:
-            gap = np.diff(y, axis=0)
+            gap = spare[:(k_max - 1) * n * (nb + 1)].reshape(k_max - 1, n, nb + 1)
+            np.subtract(y[1:], y[:-1], out=gap)
             mono = np.min(gap, axis=2)
             gap = gap[:, stopped]
             gap[:, dead] = np.inf
             mono[:, stopped] = np.min(gap, axis=2)
             mono_min[start:stop] = mono.T
-            del gap
         y -= edges
         dist = np.maximum(np.max(y, axis=2), -np.min(y, axis=2))
         y = y[:, stopped]
@@ -552,7 +568,7 @@ def thm34_joint_paths(cfg, k_max, n_paths, seed, n_coarse=4096):
         dist[:, stopped] = np.max(np.abs(y, out=y), axis=2)
         sup_dist[start:stop] = dist.T
 
-    map_path_blocks(draw, block, n_paths, _joint_block(k_max, nb))
+    map_path_blocks(draw, reduce, n_paths, block)
     return Thm34JointStats(k_max=k_max, n_paths=int(n_paths), nu_index=nu_index,
                            nu_k_ok=nu_k_ok, sup_dist=sup_dist,
                            mono_min=mono_min, skipped_pairs=skipped)

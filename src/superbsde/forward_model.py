@@ -11,21 +11,17 @@ of the stream family `salt` reads the counter-based Philox stream with key
 (seed << 64) + (salt << 48) + p, starting at counter 0 (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A path's numbers
 depend only on (seed, salt, p), so results are reproducible bit-for-bit
-and do not depend on how paths are split into batches or workers.  Salts:
+and do not depend on how paths are split into blocks.  Salts:
 0 the Brownian increments of `simulate_paths` and of the dual Monte Carlo
 pass, 3 the Thm 3.4 joint channel; 1 and 2 are unused since Thm 3.3 is exact.
 
-`map_path_blocks` overlaps a channel's path blocks on the CPUs this
-process may use (`WORKERS`): the calling thread draws each block's
-normals in block order while a thread pool runs the rest of earlier
-blocks; numpy's Philox fill and the block reductions release the GIL.
-Every generator is built and read on the calling thread, so code that
-wraps or counts them sees one thread.  Each block writes only its own
-rows of preallocated outputs, so results are bit-identical for every
-worker count and block size.  Memory is the blocks in flight (at most
-`WORKERS`, the one being drawn included) times the block size; the Thm 3.4
-joint channel sizes its blocks by bytes (`counterexamples._joint_block`),
-about 1.6 MB per array, whatever its grid.
+The package starts no threads.  `map_path_blocks` runs a channel's blocks
+of paths one after another on the calling thread, and `path_normals(...,
+out=)` fills a block's normals into a buffer the caller reuses for every
+block; the Thm 3.4 joint channel sizes that buffer by bytes
+(`counterexamples._joint_block`), whatever its grid, so its memory is one
+block.  Each block writes only its own rows of preallocated outputs, so
+results are bit-identical for every block size.
 
 `simulate_paths` stores every knot of x, and reads a tilt's pointwise
 `rate(t_k, X_k)`.  The dual pass (`dual_mc.evaluate_controls`) draws the
@@ -42,9 +38,7 @@ tilt that does not depend on the state, which `dual_mc.duality_gap` uses
 in place of paths.
 """
 
-import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,18 +175,22 @@ _KEY_LIMIT = 1 << 128
 _WORD = (1 << 64) - 1
 
 
-def path_normals(seed, salt, start, stop, shape=()):
+def path_normals(seed, salt, start, stop, shape=(), out=None):
     """Standard normals of shape (stop - start, *shape) for paths
     start..stop-1.  Row i equals Generator(Philox(key=k)).standard_normal(shape)
     with k = (seed << 64) + (salt << 48) + start + i.
+
+    With `out`, a C-contiguous float64 array of exactly that shape, the
+    normals are written into it and it is returned, so a caller that draws
+    block after block allocates once; any other `out` raises ValueError.
 
     One Philox is re-keyed per path through its public state setter, which
     also resets the counter and the output buffer; constructing a Philox
     per path costs several times more, and a state dict of Python ints sets
     faster than the numpy-array dict `bits.state` returns.  The one Philox
     is built from a fixed seed: the first re-key overwrites its whole
-    state, and a seedless construction would read 128 bits of OS entropy,
-    which releases the GIL.  Raises ValueError for a key outside
+    state, and a seedless construction would read 128 bits of OS entropy
+    per call.  Raises ValueError for a key outside
     [0, 2**128), as Philox does.
     """
     n = stop - start
@@ -200,7 +198,13 @@ def path_normals(seed, salt, start, stop, shape=()):
     if not (0 <= first and first + n <= _KEY_LIMIT):
         raise ValueError(f"Philox key outside [0, 2**128) for seed {seed}, "
                          f"salt {salt}, paths {start}..{stop - 1}")
-    out = np.empty((n, *shape))
+    if out is None:
+        out = np.empty((n, *shape))
+    elif (out.shape != (n, *shape) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        # a non-contiguous out would be reshaped into a copy and never filled
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{(n, *shape)}, got {out.dtype} {out.shape}")
     rows = out.reshape(n, math.prod(shape))
     bits = Philox(0)
     gen = Generator(bits)
@@ -216,58 +220,16 @@ def path_normals(seed, salt, start, stop, shape=()):
     return out
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-# worker threads of map_path_blocks: the CPUs this process may run on
-WORKERS = _usable_cpus()
-
-
-@functools.cache
-def _pool(workers):
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers, thread_name_prefix="path-block")
-
-
 def map_path_blocks(draw, fn, n_paths, block):
     """Call fn(start, stop, draw(start, stop)) for the blocks [start, stop)
-    of `block` paths that cover 0..n_paths-1, and return when every block
-    is done.
-
-    draw runs on the calling thread, one block after another.  With more
-    than one block and more than one worker, fn runs on a pool of WORKERS
-    threads, built on first use (so importing the package starts no
-    threads), while later blocks are drawn; a block is drawn only once
-    fewer than WORKERS blocks are in flight.  Otherwise every block runs
-    inline, in order.  fn must write only its own block's rows of the
-    caller's outputs.  Once every started block has finished, a failing
-    draw's exception is re-raised, else that of the first failing fn in
-    block order.  Raises ValueError for block < 1.
-    """
+    of `block` paths that cover 0..n_paths-1, in order on the calling
+    thread; each block is done before the next is drawn, so draw may refill
+    one buffer.  Raises ValueError for block < 1."""
     if block < 1:
         raise ValueError(f"need block >= 1, got {block}")
-    bounds = [(start, min(start + block, n_paths))
-              for start in range(0, n_paths, block)]
-    if WORKERS == 1 or len(bounds) == 1:
-        for start, stop in bounds:
-            fn(start, stop, draw(start, stop))
-        return
-    pool = _pool(WORKERS)
-    futures = []
-    try:
-        for start, stop in bounds:
-            if len(futures) >= WORKERS:
-                futures[-WORKERS].exception()  # waits for that block
-            futures.append(pool.submit(fn, start, stop, draw(start, stop)))
-    finally:
-        for future in futures:
-            future.exception()
-    for future in futures:
-        future.result()
+    for start in range(0, n_paths, block):
+        stop = min(start + block, n_paths)
+        fn(start, stop, draw(start, stop))
 
 
 def draw_increments(seed, n_paths, n_steps, dt, start=0):

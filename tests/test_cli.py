@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,7 +361,7 @@ class TestCommands:
         ("oracle", "generator: {kind: power, q: 3.0}", "generator.kind"),
         ("oracle", "generator: {kind: quadratic}\nmodel: {drift: {linear: 0.5}}",
          "model.drift"),
-        ("solve", "t0: 2.0", "grid"),
+        ("solve", "t0: 2.0", "t0"),
         ("checks", "grid: {x_lo: 1.0, x_hi: -1.0}", "grid"),
         ("dual", "grid: {x_lo: 0.5}", "grid"),
         ("solve", "grid: {x_lo: -1.0, x_hi: 1.0}\nx0: 5.0", "x0"),
@@ -452,6 +453,86 @@ class TestCommands:
                                              build_terminal(cfg), cfg.t0, xs)
         assert np.array_equal(vals[:, 0], xs)
         assert np.array_equal(vals[:, 1], want)
+
+
+class TestConfigBounds:
+    """Sizes and bounds a config sets are refused before anything is built
+    from them, naming the key."""
+
+    @pytest.mark.parametrize("command, text, field", [
+        ("checks", "grid: {n_x: 64, dt: 1.0e-12}", "grid.dt"),
+        ("solve", "grid: {n_x: 100000000000}", "grid.n_x"),
+        ("checks", "mc: {n_paths: 100000000000, n_steps: 10}", "mc.n_paths"),
+        ("checks", "mc: {n_paths: 400, n_steps: 1000000000}", "mc.n_steps"),
+        ("dual", "mc: {n_paths: 100000000000}", "mc.n_paths"),
+        ("dual", "mc: {n_steps: 10000000}\ngrid: {n_x: 64}", "mc.n_steps"),
+        ("dual", "mc: {n_steps: 1000000}\ngrid: {n_x: 64}", "mc.n_steps"),
+        ("counterexample 3.4", "mc: {n_paths: 100000000000}", "mc.n_paths"),
+    ], ids=["levels", "nodes", "paths", "knots", "dual_paths", "dual_plan",
+            "dual_block", "cx34_paths"])
+    def test_oversized_array_is_refused_unallocated(self, tmp_path, capsys,
+                                                    command, text, field):
+        # each case asks for 0.5 GB to 7 TB; the check must come first
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(text + "\n")
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            rc = main([*command.split(), "--config", str(cfgp), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+        assert "at most 2**27" in err
+        assert peak < 4 * 2**20
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("counterexample 3.1", "mc: {n_paths: 100000000000}\ngrid: {n_x: 100000000000}"),
+        ("solve", "mc: {n_paths: 100000000000, n_steps: 100000000000}\n"
+                  "grid: {n_x: 64, dt: 0.05}"),
+    ], ids=["cx31_reads_no_paths_or_grid", "solve_reads_no_paths"])
+    def test_sizes_a_command_never_builds_pass(self, tmp_path, capsys, command, text):
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(text + "\n")
+        out = tmp_path / "o"
+        assert main([*command.split(), "--config", str(cfgp), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "summary.txt").exists()
+
+    def test_budget_edge(self, tmp_path):
+        # 2**27 / 64 nodes - 1 levels is exactly the budget; one more is not
+        levels = cli._MAX_FLOATS // 64
+        cfg = load_config(None, command="solve", overrides={"out": str(tmp_path)})
+        cfg.grid.update(n_x=64, dt=1.0 / (levels - 1))
+        cli._check_sizes(cfg)
+        cfg.grid.update(dt=1.0 / levels)
+        with pytest.raises(ConfigError, match="grid.dt: "):
+            cli._check_sizes(cfg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, field", [
+        ("grid: {x_lo: -4.0, x_hi: .inf}", "grid.x_hi"),
+        ("grid: {x_lo: -.inf, x_hi: 4.0}", "grid.x_lo"),
+        ("grid: {pad: .nan}", "grid.pad"),
+        ("grid: {pad: .inf}", "grid.pad"),
+        ("t0: .nan", "t0"),
+        ("t0: 2.0", "t0"),
+        ("t0: 1.0", "t0"),
+    ], ids=["x_hi_inf", "x_lo_inf", "pad_nan", "pad_inf", "t0_nan", "t0_past_T",
+            "t0_at_T"])
+    def test_bad_bound_names_its_key_without_warnings(self, tmp_path, capsys,
+                                                      text, field):
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(text + "\n")
+        out = tmp_path / "o"
+        rc = main(["checks", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestHelp:

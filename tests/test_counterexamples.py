@@ -616,26 +616,25 @@ def joint_reference(cfg, k_max, n_paths, seed, n_coarse):
 
 
 def split_runs(monkeypatch, channel):
-    """channel() as one block over all paths without map_path_blocks, then
-    through it with one worker, with the default pool, and with blocks of
-    1 and 7 paths on the default pool."""
-    helper = cx.map_path_blocks
-    monkeypatch.setattr(cx, "map_path_blocks",
-                        lambda draw, fn, n, block: fn(0, n, draw(0, n)))
-    want = channel()
-    got = []
-    with monkeypatch.context() as m:
-        m.setattr(cx, "map_path_blocks", helper)
-        m.setattr(forward_model, "WORKERS", 1)
-        got.append(channel())
-    monkeypatch.setattr(cx, "map_path_blocks", helper)
-    got.append(channel())
-    for size in (1, 7):
+    """channel() at the default block size, then with blocks of 1 and 7
+    paths and with one block of all paths; also the largest block each
+    run drew, in the same order."""
+    draw, drawn = cx.path_normals, []
+
+    def counting(seed, salt, start, stop, *args, **kwargs):
+        drawn.append(stop - start)
+        return draw(seed, salt, start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(cx, "path_normals", counting)
+    runs, sizes = [], []
+    for size in (None, 1, 7, 10**9):
         with monkeypatch.context() as m:
-            m.setattr(cx, "map_path_blocks", lambda draw, fn, n, block, size=size:
-                      helper(draw, fn, n, size))
-            got.append(channel())
-    return want, got
+            if size is not None:
+                m.setattr(cx, "_joint_block", lambda k_max, n_coarse, size=size: size)
+            runs.append(channel())
+        sizes.append(max(drawn))
+        drawn.clear()
+    return runs[0], runs[1:], sizes
 
 
 def joint_stats(joint):
@@ -665,8 +664,9 @@ class TestJointStatsOffNu:
     def test_independent_of_the_batch_split(self, monkeypatch, q):
         cfg = cx.build_thm34(q, 3, 1.0)
         n_paths = 2 * cx._joint_block(3, 256) + 37
-        want, got = split_runs(monkeypatch, lambda: joint_stats(
+        want, got, sizes = split_runs(monkeypatch, lambda: joint_stats(
             cx.thm34_joint_paths(cfg, 3, n_paths, 21, n_coarse=256)))
+        assert sizes == [cx._joint_block(3, 256), 1, 7, n_paths]
         assert 0 < np.sum(want[0] < 256) < n_paths
         for stats in got:
             assert same_bytes(stats, want)
@@ -677,10 +677,9 @@ class TestJointStatsOffNu:
         want = joint_reference(cfg, 3, 300, 12, 512)
         increments = cx._joint_increments
 
-        def dropped(roots, xi, dm):
-            roots = roots.copy()
-            roots[:, 0, 2] = 0.0
-            increments(roots, xi, dm)
+        def dropped(roots, cols, xi, dm):
+            assert cols[0] == [0, 1, 2]
+            increments(roots, ([0, 1], *cols[1:]), xi, dm)
 
         assert same_bytes(joint_stats(cx.thm34_joint_paths(cfg, 3, 300, 12, 512)), want)
         monkeypatch.setattr(cx, "_joint_increments", dropped)
@@ -691,7 +690,8 @@ class TestJointStatsOffNu:
         cfg = cx.build_thm34(3.0, 3, 1.0)
         want = joint_reference(cfg, 3, 300, 12, 512)
 
-        def mispaired(roots, xi, dm):
+        def mispaired(roots, cols, xi, dm):
+            dm[...] = 0.0
             for k in range(roots.shape[1]):
                 for l in range(roots.shape[2]):
                     dm[k] += roots[:, k, l] * xi[:, :, k]
@@ -708,21 +708,24 @@ class TestJointBlock:
     def test_largest_block_within_the_budget(self, k_max, n_coarse):
         per_path = 8 * k_max * (n_coarse + 1)
         paths = cx._joint_block(k_max, n_coarse)
-        assert paths >= 1
-        assert paths * per_path <= cx._JOINT_BLOCK_BYTES
+        if per_path > cx._JOINT_BLOCK_BYTES:
+            assert paths == 1  # 65536 knots x 3: one path is over budget
+        else:
+            assert paths >= 1
+            assert paths * per_path <= cx._JOINT_BLOCK_BYTES
         assert (paths + 1) * per_path > cx._JOINT_BLOCK_BYTES
 
     def test_default_grid_block(self):
-        assert cx._joint_block(3, 4096) == 16
+        assert cx._joint_block(3, 4096) == 8
 
     def test_one_path_when_a_path_exceeds_the_budget(self):
         assert 8 * 3 * (10**6 + 1) > cx._JOINT_BLOCK_BYTES
         assert cx._joint_block(3, 10**6) == 1
 
-    def test_channel_peak_is_a_few_blocks(self, monkeypatch):
-        # two 16-path blocks in flight and their temporaries; the former
-        # fixed 64-path blocks peaked at 24.5 MiB on this run
-        monkeypatch.setattr(forward_model, "WORKERS", 2)
+    def test_channel_peak_is_a_few_blocks(self):
+        # one 8-path block's reused buffers and its temporaries read
+        # 3.5 MiB; two 16-path blocks in flight on a thread pool peaked at
+        # 9.4 MiB on this run, and fixed 64-path blocks at 24.5 MiB
         cfg = cx.build_thm34(3.0, 6, 1.0)
         tracemalloc.start()
         try:
@@ -730,18 +733,18 @@ class TestJointBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20
+        assert peak <= 5 * 2**20
 
 
 class TestPoolThreads:
-    """The Thm 3.4 joint channel draws on the calling thread, works on the
-    pool; thm34_checks and the witness run it."""
+    """The Thm 3.4 joint channel starts no pool thread: every block is
+    drawn and reduced on the calling thread; thm34_checks and the witness
+    run it."""
 
     @pytest.mark.parametrize("channel", ["joint", "checks"])
     def test_generators_stay_on_the_calling_thread(self, monkeypatch, channel):
         # an unlocked += from two threads could lose counts, so every call
         # must come from one; the exact dip rows add no draws
-        monkeypatch.setattr(forward_model, "WORKERS", 2)
         cfg = cx.build_thm34(3.0, 3, 1.0)
         n_paths = 4 * cx._joint_block(3, 64) + 5
         counts, threads = count_normals(monkeypatch)
@@ -755,19 +758,18 @@ class TestPoolThreads:
     @pytest.mark.parametrize("channel, seed", [("joint", 8), ("witness", 8),
                                                ("joint", 2**64), ("witness", 2**64)])
     def test_last_block_failure_reaches_the_caller(self, monkeypatch, channel, seed):
-        # a worker fails on the short last block; seed 2**64 puts every
-        # path's Philox key past 2**128, so the first draw fails instead
-        monkeypatch.setattr(forward_model, "WORKERS", 2)
+        # the short last block fails; seed 2**64 puts every path's Philox
+        # key past 2**128, so the first draw fails instead
         cfg = cx.build_thm34(3.0, 3, 1.0)
         n_paths = 4 * cx._joint_block(3, 64) + 5
         threads = []
         work = cx._joint_increments
 
-        def failing_tail(roots, xi, dm):
+        def failing_tail(roots, cols, xi, dm):
             if xi.shape[0] == 5:
                 threads.append(threading.current_thread())
                 raise ValueError("no work for the last 5 paths")
-            return work(roots, xi, dm)
+            return work(roots, cols, xi, dm)
 
         monkeypatch.setattr(cx, "_joint_increments", failing_tail)
         match = ("no work for the last 5 paths" if seed == 8
@@ -777,11 +779,7 @@ class TestPoolThreads:
                 cx.thm34_joint_paths(cfg, 3, n_paths, seed, n_coarse=64)
             else:
                 cx.limit_not_solution_witness(cfg, seed, n_paths, n_coarse=64)
-        if seed == 8:
-            assert len(threads) == 1
-            assert threads[0] is not threading.main_thread()
-        else:
-            assert threads == []
+        assert threads == ([threading.current_thread()] if seed == 8 else [])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Importing ``scipy.linalg`` costs about 0.3 s and 19 MB on a 2-core
 machine, so a stray scipy import would show in every command's set-up
-time and peak memory.  For the same reason the path-block thread pool
-(``forward_model.map_path_blocks``) and ``concurrent.futures`` load only
-when a Monte Carlo channel first runs more than one block.
+time and peak memory.  The package also starts no threads: the Thm 3.4
+joint channel runs its path blocks one after another on the calling
+thread, so ``concurrent.futures`` is never imported and a channel of
+several blocks leaves one thread alive.
 """
 
 import subprocess
@@ -12,11 +13,13 @@ import sys
 
 _CHILD = """
 import sys
+import threading
 sys.modules["numba"] = sys.modules["scipy"] = None
 import numpy as np
 import superbsde, superbsde.cli
 assert "concurrent.futures" not in sys.modules
 from superbsde import _kernels
+from superbsde import counterexamples as cx
 from superbsde.dual_mc import ConstantControl, evaluate_control
 from superbsde.forward_model import ForwardModel, TanhDrift
 from superbsde.generators import PowerGenerator, conjugate_of
@@ -34,6 +37,11 @@ ov = _kernels.comb_cross_overlap(4, 0.25, 1.0 / 16, 1.0 / 16, 1.0 / 256,
                                  np.linspace(0.0, 1.0, 3))
 assert np.all(np.isfinite(sol.u)) and bundle.tilted and ov.sum() > 0.0
 assert np.isfinite(est.value) and est.penalty_mean > 0.0
+n_paths = 2 * cx._joint_block(cx.PATH_K_MAX, 64) + 3  # three blocks
+rep = cx.thm34_checks(cx.build_thm34(3.0, 3, 1.0), n_paths, 64, seed=4)
+assert rep.rows and 0.0 < rep.p_nu_T <= 1.0
+assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules
 print("ok")
 """
 

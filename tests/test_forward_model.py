@@ -2,7 +2,6 @@ import csv
 import math
 import random
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -112,6 +111,24 @@ class TestPathNormals:
         for a, b in ((0, 1), (5, 23), (23, 40), (39, 40)):
             assert np.array_equal(whole[a:b], path_normals(17, 3, a, b, (6, 2)))
 
+    def test_fills_a_reused_buffer(self):
+        whole = path_normals(17, 3, 0, 40, (6, 2))
+        buf = np.full((40, 6, 2), np.nan)
+        for a, b in ((0, 16), (16, 32), (32, 40)):
+            got = path_normals(17, 3, a, b, (6, 2), out=buf[:b - a])
+            assert np.shares_memory(got, buf)
+            assert np.array_equal(buf[:b - a], whole[a:b])
+
+    @pytest.mark.parametrize("out", [np.empty((4, 6, 3)), np.empty((4, 6)),
+                                     np.empty((4, 6, 2), dtype=np.float32),
+                                     np.empty((4, 2, 6)).transpose(0, 2, 1),
+                                     np.empty((8, 6, 2))[::2]],
+                             ids=["shape", "rank", "dtype", "transposed", "strided"])
+    def test_unusable_buffer_is_refused(self, out):
+        # a non-contiguous buffer would be filled through a copy and stay empty
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            path_normals(17, 3, 0, 4, (6, 2), out=out)
+
     def test_bundle_prefix(self):
         model = ForwardModel(TanhDrift(0.3), 1.0, 1.0)
         small = simulate_paths(model, 0.0, 0.0, 300, 16, seed=12)
@@ -149,67 +166,43 @@ class TestModel:
 
 
 class TestMapPathBlocks:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("n_paths, block", [(1, 4), (10, 1), (10, 3), (10, 10),
                                                 (10, 64)])
-    def test_each_block_once_in_its_own_slice(self, monkeypatch, workers,
-                                              n_paths, block):
-        monkeypatch.setattr(forward_model, "WORKERS", workers)
-        drawn, seen = [], []
-        out = np.full(n_paths, -1)
+    def test_each_block_once_in_its_own_slice(self, width, n_paths, block):
+        events = []
+        out = np.full((n_paths, width), -1)
 
         def draw(start, stop):
-            drawn.append((start, stop, threading.current_thread()))
-            return np.arange(start, stop)
+            events.append(("draw", start, stop, threading.current_thread()))
+            return np.repeat(np.arange(start, stop)[:, None], width, axis=1)
 
         def fn(start, stop, rows):
-            seen.append((start, stop))
+            events.append(("fn", start, stop, threading.current_thread()))
             out[start:stop] = rows
 
         forward_model.map_path_blocks(draw, fn, n_paths, block)
         want = [(s, min(s + block, n_paths)) for s in range(0, n_paths, block)]
         main = threading.current_thread()
-        assert drawn == [(start, stop, main) for start, stop in want]
-        assert sorted(seen) == want
-        if workers == 1:
-            assert seen == want
-        assert np.array_equal(out, np.arange(n_paths))
+        # each block is done before the next is drawn, so a draw may reuse
+        # one buffer for every block
+        assert events == [(kind, start, stop, main) for start, stop in want
+                          for kind in ("draw", "fn")]
+        assert np.array_equal(out, np.repeat(np.arange(n_paths)[:, None], width,
+                                             axis=1))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("block", [0, -3])
-    def test_block_below_one_is_refused(self, monkeypatch, workers, block):
-        monkeypatch.setattr(forward_model, "WORKERS", workers)
+    def test_block_below_one_is_refused(self, n_paths, block):
         calls = []
         with pytest.raises(ValueError, match="block >= 1"):
             forward_model.map_path_blocks(lambda start, stop: calls.append(start),
                                           lambda start, stop, rows: calls.append(stop),
-                                          10, block)
+                                          n_paths, block)
         assert calls == []
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_at_most_workers_blocks_in_flight(self, monkeypatch, workers):
-        monkeypatch.setattr(forward_model, "WORKERS", workers)
-        lock = threading.Lock()
-        in_flight, peak = [0], [0]
-
-        def draw(start, stop):
-            with lock:
-                in_flight[0] += 1
-                peak[0] = max(peak[0], in_flight[0])
-
-        def fn(start, stop, rows):
-            time.sleep(0.01)
-            with lock:
-                in_flight[0] -= 1
-
-        forward_model.map_path_blocks(draw, fn, 12, 1)
-        assert peak[0] == workers
-        assert in_flight[0] == 0
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_failing_block_is_raised_after_all_finish(self, monkeypatch,
-                                                            workers):
-        monkeypatch.setattr(forward_model, "WORKERS", workers)
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_first_failing_block_is_raised_after_all_finish(self, block):
         done = []
 
         def fn(start, stop, rows):
@@ -218,25 +211,25 @@ class TestMapPathBlocks:
             done.append(start)
 
         with pytest.raises(ValueError, match="block 4"):
-            forward_model.map_path_blocks(lambda start, stop: None, fn, 10, 2)
-        # the pool waits for every block; inline runs stop at the failure
-        assert sorted(done) == ([0, 2] if workers == 1 else [0, 2, 6])
+            forward_model.map_path_blocks(lambda start, stop: None, fn, 10, block)
+        # the blocks before the failure are done; none after it is run
+        assert done == list(range(0, 4, block))
 
-    def test_failing_draw_is_raised_after_started_blocks_finish(self, monkeypatch):
-        monkeypatch.setattr(forward_model, "WORKERS", 2)
-        done = []
+    def test_failing_draw_is_raised_after_started_blocks_finish(self):
+        drawn, done = [], []
 
         def draw(start, stop):
+            drawn.append(start)
             if start == 4:
                 raise ValueError("no normals")
 
         def fn(start, stop, rows):
-            time.sleep(0.02)
             done.append(start)
 
         with pytest.raises(ValueError, match="no normals"):
             forward_model.map_path_blocks(draw, fn, 10, 2)
-        assert sorted(done) == [0, 2]
+        assert drawn == [0, 2, 4]
+        assert done == [0, 2]
 
 
 def drift_dx(drift, x):

@@ -65,3 +65,30 @@ def test_traced_comb_workload_runs_the_thm34_call_shapes():
     assert checks and all(c.passed for c in checks)
     names = {span[0] for span in tracer.spans}
     assert {"counterexamples.thm34_witness", "counterexamples.thm34_joint"} <= names
+
+
+def test_traced_comb_normals_are_the_channel_draws(monkeypatch):
+    # the tracer's counters are plain +=, exact only if every draw runs on
+    # one thread; two passes must count every channel normal, and the same
+    joint, calls = cx.thm34_joint_paths, []
+
+    def recording(cfg, k_max, n_paths, seed, n_coarse=4096):
+        stats = joint(cfg, k_max, n_paths, seed, n_coarse)
+        calls.append(stats.n_paths * n_coarse * stats.k_max)
+        return stats
+
+    monkeypatch.setattr(cx, "thm34_joint_paths", recording)
+    workload = load("workloads").CxComb(0, toy=True)
+    passes = []
+    for _ in range(2):
+        tracer = load("tracer").Tracer()
+        tracer.install(superbsde)
+        try:
+            workload.run_pass()
+        finally:
+            tracer.restore()
+        passes.append((tracer.counts["forward_model.normals"], sum(calls)))
+        calls.clear()
+    assert passes[0] == passes[1]
+    # thm34_checks at 200 paths and the 64-path witness, 512 knots, k <= 3
+    assert passes[0][0] == passes[0][1] == (200 + 64) * 512 * 3
