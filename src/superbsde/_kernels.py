@@ -9,12 +9,13 @@ Python callables, so every drift and control kind runs the same code.
 
 ``em_paths`` is the package's one Euler loop.  It reads a control by step
 index k, not by (t_k, x): ``simulate_paths`` hands it the control's
-pointwise ``rate`` and asks for the stored x knots; the dual Monte
-Carlo pass hands it each control's knot plan (``dual_mc``), stores no
-knots and has it accumulate the penalty in the step itself, so that pass
-holds only X_T and the per-path penalty of a block of paths.  The loop is
+pointwise ``rate`` and stores no knots, and ``PathBundle.knots`` runs it
+again on a block of paths to store theirs; the dual Monte Carlo pass
+hands it each control's knot plan (``dual_mc``), stores no knots and has
+it accumulate the penalty in the step itself, so that pass holds only
+X_T and the per-path penalty of a block of paths.  The loop is
 elementwise along the paths, which is why results do not depend on the
-block size.
+block size and a replayed block has the bits of the first run.
 """
 
 import math

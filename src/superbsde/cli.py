@@ -21,7 +21,8 @@ import numpy as np
 import yaml
 
 from . import counterexamples as cx
-from . import dual_mc, generators, hj_solver, path_checks, terminal_data
+from . import (dual_mc, forward_model, generators, hj_solver, path_checks,
+               terminal_data)
 from .errors import ConfigError, SuperbsdeError
 from .forward_model import (ForwardModel, LinearDrift, TanhDrift, ZeroDrift,
                             simulate_paths)
@@ -187,6 +188,9 @@ def _check_config(cfg):
             raise ConfigError(where, f"must be finite, got {value!r}")
     if not cfg.grid["dt"] > 0.0:
         raise ConfigError("grid.dt", f"must be > 0, got {cfg.grid['dt']}")
+    # a negative pad would cut the default domain inside x0 +- 6 sigma sqrt(T - t0)
+    if not cfg.grid["pad"] >= 0.0:
+        raise ConfigError("grid.pad", f"must be >= 0, got {cfg.grid['pad']!r}")
     T = cfg.model["T"]
     if 0.0 < T < np.inf and not cfg.t0 < T:  # building the model names a bad T
         raise ConfigError("t0", f"must be below model.T = {T!r}, got {cfg.t0!r}")
@@ -202,15 +206,17 @@ def _check_config(cfg):
 def _check_sizes(cfg):
     """Refuse a config that sizes one array past _MAX_FLOATS, before any is
     allocated, naming the key of the larger factor.  The arrays: levels x
-    nodes of a PDE solve; the stored paths of `checks`; the feedback plan,
-    a drawn block and the per-path results of `dual`; the per-path
-    statistics of `counterexample 3.4`."""
+    nodes of a PDE solve; the stored increments and a replayed block of
+    knots of `checks`; the feedback plan, a drawn block and the per-path
+    results of `dual`; the per-path statistics of `counterexample 3.4`."""
     n_x, n_paths, n_steps = cfg.grid["n_x"], cfg.mc["n_paths"], cfg.mc["n_steps"]
+    block = min(n_paths, forward_model.BLOCK_PATHS)
     span = cfg.model["T"] - cfg.t0  # > 0 and finite for a valid model.T
-    arrays = {"checks": [("paths x knots", "mc.n_paths", n_paths, "mc.n_steps", n_steps + 1)],
+    arrays = {"checks": [("paths x steps", "mc.n_paths", n_paths, "mc.n_steps", n_steps),
+                         ("block paths x knots", "mc.n_paths", block, "mc.n_steps",
+                          n_steps + 1)],
               "dual": [("knots x nodes", "mc.n_steps", n_steps, "grid.n_x", n_x),
-                       ("block paths x steps", "mc.n_paths",
-                        min(n_paths, dual_mc._BLOCK_PATHS), "mc.n_steps", n_steps),
+                       ("block paths x steps", "mc.n_paths", block, "mc.n_steps", n_steps),
                        ("paths x controls", "mc.n_paths", n_paths,
                         "dual.constants", 2 + len(cfg.dual["constants"]))],
               "counterexample": [("paths x components", "mc.n_paths", n_paths, None,
@@ -243,7 +249,10 @@ def _build_inputs(cfg):
     tc = _built("terminal", build_terminal, cfg)
     model = _built("model", build_model, cfg)
     grid = build_grid(cfg)
-    xs, _ = _built("grid", hj_solver._grid_arrays, model, grid, cfg.t0)
+    # with a pad >= 0 the default domain x0 +- radius is empty only when x0
+    # is too large for x0 - radius < x0 + radius
+    xs, _ = _built("grid" if grid.x_lo is not None else "x0",
+                   hj_solver._grid_arrays, model, grid, cfg.t0)
     if not xs[0] <= cfg.x0 <= xs[-1]:
         raise ConfigError("x0", f"must lie in [grid.x_lo, grid.x_hi], got {cfg.x0!r}")
     if cfg.command == "oracle" and not isinstance(gen, generators.QuadraticGenerator):
@@ -258,6 +267,15 @@ def _build_inputs(cfg):
     controls = tuple(_built("dual.constants", dual_mc.ConstantControl,
                             _coerce(q, float, "dual.constants"))
                      for q in cfg.dual["constants"])
+    span = model.horizon - cfg.t0
+    for ctrl in controls:
+        # a constant control's penalty is f(q) (T - t0); an overflow would
+        # give its row an infinite value
+        with np.errstate(over="ignore"):
+            penalty = float(conj.eval(ctrl.q)) * span
+        if not np.isfinite(penalty):
+            raise ConfigError("dual.constants", f"the penalty f(q) (T - t0) of q = "
+                              f"{ctrl.q!r} overflows")
     return Inputs(gen, conj, tc, model, grid, m_list, controls)
 
 
@@ -457,17 +475,26 @@ def _run_checks(cfg, inp, out):
         CheckLine("max step residual (soft)", report.max_step_residual,
                   float("inf"), True, hard=False),
     ]
+    # an envelope with no level EDGE_STEPS base steps from T checks nothing
+    no_level = f"no level {path_checks.EDGE_STEPS} steps from T"
     zrep = path_checks.apriori_z_bound(sol, model, tc.sup_norm)
-    rows.append(CheckLine("Z envelope ratio <= 1", zrep.worst_ratio, 1.0,
-                          zrep.passed))
+    if zrep.n_levels:
+        rows.append(CheckLine("Z envelope ratio <= 1", zrep.worst_ratio, 1.0,
+                              zrep.passed))
+    else:
+        rows.append(CheckLine(f"Z envelope (skipped: {no_level})", 0.0, 1.0, True,
+                              hard=False))
     prep = path_checks.penalty_bound_check(sol, gen, inp.conj, tc.sup_norm)
-    if prep.skipped_reason:
-        rows.append(CheckLine("penalty envelope (skipped: non-convex composite)",
+    if prep.skipped_reason or not prep.n_levels:
+        reason = "non-convex composite" if prep.skipped_reason else no_level
+        rows.append(CheckLine(f"penalty envelope (skipped: {reason})",
                               0.0, 1.0, True, hard=False))
     else:
         rows.append(CheckLine("penalty envelope ratio <= 1", prep.worst_ratio,
                               1.0, prep.passed))
-    extra = []
+    extra = [f"rng: per-path Philox keys (seed << 64) + (salt << 48) + p; the "
+             f"residual's paths read salt 0 of seed {cfg.mc['seed']}, their knots "
+             f"replayed in blocks of {forward_model.BLOCK_PATHS} paths"]
     if isinstance(gen, generators.PowerGenerator):
         try:
             fit = path_checks.exponent_fit(sol, gen.q)

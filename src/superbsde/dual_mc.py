@@ -42,12 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from . import _kernels
+from . import _kernels, forward_model
 from .errors import ExtrapolationRangeError, SimulationDivergedError
-from .forward_model import draw_increments, euler_gaussian_law, time_step
-
-# paths per block of the dual pass; results do not depend on it
-_BLOCK_PATHS = 4096
+from .forward_model import (draw_increments, euler_gaussian_law, map_path_blocks,
+                            time_step)
 
 
 def knot_times(t0, dt, n_steps):
@@ -176,8 +174,8 @@ class FeedbackControl(ControlProcess):
         sol._one_member()
         it, lt = sol._time_weights(t)
         lt = lt[:, None]
-        z = sol.z[::-1]
-        z = (1.0 - lt) * z[it] + lt * z[it + 1]
+        z, lo = sol._z_between(it)  # Z at the levels the times fall between
+        z = (1.0 - lt) * z[lo] + lt * z[lo + 1]
         inside = np.abs(z) <= self.gen.r_max
         rows = self.gen.grad(np.where(inside, z, 0.0))
         rows[~inside] = np.nan
@@ -250,10 +248,12 @@ def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed)
     x_end = np.empty((len(plans), n_paths))
     penalty = np.zeros((len(plans), n_paths))
     diverged = [[] for _ in plans]
-    for start in range(0, n_paths, _BLOCK_PATHS):
-        stop = min(start + _BLOCK_PATHS, n_paths)
+
+    def draw(start, stop):
         dw = draw_increments(seed, stop - start, n_steps, dt, start=start)
-        dw = np.ascontiguousarray(dw.T)
+        return np.ascontiguousarray(dw.T)
+
+    def run(start, stop, dw):
         for i, plan in enumerate(plans):
             xb, pb, _, k = _kernels.em_paths(float(x0), t0, dt, dw, model.sigma,
                                              model.drift, control=plan)
@@ -262,6 +262,8 @@ def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed)
             x_end[i, start:stop] = xb
             if pb is not None:
                 penalty[i, start:stop] = pb
+
+    map_path_blocks(draw, run, n_paths, forward_model.BLOCK_PATHS)
     for steps in diverged:
         if steps:
             raise SimulationDivergedError(min(steps))

@@ -20,16 +20,24 @@ of paths one after another on the calling thread, and `path_normals(...,
 out=)` fills a block's normals into a buffer the caller reuses for every
 block; the Thm 3.4 joint channel sizes that buffer by bytes
 (`counterexamples._joint_block`), whatever its grid, so its memory is one
-block.  Each block writes only its own rows of preallocated outputs, so
-results are bit-identical for every block size.
+block.  The path loops of the other channels (the dual pass, the BSDE
+residual, the paths CSV) walk blocks of BLOCK_PATHS paths.  Each block
+writes only its own rows of preallocated outputs, so results are
+bit-identical for every block size.
 
-`simulate_paths` stores every knot of x, and reads a tilt's pointwise
-`rate(t_k, X_k)`.  The dual pass (`dual_mc.evaluate_controls`) draws the
-same salt-0 increments one block of paths at a time through
-`draw_increments(..., start=)` and runs the same Euler loop
-(`_kernels.em_paths`) on each control's per-pass knot plan (g'(Z) rows at
-the knots for the feedback control) with the penalty accumulated in the
-step, holding only X_T and the per-path penalty; because path p's numbers
+What is stored and what is derived: a `PathBundle` stores the salt-0
+increments of its paths and what the Euler loop needs (x0, t0, dt, the
+model and the tilt), not the x knots.  `simulate_paths` runs
+`_kernels.em_paths` once without storing knots, to raise
+SimulationDivergedError, and `PathBundle.knots` replays the loop for a
+block of paths when a reader asks for their knots; `em_paths` is
+elementwise along the paths, so the replay gives the bits of the first
+run.  A tilt is read pointwise, `rate(t_k, X_k)`.  The dual pass
+(`dual_mc.evaluate_controls`) draws the same salt-0 increments one block
+of paths at a time through `draw_increments(..., start=)` and runs the
+same Euler loop on each control's per-pass knot plan (g'(Z) rows at the
+knots for the feedback control) with the penalty accumulated in the step,
+holding only X_T and the per-path penalty; because path p's numbers
 depend only on (seed, p), its results do not depend on the block size.
 Every dual control of one pass reads that one salt-0 draw of `seed`.
 Neither evaluates a drift flagged `zero`.  `euler_gaussian_law` gives the
@@ -46,6 +54,10 @@ from numpy.random import Generator, Philox
 
 from . import _kernels
 from .errors import SimulationDivergedError
+
+# paths per block of the dual pass, the BSDE residual and the paths CSV;
+# results do not depend on it
+BLOCK_PATHS = 4096
 
 
 class Drift:
@@ -131,44 +143,84 @@ class ForwardModel:
 
 @dataclass
 class PathBundle:
-    """Simulated paths and the Brownian increments that drove them.
+    """Brownian increments and what the Euler loop needs to replay the
+    paths they drive.
 
-    When a tilt was applied, `noise` holds the Q-Brownian increments (the
-    tilted simulation is the Q-law; no density reweighting is involved).
-    `dt` is the Euler step the paths were simulated with; a difference of
-    two `times` can differ from it in the last bits.
+    `noise` (n_paths, n_steps) is the one stored array; `knots` derives
+    the x knots of a block of paths from it by running `_kernels.em_paths`
+    again, bit for bit the knots `simulate_paths` ran.  With a tilt,
+    `noise` holds the Q-Brownian increments (the tilted simulation is the
+    Q-law; no density reweighting is involved).  `dt` is the Euler step
+    the paths were simulated with; a difference of two `times` can differ
+    from it in the last bits.
     """
 
-    times: np.ndarray
-    x_paths: np.ndarray
     noise: np.ndarray
     seed: int
     x0: float
     t0: float
     dt: float
-    tilted: bool = False
+    model: ForwardModel
+    tilt: object = None
+
+    @property
+    def tilted(self):
+        return self.tilt is not None
+
+    @property
+    def times(self):
+        """The knot times t0 + k dt, k = 0..n_steps."""
+        return self.t0 + self.dt * np.arange(self.noise.shape[1] + 1)
+
+    def knots(self, start=0, stop=None):
+        """x knots of paths start..stop-1 (all paths by default), path-major
+        (stop - start, n_steps + 1): `em_paths` replayed on their
+        increments.  Raises SimulationDivergedError as `simulate_paths`
+        does."""
+        return self._euler(start, stop, store=True)
+
+    def _euler(self, start, stop, store):
+        """`em_paths` on the increments of paths start..stop-1: their knots,
+        or None without `store`.  A non-finite state raises
+        SimulationDivergedError naming its step."""
+        control = None
+        if self.tilt is not None:
+            rate, t0, dt = self.tilt.rate, self.t0, self.dt
+
+            def control(k, x):
+                return rate(t0 + k * dt, x), None
+        _, _, x, bad = _kernels.em_paths(self.x0, self.t0, self.dt,
+                                         self.noise[start:stop].T, self.model.sigma,
+                                         self.model.drift, store=store, control=control)
+        if bad >= 0:
+            raise SimulationDivergedError(bad)
+        return x
 
     def to_csv(self, path):
         """One row per (path, step): path,t,x,dB.
 
         Each path is one string, built as `PdeSolution.to_csv` builds a
         level: t and the separators once per call, the path label once
-        per path, x and dB by slice assignment; memory holds one path,
-        never the whole file."""
+        per path, x and dB by slice assignment.  The knots are replayed
+        one block of BLOCK_PATHS paths at a time, so memory holds one
+        block of knots and one path's string, never the whole file."""
         # Python floats from tolist(); a row reads
         # p "," t "," x "," dB "\n", and dB is 0.0 at t_0
-        n = self.times.size
+        n = self.noise.shape[1] + 1
         parts = [","] * (6 * n)
         parts[1::6] = [t + "," for t in map(repr, self.times.tolist())]
         parts[4] = repr(0.0)
         parts[5::6] = ["\n"] * n
         with open(path, "w", newline="") as fh:
             fh.write("path,t,x,dB\n")
-            for p in range(self.x_paths.shape[0]):
-                parts[0::6] = [f"{p},"] * n
-                parts[2::6] = map(repr, self.x_paths[p].tolist())
-                parts[10::6] = map(repr, self.noise[p].tolist())
-                fh.write("".join(parts))
+
+            def write(start, stop, x):
+                for p, row in zip(range(start, stop), x):
+                    parts[0::6] = [f"{p},"] * n
+                    parts[2::6] = map(repr, row.tolist())
+                    parts[10::6] = map(repr, self.noise[p].tolist())
+                    fh.write("".join(parts))
+            map_path_blocks(self.knots, write, self.noise.shape[0], BLOCK_PATHS)
 
 
 _KEY_LIMIT = 1 << 128
@@ -250,29 +302,21 @@ def time_step(model, t0, n_steps):
 
 
 def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
-    """Euler-Maruyama paths of the (optionally tilted) diffusion.
+    """Euler-Maruyama paths of the (optionally tilted) diffusion, as a
+    PathBundle of their increments.
 
     With a tilt q the drift becomes b + sigma*q, with q = tilt.rate(t_k, X_k)
     read pointwise at each knot, and the stored increments are the
-    Q-Brownian ones.  Every knot of x is stored; the dual Monte Carlo pass
-    (`dual_mc.evaluate_controls`) runs the same Euler loop over blocks of
-    paths and keeps only X_T and the penalty.
+    Q-Brownian ones.  The Euler loop runs once here, storing no knot, so
+    that a diverged path raises SimulationDivergedError now; a reader of
+    the knots replays it (`PathBundle.knots`).
     """
     dt = time_step(model, t0, n_steps)
     dw = draw_increments(seed, n_paths, n_steps, dt)
-    times = t0 + dt * np.arange(n_steps + 1)
-
-    t0 = float(t0)
-    control = None
-    if tilt is not None:
-        def control(k, x):
-            return tilt.rate(t0 + k * dt, x), None
-    _, _, x, bad = _kernels.em_paths(float(x0), t0, dt, dw.T, model.sigma,
-                                     model.drift, store=True, control=control)
-    if bad >= 0:
-        raise SimulationDivergedError(bad)
-    return PathBundle(times=times, x_paths=x, noise=dw, seed=int(seed),
-                      x0=float(x0), t0=float(t0), dt=dt, tilted=tilt is not None)
+    bundle = PathBundle(noise=dw, seed=int(seed), x0=float(x0), t0=float(t0),
+                        dt=dt, model=model, tilt=tilt)
+    bundle._euler(0, None, store=False)
+    return bundle
 
 
 def euler_gaussian_law(model, x0, dt, q):

@@ -38,7 +38,6 @@ itself.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -71,9 +70,13 @@ class GridSpec:
 
 @dataclass
 class PdeSolution:
-    """u on the grid, levels from T down to t0 in t_grid.  It stores u
-    only: Z = -u_x sigma (central differences inside, one-sided at the
-    edges) is computed from u on first use of `z` and cached.
+    """u on the grid, levels from T down to t0 in t_grid.
+
+    u is the one stored field.  Z = -u_x sigma (central differences
+    inside, one-sided at the edges) is derived from u where it is read:
+    `z_rows` computes the rows of the levels asked for, a Z lookup the two
+    levels it interpolates between, and nothing keeps them.  A Z row
+    depends on its u row only, so every reader gets the same bits.
     A stacked solve has a member axis after the level axis; lookups and
     to_csv read one member and raise ValueError on a stack, so split it
     with `members()` first."""
@@ -102,10 +105,11 @@ class PdeSolution:
     def horizon(self):
         return float(self.t_grid[0])
 
-    @cached_property
-    def z(self):
-        """Z = -u_x sigma at every level (and member), computed once."""
-        return _central_z(self.u, self.dx, self.model.sigma)
+    def z_rows(self, levels):
+        """Z = -u_x sigma at the levels `levels` (an index, slice or index
+        array into t_grid, levels from T down), computed from those rows
+        of u only; a stack gives every member of each level."""
+        return _central_z(self.u[levels], self.dx, self.model.sigma)
 
     def _one_member(self):
         if self.u.ndim == 3:
@@ -159,9 +163,26 @@ class PdeSolution:
         return self._interpolate(self.u, self._weights(t, x))
 
     def z_at(self, t, x):
-        """Bilinear interpolation of the Z-field (x clamped to the grid)."""
+        """Bilinear interpolation of the Z-field (x clamped to the grid),
+        computing Z at only the levels the lookup reads; the arithmetic is
+        that of the whole field."""
         self._one_member()
-        return self._interpolate(self.z, self._weights(t, x))
+        it, lt, ix, lx = self._weights(t, x)
+        z_asc, pos = self._z_between(it)
+        return self._interpolate(z_asc[::-1], (pos, lt, ix, lx))
+
+    def _z_between(self, it):
+        """The Z rows of the levels it and it + 1 for every it (level
+        indices ascending in time, as `_time_weights` gives them), in
+        ascending order, and the row of each it among them.  No level lies
+        between it and it + 1, so the row after it's is it + 1's."""
+        # a mask over the levels, not np.unique, which imports numpy.ma
+        need = np.zeros(self.t_grid.size, dtype=bool)
+        need[it] = True
+        need[np.add(it, 1)] = True
+        levels = np.flatnonzero(need)
+        return (self.z_rows(self.t_grid.size - 1 - levels),
+                np.searchsorted(levels, it))
 
     def members(self):
         """One solution per member of a stacked solve, as views."""
@@ -178,7 +199,7 @@ class PdeSolution:
         Each level is one string, joined from a list of parts whose x and
         separator slots are filled once per call, t and the cap flag once
         per level and u and z by slice assignment, then written at once:
-        memory holds one level, never the whole file."""
+        memory holds one level, and its Z row, never the whole file."""
         self._one_member()
         # repr of a numpy scalar is "np.float64(...)" under numpy 2, so
         # format Python floats from tolist(); a row reads
@@ -191,7 +212,7 @@ class PdeSolution:
             for k, tk in enumerate(map(repr, self.t_grid.tolist())):
                 parts[0::6] = [tk + ","] * n
                 parts[2::6] = map(repr, self.u[k].tolist())
-                parts[4::6] = map(repr, self.z[k].tolist())
+                parts[4::6] = map(repr, self.z_rows(k).tolist())
                 parts[5::6] = [f",{int(self.cap_active[k])}\n"] * n
                 fh.write("".join(parts))
 

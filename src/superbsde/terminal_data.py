@@ -16,7 +16,8 @@ Data that are linear between their knots and constant beyond them
 p -> phi(p) + m|p - u| is then piecewise linear with corners only at the
 knots and at u, so its minimum is one of those candidates.  Any other
 data go through a sampling scan (`_scan_inf`) over a window around u,
-which also takes the knots, kinks and jump sides as candidates; it runs
+which also takes the knots, kinks and jump sides as candidates, and which
+can miss the global minimum of oscillatory data at small m; it runs
 over chunks of _SCAN_CHUNK points of u, so its temporaries stay near
 2 MB however many points are asked for.
 
@@ -147,10 +148,14 @@ def _scan_inf(phi, m, u, window, crit=()):
     Coarse scan (p = u always sampled) plus local refinements around the
     running argmin, plus the profile's critical points as explicit
     candidates: jump basins are narrower than any grid, so sampling the
-    jump sides directly is what makes step profiles exact.  Smooth
-    profiles are resolved to ~1e-6 * window by the refinements.  Every
-    point of u is independent, so the chunks of _SCAN_CHUNK points give
-    the bits of one pass over all of u.
+    jump sides directly is what makes step profiles exact.  The
+    refinements resolve the minimum of the basin the coarse scan picks to
+    about 1e-6 * window, which is the global minimum only when the coarse
+    samples land in its basin.  Oscillatory data at small m can defeat
+    that: for cos with amplitude 2 and frequency 3 the result sits 0.179
+    above the true infimum at m = 0.1 (ROADMAP direction 4, exact
+    candidates).  Every point of u is independent, so the chunks of
+    _SCAN_CHUNK points give the bits of one pass over all of u.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
     best = np.empty(u.shape)
@@ -214,9 +219,11 @@ def inf_convolution(tc, m, u):
     """Phi_m(u) = inf_p { Phi(p) + m|p-u| }; m = 0 gives the global infimum.
 
     Piecewise-linear data take the exact knot candidates (`_knot_inf`);
-    any other data are scanned over the window u +- (2||Phi||/m + 1),
-    which is exact: outside it the penalty exceeds the largest possible
-    payoff gain 2||Phi||.
+    any other data are scanned (`_scan_inf`) over the window
+    u +- (2||Phi||/m + 1).  The window loses nothing, since outside it the
+    penalty exceeds the largest possible payoff gain 2||Phi||, but the scan
+    inside it is not exact: it can settle in a basin above the global
+    minimum for oscillatory data at small m.
     """
     m = _check_m(m)
     shape = np.shape(u)

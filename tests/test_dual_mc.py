@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from superbsde import dual_mc
+from superbsde import dual_mc, forward_model
 from superbsde.dual_mc import (ConstantControl, FeedbackControl,
                                PiecewiseConstantControl, ZeroControl, duality_gap,
                                evaluate_control, evaluate_controls)
@@ -97,12 +97,13 @@ def stored_path_oracle(model, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
     simulate_paths and a second per-knot walk for the penalty."""
     tilt = None if isinstance(ctrl, ZeroControl) else ctrl
     bundle = simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=tilt)
+    x = bundle.knots()
     penalty = np.zeros(n_paths)
     if tilt is not None:
         for k in range(n_steps):
-            q = ctrl.rate(bundle.times[k], bundle.x_paths[:, k])
+            q = ctrl.rate(bundle.times[k], x[:, k])
             penalty += np.asarray(conj.eval(q), dtype=float) * bundle.dt
-    total = np.asarray(tc(bundle.x_paths[:, -1]), dtype=float) + penalty
+    total = np.asarray(tc(x[:, -1]), dtype=float) + penalty
     return (float(np.mean(total)), float(np.std(total, ddof=1) / np.sqrt(n_paths)),
             float(np.mean(penalty)))
 
@@ -138,7 +139,7 @@ class TestBlockedPass:
         ctrl = controls[kind]
         args = (0.1, 0.0, self.N_PATHS, self.N_STEPS, 11)
         expected = stored_path_oracle(model, conj, tc, ctrl, *args)
-        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", block)
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", block)
         est = evaluate_control(model, conj, tc, ctrl, *args)
         assert (est.value, est.std_error, est.penalty_mean) == expected
         assert est.control_kind == kind
@@ -150,7 +151,7 @@ class TestBlockedPass:
         args = (0.1, 0.0, self.N_PATHS, self.N_STEPS, 11)
         expected = [stored_path_oracle(model, conj, tc, c, *args)
                     for c in controls.values()]
-        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", block)
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", block)
         ests = evaluate_controls(model, conj, tc, list(controls.values()), *args)
         assert [(e.value, e.std_error, e.penalty_mean) for e in ests] == expected
         assert [e.control_kind for e in ests] == list(controls)
@@ -196,7 +197,7 @@ class TestBlockedPass:
 
         monkeypatch.setattr(FeedbackControl, "_rows", counting_rows)
         monkeypatch.setattr(FeedbackControl, "_read", recording_read)
-        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 300)
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", 300)
         evaluate_control(model, conj, tc, ctrl, 0.0, 0.0, 1000, 20, seed=3)
         assert builds == [(0.0, 0.05, 20)]
         blocks = [300, 300, 300, 100]
@@ -268,7 +269,7 @@ class TestBlockedPass:
         # the first block diverges later than the whole set: the earliest
         # blow-up sits in a later block
         assert simulated_step(30) > step
-        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 30)
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", 30)
         with pytest.raises(SimulationDivergedError) as err:
             evaluate_control(model, conjugate_of(gen), tc, ctrl, 0.0, 0.0,
                              120, 40, seed=0)
@@ -301,7 +302,7 @@ class TestZeroDriftFlag:
     def test_simulate_paths_bytes(self, monkeypatch, tmp_path, tilt):
         bundles = [simulate_paths(m, 0.3, 0.0, 50, 25, seed=4, tilt=tilt)
                    for m in self.models(monkeypatch)]
-        assert np.array_equal(bundles[0].x_paths, bundles[1].x_paths)
+        assert np.array_equal(bundles[0].knots(), bundles[1].knots())
         paths = [tmp_path / "unflagged.csv", tmp_path / "flagged.csv"]
         for bundle, path in zip(bundles, paths):
             bundle.to_csv(path)
@@ -314,7 +315,7 @@ class TestZeroDriftFlag:
         controls = [ZeroControl(), ConstantControl(0.6),
                     PiecewiseConstantControl([0.3, 0.55], [0.2, -1.0, 1.5]),
                     FeedbackControl(sol, gen)]
-        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", 300)
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", 300)
         runs = [evaluate_controls(m, conjugate_of(gen), tc, controls, 0.1, 0.0,
                                   700, 30, seed=12)
                 for m in self.models(monkeypatch)]
@@ -368,7 +369,7 @@ class TestSampledGenerator:
         ctrl = FeedbackControl(sol, gen)
         table = ctrl._rows(dual_mc.knot_times(0.0, 1.0 / 200, 200))
         assert np.isnan(table[-1]).any() and not np.isnan(table[0]).any()
-        assert np.abs(sol.z[0]).max() > gen.r_max
+        assert np.abs(sol.z_rows(0)).max() > gen.r_max
         rep = duality_gap(model, gen, conj, tc, sol, 0.0, 0.0, 2000, seed=14,
                           n_steps=200)
         fb = rep.rows[1]
@@ -582,7 +583,7 @@ class TestDualityGap:
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(dual_mc, "draw_increments", counting_draw)
-        monkeypatch.setattr(dual_mc, "_BLOCK_PATHS", block)
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", block)
         rep = duality_gap(model, gen, conj, tc, sol, 0.1, 0.0, n_paths, seed=22,
                           n_steps=10, extra_controls=extras[:n_extras])
         assert len(rep.rows) == 2 + n_extras

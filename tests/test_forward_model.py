@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from superbsde import forward_model
+from superbsde import _kernels, forward_model
 from superbsde.dual_mc import ConstantControl
 from superbsde.errors import SimulationDivergedError
 from superbsde.forward_model import (Drift, ForwardModel, LinearDrift, PathBundle,
@@ -22,7 +22,7 @@ def model_bm(sigma=1.0, T=1.0):
 class TestSimulate:
     def test_driftless_terminal_law(self):
         bundle = simulate_paths(model_bm(), 0.0, 0.0, 100_000, 50, seed=1)
-        xT = bundle.x_paths[:, -1]
+        xT = bundle.knots()[:, -1]
         se = xT.std(ddof=1) / np.sqrt(xT.size)
         assert abs(xT.mean()) <= 4.0 * se
         assert xT.var() == pytest.approx(1.0, rel=0.02)
@@ -30,13 +30,13 @@ class TestSimulate:
     def test_constant_tilt_shifts_mean(self):
         bundle = simulate_paths(model_bm(), 0.0, 0.0, 100_000, 50, seed=3,
                                 tilt=ConstantControl(2.0))
-        xT = bundle.x_paths[:, -1]
+        xT = bundle.knots()[:, -1]
         se = xT.std(ddof=1) / np.sqrt(xT.size)
         assert abs(xT.mean() - 2.0) <= 4.0 * se
 
     def test_initial_value_exact(self):
         bundle = simulate_paths(model_bm(), 1.25, 0.0, 16, 8, seed=4)
-        assert np.all(bundle.x_paths[:, 0] == 1.25)
+        assert np.all(bundle.knots()[:, 0] == 1.25)
 
     def test_divergence_reported_with_step(self):
         # explosive custom drift forces non-finite state quickly
@@ -55,10 +55,28 @@ class TestSimulate:
         model = ForwardModel(TanhDrift(0.3), 1.0, 1.0)
         b1 = simulate_paths(model, 0.0, 0.0, 128, 32, seed=7)
         b2 = simulate_paths(model, 0.0, 0.0, 128, 32, seed=7)
-        assert np.array_equal(b1.x_paths, b2.x_paths)
+        assert np.array_equal(b1.knots(), b2.knots())
         assert np.array_equal(b1.noise, b2.noise)
         b3 = simulate_paths(model, 0.0, 0.0, 128, 32, seed=8)
-        assert not np.array_equal(b1.x_paths, b3.x_paths)
+        assert not np.array_equal(b1.knots(), b3.knots())
+
+    @pytest.mark.parametrize("tilt", [None, ConstantControl(0.7)],
+                             ids=["untilted", "tilted"])
+    def test_bundle_stores_increments_and_replays_knots(self, tilt):
+        # the increments are the one stored array; a block's knots are the
+        # rows of the one Euler loop over every path
+        model = ForwardModel(TanhDrift(0.3), 1.0, 1.0)
+        bundle = simulate_paths(model, 0.2, 0.1, 300, 16, seed=12, tilt=tilt)
+        arrays = [v for v in vars(bundle).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is bundle.noise
+        control = None
+        if tilt is not None:
+            def control(k, x):
+                return tilt.rate(0.1 + k * bundle.dt, x), None
+        _, _, whole, _ = _kernels.em_paths(0.2, 0.1, bundle.dt, bundle.noise.T, 1.0,
+                                           model.drift, store=True, control=control)
+        assert np.array_equal(bundle.knots(), whole)
+        assert np.array_equal(bundle.knots(7, 250), whole[7:250])
 
     def test_bundle_dt_is_the_simulated_step(self):
         # times[1] - times[0] rounds differently: 0.007000000000000006 here
@@ -72,7 +90,7 @@ class TestSimulate:
         errs = []
         for n_steps in (10, 20, 40):
             bundle = simulate_paths(model, 1.0, 0.0, 200_000, n_steps, seed=9)
-            errs.append(abs(bundle.x_paths[:, -1].mean() - math.e))
+            errs.append(abs(bundle.knots()[:, -1].mean() - math.e))
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert order1 >= 0.9 and order2 >= 0.9
@@ -134,7 +152,7 @@ class TestPathNormals:
         small = simulate_paths(model, 0.0, 0.0, 300, 16, seed=12)
         large = simulate_paths(model, 0.0, 0.0, 1000, 16, seed=12)
         assert np.array_equal(small.noise, large.noise[:300])
-        assert np.array_equal(small.x_paths, large.x_paths[:300])
+        assert np.array_equal(small.knots(), large.knots()[:300])
 
     def test_one_philox_per_bundle(self, monkeypatch):
         made = []
@@ -276,9 +294,10 @@ def _reference_paths_csv(bundle, path):
     times = bundle.times.tolist()
     with open(path, "w", newline="") as fh:
         fh.write("path,t,x,dB\n")
-        for p in range(bundle.x_paths.shape[0]):
+        knots = bundle.knots()
+        for p in range(knots.shape[0]):
             dbs = [0.0] + bundle.noise[p].tolist()
-            for t, x, db in zip(times, bundle.x_paths[p].tolist(), dbs):
+            for t, x, db in zip(times, knots[p].tolist(), dbs):
                 fh.write(f"{p},{t!r},{x!r},{db!r}\n")
 
 
@@ -299,13 +318,12 @@ class TestExport:
         assert len(text.splitlines()) == 1 + 12 * (n_steps + 1)
 
     def test_csv_bytes_with_exponents_and_signed_zeros(self, tmp_path):
-        bundle = PathBundle(times=np.array([0.0, 1e-05, 2e-05]),
-                            x_paths=np.array([[-0.0, 1e-300, -1e+16],
-                                              [0.1, -1e-05, 5e-324]]),
-                            noise=np.array([[-0.0, 1e-07], [3e-05, -2.0 / 3.0]]),
-                            seed=0, x0=0.0, t0=0.0, dt=1e-05)
+        # the knots are replayed from x0 = -0.0 and the increments
+        bundle = PathBundle(noise=np.array([[-0.0, 1e-300], [5e-324, -1e+16]]),
+                            seed=0, x0=-0.0, t0=0.0, dt=1e-05, model=model_bm())
         text = self._same_bytes(bundle, tmp_path)
-        for token in ("0,0.0,-0.0,0.0\n", "1e-05", "5e-324", "-1e+16", ",-0.0\n"):
+        for token in ("0,0.0,-0.0,0.0\n", "0,1e-05,0.0,-0.0\n", "1e-05", "1e-300",
+                      "1,1e-05,5e-324,5e-324\n", "-1e+16"):
             assert token in text
 
     def test_csv_dump(self, tmp_path):
@@ -321,7 +339,7 @@ class TestExport:
         vals = np.array([[float(v) for v in row] for row in rows]).reshape(3, 5, 4)
         assert np.array_equal(vals[..., 0], np.repeat(np.arange(3.0)[:, None], 5, axis=1))
         assert np.array_equal(vals[..., 1], np.broadcast_to(bundle.times, (3, 5)))
-        assert np.array_equal(vals[..., 2], bundle.x_paths)
+        assert np.array_equal(vals[..., 2], bundle.knots())
         assert np.array_equal(vals[:, 0, 3], np.zeros(3))
         assert np.array_equal(vals[:, 1:, 3], bundle.noise)
 

@@ -36,7 +36,7 @@ class TestBasics:
         tc = TerminalCondition.analytic("const", amplitude=0.7)
         sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
         assert np.max(np.abs(sol.u - 0.7)) <= 1e-12
-        assert np.max(np.abs(sol.z)) == 0.0
+        assert np.max(np.abs(sol.z_rows(slice(None)))) == 0.0
 
     def test_terminal_layer_imposed_exactly(self):
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
@@ -282,20 +282,20 @@ class TestZField:
     def test_constant_zero(self):
         tc = TerminalCondition.analytic("const", amplitude=0.7)
         sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
-        assert np.max(np.abs(sol.z)) == 0.0
+        assert np.max(np.abs(sol.z_rows(slice(None)))) == 0.0
 
     def test_terminal_layer_derivative(self):
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
         interior = slice(1, -1)
         expected = 0.5 * np.sin(sol.x_grid[interior])  # -phi_x * sigma
-        assert np.max(np.abs(sol.z[0][interior] - expected)) <= sol.dx**2
+        assert np.max(np.abs(sol.z_rows(0)[interior] - expected)) <= sol.dx**2
 
     def test_even_symmetry_forces_zero_at_origin(self):
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         sol = solve(bm_model(), PowerGenerator(3.0), tc, GRID, 0.0)
         mid = np.argmin(np.abs(sol.x_grid))
-        assert np.max(np.abs(sol.z[:, mid])) <= 1e-8
+        assert np.max(np.abs(sol.z_rows(slice(None))[:, mid])) <= 1e-8
 
     def test_even_symmetry_preserved(self):
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
@@ -316,7 +316,7 @@ class TestZField:
         fx = (x - x_grid[0]) / sol.dx
         ix = np.clip(fx.astype(int), 0, x_grid.size - 2)
         lx = np.clip(fx - ix, 0.0, 1.0)
-        for mat, lookup in ((sol.z, sol.z_at), (sol.u, sol.u_at)):
+        for mat, lookup in ((sol.z_rows(slice(None)), sol.z_at), (sol.u, sol.u_at)):
             m = mat[::-1]
             expected = ((1.0 - lt) * ((1.0 - lx) * m[it, ix] + lx * m[it, ix + 1])
                         + lt * ((1.0 - lx) * m[it + 1, ix] + lx * m[it + 1, ix + 1]))
@@ -367,8 +367,9 @@ class TestStackedSolve:
         assert stack.u.shape == (single.t_grid.size, 1, single.x_grid.size)
         assert stack.substeps.shape == stack.cap_active.shape == (single.t_grid.size, 1)
         (member,) = stack.members()
-        for field in ("u", "z", "cap_active", "substeps"):
+        for field in ("u", "cap_active", "substeps"):
             assert np.array_equal(getattr(member, field), getattr(single, field))
+        assert np.array_equal(member.z_rows(slice(None)), single.z_rows(slice(None)))
         assert member.tc is tc
 
     def test_members_are_views_sharing_one_schedule(self):
@@ -385,8 +386,9 @@ class TestStackedSolve:
         # the step's own (the larger sup norm, no Lipschitz bound), so it
         # reads as it does alone
         alone = solve(bm_model(), PowerGenerator(3.0), tcs[1], GRID, 0.0)
-        for field in ("u", "z", "cap_active", "substeps"):
+        for field in ("u", "cap_active", "substeps"):
             assert np.array_equal(getattr(members[1], field), getattr(alone, field))
+        assert np.array_equal(members[1].z_rows(slice(None)), alone.z_rows(slice(None)))
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -421,7 +423,8 @@ def _bits(a):
 
 
 class TestLazyZ:
-    """A solution stores u only; Z is computed from u on first use."""
+    """A solution stores u only; Z rows are computed from u where they are
+    read, and nothing keeps them."""
 
     @pytest.mark.parametrize("tc", [TerminalCondition.analytic("cos", amplitude=0.5),
                                     TerminalCondition.step(0.0, 0.0, 1.0), SPIKE],
@@ -431,8 +434,13 @@ class TestLazyZ:
         assert "z" not in vars(sol)
         for k in range(sol.t_grid.size):
             row = hj_solver._central_z(sol.u[k], sol.dx, sol.model.sigma)
-            assert np.array_equal(_bits(sol.z[k]), _bits(row))
-        assert sol.z is sol.z
+            assert np.array_equal(_bits(sol.z_rows(k)), _bits(row))
+        # any set of levels gives the rows of those levels, computed afresh
+        levels = np.array([5, 0, sol.t_grid.size - 1, 17])
+        assert np.array_equal(_bits(sol.z_rows(levels)),
+                              _bits(np.stack([sol.z_rows(k) for k in levels])))
+        assert sol.z_rows(3) is not sol.z_rows(3)
+        assert "z" not in vars(sol)
 
     def test_members_read_the_stack_z(self):
         tcs = [TerminalCondition.analytic("cos", amplitude=0.5),
@@ -441,10 +449,11 @@ class TestLazyZ:
         members = stack.members()
         for k in range(stack.t_grid.size):
             row = hj_solver._central_z(stack.u[k], stack.dx, stack.model.sigma)
-            assert np.array_equal(_bits(stack.z[k]), _bits(row))
+            assert np.array_equal(_bits(stack.z_rows(k)), _bits(row))
         for i, member in enumerate(members):
             assert "z" not in vars(member)
-            assert np.array_equal(_bits(member.z), _bits(stack.z[:, i]))
+            assert np.array_equal(_bits(member.z_rows(slice(None))),
+                                  _bits(stack.z_rows(slice(None))[:, i]))
 
     def test_solve_allocates_u_only(self):
         # a Z field stored beside u would read about 2
@@ -460,17 +469,23 @@ class TestLazyZ:
         assert "z" not in vars(sol)
 
     def test_first_z_read_allocates_z_only(self):
-        # a temporary the size of u beside Z would read about 2
+        # the whole field read at once allocates Z only (a temporary the
+        # size of u beside it would read about 2), and a lookup computes
+        # only the levels it reads: the whole field would read 1 here
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         grid = GridSpec(n_x=801, dt=1e-3, x_lo=-8.0, x_hi=8.0)
         sol = solve(bm_model(), PowerGenerator(3.0), tc, grid, 0.0)
-        tracemalloc.start()
-        try:
-            sol.z
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * sol.u.nbytes
+        xs = np.linspace(-9.0, 9.0, 1001)
+        peaks = []
+        for read in (lambda: sol.z_rows(slice(None)), lambda: sol.z_at(0.4137, xs)):
+            tracemalloc.start()
+            try:
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.1 * sol.u.nbytes
+        assert peaks[1] <= 0.05 * sol.u.nbytes
 
 
 class TestRegularizedFamily:
@@ -543,7 +558,7 @@ class TestExport:
         assert np.array_equal(vals[:, 1].reshape(shape),
                               np.broadcast_to(sol.x_grid, shape))
         assert np.array_equal(vals[:, 2].reshape(shape), sol.u)
-        assert np.array_equal(vals[:, 3].reshape(shape), sol.z)
+        assert np.array_equal(vals[:, 3].reshape(shape), sol.z_rows(slice(None)))
         assert np.array_equal(vals[:, 4].reshape(shape)[:, 0], sol.cap_active)
 
 
@@ -565,7 +580,8 @@ def _reference_solution_csv(sol, path):
         fh.write("t,x,u,z,cap_active\n")
         for k, tk in enumerate(sol.t_grid.tolist()):
             cap = int(sol.cap_active[k])
-            for x, u, z in zip(xs, sol.u[k].tolist(), sol.z[k].tolist()):
+            z = hj_solver._central_z(sol.u[k], sol.dx, sol.model.sigma)
+            for x, u, z in zip(xs, sol.u[k].tolist(), z.tolist()):
                 fh.write(f"{tk!r},{x!r},{u!r},{z!r},{cap}\n")
 
 
@@ -593,14 +609,16 @@ class TestCsvBytes:
         t = np.array([1e-05, 5e-06, 0.0])
         u = np.array([[-0.0, 1e-300, -1e-05, 0.1, 1e+16, np.pi],
                       [0.0, -0.0, 5e-324, -2.0 / 3.0, 1e22, -1e-07],
-                      [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+                      [1.0, 1.0, 3.0, 4.0, 5.0, 6.0]])
         sol = hj_solver.PdeSolution(x_grid=x, t_grid=t, u=u,
                                     cap_active=np.array([False, True, False]),
                                     substeps=np.ones(3, dtype=np.int64),
                                     model=bm_model(), tc=None)
-        sol.z = -u[::-1]
+        # Z is derived from u: a subnormal beside a signed zero, and a
+        # negative zero from the flat edge of the last level
         text = self._same_bytes(sol, tmp_path)
-        for token in ("1e-05,-0.0,", "5e-324", "1e+16", "2.5e+300", ",-0.0,0.0,1\n"):
+        for token in ("1e-05,-0.0,", "5e-324", "1e+16", "2.5e+300",
+                      ",-0.0,-2.47033e-319,1\n", ",1.0,-0.0,0\n", "e+26,"):
             assert token in text
 
 

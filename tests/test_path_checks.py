@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from superbsde import forward_model
 from superbsde.errors import DomainError, ResolutionError
 from superbsde.forward_model import (ForwardModel, TanhDrift, ZeroDrift,
                                      simulate_paths)
@@ -94,6 +95,23 @@ class TestResidual:
         with pytest.raises(ValueError):
             bsde_residual(sol, model, gen, bundle)
 
+    @pytest.mark.parametrize("horizon, sol_t0, match", [
+        (2.0, 0.0, r"\[0\.0, 2\.0\] but the solution spans \[0\.0, 1\.0\]"),
+        (1.0, 0.5, r"\[0\.0, 1\.0\] but the solution spans \[0\.5, 1\.0\]"),
+    ], ids=["horizon_2_against_1", "t0_0_against_0.5"])
+    def test_bundle_from_another_span_refused(self, horizon, sol_t0, match):
+        # clamped lookups would score these: rms 0.203 and 0.104, against
+        # 0.033 when the spans match
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(bm_model(), gen, tc, GRID, sol_t0)
+        model = ForwardModel(ZeroDrift(), 1.0, horizon)
+        bundle = simulate_paths(model, 0.0, 0.0, 400, 50, seed=8)
+        with pytest.raises(ValueError, match=match):
+            bsde_residual(sol, model, gen, bundle)
+        same = simulate_paths(bm_model(), 0.0, sol_t0, 400, 50, seed=8)
+        assert bsde_residual(sol, bm_model(), gen, same).rms_terminal_residual < 0.05
+
     def test_deterministic_rerun(self):
         model = bm_model()
         gen = PowerGenerator(3.0)
@@ -110,7 +128,7 @@ class TestResidual:
         path-major columns, each computing its own bilinear weights.  The
         per-path sums run over the knots in order (cumsum), as the streamed
         sums do; numpy's pairwise row sum can differ in the last bit."""
-        x = bundle.x_paths
+        x = bundle.knots()
         inside = np.all((x >= sol.x_grid[0]) & (x <= sol.x_grid[-1]), axis=1)
         excluded = 1.0 - float(np.mean(inside))
         x = x[inside]
@@ -163,26 +181,82 @@ class TestResidual:
         assert rep.excluded_fraction > 0.5
         assert rep == self.per_knot_residual(sol, gen, bundle)
 
-    def test_holds_no_path_by_step_array(self):
-        # beside the bundle and the cached Z field, the residual holds
-        # arrays of one knot (about 14 of n_paths floats), however many
-        # steps: storing the two per-knot terms it sums would take 400
-        # such arrays here, and its on-grid test reading every knot at
-        # once 75
+    def test_holds_no_path_by_step_array(self, monkeypatch):
+        # beside u and the increments, the residual holds one block of
+        # replayed knots, the Z rows of two levels and arrays of one knot
+        # (about 14 of n_paths floats), however many steps: the whole knot
+        # matrix would take 201 of n_paths floats here, storing the two
+        # per-knot terms it sums 400, and a Z field the size of u 160
         model = bm_model()
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         sol = solve(model, gen, tc, GRID, 0.0)
-        n_paths, n_steps = 5000, 200
+        n_paths, n_steps, block = 5000, 200, 500
         bundle = simulate_paths(model, 0.0, 0.0, n_paths, n_steps, seed=503)
-        sol.z
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", block)
         tracemalloc.start()
         try:
             bsde_residual(sol, model, gen, bundle)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * n_paths * 8
+        assert peak <= (block * (n_steps + 1) + 24 * n_paths) * 8
+
+
+class TestResidualBlocks:
+    """The residual replays the knots one block of paths at a time; the
+    block size changes neither its bits nor those of the paths CSV."""
+
+    N_PATHS, N_STEPS = 20_000, 100
+
+    def traced_peak(self):
+        """Traced peak of solve -> simulate_paths -> bsde_residual at the
+        mc_dual benchmark's residual shape, and its budget: u, the
+        increments and two default blocks of knots."""
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        tracemalloc.start()
+        try:
+            sol = solve(model, gen, tc, GridSpec(n_x=801, dt=1e-3, x_lo=-8.0, x_hi=8.0),
+                        0.0)
+            bundle = simulate_paths(model, 0.0, 0.0, self.N_PATHS, self.N_STEPS, seed=503)
+            bsde_residual(sol, model, gen, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sol.u.nbytes + bundle.noise.nbytes + 2 * 4096 * (self.N_STEPS + 1) * 8
+
+    def test_peak_within_u_increments_and_two_blocks(self):
+        # about 28 MiB; a stored knot matrix and Z field read 45 MiB
+        peak, budget = self.traced_peak()
+        assert peak <= budget
+
+    def test_whole_knot_matrix_exceeds_the_budget(self, monkeypatch):
+        # one block of all paths: the residual reads every knot at once
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", self.N_PATHS)
+        peak, budget = self.traced_peak()
+        assert peak > budget
+
+    @pytest.mark.parametrize("block", [1, 7, 4096, None], ids=["1", "7", "4096", "all"])
+    def test_report_and_csv_bits_do_not_depend_on_the_block(self, tmp_path,
+                                                            monkeypatch, block):
+        # 4100 paths on a narrow grid under a tanh drift: two default
+        # blocks, and a share of paths leaves the grid
+        model = ForwardModel(TanhDrift(0.7), 1.2, 1.0)
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(model, gen, tc, GridSpec(n_x=201, dt=5e-3, x_lo=-2.5, x_hi=2.5), 0.0)
+        bundle = simulate_paths(model, 0.0, 0.0, 4100, 3, seed=9)
+        whole = bsde_residual(sol, model, gen, bundle)
+        bundle.to_csv(tmp_path / "whole.csv")
+        assert 0.0 < whole.excluded_fraction < 1.0
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", block or 4100)
+        split = bsde_residual(sol, model, gen, bundle)
+        bundle.to_csv(tmp_path / "split.csv")
+        assert [np.float64(v).view(np.int64) for v in vars(split).values()] == \
+            [np.float64(v).view(np.int64) for v in vars(whole).values()]
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 class TestBmo:
@@ -266,10 +340,10 @@ class TestEnvelopes:
         levels = [k for k in range(tau.size) if tau[k] >= 10 * sol.dt - 1e-12]
         for rep, peak, thr in (
                 (apriori_z_bound(sol, model, 1.0),
-                 lambda k: float(np.max(np.abs(sol.z[k]))),
+                 lambda k: float(np.max(np.abs(sol.z_rows(k)))),
                  lambda k: 2.0 * 1.0 / np.sqrt(tau[k])),
                 (penalty_bound_check(sol, gen, conj, 1.0),
-                 lambda k: float(np.max(conj.eval(gen.grad(sol.z[k])))),
+                 lambda k: float(np.max(conj.eval(gen.grad(sol.z_rows(k))))),
                  lambda k: 2.0 * 1.0 / tau[k])):
             ratios = [peak(k) / thr(k) for k in levels]
             k = levels[ratios.index(max(ratios))]

@@ -343,3 +343,20 @@ class TestScan:
     def test_one_refinement_misses_claim(self, monkeypatch):
         monkeypatch.setattr(terminal_data, "_SCAN_REFINEMENTS", 1)
         assert self.worst_excess() > 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="the sampling scan settles in a basin above "
+                   "the global minimum for oscillatory data at small m; ROADMAP "
+                   "direction 4 (exact candidates) removes it")
+@pytest.mark.parametrize("m", [0.1, 0.05])
+def test_scan_never_above_dense_minimum_for_oscillatory_data(m):
+    # cos with amplitude 2 and frequency 3: the scan reads 0.179 (m = 0.1)
+    # and 0.113 (m = 0.05) above a 400,001-point brute force over its own
+    # window; an exact infimum is never above any sampled minimum
+    tc = TerminalCondition.analytic("cos", amplitude=2.0, frequency=3.0)
+    us = np.linspace(-3.0, 3.0, 13) + 0.013
+    window = 2.0 * tc.sup_norm / m + 1.0
+    for u, got in zip(us, inf_convolution(tc, m, us)):
+        p = u + np.linspace(-window, window, 400_001)
+        dense = np.min(np.asarray(tc(p)) + m * np.abs(p - u))
+        assert got <= dense + 1e-12
