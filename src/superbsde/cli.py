@@ -264,6 +264,8 @@ def _build_inputs(cfg):
             and all(a <= b for a, b in zip(m_list, m_list[1:]))):
         raise ConfigError("regularize.m_list", "need a non-empty increasing list of "
                           f"finite m >= 0, got {list(m_list)}")
+    # the smallest m is the one for which (hi - lo) / m can overflow
+    _built("regularize.m_list", tc.inf_convolved, m_list[0])
     controls = tuple(_built("dual.constants", dual_mc.ConstantControl,
                             _coerce(q, float, "dual.constants"))
                      for q in cfg.dual["constants"])
@@ -329,7 +331,7 @@ def build_terminal(cfg):
     else:
         raise ConfigError("terminal.profile", f"unknown profile {profile!r}")
     if "inf_convolve_m" in t:
-        tc = tc.inf_convolved(t["inf_convolve_m"])
+        tc = _built("terminal.inf_convolve_m", tc.inf_convolved, t["inf_convolve_m"])
     return tc
 
 

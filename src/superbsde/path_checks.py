@@ -50,6 +50,12 @@ class ResidualReport:
     excluded_fraction: float
 
 
+def _same_model(a, b):
+    """Same sigma, horizon and drift (kind and parameters)."""
+    return ((a.sigma, a.horizon, type(a.drift), vars(a.drift))
+            == (b.sigma, b.horizon, type(b.drift), vars(b.drift)))
+
+
 def bsde_residual(sol, model, gen, bundle):
     """Pathwise consistency of (u, Z) with the backward dynamics.
 
@@ -60,7 +66,8 @@ def bsde_residual(sol, model, gen, bundle):
     Phi(X_T).  Paths leaving the spatial grid are excluded and their share
     is reported, whatever it is; fewer than 2 paths left on the grid is a
     domain error, since the energy's standard error needs two.  A bundle
-    whose time span [t0, T] is not the solution's raises ValueError.
+    whose time span [t0, T] is not the solution's, or whose model is not
+    `model` (another sigma, drift or horizon), raises ValueError.
 
     It walks the paths in blocks of `forward_model.BLOCK_PATHS`, replaying
     each block's knots (`PathBundle.knots`), and each block's knots in
@@ -74,6 +81,8 @@ def bsde_residual(sol, model, gen, bundle):
     """
     if bundle.tilted:
         raise ValueError("bsde_residual expects an untilted bundle")
+    if not _same_model(model, bundle.model):
+        raise ValueError(f"the bundle was simulated under {bundle.model!r}, not {model!r}")
     span, sol_span = (bundle.t0, bundle.model.horizon), (sol.t0, sol.horizon)
     if span != sol_span:
         raise ValueError(f"the bundle spans [t0, T] = [{span[0]!r}, {span[1]!r}] "

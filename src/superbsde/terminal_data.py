@@ -11,15 +11,20 @@ are the canonical m-Lipschitz squeezes used by the solver's
 approximation ladders; for L-Lipschitz Phi the uniform gap
 sup (Phi - lower_m) is certified by 2||Phi|| L / m.
 
-Data that are linear between their knots and constant beyond them
-(tabulated data, and their negations and shifts) are convolved exactly:
-p -> phi(p) + m|p - u| is then piecewise linear with corners only at the
-knots and at u, so its minimum is one of those candidates.  Any other
-data go through a sampling scan (`_scan_inf`) over a window around u,
-which also takes the knots, kinks and jump sides as candidates, and which
-can miss the global minimum of oscillatory data at small m; it runs
-over chunks of _SCAN_CHUNK points of u, so its temporaries stay near
-2 MB however many points are asked for.
+Both are exact.  A minimizer of p -> phi(p) + m|p - u| is u itself, a
+kink or jump of phi (`crit`) or a root of phi'(p) = +-m (`slope_roots`),
+so over those candidates c
+
+    lower_m(u) = min(phi(u), m u + min_{c <= u} (phi(c) - m c),
+                     -m u + min_{c >= u} (phi(c) + m c)):
+
+two running minima over the sorted candidates and one search for all u.
+`cos` takes its roots from arcsin, `tanh` from arccosh and `inv_quad`
+from a quartic; data linear between their knots have none, and a
+convolved condition supplies the candidates of its own envelope
+(`_envelope_roots`).  Candidates are enumerated near the points asked
+for, so their number grows with the points, not with 1/m or with the
+frequency.
 
 Immutable after construction; concurrent reads are safe.
 """
@@ -30,31 +35,29 @@ from .errors import NoModulusError
 from .generators import read_two_columns
 
 _KINDS = ("const", "cos", "inv_quad", "tanh")
-# points of each pass of the convolution scan, and the refining passes after
-# the first
-_SCAN_POINTS = 257
-_SCAN_REFINEMENTS = 3
-# points of u per scan chunk: a (chunk, _SCAN_POINTS) temporary is ~2 MB
-_SCAN_CHUNK = 1024
 
 
 class TerminalCondition:
     """Bounded payoff fn with values in [lo, hi], its Lipschitz constant
-    (None when fn is not Lipschitz) and its kinks and jumps `crit`: the
-    abscissae the convolution scan must always sample, since basins at
-    discontinuities can be narrower than any grid.  sup_norm defaults to
-    max(|lo|, |hi|).  piecewise_linear says that fn is linear between
-    consecutive crit points and constant beyond them, so its
-    convolutions need only those points and no scan."""
+    (None when fn is not Lipschitz), its kinks and jumps `crit` and its
+    slope roots.  sup_norm defaults to max(|lo|, |hi|).
+
+    The convolutions take every point of crit as a candidate, since basins
+    at discontinuities can be narrower than any grid.  slope_roots(m, u),
+    for m > 0 and a 1-d array u, gives the points p with fn'(p) = +-m that
+    minimizers of fn(p) + m|p - u| may need, as a 1-d array: those within
+    one period of some u for periodic fn, all of them otherwise.  A
+    superset does no harm.  The default, no roots, says that fn is linear
+    between consecutive crit points and constant beyond them."""
 
     def __init__(self, fn, lo, hi, lipschitz=None, crit=(), sup_norm=None,
-                 piecewise_linear=False):
+                 slope_roots=None):
         self.fn = fn
         self.lo = float(lo)
         self.hi = float(hi)
         self.lipschitz = float(lipschitz) if lipschitz is not None else None
         self.crit = tuple(crit)
-        self.piecewise_linear = bool(piecewise_linear)
+        self.slope_roots = slope_roots or _no_roots
         self.sup_norm = (float(sup_norm) if sup_norm is not None
                          else max(abs(self.lo), abs(self.hi)))
 
@@ -74,10 +77,11 @@ class TerminalCondition:
         if kind == "inv_quad":
             return cls(lambda x: amp / (1.0 + x * x) + off,
                        min(0.0, amp) + off, max(0.0, amp) + off,
-                       lipschitz=a * 3.0 * np.sqrt(3.0) / 8.0)
-        wave = np.cos if kind == "cos" else np.tanh
+                       lipschitz=a * 3.0 * np.sqrt(3.0) / 8.0,
+                       slope_roots=_inv_quad_roots(amp))
+        wave, roots = (np.cos, _cos_roots) if kind == "cos" else (np.tanh, _tanh_roots)
         return cls(lambda x: amp * wave(freq * x) + off, -a + off, a + off,
-                   lipschitz=a * abs(freq))
+                   lipschitz=a * abs(freq), slope_roots=roots(amp, freq))
 
     @classmethod
     def tabulated(cls, xs, phis):
@@ -92,7 +96,7 @@ class TerminalCondition:
             raise ValueError("abscissae must be strictly increasing")
         return cls(lambda x: np.interp(x, xs, phis), phis.min(), phis.max(),
                    lipschitz=np.max(np.abs(np.diff(phis) / np.diff(xs))),
-                   crit=xs.tolist(), piecewise_linear=True)
+                   crit=xs.tolist())
 
     @classmethod
     def from_csv(cls, path):
@@ -117,24 +121,30 @@ class TerminalCondition:
         return float(out) if np.ndim(out) == 0 else out
 
     def shifted(self, a):
-        """The condition phi + a (translation tests); same critical points."""
+        """The condition phi + a (translation tests); same critical points
+        and slope roots."""
         return TerminalCondition(lambda x: self.fn(x) + a, self.lo + a, self.hi + a,
                                  self.lipschitz, self.crit,
-                                 piecewise_linear=self.piecewise_linear)
+                                 slope_roots=self.slope_roots)
 
     def negated(self):
-        """The condition -phi; same sup-norm and critical points."""
+        """The condition -phi; same sup-norm, critical points and slope
+        roots."""
         return TerminalCondition(lambda x: -self.fn(x), -self.hi, -self.lo,
                                  self.lipschitz, self.crit, sup_norm=self.sup_norm,
-                                 piecewise_linear=self.piecewise_linear)
+                                 slope_roots=self.slope_roots)
 
     def inf_convolved(self, m):
-        """Lower m-Lipschitz regularization as a new condition; a
-        non-finite or negative m raises ValueError here, not at evaluation."""
+        """Lower m-Lipschitz regularization as a new condition, with the
+        candidates of its own envelope as slope roots (`_envelope_roots`),
+        so that it convolves exactly too.  A non-finite or negative m, or
+        one so small that (hi - lo) / m overflows, raises ValueError here,
+        not at evaluation."""
         m = _check_m(m)
         return TerminalCondition(lambda x: inf_convolution(self, m, x),
                                  -self.sup_norm, self.sup_norm, m, self.crit,
-                                 sup_norm=self.sup_norm)
+                                 sup_norm=self.sup_norm,
+                                 slope_roots=_envelope_roots(self, m))
 
     def sup_convolved(self, m):
         """Upper m-Lipschitz regularization as a new condition: the mirror
@@ -142,70 +152,118 @@ class TerminalCondition:
         return self.negated().inf_convolved(m).negated()
 
 
-def _scan_inf(phi, m, u, window, crit=()):
-    """min_p phi(p) + m|p - u| over p in [u-window, u+window], vectorized in u.
-
-    Coarse scan (p = u always sampled) plus local refinements around the
-    running argmin, plus the profile's critical points as explicit
-    candidates: jump basins are narrower than any grid, so sampling the
-    jump sides directly is what makes step profiles exact.  The
-    refinements resolve the minimum of the basin the coarse scan picks to
-    about 1e-6 * window, which is the global minimum only when the coarse
-    samples land in its basin.  Oscillatory data at small m can defeat
-    that: for cos with amplitude 2 and frequency 3 the result sits 0.179
-    above the true infimum at m = 0.1 (ROADMAP direction 4, exact
-    candidates).  Every point of u is independent, so the chunks of
-    _SCAN_CHUNK points give the bits of one pass over all of u.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
-    best = np.empty(u.shape)
-    for start in range(0, u.size, _SCAN_CHUNK):
-        stop = start + _SCAN_CHUNK
-        best[start:stop] = _grid_inf(phi, m, u[start:stop], window)
-    return _crit_inf(phi, m, u, best, crit)
+def _no_roots(m, u):
+    return np.empty(0)
 
 
-def _grid_inf(phi, m, u, window):
-    """The sampled part of `_scan_inf` for one chunk of u."""
-    offsets = np.linspace(-window, window, _SCAN_POINTS)
-    best_val = np.full(u.shape, np.inf)
-    best_p = u.copy()
-    center = u.copy()
-    half = window
-    rows = np.arange(u.size)
-    for _ in range(_SCAN_REFINEMENTS + 1):
-        p = center[:, None] + offsets[None, :] * (half / window)
-        vals = phi(p) + m * np.abs(p - u[:, None])
-        idx = np.argmin(vals, axis=1)
-        cand = vals[rows, idx]
-        take = cand < best_val
-        best_val = np.where(take, cand, best_val)
-        best_p = np.where(take, p[rows, idx], best_p)
-        center = best_p
-        half = half * (2.0 / (_SCAN_POINTS - 1)) * 2.0
-    return best_val
+def _cos_roots(amp, freq):
+    """Slope roots of amp cos(freq p): |amp freq sin(freq p)| = m at
+    k pi / |freq| +- theta, theta = arcsin(m / |amp freq|) / |freq|, taken
+    over the windows u +- one period (a minimizer lies within half a
+    period of u; the other half serves `_envelope_roots`)."""
+    peak = abs(amp * freq)
+
+    def roots(m, u):
+        if not (m <= peak and u.size):
+            return np.empty(0)
+        half = np.pi / abs(freq)
+        theta = np.arcsin(m / peak) / abs(freq)
+        x = np.sort(u)
+        gaps = np.flatnonzero(np.diff(x) > 4.0 * half)
+        lo = x[np.r_[0, gaps + 1]] - 2.0 * half
+        hi = x[np.r_[gaps, x.size - 1]] + 2.0 * half
+        # k from (lo - theta) / half up to (hi + theta) / half in each window
+        count = np.floor((hi - lo + 2.0 * theta) / half).astype(np.int64) + 1
+        first = np.ceil((lo - theta) / half) - (np.cumsum(count) - count)
+        k = (np.repeat(first, count) + np.arange(count.sum())) * half
+        return np.concatenate([k - theta, k + theta])
+
+    return roots
 
 
-def _crit_inf(phi, m, u, best_val, crit):
-    """best_val lowered to phi(c) + m|c - u| for every critical point c."""
-    for c in crit:
-        cand = float(phi(np.asarray(c, dtype=float))) + m * np.abs(c - u)
-        best_val = np.minimum(best_val, cand)
-    return best_val
+def _tanh_roots(amp, freq):
+    """Slope roots of amp tanh(freq p): |amp freq| sech^2(freq p) = m at
+    freq p = +-arccosh(sqrt(|amp freq| / m))."""
+    peak = abs(amp * freq)
+
+    def roots(m, u):
+        if not m <= peak:
+            return np.empty(0)
+        r = np.arccosh(np.sqrt(peak / m)) / abs(freq)
+        return np.array([-r, r])
+
+    return roots
 
 
-def _knot_inf(phi, m, u, knots):
-    """min_p phi(p) + m|p - u| over p in {u} and the knots: the exact
-    inf-convolution of data linear between the knots and constant beyond
-    them.  Each candidate is the scan's own expression for that p (its
-    first pass samples p = u + 0.0), so the result has `_scan_inf`'s bits
-    without its (points, _SCAN_POINTS) grids.  The one exception is an m
-    equal to a segment's slope: p -> phi(p) + m|p - u| is then flat on
-    that segment, and the scan may read a grid point there that rounds
-    a few ulps below every candidate."""
-    u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
-    p = u + 0.0
-    return _crit_inf(phi, m, u, phi(p) + m * np.abs(p - u), knots)
+def _inv_quad_roots(amp):
+    """Slope roots of amp / (1 + p^2): the real parts of the roots of
+    m (1 + p^2)^2 +- 2 amp p = 0, a superset of the real ones."""
+    def roots(m, u):
+        return np.concatenate([np.roots([m, 0.0, 2.0 * m, s * amp, m]).real
+                               for s in (2.0, -2.0)])
+
+    return roots
+
+
+def _envelope_roots(tc, m1):
+    """Slope roots of phi_m1 = tc.inf_convolved(m1): the points a
+    minimizer or maximizer of phi_m1(p) +- m|p - u| may need.
+
+    phi_m1 = min(phi, cones phi_m1(c) + m1|x - c|) with apexes c at the
+    kinks and m1-roots of phi.  Between two consecutive apexes a < b it is
+    min(phi, line from a, line from b): its kinks there are the corner
+    where the two lines meet and the crossings of phi with each line, and
+    on its phi pieces its slope is phi's.  So the candidates are phi's
+    m-roots, the apexes, the corners and the crossings, which bisection
+    finds: phi minus a line is monotone between consecutive apexes.  The
+    apexes come from the windows of u and of the first apexes found, so
+    periodic data keep every bracket within a period of u whole.  Two
+    virtual apexes, farther out than any cone can reach, bracket the
+    crossings beyond the last real ones."""
+    if m1 == 0.0:
+        return _no_roots  # phi_0 is a constant
+    reach = (tc.hi - tc.lo) / m1 + 1.0
+    if reach == np.inf:
+        raise ValueError(f"m = {m1!r} is too small for data in [{tc.lo!r}, {tc.hi!r}]: "
+                         "(hi - lo) / m overflows")
+
+    def roots(m, u):
+        near = np.concatenate([u, tc.slope_roots(m1, u)])
+        apex = np.union1d(tc.crit, tc.slope_roots(m1, near))
+        if apex.size == 0:
+            return tc.slope_roots(m, u)  # phi_m1 = phi
+        apex = np.concatenate([[apex[0] - reach], apex, [apex[-1] + reach]])
+        env = inf_convolution(tc, m1, apex)
+        a, b, ea, eb = apex[:-1], apex[1:], env[:-1], env[1:]
+        corner = 0.5 * (a + b) + (eb - ea) / (2.0 * m1)
+        return np.concatenate([tc.slope_roots(m, u), apex, corner,
+                               _crossings(tc.fn, a, corner, ea - m1 * a, m1),
+                               _crossings(tc.fn, corner, b, eb + m1 * b, -m1)])
+
+    return roots
+
+
+def _crossings(fn, lo, hi, icept, slope):
+    """Where fn(x) - (icept + slope x) changes sign on the brackets
+    [lo, hi] on which it is monotone: both ends of each bracket whose ends
+    differ in sign, bisected until no float lies between them."""
+    up = fn(lo) > icept + slope * lo
+    keep = up != (fn(hi) > icept + slope * hi)
+    lo, hi, icept, up = lo[keep], hi[keep], icept[keep], up[keep]
+    while True:
+        mid = 0.5 * (lo + hi)
+        inner = (lo < mid) & (mid < hi)
+        if not inner.any():
+            return np.concatenate([lo, hi])
+        same = inner & ((fn(mid) > icept + slope * mid) == up)
+        lo = np.where(same, mid, lo)
+        hi = np.where(inner & ~same, mid, hi)
+
+
+def _running_minima(keys):
+    """The indices i with keys[i] <= keys[:i].min(), ascending: the
+    smallest of keys[:j + 1] sits at the last of them <= j."""
+    return np.flatnonzero(keys == np.minimum.accumulate(keys))
 
 
 def _check_m(m):
@@ -218,23 +276,34 @@ def _check_m(m):
 def inf_convolution(tc, m, u):
     """Phi_m(u) = inf_p { Phi(p) + m|p-u| }; m = 0 gives the global infimum.
 
-    Piecewise-linear data take the exact knot candidates (`_knot_inf`);
-    any other data are scanned (`_scan_inf`) over the window
-    u +- (2||Phi||/m + 1).  The window loses nothing, since outside it the
-    penalty exceeds the largest possible payoff gain 2||Phi||, but the scan
-    inside it is not exact: it can settle in a basin above the global
-    minimum for oscillatory data at small m.
+    Exact: the candidates are u, `tc.crit` and `tc.slope_roots(m, u)`.
+    The running minima of phi(c) - m c over the sorted candidates (and of
+    phi(c) + m c from the right) pick the best candidate on each side of
+    each u, and the value is phi(c) + m|c - u| at those two and at u.
+    Data linear between their knots thus get the direct minimum over the
+    knots bit for bit, except where an m equal to a segment's slope ties
+    two knots to within rounding.  Nothing here reads tc.lipschitz: for
+    m >= L the identity lower_m = Phi comes out of the candidates.
     """
     m = _check_m(m)
     shape = np.shape(u)
     if m == 0.0:
         out = np.full(shape or (1,), tc.lo)
         return float(out.flat[0]) if not shape else out
-    if tc.piecewise_linear:
-        out = _knot_inf(tc.fn, m, u, tc.crit)
-    else:
-        window = 2.0 * tc.sup_norm / m + 1.0
-        out = _scan_inf(tc.fn, m, u, window, crit=tc.crit)
+    u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
+    p = u + 0.0
+    out = tc.fn(p) + m * np.abs(p - u)
+    c = np.concatenate([tc.crit, tc.slope_roots(m, u)])
+    if c.size:
+        c.sort()
+        phi = tc.fn(c)
+        k = np.searchsorted(c, u)  # c[:k] < u <= c[k:]
+        left = _running_minima(phi - m * c)
+        right = c.size - 1 - _running_minima((phi + m * c)[::-1])[::-1]
+        left = left[np.searchsorted(left, k - 1, side="right") - 1]
+        right = right[np.minimum(np.searchsorted(right, k), right.size - 1)]
+        for i in (left, right):
+            out = np.minimum(out, phi[i] + m * np.abs(c[i] - u))
     out = out.reshape(shape or (1,))
     return float(out.flat[0]) if not shape else out
 

@@ -335,6 +335,18 @@ class TestCommands:
         assert row["pass"] == str(1 - status)
         assert float(row["statistic"]) == pytest.approx(0.68, abs=1e-6)
 
+    @pytest.mark.parametrize("terminal", [
+        "{profile: cos, amplitude: 0.5, inf_convolve_m: 50.0}",
+        "{profile: cos, amplitude: 2.0, frequency: 3.0, inf_convolve_m: 4.0}",
+        "{profile: step, inf_convolve_m: 50.0}"], ids=["cos", "cos_corners", "step"])
+    def test_presmoothed_terminal_regularizes(self, tmp_path, terminal):
+        # both sides of a pre-smoothed terminal convolve from the candidates
+        # of its own envelope; "cos_corners" puts m = 2 below m1 = 4 below L,
+        # where the upper side's maximizers are corners of Phi_m1
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CFG.replace("{profile: cos, amplitude: 0.5}", terminal))
+        assert main(["regularize", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("argv", [["counterexample", "3.3", "--seed", "-1"],
                                       ["dual", "--seed", "18446744073709551615"]])
     def test_main_rejects_bad_seed_before_compute(self, tmp_path, capsys, argv):
@@ -388,7 +400,7 @@ class TestCommands:
         ("dual", "dual: {scheme_tol: .nan}", "dual.scheme_tol"),
         ("dual", "dual: {scheme_tol: -0.1}", "dual.scheme_tol"),
         ("solve", "terminal: {profile: step, high: .inf}", "terminal"),
-        ("solve", "terminal: {profile: cos, inf_convolve_m: .nan}", "terminal"),
+        ("solve", "terminal: {profile: cos, inf_convolve_m: .nan}", "terminal.inf_convolve_m"),
         ("solve", "model: {sigma: .inf}", "model"),
         ("solve", "model: {T: .inf}", "model"),
         ("solve", "x0: .nan", "x0"),
@@ -573,12 +585,25 @@ _SWEEP_CASES = [pytest.param(k, v, c, id=f"{k}={v!r}-{c}",
                              marks=_UNRESOLVED if (k, v, c) == ("grid.pad", 1e300, "dual")
                              else ())
                 for k, vs in _SWEEP.items() for v in vs for c in ("checks", "dual")]
+# the terminal keys `regularize` reads, each on a profile that reads it, at
+# extreme finite values
+_TERMINAL_PROFILES = {"frequency": "cos", "amplitude": "cos", "offset": "cos",
+                      "inf_convolve_m": "cos", "jump": "step", "low": "step",
+                      "high": "step"}
+_SWEEP_CASES += [pytest.param(f"terminal.{k}", v, "regularize",
+                              id=f"terminal.{k}={v!r}-regularize")
+                 for k in _TERMINAL_PROFILES
+                 for v in (0, -1.0, 1e-300, 5e-324, 1e150, 1e300, -1e300)]
+_SWEEP_CASES += [pytest.param("regularize.m_list", v, "regularize",
+                              id=f"regularize.m_list={v!r}-regularize")
+                 for v in ([0.0], [5e-324], [1e-300], [1e300], [0.0, 1e300])]
 
 
 class TestBadInputSweep:
-    """A bad or edge value of a key `checks` or `dual` reads either runs
-    to exit 0 with every hard row finite, or exits 1 with one `error:` line
-    naming the key: no traceback and no numpy warning."""
+    """A bad or edge value of a key `checks` or `dual` reads, or of a
+    terminal key or `m_list` that `regularize` reads, either runs to exit 0 with every hard
+    row finite, or exits 1 with one `error:` line naming the key: no
+    traceback and no numpy warning."""
 
     BASE = {"grid": {"n_x": 64, "dt": 0.1}, "mc": {"n_paths": 50, "n_steps": 10, "seed": 1}}
 
@@ -589,6 +614,8 @@ class TestBadInputSweep:
         if "." in key:
             section, name = key.split(".")
             cfg.setdefault(section, {})[name] = value
+            if section == "terminal":
+                cfg[section]["profile"] = _TERMINAL_PROFILES[name]
         else:
             cfg[key] = value
         cfgp = tmp_path / "c.yaml"

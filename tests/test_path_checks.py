@@ -112,6 +112,21 @@ class TestResidual:
         same = simulate_paths(bm_model(), 0.0, sol_t0, 400, 50, seed=8)
         assert bsde_residual(sol, bm_model(), gen, same).rms_terminal_residual < 0.05
 
+    @pytest.mark.parametrize("other", [ForwardModel(ZeroDrift(), 1.5, 1.0),
+                                       ForwardModel(TanhDrift(0.3), 1.0, 1.0),
+                                       ForwardModel(ZeroDrift(), 1.0, 2.0)],
+                             ids=["sigma", "drift", "horizon"])
+    def test_model_other_than_the_bundles_refused(self, other):
+        # the paths carry their own model; a `model` that is not it is a
+        # caller's mix-up, not a residual
+        gen = PowerGenerator(3.0)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(bm_model(), gen, tc, GRID, 0.0)
+        bundle = simulate_paths(bm_model(), 0.0, 0.0, 400, 50, seed=8)
+        with pytest.raises(ValueError, match="simulated under"):
+            bsde_residual(sol, other, gen, bundle)
+        assert bsde_residual(sol, bm_model(), gen, bundle).rms_terminal_residual < 0.05
+
     def test_deterministic_rerun(self):
         model = bm_model()
         gen = PowerGenerator(3.0)
