@@ -174,7 +174,8 @@ class FeedbackControl(ControlProcess):
         sol._one_member()
         it, lt = sol._time_weights(t)
         lt = lt[:, None]
-        z, lo = sol._z_between(it)  # Z at the levels the times fall between
+        levels, lo = sol._between(it)
+        z = sol.z_rows(levels)  # Z at the levels the times fall between
         z = (1.0 - lt) * z[lo] + lt * z[lo + 1]
         inside = np.abs(z) <= self.gen.r_max
         rows = self.gen.grad(np.where(inside, z, 0.0))

@@ -33,11 +33,17 @@ dissipation coefficient (and the substep count) bounded away from the
 terminal layer.  The clamp is applied one
 level in: stepping out of s = T uses the envelope at T - dt, never at T
 itself.
+
+A solve keeps every level when the field fits KEEP_FLOATS floats and
+otherwise checkpoints only; a level it did not keep is replayed from the
+checkpoint before it by the same level step (`_LevelStep`), bit for bit
+(Griewank and Walther, "revolve", ACM TOMS 26, 2000).
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -49,6 +55,8 @@ from .generators import QuadraticGenerator
 CAP_SAFETY = 1.5
 CFL_SAFETY = 0.9  # hyperbolic CFL factor; <= 1 keeps the explicit part monotone
 MAX_SUBSTEPS = 1 << 21  # per level; more raises ResolutionError
+# levels x members x nodes of a field a solve keeps whole (8 MiB of floats)
+KEEP_FLOATS = 1 << 20
 
 
 @dataclass
@@ -68,18 +76,48 @@ class GridSpec:
     x_hi: float = None
 
 
+class _Replay(NamedTuple):
+    """What a checkpointed solve keeps for replay: its level step, the
+    levels it kept (ascending indices into t_grid) and their rows, every
+    member of a stack."""
+
+    step: object
+    kept: np.ndarray
+    u: np.ndarray
+
+
 @dataclass
 class PdeSolution:
     """u on the grid, levels from T down to t0 in t_grid.
 
-    u is the one stored field.  Z = -u_x sigma (central differences
-    inside, one-sided at the edges) is derived from u where it is read:
-    `z_rows` computes the rows of the levels asked for, a Z lookup the two
-    levels it interpolates between, and nothing keeps them.  A Z row
-    depends on its u row only, so every reader gets the same bits.
+    u is the one stored field.  It holds every level when the field
+    (levels x members x nodes) fits KEEP_FLOATS floats; otherwise it holds
+    the checkpoints only, every ceil(sqrt(n_t))-th level and the last two,
+    and `replay` keeps the solve's level step and the kept level indices.
+    Either way u[0] is the terminal level and u[-1] the level at t0, and
+    cap_active and substeps have one entry per level.
+
+    Every level is a deterministic function of the level before it, so a
+    level that was not kept is replayed from the checkpoint before it by
+    the level step of the solve itself and has the solve's bits; a replay
+    adds nothing to substeps.  `rows(levels)` is the batched read and
+    `walk()` the streaming pass over every level in solve order; each
+    call steps a level at most once and keeps nothing.  When every level
+    is kept, or a level read is a checkpoint, a read is a plain gather
+    from u.  `u_at` and `z_at` read the two levels each lookup time falls
+    between, so a lookup at t0 reads the last two levels, which are kept.
+
+    Z = -u_x sigma (central differences inside, one-sided at the edges)
+    is derived from u where it is read: `z_rows` computes the rows of the
+    levels asked for, a Z lookup the two levels it interpolates between,
+    and nothing keeps them.  A Z row depends on its u row only, so every
+    reader gets the same bits.
+
     A stacked solve has a member axis after the level axis; lookups and
     to_csv read one member and raise ValueError on a stack, so split it
-    with `members()` first."""
+    with `members()` first.  A member's replay steps the whole stack,
+    since its members share the clamp and every substep, and reads its
+    own column."""
 
     x_grid: np.ndarray
     t_grid: np.ndarray
@@ -88,6 +126,8 @@ class PdeSolution:
     substeps: np.ndarray
     model: object
     tc: object
+    replay: _Replay = None  # None: u holds every level
+    member: int = None  # the column of the stack's replay a member reads
 
     @property
     def dx(self):
@@ -105,11 +145,61 @@ class PdeSolution:
     def horizon(self):
         return float(self.t_grid[0])
 
+    def rows(self, levels):
+        """u at the levels `levels` (an index, slice or index array into
+        t_grid, levels from T down), as u[levels] reads with every level
+        kept; a stack gives every member of each level."""
+        if self.replay is None:
+            return self.u[levels]
+        want = np.arange(self.t_grid.size)[levels]
+        # a mask over the levels, not np.unique, which imports numpy.ma
+        need = np.zeros(self.t_grid.size, dtype=bool)
+        need[want] = True
+        ascending = np.flatnonzero(need)
+        got = np.empty((ascending.size, *self.u.shape[1:]))
+        for i, row in enumerate(self._replayed(ascending)):
+            got[i] = row
+        return got[np.searchsorted(ascending, want)]
+
+    def walk(self):
+        """u at every level in solve order (from T down), one row per level;
+        a stack gives every member of each level.  A checkpointed solve
+        replays each level once, holding O(1) rows."""
+        if self.replay is None:
+            return iter(self.u)
+        return self._replayed(range(self.t_grid.size))
+
+    def _replayed(self, levels):
+        """This solution's row at each of `levels` (ascending indices into
+        t_grid): a kept row where there is one, otherwise the state stepped
+        on from the checkpoint before the level, or from the last level
+        stepped to when that is nearer."""
+        step, kept, u = self.replay
+        col = () if self.member is None else (self.member,)
+        pad = np.empty((*u.shape[1:-1], u.shape[-1] + 2))
+        at = -1  # the level the state in pad holds
+        for k in levels:
+            j = int(np.searchsorted(kept, k, side="right")) - 1
+            if kept[j] == k:
+                yield u[j][col]
+                continue
+            if at < kept[j]:
+                pad[..., 1:-1] = u[j]
+                at = int(kept[j])
+            while at < k:
+                step(at, pad)
+                at += 1
+            yield pad[..., 1:-1][col].copy()
+
+    def z_of(self, u_rows):
+        """Z = -u_x sigma of rows of u along their last axis."""
+        return _central_z(u_rows, self.dx, self.model.sigma)
+
     def z_rows(self, levels):
         """Z = -u_x sigma at the levels `levels` (an index, slice or index
         array into t_grid, levels from T down), computed from those rows
         of u only; a stack gives every member of each level."""
-        return _central_z(self.u[levels], self.dx, self.model.sigma)
+        return self.z_of(self.rows(levels))
 
     def _one_member(self):
         if self.u.ndim == 3:
@@ -158,9 +248,12 @@ class PdeSolution:
         return float(v) if v.ndim == 0 else v
 
     def u_at(self, t, x):
-        """Bilinear interpolation of u (x clamped to the grid)."""
+        """Bilinear interpolation of u (x clamped to the grid), reading
+        only the levels the lookup falls between."""
         self._one_member()
-        return self._interpolate(self.u, self._weights(t, x))
+        it, lt, ix, lx = self._weights(t, x)
+        levels, pos = self._between(it)
+        return self._interpolate(self.rows(levels)[::-1], (pos, lt, ix, lx))
 
     def z_at(self, t, x):
         """Bilinear interpolation of the Z-field (x clamped to the grid),
@@ -168,26 +261,37 @@ class PdeSolution:
         that of the whole field."""
         self._one_member()
         it, lt, ix, lx = self._weights(t, x)
-        z_asc, pos = self._z_between(it)
-        return self._interpolate(z_asc[::-1], (pos, lt, ix, lx))
+        levels, pos = self._between(it)
+        return self._interpolate(self.z_rows(levels)[::-1], (pos, lt, ix, lx))
 
-    def _z_between(self, it):
-        """The Z rows of the levels it and it + 1 for every it (level
-        indices ascending in time, as `_time_weights` gives them), in
-        ascending order, and the row of each it among them.  No level lies
-        between it and it + 1, so the row after it's is it + 1's."""
+    def _between(self, it):
+        """The levels it and it + 1 for every it (level indices ascending in
+        time, as `_time_weights` gives them) as indices into t_grid, in
+        ascending time, and the position of each it among them.  No level
+        lies between it and it + 1, so the position after it's is it + 1's."""
         # a mask over the levels, not np.unique, which imports numpy.ma
         need = np.zeros(self.t_grid.size, dtype=bool)
         need[it] = True
         need[np.add(it, 1)] = True
         levels = np.flatnonzero(need)
-        return (self.z_rows(self.t_grid.size - 1 - levels),
-                np.searchsorted(levels, it))
+        return self.t_grid.size - 1 - levels, np.searchsorted(levels, it)
+
+    def _fields_between(self, it):
+        """u and Z for lookups at the level indices it (ascending in time):
+        (u, u_pos, z, z_pos), each field with levels from T down and the
+        position of every it among its rows counted from t0.  Z holds the
+        levels it and it + 1 only.  u is the stored field itself when it
+        holds every level, and otherwise those levels too, read once."""
+        levels, pos = self._between(it)
+        if self.replay is None:
+            return self.u, it, self.z_rows(levels)[::-1], pos
+        u_asc = self.rows(levels)
+        return u_asc[::-1], pos, self.z_of(u_asc)[::-1], pos
 
     def members(self):
         """One solution per member of a stacked solve, as views."""
         return [replace(self, u=self.u[:, i], cap_active=self.cap_active[:, i],
-                        substeps=self.substeps[:, i], tc=tc)
+                        substeps=self.substeps[:, i], tc=tc, member=i)
                 for i, tc in enumerate(self.tc)]
 
     def level_time_to_go(self):
@@ -198,8 +302,9 @@ class PdeSolution:
 
         Each level is one string, joined from a list of parts whose x and
         separator slots are filled once per call, t and the cap flag once
-        per level and u and z by slice assignment, then written at once:
-        memory holds one level, and its Z row, never the whole file."""
+        per level and u and z by slice assignment, then written at once.
+        The levels come from one `walk`, so memory holds one level, and its
+        Z row, never the whole file or the whole field."""
         self._one_member()
         # repr of a numpy scalar is "np.float64(...)" under numpy 2, so
         # format Python floats from tolist(); a row reads
@@ -209,11 +314,13 @@ class PdeSolution:
         parts[1::6] = [x + "," for x in map(repr, self.x_grid.tolist())]
         with open(path, "w", newline="") as fh:
             fh.write("t,x,u,z,cap_active\n")
-            for k, tk in enumerate(map(repr, self.t_grid.tolist())):
+            levels = zip(map(repr, self.t_grid.tolist()), self.cap_active.tolist(),
+                         self.walk())
+            for tk, cap, row in levels:
                 parts[0::6] = [tk + ","] * n
-                parts[2::6] = map(repr, self.u[k].tolist())
-                parts[4::6] = map(repr, self.z_rows(k).tolist())
-                parts[5::6] = [f",{int(self.cap_active[k])}\n"] * n
+                parts[2::6] = map(repr, row.tolist())
+                parts[4::6] = map(repr, self.z_of(row).tolist())
+                parts[5::6] = [f",{int(cap)}\n"] * n
                 fh.write("".join(parts))
 
 
@@ -268,80 +375,37 @@ def _grid_arrays(model, grid, t0):
     return x, t_desc
 
 
-def solve(model, gen, tc, grid, t0):
-    """Solve the terminal-value problem backward from T to t0 for one
-    TerminalCondition, or for a sequence of them in lockstep.
+class _LevelStep:
+    """One base step of the scheme (see `solve`) for a fixed grid, clamp
+    and stack: `step(k, pad)` advances the state inside the ghost-padded
+    buffer pad from level k to level k + 1 in place and returns the
+    substep count and the per-member cap flags of the step.  `solve` and
+    the replay of a checkpointed PdeSolution both call it, so a replayed
+    level has the bits of the solve's.  Its ImplicitDiffusion keeps scan
+    buffers, so a step serves one caller at a time."""
 
-    Each base step is a run of IMEX substeps.  A substep forms the
-    explicit increment
+    def __init__(self, model, gen, x, t_desc, sup_norm, lip):
+        self.model, self.gen, self.x, self.t_desc = model, gen, x, t_desc
+        self.sup_norm, self.lip = sup_norm, lip
+        self.dx = float(x[1] - x[0])
+        self.dt_base = float(t_desc[0] - t_desc[1])
+        self.diffusion = _kernels.ImplicitDiffusion(x.size)
 
-        inc = dtau (0.5 sigma^2 d2 - H + 0.5 theta dx d2)
-
-    (centered second differences d2, local Lax-Friedrichs Hamiltonian H
-    from gen.h, dissipation theta from gen.hp) and adds
-    `_kernels.ImplicitDiffusion` of it with c = 0.5 sigma^2 dtau / dx^2,
-    the delta form of (I - c D2) u_new = u + dtau (0.5 theta dx d2 - H),
-    so a zero increment leaves u exactly unchanged.  dtau is the rest of
-    the base step or CFL_SAFETY dx / max theta, whichever is smaller.
-
-    A stack shares the gradient clamp (the largest sup norm and Lipschitz
-    constant over it; none if a member has none) and every substep (sized
-    by the largest theta over it), so all members go through one monotone
-    operator: ordered data stay ordered at every node (discrete comparison
-    principle; Barles and Souganidis 1991) and shifted data stay shifted
-    to rounding.  It returns one PdeSolution; see `PdeSolution.members`.
-
-    The state lives inside its ghost-padded buffer, so a substep only
-    refreshes the two ghosts.  One difference of the padded state gives
-    both one-sided slopes, and one abs of it gives the larger slope.  The
-    clamp test is one max over the stack; only a substep that clamps
-    takes the per-member max for cap_active.  The increment is formed in place as
-    theta (0.5 dx) d2, which equals (0.5 theta) dx d2 since halving is
-    exact (for normal theta).  A drift flagged `zero` is not evaluated
-    and its terms are skipped: b = 0 would only add zeros.
-    `tests/test_hj_solver.py` keeps the textbook loop and checks u,
-    cap_active and substeps against it bit for bit.
-
-    Raises ResolutionError naming the level when a level needs more than
-    MAX_SUBSTEPS substeps, turns non-finite, or meets a non-finite theta.
-    """
-    x, t_desc = _grid_arrays(model, grid, t0)
-    dx = float(x[1] - x[0])
-    dt_base = float(t_desc[0] - t_desc[1])
-    stacked = isinstance(tc, Sequence)
-    stack = tuple(tc) if stacked else (tc,)
-    if not stack:
-        raise ValueError("need at least one terminal condition")
-    sup_norm = max(phi.sup_norm for phi in stack)
-    lips = [phi.lipschitz for phi in stack]
-    lip = None if None in lips else max(lips)
-
-    n_t = t_desc.size
-    rows = (len(stack),) if stacked else ()
-    u = np.empty((n_t, *rows, x.size))
-    cap_active = np.zeros((n_t, *rows), dtype=bool)
-    substeps = np.zeros((n_t, *rows), dtype=np.int64)
-    u[0] = np.reshape([np.asarray(phi(x), dtype=float) for phi in stack], u.shape[1:])
-
-    sig2 = model.sigma * model.sigma
-    asig = abs(model.sigma)
-    dx2 = dx * dx
-    half_dx = 0.5 * dx  # theta * (0.5 dx) is (0.5 theta) dx: halving is exact
-    diffusion = _kernels.ImplicitDiffusion(x.size)
-    zero = model.drift.zero
-    # the state lives inside its ghost-padded buffer; the edge ghosts copy
-    # the edge values
-    pad = np.empty((*rows, x.size + 2))
-    cur = pad[..., 1:-1]
-    cur[...] = u[0]
-
-    for k in range(n_t - 1):
-        s_src = t_desc[k]
+    def __call__(self, k, pad):
+        model, gen, dx, dt_base = self.model, self.gen, self.dx, self.dt_base
+        sig2 = model.sigma * model.sigma
+        asig = abs(model.sigma)
+        dx2 = dx * dx
+        half_dx = 0.5 * dx  # theta * (0.5 dx) is (0.5 theta) dx: halving is exact
+        zero = model.drift.zero
+        cur = pad[..., 1:-1]
+        s_src = self.t_desc[k]
         tau = max(model.horizon - s_src, dt_base)
-        pcap = _p_cap(model, sup_norm, lip, tau)
+        pcap = _p_cap(model, self.sup_norm, self.lip, tau)
         if not zero:
-            bvals = np.asarray(model.drift(s_src, x), dtype=float)
+            bvals = np.asarray(model.drift(s_src, self.x), dtype=float)
             babs = np.abs(bvals)
+        capped = False
         consumed = 0.0
         nsub = 0
         while consumed < dt_base:
@@ -354,7 +418,7 @@ def solve(model, gen, tc, grid, t0):
             pc *= 0.5
             pa = np.abs(pc)
             if pa.max() > pcap:
-                cap_active[k + 1] |= pa.max(axis=-1) > pcap
+                capped = capped | (pa.max(axis=-1) > pcap)
                 np.minimum(pa, pcap, out=pa)
             np.abs(slope, out=slope)
             pl = np.maximum(slope[..., 1:], slope[..., :-1])
@@ -383,7 +447,7 @@ def solve(model, gen, tc, grid, t0):
             d2 -= ham
             d2 += theta
             d2 *= dtau
-            cur += diffusion(d2, 0.5 * sig2 * dtau / dx2)
+            cur += self.diffusion(d2, 0.5 * sig2 * dtau / dx2)
             consumed += dtau
             nsub += 1
             if nsub > MAX_SUBSTEPS:
@@ -393,13 +457,101 @@ def solve(model, gen, tc, grid, t0):
         if not finite or consumed < dt_base:
             what = "dissipation theta" if finite else "solution"
             raise ResolutionError(
-                f"non-finite {what} at level {k + 1} (t = {t_desc[k + 1]:.6g})")
-        u[k + 1] = cur
-        substeps[k + 1] = nsub
+                f"non-finite {what} at level {k + 1} (t = {self.t_desc[k + 1]:.6g})")
+        return nsub, capped
 
+
+def _kept_levels(n_t, per_level):
+    """The mask of the levels a solve of n_t levels of per_level floats
+    each keeps: all of them when the field fits KEEP_FLOATS floats,
+    otherwise every ceil(sqrt(n_t))-th level and the last two."""
+    keep = np.ones(n_t, dtype=bool)
+    if n_t * per_level > KEEP_FLOATS:
+        keep[:] = False
+        keep[::math.isqrt(n_t - 1) + 1] = True
+        keep[-2:] = True
+    return keep
+
+
+def solve(model, gen, tc, grid, t0):
+    """Solve the terminal-value problem backward from T to t0 for one
+    TerminalCondition, or for a sequence of them in lockstep.
+
+    Each base step is a run of IMEX substeps.  A substep forms the
+    explicit increment
+
+        inc = dtau (0.5 sigma^2 d2 - H + 0.5 theta dx d2)
+
+    (centered second differences d2, local Lax-Friedrichs Hamiltonian H
+    from gen.h, dissipation theta from gen.hp) and adds
+    `_kernels.ImplicitDiffusion` of it with c = 0.5 sigma^2 dtau / dx^2,
+    the delta form of (I - c D2) u_new = u + dtau (0.5 theta dx d2 - H),
+    so a zero increment leaves u exactly unchanged.  dtau is the rest of
+    the base step or CFL_SAFETY dx / max theta, whichever is smaller.
+
+    A stack shares the gradient clamp (the largest sup norm and Lipschitz
+    constant over it; none if a member has none) and every substep (sized
+    by the largest theta over it), so all members go through one monotone
+    operator: ordered data stay ordered at every node (discrete comparison
+    principle; Barles and Souganidis 1991) and shifted data stay shifted
+    to rounding.  It returns one PdeSolution; see `PdeSolution.members`.
+
+    It keeps every level when levels x members x nodes fits KEEP_FLOATS
+    floats (8 MiB), and otherwise every ceil(sqrt(n_t))-th level and the
+    last two; cap_active and substeps keep every level.  The base step is
+    `_LevelStep`: a checkpointed solution keeps it to replay the other
+    levels with the solve's own arithmetic, a stack as one (see
+    `PdeSolution`).  Beside its result the solve holds the padded state
+    and the temporaries of one substep.
+
+    The state lives inside its ghost-padded buffer, so a substep only
+    refreshes the two ghosts.  One difference of the padded state gives
+    both one-sided slopes, and one abs of it gives the larger slope.  The
+    clamp test is one max over the stack; only a substep that clamps
+    takes the per-member max for cap_active.  The increment is formed in place as
+    theta (0.5 dx) d2, which equals (0.5 theta) dx d2 since halving is
+    exact (for normal theta).  A drift flagged `zero` is not evaluated
+    and its terms are skipped: b = 0 would only add zeros.
+    `tests/test_hj_solver.py` keeps the textbook loop and checks u,
+    cap_active and substeps against it bit for bit.
+
+    Raises ResolutionError naming the level when a level needs more than
+    MAX_SUBSTEPS substeps, turns non-finite, or meets a non-finite theta.
+    """
+    x, t_desc = _grid_arrays(model, grid, t0)
+    stacked = isinstance(tc, Sequence)
+    stack = tuple(tc) if stacked else (tc,)
+    if not stack:
+        raise ValueError("need at least one terminal condition")
+    sup_norm = max(phi.sup_norm for phi in stack)
+    lips = [phi.lipschitz for phi in stack]
+    lip = None if None in lips else max(lips)
+
+    n_t = t_desc.size
+    rows = (len(stack),) if stacked else ()
+    keep = _kept_levels(n_t, len(stack) * x.size)
+    u = np.empty((np.count_nonzero(keep), *rows, x.size))
+    cap_active = np.zeros((n_t, *rows), dtype=bool)
+    substeps = np.zeros((n_t, *rows), dtype=np.int64)
+    u[0] = np.reshape([np.asarray(phi(x), dtype=float) for phi in stack], u.shape[1:])
+
+    step = _LevelStep(model, gen, x, t_desc, sup_norm, lip)
+    # the state lives inside its ghost-padded buffer; the edge ghosts copy
+    # the edge values
+    pad = np.empty((*rows, x.size + 2))
+    cur = pad[..., 1:-1]
+    cur[...] = u[0]
+    j = 1
+    for k in range(n_t - 1):
+        substeps[k + 1], cap_active[k + 1] = step(k, pad)
+        if keep[k + 1]:
+            u[j] = cur
+            j += 1
+
+    replay = None if j == n_t else _Replay(step, np.flatnonzero(keep), u)
     return PdeSolution(x_grid=x, t_grid=t_desc, u=u, cap_active=cap_active,
                        substeps=substeps, model=model,
-                       tc=stack if stacked else tc)
+                       tc=stack if stacked else tc, replay=replay)
 
 
 _GH_NODES, _GH_WEIGHTS = hermegauss(64)

@@ -5,14 +5,15 @@ envelopes, and the gradient-blowup exponent fit.
 All functions are pure over immutable inputs; reruns with the same
 (seed, grid) are bit-identical.  They read the two primary arrays, u of
 the solution and the increments of the path bundle, and derive the rest
-where they read it: Z rows from u (`PdeSolution.z_rows`: windows of
-_Z_WINDOW levels for the envelopes, one window for the exponent fit, the
-levels its knots fall between for the residual) and the x knots from the
-increments, one block of paths at a time (`PathBundle.knots`).  The
-residual keeps the per-path sums it reports as running sums, so beside u
-and the increments it holds those Z rows, one block of knots and arrays
-of one knot.  An envelope whose threshold is zero (zero data) reads
-ratio 0 where Z is zero too and inf elsewhere.
+where they read it: Z rows from u (`PdeSolution.z_of`: one level at a
+time in a streamed pass over u for the envelopes and the exponent fit,
+the levels its knots fall between for the residual) and the x knots from
+the increments, one block of paths at a time (`PathBundle.knots`).  The
+residual keeps the per-path sums it reports as running sums, so beside
+the solution and the increments it holds the u and Z rows of those
+levels, one block of knots and arrays of one knot.  An envelope whose
+threshold is zero (zero data) reads ratio 0 where Z is zero too and inf
+elsewhere.
 """
 
 from dataclasses import dataclass
@@ -37,8 +38,6 @@ EDGE_STEPS = 10
 MAX_EXCLUDED = 0.01
 # points of the convexity probe in penalty_bound_check
 _CONVEXITY_POINTS = 256
-# levels of Z the envelope checks hold at once
-_Z_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,13 @@ def bsde_residual(sol, model, gen, bundle):
     each block's knots (`PathBundle.knots`), and each block's knots in
     order, one set of lookup weights per knot for u and Z.  Z is computed
     once per call, at the levels the knots fall between (two per knot at
-    most).  It streams the two per-path sums it reports, sum_k (g(Z_k) dt -
-    Z_k dB_k) and sum_k Z_k^2, in knot order.  Beside u and the increments
-    it holds those Z rows, one block of knots, arrays of one knot of a
-    block and four per-path arrays; every step is elementwise along the
-    paths, so the report does not depend on the block size.
+    most), and u is read in place or, from a checkpointed solve, at those
+    levels, read once (`PdeSolution._fields_between`).  It streams the two
+    per-path sums it reports, sum_k (g(Z_k) dt - Z_k dB_k) and sum_k Z_k^2,
+    in knot order.  Beside the solution and the increments it holds those
+    rows, one block of knots, arrays of one knot of a block and four
+    per-path arrays; every step is elementwise along the paths, so the
+    report does not depend on the block size.
     """
     if bundle.tilted:
         raise ValueError("bsde_residual expects an untilted bundle")
@@ -91,9 +92,8 @@ def bsde_residual(sol, model, gen, bundle):
     times = bundle.times
     dt = bundle.dt
     x_lo, x_hi = sol.x_grid[0], sol.x_grid[-1]
-    # the Z rows of the levels the knots fall between, for every block
-    z_asc, z_pos = sol._z_between(sol._time_weights(times[:-1])[0])
-    z_desc = z_asc[::-1]
+    # u and Z at the levels the knots fall between, for every block
+    u_desc, u_pos, z_desc, z_pos = sol._fields_between(sol._time_weights(times)[0])
     inside = np.empty(n_paths, dtype=bool)
     inc_sum = np.zeros(n_paths)
     z2_sum = np.zeros(n_paths)
@@ -113,7 +113,7 @@ def bsde_residual(sol, model, gen, bundle):
         for k in range(n_steps + 1):
             xk = x[:, k][keep]
             w = sol._weights(times[k], xk)
-            yk = sol._interpolate(sol.u, w)
+            yk = sol._interpolate(u_desc, (u_pos[k], *w[1:]))
             if k > 0:
                 max_step = np.maximum(max_step, np.max(np.abs(yk - y_prev - inc)))
             if k < n_steps:
@@ -170,11 +170,13 @@ class EnvelopeReport:
 
 
 def _z_peaks(sol, levels, peak):
-    """peak of the Z row of each level in `levels`, computed from u in
-    windows of _Z_WINDOW levels; peak reduces a window along its last
-    axis."""
-    return np.concatenate([peak(sol.z_rows(levels[i:i + _Z_WINDOW]))
-                           for i in range(0, len(levels), _Z_WINDOW)])
+    """peak of the Z row of each level in `levels` (ascending indices into
+    t_grid), from one streamed pass over u (`PdeSolution.walk`) that
+    computes the Z row of one level at a time; peak reduces a row."""
+    want = np.zeros(sol.t_grid.size, dtype=bool)
+    want[levels] = True
+    return np.array([peak(sol.z_of(row))
+                     for row, wanted in zip(sol.walk(), want.tolist()) if wanted])
 
 
 def _abs_max(z):
@@ -247,7 +249,7 @@ def exponent_fit(sol, q):
     if int(np.count_nonzero(keep)) < 20:
         raise ResolutionError(
             "need >= 20 levels with 10 dt <= T-s <= T/10 for the exponent fit")
-    zmax = np.max(np.abs(sol.z_rows(keep)), axis=1)
+    zmax = _z_peaks(sol, np.flatnonzero(keep), _abs_max)
     if np.max(zmax) < 1e-12:
         raise NoFitError("Z-field is degenerate (identically ~0)")
     lx = np.log(tau[keep])

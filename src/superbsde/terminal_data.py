@@ -197,10 +197,23 @@ def _tanh_roots(amp, freq):
 
 def _inv_quad_roots(amp):
     """Slope roots of amp / (1 + p^2): the real parts of the roots of
-    m (1 + p^2)^2 +- 2 amp p = 0, a superset of the real ones."""
+    m (1 + p^2)^2 +- 2 amp p = 0, a superset of the real ones, and none
+    when m > 2 L, past the Lipschitz constant L = |amp| 3 sqrt(3) / 8.
+
+    With p = s y and s^3 = 2 |amp| / m the quartic reads
+    y^4 + (2 / s^2) y^2 +- y + 1 / s^4 = 0: monic, so nothing is divided
+    by m, and m <= 2 L gives s > 1, so no coefficient exceeds 2.  Both
+    cube roots are taken apart, so s is finite for any finite amp and m."""
+    lip = abs(amp) * 3.0 * np.sqrt(3.0) / 8.0
+    cbrt_amp = float(np.cbrt(2.0 * abs(amp)))
+
     def roots(m, u):
-        return np.concatenate([np.roots([m, 0.0, 2.0 * m, s * amp, m]).real
-                               for s in (2.0, -2.0)])
+        if m > 2.0 * lip:
+            return np.empty(0)
+        s = cbrt_amp / float(np.cbrt(m))
+        inv2 = 1.0 / s / s
+        return s * np.concatenate([np.roots([1.0, 0.0, 2.0 * inv2, sign, inv2 * inv2]).real
+                                   for sign in (1.0, -1.0)])
 
     return roots
 

@@ -456,7 +456,9 @@ class TestLazyZ:
                                   _bits(stack.z_rows(slice(None))[:, i]))
 
     def test_solve_allocates_u_only(self):
-        # a Z field stored beside u would read about 2
+        # 801 x 1001 fits KEEP_FLOATS, so the solve keeps every level: the
+        # kept bytes are the whole field, and a Z field stored beside u
+        # would read about 2 of them
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         grid = GridSpec(n_x=801, dt=1e-3, x_lo=-8.0, x_hi=8.0)
         tracemalloc.start()
@@ -465,7 +467,9 @@ class TestLazyZ:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * sol.u.nbytes
+        kept = sol.u.nbytes
+        assert sol.replay is None and kept == sol.t_grid.size * sol.x_grid.size * 8
+        assert peak <= 1.1 * kept
         assert "z" not in vars(sol)
 
     def test_first_z_read_allocates_z_only(self):
@@ -475,6 +479,9 @@ class TestLazyZ:
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
         grid = GridSpec(n_x=801, dt=1e-3, x_lo=-8.0, x_hi=8.0)
         sol = solve(bm_model(), PowerGenerator(3.0), tc, grid, 0.0)
+        # every level is kept, so a read gathers from u and replays nothing
+        kept = sol.u.nbytes
+        assert sol.replay is None and kept == sol.t_grid.size * sol.x_grid.size * 8
         xs = np.linspace(-9.0, 9.0, 1001)
         peaks = []
         for read in (lambda: sol.z_rows(slice(None)), lambda: sol.z_at(0.4137, xs)):
@@ -484,8 +491,8 @@ class TestLazyZ:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 1.1 * sol.u.nbytes
-        assert peaks[1] <= 0.05 * sol.u.nbytes
+        assert peaks[0] <= 1.1 * kept
+        assert peaks[1] <= 0.05 * kept
 
 
 class TestRegularizedFamily:

@@ -226,8 +226,9 @@ class TestResidualBlocks:
 
     def traced_peak(self):
         """Traced peak of solve -> simulate_paths -> bsde_residual at the
-        mc_dual benchmark's residual shape, and its budget: u, the
-        increments and two default blocks of knots."""
+        mc_dual benchmark's residual shape, and its budget: the kept rows
+        of u (every level: 801 x 1001 fits KEEP_FLOATS), the increments
+        and two default blocks of knots."""
         model = bm_model()
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
@@ -240,7 +241,9 @@ class TestResidualBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak, sol.u.nbytes + bundle.noise.nbytes + 2 * 4096 * (self.N_STEPS + 1) * 8
+        kept = sol.u.nbytes
+        assert sol.replay is None and kept == sol.t_grid.size * sol.x_grid.size * 8
+        return peak, kept + bundle.noise.nbytes + 2 * 4096 * (self.N_STEPS + 1) * 8
 
     def test_peak_within_u_increments_and_two_blocks(self):
         # about 28 MiB; a stored knot matrix and Z field read 45 MiB

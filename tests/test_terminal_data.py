@@ -410,6 +410,17 @@ class TestExactness:
         tc = TerminalCondition.analytic(kind, amplitude=amp, frequency=freq)
         self.sweep(tc, self.CURVATURE[kind](amp, freq))
 
+    @pytest.mark.filterwarnings("error")
+    def test_inv_quad_roots_at_extreme_scales(self):
+        # the quartic m (1 + p^2)^2 +- 2 amp p handed to np.roots unscaled
+        # divided 2 amp by m and overflowed; the minimizer sits near
+        # p = (2 amp / m)^(1/3), about 2.7e103
+        amp, m, u = 1e300, 1e-10, 0.5
+        got = inf_convolution(TerminalCondition.analytic("inv_quad", amplitude=amp), m, u)
+        p = np.geomspace(1e103, 1e104, 100_001)
+        dense = np.min(amp / (1.0 + p * p) + m * (p - u))
+        assert dense * (1.0 - 1e-8) <= got <= dense * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("kind", ["cos", "tanh", "inv_quad"])
     def test_dropped_slope_roots_fail(self, kind):
         tc = TerminalCondition.analytic(kind, amplitude=2.0, frequency=3.0)
