@@ -169,6 +169,9 @@ def load_config(path=None, command="solve", which="", overrides=None):
 _LOWER_BOUNDS = {"mc.n_paths": 2, "mc.n_steps": 1, "grid.n_x": 64}
 # the most floats (1 GiB) of one array a command sizes from its config
 _MAX_FLOATS = 2**27
+# per-path arrays of path_checks.bsde_residual: exclusion flags, X_T and
+# its two running sums
+_RESIDUAL_PER_PATH = 4
 
 
 def _check_config(cfg):
@@ -206,15 +209,17 @@ def _check_config(cfg):
 def _check_sizes(cfg):
     """Refuse a config that sizes one array past _MAX_FLOATS, before any is
     allocated, naming the key of the larger factor.  The arrays: levels x
-    nodes of a PDE solve; the stored increments and a replayed block of
-    knots of `checks`; the feedback plan, a drawn block and the per-path
+    nodes of a PDE solve; a replayed block of knots (the drawn block of
+    increments beside it is one knot smaller) and the residual's per-path
+    arrays of `checks`; the feedback plan, a drawn block and the per-path
     results of `dual`; the per-path statistics of `counterexample 3.4`."""
     n_x, n_paths, n_steps = cfg.grid["n_x"], cfg.mc["n_paths"], cfg.mc["n_steps"]
     block = min(n_paths, forward_model.BLOCK_PATHS)
     span = cfg.model["T"] - cfg.t0  # > 0 and finite for a valid model.T
-    arrays = {"checks": [("paths x steps", "mc.n_paths", n_paths, "mc.n_steps", n_steps),
-                         ("block paths x knots", "mc.n_paths", block, "mc.n_steps",
-                          n_steps + 1)],
+    arrays = {"checks": [("block paths x knots", "mc.n_paths", block, "mc.n_steps",
+                          n_steps + 1),
+                         ("paths x per-path arrays", "mc.n_paths", n_paths, None,
+                          _RESIDUAL_PER_PATH)],
               "dual": [("knots x nodes", "mc.n_steps", n_steps, "grid.n_x", n_x),
                        ("block paths x steps", "mc.n_paths", block, "mc.n_steps", n_steps),
                        ("paths x controls", "mc.n_paths", n_paths,

@@ -226,13 +226,14 @@ def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed)
     """Monte Carlo dual values of several controls on one Brownian draw.
 
     Each control's knot plan is built once, then each block of paths draws
-    its salt-0 increments of `seed` once and transposes them once to
-    step-major; every control then runs its own Euler loop on those same
-    increments (common random numbers), reading its plan at knot k once
-    per step and adding conj(q) dt of the applied q to the penalty in the
-    same step.  The zero control runs untilted with penalty 0.  A
-    control's estimate does not depend on which other controls share the
-    pass; the rows share their noise and are positively correlated.
+    its salt-0 increments of `seed` once, step-major into one buffer
+    allocated per call (`draw_increments(..., out=)`); every control then
+    runs its own Euler loop on those same increments (common random
+    numbers), reading its plan at knot k once per step and adding
+    conj(q) dt of the applied q to the penalty in the same step.  The zero
+    control runs untilted with penalty 0.  A control's estimate does not
+    depend on which other controls share the pass; the rows share their
+    noise and are positively correlated.
     Returns one DualEstimate per control, in order.
 
     A non-finite state raises SimulationDivergedError for the first control
@@ -250,9 +251,12 @@ def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed)
     penalty = np.zeros((len(plans), n_paths))
     diverged = [[] for _ in plans]
 
+    block = min(forward_model.BLOCK_PATHS, n_paths)
+    buf = np.empty((n_steps, block))
+
     def draw(start, stop):
-        dw = draw_increments(seed, stop - start, n_steps, dt, start=start)
-        return np.ascontiguousarray(dw.T)
+        return draw_increments(seed, stop - start, n_steps, dt, start=start,
+                               out=buf[:, :stop - start])
 
     def run(start, stop, dw):
         for i, plan in enumerate(plans):
@@ -264,7 +268,7 @@ def evaluate_controls(model, conj, tc, controls, x0, t0, n_paths, n_steps, seed)
             if pb is not None:
                 penalty[i, start:stop] = pb
 
-    map_path_blocks(draw, run, n_paths, forward_model.BLOCK_PATHS)
+    map_path_blocks(draw, run, n_paths, block)
     for steps in diverged:
         if steps:
             raise SimulationDivergedError(min(steps))

@@ -25,25 +25,27 @@ residual, the paths CSV) walk blocks of BLOCK_PATHS paths.  Each block
 writes only its own rows of preallocated outputs, so results are
 bit-identical for every block size.
 
-What is stored and what is derived: a `PathBundle` stores the salt-0
-increments of its paths and what the Euler loop needs (x0, t0, dt, the
-model and the tilt), not the x knots.  `simulate_paths` runs
-`_kernels.em_paths` once without storing knots, to raise
-SimulationDivergedError, and `PathBundle.knots` replays the loop for a
-block of paths when a reader asks for their knots; `em_paths` is
-elementwise along the paths, so the replay gives the bits of the first
-run.  A tilt is read pointwise, `rate(t_k, X_k)`.  The dual pass
-(`dual_mc.evaluate_controls`) draws the same salt-0 increments one block
-of paths at a time through `draw_increments(..., start=)` and runs the
-same Euler loop on each control's per-pass knot plan (g'(Z) rows at the
-knots for the feedback control) with the penalty accumulated in the step,
-holding only X_T and the per-path penalty; because path p's numbers
-depend only on (seed, p), its results do not depend on the block size.
-Every dual control of one pass reads that one salt-0 draw of `seed`.
-Neither evaluates a drift flagged `zero`.  `euler_gaussian_law` gives the
-mean and variance of that scheme's X_T for a zero or linear drift under a
-tilt that does not depend on the state, which `dual_mc.duality_gap` uses
-in place of paths.
+What is stored and what is derived: a `PathBundle` stores its seed and
+what the Euler loop needs (x0, t0, dt, the model and the tilt), neither
+the increments nor the x knots.  Each reader draws the salt-0 increments
+of one block of BLOCK_PATHS paths where it reads them
+(`PathBundle.increments`, one step-major buffer reused for every block).
+`simulate_paths` runs `_kernels.em_paths` once, block by block, without
+storing knots, to raise SimulationDivergedError, and `PathBundle.knots`
+replays the loop for a block of paths when a reader asks for their knots;
+the draw and `em_paths` are elementwise along the paths, so the replay
+gives the bits of the first run.  A tilt is read pointwise,
+`rate(t_k, X_k)`.  The dual pass (`dual_mc.evaluate_controls`) draws the
+same salt-0 increments one block of paths at a time through
+`draw_increments(..., start=, out=)` and runs the same Euler loop on each
+control's per-pass knot plan (g'(Z) rows at the knots for the feedback
+control) with the penalty accumulated in the step, holding only X_T and
+the per-path penalty; because path p's numbers depend only on (seed, p),
+its results do not depend on the block size.  Every dual control of one
+pass reads that one salt-0 draw of `seed`.  Neither evaluates a drift
+flagged `zero`.  `euler_gaussian_law` gives the mean and variance of that
+scheme's X_T for a zero or linear drift under a tilt that does not
+depend on the state, which `dual_mc.duality_gap` uses in place of paths.
 """
 
 import math
@@ -58,6 +60,9 @@ from .errors import SimulationDivergedError
 # paths per block of the dual pass, the BSDE residual and the paths CSV;
 # results do not depend on it
 BLOCK_PATHS = 4096
+# paths per path-major scratch through which `draw_increments(..., out=)`
+# fills a step-major buffer; results do not depend on it
+SCRATCH_PATHS = 256
 
 
 class Drift:
@@ -143,19 +148,21 @@ class ForwardModel:
 
 @dataclass
 class PathBundle:
-    """Brownian increments and what the Euler loop needs to replay the
-    paths they drive.
+    """The seed of a bundle of Euler-Maruyama paths and what the Euler loop
+    needs to replay them.
 
-    `noise` (n_paths, n_steps) is the one stored array; `knots` derives
-    the x knots of a block of paths from it by running `_kernels.em_paths`
-    again, bit for bit the knots `simulate_paths` ran.  With a tilt,
-    `noise` holds the Q-Brownian increments (the tilted simulation is the
-    Q-law; no density reweighting is involved).  `dt` is the Euler step
-    the paths were simulated with; a difference of two `times` can differ
-    from it in the last bits.
+    It stores no array: `increments` draws the salt-0 increments of a
+    block of paths from `seed` (`draw_increments`), and `knots` derives
+    the x knots of a block by running `_kernels.em_paths` on them, bit for
+    bit the knots `simulate_paths` ran.  With a tilt, the increments are
+    the Q-Brownian ones (the tilted simulation is the Q-law; no density
+    reweighting is involved).  `dt` is the Euler step the paths were
+    simulated with; a difference of two `times` can differ from it in the
+    last bits.
     """
 
-    noise: np.ndarray
+    n_paths: int
+    n_steps: int
     seed: int
     x0: float
     t0: float
@@ -170,43 +177,69 @@ class PathBundle:
     @property
     def times(self):
         """The knot times t0 + k dt, k = 0..n_steps."""
-        return self.t0 + self.dt * np.arange(self.noise.shape[1] + 1)
+        return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
-    def knots(self, start=0, stop=None):
+    def increments(self, start=0, stop=None):
+        """Increments of paths start..stop-1 (all paths by default),
+        step-major (n_steps, stop - start): `draw_increments` of those
+        paths.  Paths outside the bundle raise ValueError."""
+        stop = self.n_paths if stop is None else stop
+        if not 0 <= start <= stop <= self.n_paths:
+            raise ValueError(f"paths {start}..{stop - 1} are not all in a bundle of "
+                             f"{self.n_paths}")
+        return draw_increments(self.seed, stop - start, self.n_steps, self.dt,
+                               start=start)
+
+    def map_blocks(self, fn):
+        """fn(start, stop, dw) for the blocks of BLOCK_PATHS paths, in
+        order, with dw the block's step-major increments in one buffer
+        that every block reuses."""
+        block = max(1, min(BLOCK_PATHS, self.n_paths))
+        buf = np.empty((self.n_steps, block))
+
+        def draw(start, stop):
+            return draw_increments(self.seed, stop - start, self.n_steps, self.dt,
+                                   start=start, out=buf[:, :stop - start])
+        map_path_blocks(draw, fn, self.n_paths, block)
+
+    def knots(self, start=0, stop=None, dw=None):
         """x knots of paths start..stop-1 (all paths by default), path-major
         (stop - start, n_steps + 1): `em_paths` replayed on their
-        increments.  Raises SimulationDivergedError as `simulate_paths`
-        does."""
-        return self._euler(start, stop, store=True)
+        increments, drawn here unless the caller passes them as dw.
+        Raises SimulationDivergedError as `simulate_paths` does."""
+        if dw is None:
+            dw = self.increments(start, stop)
+        x, bad = self._euler(dw, store=True)
+        if bad >= 0:
+            raise SimulationDivergedError(bad)
+        return x
 
-    def _euler(self, start, stop, store):
-        """`em_paths` on the increments of paths start..stop-1: their knots,
-        or None without `store`.  A non-finite state raises
-        SimulationDivergedError naming its step."""
+    def _euler(self, dw, store):
+        """`em_paths` on the step-major increments dw: the knots (None
+        without `store`) and the first diverged step (-1 if none)."""
         control = None
         if self.tilt is not None:
             rate, t0, dt = self.tilt.rate, self.t0, self.dt
 
             def control(k, x):
                 return rate(t0 + k * dt, x), None
-        _, _, x, bad = _kernels.em_paths(self.x0, self.t0, self.dt,
-                                         self.noise[start:stop].T, self.model.sigma,
-                                         self.model.drift, store=store, control=control)
-        if bad >= 0:
-            raise SimulationDivergedError(bad)
-        return x
+        _, _, x, bad = _kernels.em_paths(self.x0, self.t0, self.dt, dw,
+                                         self.model.sigma, self.model.drift,
+                                         store=store, control=control)
+        return x, bad
 
     def to_csv(self, path):
         """One row per (path, step): path,t,x,dB.
 
         Each path is one string, built as `PdeSolution.to_csv` builds a
         level: t and the separators once per call, the path label once
-        per path, x and dB by slice assignment.  The knots are replayed
-        one block of BLOCK_PATHS paths at a time, so memory holds one
-        block of knots and one path's string, never the whole file."""
+        per path, x and dB by slice assignment.  The increments are drawn
+        and the knots replayed one block of BLOCK_PATHS paths at a time,
+        so memory holds one block of each and one path's string, never
+        the whole file."""
         # Python floats from tolist(); a row reads
         # p "," t "," x "," dB "\n", and dB is 0.0 at t_0
-        n = self.noise.shape[1] + 1
+        n = self.n_steps + 1
         parts = [","] * (6 * n)
         parts[1::6] = [t + "," for t in map(repr, self.times.tolist())]
         parts[4] = repr(0.0)
@@ -214,13 +247,14 @@ class PathBundle:
         with open(path, "w", newline="") as fh:
             fh.write("path,t,x,dB\n")
 
-            def write(start, stop, x):
-                for p, row in zip(range(start, stop), x):
+            def write(start, stop, dw):
+                x = self.knots(dw=dw)
+                for p, row, db in zip(range(start, stop), x, dw.T):
                     parts[0::6] = [f"{p},"] * n
                     parts[2::6] = map(repr, row.tolist())
-                    parts[10::6] = map(repr, self.noise[p].tolist())
+                    parts[10::6] = map(repr, db.tolist())
                     fh.write("".join(parts))
-            map_path_blocks(self.knots, write, self.noise.shape[0], BLOCK_PATHS)
+            self.map_blocks(write)
 
 
 _KEY_LIMIT = 1 << 128
@@ -235,21 +269,9 @@ def path_normals(seed, salt, start, stop, shape=(), out=None):
     With `out`, a C-contiguous float64 array of exactly that shape, the
     normals are written into it and it is returned, so a caller that draws
     block after block allocates once; any other `out` raises ValueError.
-
-    One Philox is re-keyed per path through its public state setter, which
-    also resets the counter and the output buffer; constructing a Philox
-    per path costs several times more, and a state dict of Python ints sets
-    faster than the numpy-array dict `bits.state` returns.  The one Philox
-    is built from a fixed seed: the first re-key overwrites its whole
-    state, and a seedless construction would read 128 bits of OS entropy
-    per call.  Raises ValueError for a key outside
-    [0, 2**128), as Philox does.
+    Raises ValueError for a key outside [0, 2**128), as Philox does.
     """
     n = stop - start
-    first = (int(seed) << 64) + (int(salt) << 48) + int(start)
-    if not (0 <= first and first + n <= _KEY_LIMIT):
-        raise ValueError(f"Philox key outside [0, 2**128) for seed {seed}, "
-                         f"salt {salt}, paths {start}..{stop - 1}")
     if out is None:
         out = np.empty((n, *shape))
     elif (out.shape != (n, *shape) or out.dtype != np.float64
@@ -257,19 +279,42 @@ def path_normals(seed, salt, start, stop, shape=(), out=None):
         # a non-contiguous out would be reshaped into a copy and never filled
         raise ValueError(f"out must be a C-contiguous float64 array of shape "
                          f"{(n, *shape)}, got {out.dtype} {out.shape}")
-    rows = out.reshape(n, math.prod(shape))
+    _path_streams(seed, salt, start, stop)(0, out.reshape(n, math.prod(shape)))
+    return out
+
+
+def _path_streams(seed, salt, start, stop):
+    """fill(a, rows): the standard normals of paths start + a, start + a + 1,
+    ... written into the rows of the C-contiguous 2-D float64 array rows
+    (see `path_normals`), which is returned.  Raises ValueError now for a
+    key of paths start..stop-1 outside [0, 2**128).
+
+    Every fill re-keys one Philox per path through its public state
+    setter, which also resets the counter and the output buffer;
+    constructing a Philox per path costs several times more, and a state
+    dict of Python ints sets faster than the numpy-array dict `bits.state`
+    returns.  The one Philox is built from a fixed seed: the first re-key
+    overwrites its whole state, and a seedless construction would read 128
+    bits of OS entropy per call."""
+    first = (int(seed) << 64) + (int(salt) << 48) + int(start)
+    if not (0 <= first and first + (stop - start) <= _KEY_LIMIT):
+        raise ValueError(f"Philox key outside [0, 2**128) for seed {seed}, "
+                         f"salt {salt}, paths {start}..{stop - 1}")
     bits = Philox(0)
     gen = Generator(bits)
     key = [0, 0]
     fresh = {"bit_generator": "Philox",  # counter 0, empty buffer
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i in range(n):
-        k = first + i
-        key[0], key[1] = k & _WORD, k >> 64
-        bits.state = fresh
-        gen.standard_normal(out=rows[i])
-    return out
+
+    def fill(a, rows):
+        for i in range(rows.shape[0]):
+            k = first + a + i
+            key[0], key[1] = k & _WORD, k >> 64
+            bits.state = fresh
+            gen.standard_normal(out=rows[i])
+        return rows
+    return fill
 
 
 def map_path_blocks(draw, fn, n_paths, block):
@@ -284,12 +329,31 @@ def map_path_blocks(draw, fn, n_paths, block):
         fn(start, stop, draw(start, stop))
 
 
-def draw_increments(seed, n_paths, n_steps, dt, start=0):
-    """Brownian increments of paths start..start+n_paths-1, path-major
-    (n_paths, n_steps): salt 0 of `path_normals`, scaled by sqrt(dt)."""
-    dw = path_normals(seed, 0, start, start + n_paths, (n_steps,))
-    dw *= np.sqrt(dt)
-    return dw
+def draw_increments(seed, n_paths, n_steps, dt, start=0, out=None):
+    """Brownian increments of paths start..start+n_paths-1, step-major
+    (n_steps, n_paths): salt 0 of `path_normals`, scaled by sqrt(dt), in a
+    new array or in `out`, a float64 array of that shape, which is
+    returned; any other `out` raises ValueError.  The normals are drawn
+    SCRATCH_PATHS paths at a time into one path-major scratch, from one
+    re-keyed Philox, and scaled in the transposing copy, so the floats do
+    not depend on the scratch size and no path-major copy of the whole
+    block is held."""
+    if out is None:
+        out = np.empty((n_steps, n_paths))
+    elif out.shape != (n_steps, n_paths) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {(n_steps, n_paths)}, "
+                         f"got {out.dtype} {out.shape}")
+    scale = np.sqrt(dt)
+    fill = _path_streams(seed, 0, start, start + n_paths)
+    scratch = np.empty((max(1, min(SCRATCH_PATHS, n_paths)), n_steps))
+
+    def draw(a, b):
+        return fill(a, scratch[:b - a])
+
+    def copy(a, b, normals):
+        np.multiply(normals.T, scale, out=out[:, a:b])
+    map_path_blocks(draw, copy, n_paths, len(scratch))
+    return out
 
 
 def time_step(model, t0, n_steps):
@@ -303,19 +367,27 @@ def time_step(model, t0, n_steps):
 
 def simulate_paths(model, x0, t0, n_paths, n_steps, seed, tilt=None):
     """Euler-Maruyama paths of the (optionally tilted) diffusion, as a
-    PathBundle of their increments.
+    PathBundle of their seed.
 
     With a tilt q the drift becomes b + sigma*q, with q = tilt.rate(t_k, X_k)
-    read pointwise at each knot, and the stored increments are the
-    Q-Brownian ones.  The Euler loop runs once here, storing no knot, so
-    that a diverged path raises SimulationDivergedError now; a reader of
-    the knots replays it (`PathBundle.knots`).
+    read pointwise at each knot, and the increments are the Q-Brownian
+    ones.  The Euler loop runs once here, one block of paths at a time and
+    storing no knot, so that a diverged path raises SimulationDivergedError
+    now, naming the earliest diverged step over all paths; a reader of the
+    knots replays it (`PathBundle.knots`).
     """
     dt = time_step(model, t0, n_steps)
-    dw = draw_increments(seed, n_paths, n_steps, dt)
-    bundle = PathBundle(noise=dw, seed=int(seed), x0=float(x0), t0=float(t0),
-                        dt=dt, model=model, tilt=tilt)
-    bundle._euler(0, None, store=False)
+    bundle = PathBundle(n_paths=int(n_paths), n_steps=int(n_steps), seed=int(seed),
+                        x0=float(x0), t0=float(t0), dt=dt, model=model, tilt=tilt)
+    diverged = []
+
+    def check(start, stop, dw):
+        bad = bundle._euler(dw, store=False)[1]
+        if bad >= 0:
+            diverged.append(bad)
+    bundle.map_blocks(check)
+    if diverged:
+        raise SimulationDivergedError(min(diverged))
     return bundle
 
 

@@ -3,26 +3,24 @@ step/terminal residuals, the BMO energy bound, the a-priori Z and penalty
 envelopes, and the gradient-blowup exponent fit.
 
 All functions are pure over immutable inputs; reruns with the same
-(seed, grid) are bit-identical.  They read the two primary arrays, u of
-the solution and the increments of the path bundle, and derive the rest
-where they read it: Z rows from u (`PdeSolution.z_of`: one level at a
-time in a streamed pass over u for the envelopes and the exponent fit,
-the levels its knots fall between for the residual) and the x knots from
-the increments, one block of paths at a time (`PathBundle.knots`).  The
-residual keeps the per-path sums it reports as running sums, so beside
-the solution and the increments it holds the u and Z rows of those
-levels, one block of knots and arrays of one knot.  An envelope whose
-threshold is zero (zero data) reads ratio 0 where Z is zero too and inf
-elsewhere.
+(seed, grid) are bit-identical.  They read one primary array, u of the
+solution, and the seed of the path bundle, and derive the rest where they
+read it: Z rows from u (`PdeSolution.z_of`: one level at a time in a
+streamed pass over u for the envelopes and the exponent fit, the levels
+its knots fall between for the residual), and the increments and x knots
+of one block of paths at a time from the seed (`PathBundle.increments`,
+`PathBundle.knots`).  The residual keeps the per-path sums it reports as
+running sums, so beside the solution it holds the u and Z rows of those
+levels, one block of increments and of knots, arrays of one knot and
+a few per-path arrays.  An envelope whose threshold is zero (zero data)
+reads ratio 0 where Z is zero too and inf elsewhere.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import forward_model
 from .errors import DomainError, ResolutionError, SuperbsdeError
-from .forward_model import map_path_blocks
 from .hj_solver import z_envelope
 
 
@@ -68,17 +66,19 @@ def bsde_residual(sol, model, gen, bundle):
     whose time span [t0, T] is not the solution's, or whose model is not
     `model` (another sigma, drift or horizon), raises ValueError.
 
-    It walks the paths in blocks of `forward_model.BLOCK_PATHS`, replaying
-    each block's knots (`PathBundle.knots`), and each block's knots in
-    order, one set of lookup weights per knot for u and Z.  Z is computed
-    once per call, at the levels the knots fall between (two per knot at
-    most), and u is read in place or, from a checkpointed solve, at those
-    levels, read once (`PdeSolution._fields_between`).  It streams the two
-    per-path sums it reports, sum_k (g(Z_k) dt - Z_k dB_k) and sum_k Z_k^2,
-    in knot order.  Beside the solution and the increments it holds those
-    rows, one block of knots, arrays of one knot of a block and four
-    per-path arrays; every step is elementwise along the paths, so the
-    report does not depend on the block size.
+    It walks the paths in blocks of `forward_model.BLOCK_PATHS`, drawing
+    each block's increments once (`PathBundle.map_blocks`), which drive
+    both the replay of its knots (`PathBundle.knots`) and the sums, and
+    each block's knots in order, one set of lookup weights per knot for u
+    and Z.  Z is computed once per call, at the levels the knots fall
+    between (two per knot at most), and u is read in place or, from a
+    checkpointed solve, at those levels, read once
+    (`PdeSolution._fields_between`).  It streams the two per-path sums it
+    reports, sum_k (g(Z_k) dt - Z_k dB_k) and sum_k Z_k^2, in knot order.
+    Beside the solution it holds those rows, one block of increments and
+    one of knots, arrays of one knot of a block and four per-path arrays;
+    every step is elementwise along the paths, so the report does not
+    depend on the block size.
     """
     if bundle.tilted:
         raise ValueError("bsde_residual expects an untilted bundle")
@@ -88,7 +88,7 @@ def bsde_residual(sol, model, gen, bundle):
     if span != sol_span:
         raise ValueError(f"the bundle spans [t0, T] = [{span[0]!r}, {span[1]!r}] "
                          f"but the solution spans [{sol_span[0]!r}, {sol_span[1]!r}]")
-    n_paths, n_steps = bundle.noise.shape
+    n_paths, n_steps = bundle.n_paths, bundle.n_steps
     times = bundle.times
     dt = bundle.dt
     x_lo, x_hi = sol.x_grid[0], sol.x_grid[-1]
@@ -100,14 +100,14 @@ def bsde_residual(sol, model, gen, bundle):
     x_end = np.empty(n_paths)
     max_step = 0.0
 
-    def walk(start, stop, x):
+    def walk(start, stop, dw):
         nonlocal max_step
+        x = bundle.knots(dw=dw)
         keep = (x.min(axis=1) >= x_lo) & (x.max(axis=1) <= x_hi)
         inside[start:stop] = keep
         x_end[start:stop] = x[:, -1]
         if not keep.any():
             return
-        noise = bundle.noise[start:stop]
         inc_b = np.zeros(int(np.count_nonzero(keep)))
         z2_b = np.zeros_like(inc_b)
         for k in range(n_steps + 1):
@@ -119,14 +119,14 @@ def bsde_residual(sol, model, gen, bundle):
             if k < n_steps:
                 zk = sol._interpolate(z_desc, (z_pos[k], *w[1:]))
                 gz = np.asarray(gen.eval(zk), dtype=float)
-                inc = gz * dt - zk * noise[:, k][keep]
+                inc = gz * dt - zk * dw[k][keep]
                 inc_b += inc
                 z2_b += zk * zk
             y_prev = yk
         inc_sum[start:stop][keep] = inc_b
         z2_sum[start:stop][keep] = z2_b
 
-    map_path_blocks(bundle.knots, walk, n_paths, forward_model.BLOCK_PATHS)
+    bundle.map_blocks(walk)
     excluded = 1.0 - float(np.mean(inside))
     n_used = int(np.count_nonzero(inside))
     if n_used < 2:
@@ -169,32 +169,47 @@ class EnvelopeReport:
     skipped_reason: str = ""
 
 
-def _z_peaks(sol, levels, peak):
-    """peak of the Z row of each level in `levels` (ascending indices into
-    t_grid), from one streamed pass over u (`PdeSolution.walk`) that
-    computes the Z row of one level at a time; peak reduces a row."""
-    want = np.zeros(sol.t_grid.size, dtype=bool)
-    want[levels] = True
-    return np.array([peak(sol.z_of(row))
-                     for row, wanted in zip(sol.walk(), want.tolist()) if wanted])
+def _z_peaks(sol, *wanted):
+    """For each (levels, peak) in `wanted`, the peak of the Z row of each
+    level in levels (ascending indices into t_grid), from one streamed
+    pass over u (`PdeSolution.walk`) that computes the Z row of one level
+    at a time; peak reduces a row.  No level wanted walks nothing."""
+    masks = []
+    for levels, _ in wanted:
+        mask = np.zeros(sol.t_grid.size, dtype=bool)
+        mask[levels] = True
+        masks.append(mask.tolist())
+    peaks = [[] for _ in wanted]
+    if any(map(any, masks)):
+        for k, row in enumerate(sol.walk()):
+            z = None
+            for (_, peak), mask, out in zip(wanted, masks, peaks):
+                if mask[k]:
+                    z = sol.z_of(row) if z is None else z
+                    out.append(peak(z))
+    return [np.array(p) for p in peaks]
 
 
 def _abs_max(z):
     return np.max(np.abs(z), axis=-1)
 
 
-def _worst_level(sol, peak, threshold):
-    """Largest peak(z_k) / threshold(T - s_k) over the levels with
-    T - s_k >= EDGE_STEPS dt, at the first level that attains it; an empty
-    window gives worst_ratio = -inf and passes.  A zero threshold (zero
-    data) gives ratio 0 where the peak is 0 too and inf otherwise."""
+def _window(sol):
+    """Time to go T - s_k of every level, and the indices of the levels
+    with T - s_k >= EDGE_STEPS dt."""
     tau = sol.level_time_to_go()
-    idx = np.nonzero(tau >= EDGE_STEPS * sol.dt - 1e-12)[0]
+    return tau, np.nonzero(tau >= EDGE_STEPS * sol.dt - 1e-12)[0]
+
+
+def _worst_level(tau, idx, peaks, threshold):
+    """Largest peaks[j] / threshold(tau[idx[j]]) over the window idx
+    (`_window`), at the first level that attains it; an empty window gives
+    worst_ratio = -inf and passes.  A zero threshold (zero data) gives
+    ratio 0 where the peak is 0 too and inf otherwise."""
     if idx.size == 0:
         return EnvelopeReport(worst_ratio=-np.inf, worst_time_to_go=np.nan, n_levels=0,
                               threshold_at_worst=np.nan, passed=True)
     thr = threshold(tau[idx])
-    peaks = _z_peaks(sol, idx, peak)
     ratios = np.divide(peaks, thr, out=np.where(peaks == 0.0, 0.0, np.inf),
                        where=thr != 0.0)
     j = int(np.argmax(ratios))
@@ -206,8 +221,9 @@ def _worst_level(sol, peak, threshold):
 def apriori_z_bound(sol, model, sup_norm):
     """max_x |Z(s, .)| against 2 exp(lambda T) ||Phi|| (T-s)^{-1/2}, with
     lambda = sup |b_x| = model.lam, on every level with T-s >= 10 dt."""
-    return _worst_level(sol, _abs_max,
-                        lambda tau: z_envelope(model, sup_norm, tau))
+    tau, idx = _window(sol)
+    (peaks,) = _z_peaks(sol, (idx, _abs_max))
+    return _worst_level(tau, idx, peaks, lambda tau: z_envelope(model, sup_norm, tau))
 
 
 def _composite_convex(gen, conj, r_hi):
@@ -221,15 +237,21 @@ def _composite_convex(gen, conj, r_hi):
 
 def penalty_bound_check(sol, gen, conj, sup_norm):
     """max_x f(g'(Z(s, .))) against 2 ||Phi|| (T-s)^{-1} where the composite
-    f o g' is convex (for g = |z|^q it is (q-1)|z|^q); skipped otherwise."""
-    zmax = float(np.max(_z_peaks(sol, np.arange(sol.t_grid.size), _abs_max)))
-    if not _composite_convex(gen, conj, zmax):
+    f o g' is convex (for g = |z|^q it is (q-1)|z|^q); skipped otherwise.
+
+    One streamed pass over u gives both the |Z| peak of every level, for
+    the convexity probe, and the composite peaks of the window, which are
+    dropped when the composite is not convex."""
+    def composite_peak(z):
+        return np.max(conj.eval(np.asarray(gen.grad(z), dtype=float)), axis=-1)
+    tau, idx = _window(sol)
+    z_peaks, composite = _z_peaks(sol, (np.arange(sol.t_grid.size), _abs_max),
+                                  (idx, composite_peak))
+    if not _composite_convex(gen, conj, float(np.max(z_peaks))):
         return EnvelopeReport(worst_ratio=np.nan, worst_time_to_go=np.nan,
                               n_levels=0, threshold_at_worst=np.nan, passed=True,
                               skipped_reason="composite f(g'(.)) not convex")
-    def composite_peak(z):
-        return np.max(conj.eval(np.asarray(gen.grad(z), dtype=float)), axis=-1)
-    return _worst_level(sol, composite_peak, lambda tau: 2.0 * sup_norm / tau)
+    return _worst_level(tau, idx, composite, lambda tau: 2.0 * sup_norm / tau)
 
 
 @dataclass(frozen=True)
@@ -249,7 +271,7 @@ def exponent_fit(sol, q):
     if int(np.count_nonzero(keep)) < 20:
         raise ResolutionError(
             "need >= 20 levels with 10 dt <= T-s <= T/10 for the exponent fit")
-    zmax = _z_peaks(sol, np.flatnonzero(keep), _abs_max)
+    (zmax,) = _z_peaks(sol, (np.flatnonzero(keep), _abs_max))
     if np.max(zmax) < 1e-12:
         raise NoFitError("Z-field is degenerate (identically ~0)")
     lx = np.log(tau[keep])

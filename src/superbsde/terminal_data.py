@@ -75,7 +75,11 @@ class TerminalCondition:
             return cls(lambda x: np.full_like(x, amp) + off, amp + off, amp + off,
                        lipschitz=0.0)
         if kind == "inv_quad":
-            return cls(lambda x: amp / (1.0 + x * x) + off,
+            def inv_quad(x):
+                # x * x is inf past |x| = 1.3e154, where the profile is off
+                with np.errstate(over="ignore"):
+                    return amp / (1.0 + x * x) + off
+            return cls(inv_quad,
                        min(0.0, amp) + off, max(0.0, amp) + off,
                        lipschitz=a * 3.0 * np.sqrt(3.0) / 8.0,
                        slope_roots=_inv_quad_roots(amp))

@@ -115,6 +115,22 @@ class TestKeptLevels:
         # a replay adds nothing to the solve's substeps
         assert _same(kept.substeps, whole.substeps)
 
+    def test_each_envelope_walks_u_once(self, one, monkeypatch):
+        # the penalty check takes the |Z| peaks of its convexity probe and
+        # the composite peaks from one walk, so no level is stepped twice
+        whole, kept = one
+        calls = []
+        step = hj_solver._LevelStep.__call__
+        monkeypatch.setattr(hj_solver._LevelStep, "__call__",
+                            lambda self, k, pad: calls.append(k) or step(self, k, pad))
+        sup, conj = whole.tc.sup_norm, conjugate_of(GEN)
+        for check in (lambda: penalty_bound_check(kept, GEN, conj, sup),
+                      lambda: apriori_z_bound(kept, MODEL, sup),
+                      lambda: exponent_fit(kept, 3.0)):
+            calls.clear()
+            check()
+            assert len(calls) == len(set(calls)) == _levels(whole) - kept.replay.kept.size
+
 
 class TestReplayBits:
     def test_rows_on_every_level(self, single):

@@ -526,6 +526,18 @@ class TestConfigBounds:
         assert capsys.readouterr().err == ""
         assert (out / "summary.txt").exists()
 
+    def test_checks_sizes_blocks_not_every_increment(self, tmp_path):
+        # 2**20 paths x 200 steps is over 2**27, but `checks` draws and
+        # replays one block of paths at a time; n_paths itself sizes only
+        # the residual's per-path arrays
+        cfg = load_config(None, command="checks", overrides={"out": str(tmp_path)})
+        cfg.mc.update(n_paths=2**20, n_steps=200)
+        assert cfg.mc["n_paths"] * cfg.mc["n_steps"] > cli._MAX_FLOATS
+        cli._check_sizes(cfg)
+        cfg.mc.update(n_paths=cli._MAX_FLOATS)
+        with pytest.raises(ConfigError, match="mc.n_paths: paths x per-path arrays"):
+            cli._check_sizes(cfg)
+
     def test_budget_edge(self, tmp_path):
         # 2**27 / 64 nodes - 1 levels is exactly the budget; one more is not
         levels = cli._MAX_FLOATS // 64

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from superbsde.forward_model import (Drift, ForwardModel, LinearDrift, TanhDrift
 from superbsde.generators import (PowerGenerator, QuadraticGenerator,
                                   SampledGenerator, conjugate_of)
 from superbsde.hj_solver import GridSpec, solve
+from superbsde.path_checks import bsde_residual
 from superbsde.terminal_data import TerminalCondition
 
 GRID = GridSpec(n_x=401, dt=5e-3, x_lo=-8.0, x_hi=8.0)
@@ -156,6 +158,31 @@ class TestBlockedPass:
         assert [(e.value, e.std_error, e.penalty_mean) for e in ests] == expected
         assert [e.control_kind for e in ests] == list(controls)
         assert all(e.seed == 11 for e in ests)
+
+    @pytest.mark.parametrize("scratch", [1, 7, 1000], ids=["1", "7", "block"])
+    def test_bits_do_not_depend_on_the_scratch(self, setup, monkeypatch, scratch):
+        model, gen, conj, tc, controls = setup
+        args = (0.1, 0.0, self.N_PATHS, self.N_STEPS, 11)
+        want = evaluate_controls(model, conj, tc, list(controls.values()), *args)
+        monkeypatch.setattr(forward_model, "SCRATCH_PATHS", scratch)
+        assert evaluate_controls(model, conj, tc, list(controls.values()), *args) == want
+
+    def test_draws_into_one_step_major_buffer(self, setup, monkeypatch):
+        # every block is drawn, step-major, into the one buffer of the call
+        model, gen, conj, tc, controls = setup
+        draw, outs = dual_mc.draw_increments, []
+
+        def recording_draw(*args, **kwargs):
+            outs.append(kwargs["out"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(dual_mc, "draw_increments", recording_draw)
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", 300)
+        evaluate_controls(model, conj, tc, [controls["feedback"]], 0.1, 0.0,
+                          self.N_PATHS, self.N_STEPS, 11)
+        assert [o.shape for o in outs] == [(self.N_STEPS, n) for n in (300, 300, 300, 100)]
+        assert all(o.base is outs[0].base and o.base.shape == (self.N_STEPS, 300)
+                   for o in outs)
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "feedback"])
     def test_rate_read_once_per_knot(self, setup, monkeypatch, kind):
@@ -740,3 +767,27 @@ class TestExactRows:
         value, _ = dual_mc.exact_dual_value(model, conj, tc, ZeroControl(), 0.0, 0.0,
                                             40)
         assert abs(value - dense) > 0.5
+
+
+class TestBenchmarkSizedPeak:
+    def test_solve_dual_paths_and_residual_peak_at_most_18_mib(self):
+        # the mc_dual benchmark's pass: every bundle reader and the dual
+        # pass hold one block of increments, not all of them; stored
+        # increments (15.3 MiB at 20k x 100) and a path-major block beside
+        # its transposed copy peaked at 26.7 MiB
+        model = bm_model()
+        gen = PowerGenerator(3.0)
+        conj = conjugate_of(gen)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        tracemalloc.start()
+        try:
+            sol = solve(model, gen, tc, GridSpec(n_x=801, dt=1e-3, x_lo=-8.0, x_hi=8.0),
+                        0.0)
+            duality_gap(model, gen, conj, tc, sol, 0.0, 0.0, 50_000, seed=405,
+                        n_steps=200, extra_controls=(ConstantControl(0.5),))
+            bundle = simulate_paths(model, 0.0, 0.0, 20_000, 100, seed=503)
+            bsde_residual(sol, model, gen, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 2**20

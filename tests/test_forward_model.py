@@ -56,27 +56,36 @@ class TestSimulate:
         b1 = simulate_paths(model, 0.0, 0.0, 128, 32, seed=7)
         b2 = simulate_paths(model, 0.0, 0.0, 128, 32, seed=7)
         assert np.array_equal(b1.knots(), b2.knots())
-        assert np.array_equal(b1.noise, b2.noise)
+        assert np.array_equal(b1.increments(), b2.increments())
         b3 = simulate_paths(model, 0.0, 0.0, 128, 32, seed=8)
         assert not np.array_equal(b1.knots(), b3.knots())
 
     @pytest.mark.parametrize("tilt", [None, ConstantControl(0.7)],
                              ids=["untilted", "tilted"])
-    def test_bundle_stores_increments_and_replays_knots(self, tilt):
-        # the increments are the one stored array; a block's knots are the
-        # rows of the one Euler loop over every path
+    def test_bundle_stores_its_seed_and_replays_knots(self, tilt):
+        # the bundle stores no array; a block's increments are those
+        # paths' draw and its knots the rows of one Euler loop over every
+        # path
         model = ForwardModel(TanhDrift(0.3), 1.0, 1.0)
         bundle = simulate_paths(model, 0.2, 0.1, 300, 16, seed=12, tilt=tilt)
-        arrays = [v for v in vars(bundle).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 1 and arrays[0] is bundle.noise
+        assert not [v for v in vars(bundle).values() if isinstance(v, np.ndarray)]
+        dw = forward_model.draw_increments(12, 300, 16, bundle.dt)
+        assert np.array_equal(bundle.increments(), dw)
+        assert np.array_equal(bundle.increments(7, 250),
+                              forward_model.draw_increments(12, 243, 16, bundle.dt, start=7))
         control = None
         if tilt is not None:
             def control(k, x):
                 return tilt.rate(0.1 + k * bundle.dt, x), None
-        _, _, whole, _ = _kernels.em_paths(0.2, 0.1, bundle.dt, bundle.noise.T, 1.0,
+        _, _, whole, _ = _kernels.em_paths(0.2, 0.1, bundle.dt, dw, 1.0,
                                            model.drift, store=True, control=control)
         assert np.array_equal(bundle.knots(), whole)
         assert np.array_equal(bundle.knots(7, 250), whole[7:250])
+        assert np.array_equal(bundle.knots(7, 250, dw=dw[:, 7:250]), whole[7:250])
+        # paths outside the bundle are not drawn
+        for start, stop in ((250, 301), (-1, 3), (5, 4)):
+            with pytest.raises(ValueError, match="bundle of 300"):
+                bundle.knots(start, stop)
 
     def test_bundle_dt_is_the_simulated_step(self):
         # times[1] - times[0] rounds differently: 0.007000000000000006 here
@@ -151,7 +160,7 @@ class TestPathNormals:
         model = ForwardModel(TanhDrift(0.3), 1.0, 1.0)
         small = simulate_paths(model, 0.0, 0.0, 300, 16, seed=12)
         large = simulate_paths(model, 0.0, 0.0, 1000, 16, seed=12)
-        assert np.array_equal(small.noise, large.noise[:300])
+        assert np.array_equal(small.increments(), large.increments(0, 300))
         assert np.array_equal(small.knots(), large.knots()[:300])
 
     def test_one_philox_per_bundle(self, monkeypatch):
@@ -172,6 +181,42 @@ class TestPathNormals:
     def test_key_out_of_range(self, seed, salt, start, stop):
         with pytest.raises(ValueError, match="outside"):
             path_normals(seed, salt, start, stop, (2,))
+
+
+class TestDrawIncrements:
+    @pytest.mark.parametrize("scratch", [1, 7, 300], ids=["1", "7", "all"])
+    def test_step_major_fill_is_the_scaled_path_draw(self, monkeypatch, scratch):
+        # the floats of the path-major draw, scaled in place
+        want = path_normals(5, 0, 40, 340, (9,))
+        want *= np.sqrt(0.01)
+        monkeypatch.setattr(forward_model, "SCRATCH_PATHS", scratch)
+        assert np.array_equal(forward_model.draw_increments(5, 300, 9, 0.01, start=40),
+                              want.T)
+        buf = np.full((9, 400), np.nan)
+        got = forward_model.draw_increments(5, 300, 9, 0.01, start=40,
+                                            out=buf[:, :300])
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(buf[:, :300], want.T)
+        assert np.isnan(buf[:, 300:]).all()
+
+    def test_one_philox_per_fill(self, monkeypatch):
+        made = []
+
+        def counting_philox(*args, **kwargs):
+            made.append(1)
+            return Philox(*args, **kwargs)
+
+        monkeypatch.setattr(forward_model, "Philox", counting_philox)
+        monkeypatch.setattr(forward_model, "SCRATCH_PATHS", 7)
+        forward_model.draw_increments(5, 300, 9, 0.01, out=np.empty((9, 300)))
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("out", [np.empty((300, 9)),
+                                     np.empty((9, 300), dtype=np.float32)],
+                             ids=["path_major", "dtype"])
+    def test_unusable_out_is_refused(self, out):
+        with pytest.raises(ValueError, match=r"float64 array of shape \(9, 300\)"):
+            forward_model.draw_increments(5, 300, 9, 0.01, out=out)
 
 
 class TestModel:
@@ -296,7 +341,7 @@ def _reference_paths_csv(bundle, path):
         fh.write("path,t,x,dB\n")
         knots = bundle.knots()
         for p in range(knots.shape[0]):
-            dbs = [0.0] + bundle.noise[p].tolist()
+            dbs = [0.0] + bundle.increments(p, p + 1)[:, 0].tolist()
             for t, x, db in zip(times, knots[p].tolist(), dbs):
                 fh.write(f"{p},{t!r},{x!r},{db!r}\n")
 
@@ -317,10 +362,20 @@ class TestExport:
         text = self._same_bytes(bundle, tmp_path)
         assert len(text.splitlines()) == 1 + 12 * (n_steps + 1)
 
-    def test_csv_bytes_with_exponents_and_signed_zeros(self, tmp_path):
-        # the knots are replayed from x0 = -0.0 and the increments
-        bundle = PathBundle(noise=np.array([[-0.0, 1e-300], [5e-324, -1e+16]]),
-                            seed=0, x0=-0.0, t0=0.0, dt=1e-05, model=model_bm())
+    def test_csv_bytes_with_exponents_and_signed_zeros(self, tmp_path, monkeypatch):
+        # the knots are replayed from x0 = -0.0 and the increments, which a
+        # patched draw supplies
+        noise = np.array([[-0.0, 1e-300], [5e-324, -1e+16]])
+
+        def draw(seed, n_paths, n_steps, dt, start=0, out=None):
+            if out is None:
+                out = np.empty((n_steps, n_paths))
+            out[...] = noise[start:start + n_paths].T
+            return out
+
+        monkeypatch.setattr(forward_model, "draw_increments", draw)
+        bundle = PathBundle(n_paths=2, n_steps=2, seed=0, x0=-0.0, t0=0.0, dt=1e-05,
+                            model=model_bm())
         text = self._same_bytes(bundle, tmp_path)
         for token in ("0,0.0,-0.0,0.0\n", "0,1e-05,0.0,-0.0\n", "1e-05", "1e-300",
                       "1,1e-05,5e-324,5e-324\n", "-1e+16"):
@@ -341,7 +396,7 @@ class TestExport:
         assert np.array_equal(vals[..., 1], np.broadcast_to(bundle.times, (3, 5)))
         assert np.array_equal(vals[..., 2], bundle.knots())
         assert np.array_equal(vals[:, 0, 3], np.zeros(3))
-        assert np.array_equal(vals[:, 1:, 3], bundle.noise)
+        assert np.array_equal(vals[:, 1:, 3], bundle.increments().T)
 
 
 class TestEulerGaussianLaw:

@@ -147,7 +147,7 @@ class TestResidual:
         inside = np.all((x >= sol.x_grid[0]) & (x <= sol.x_grid[-1]), axis=1)
         excluded = 1.0 - float(np.mean(inside))
         x = x[inside]
-        dw = bundle.noise[inside]
+        dw = bundle.increments().T[inside]
         n_used, n_knots = x.shape
         dt = bundle.dt
         y = np.empty_like(x)
@@ -197,11 +197,11 @@ class TestResidual:
         assert rep == self.per_knot_residual(sol, gen, bundle)
 
     def test_holds_no_path_by_step_array(self, monkeypatch):
-        # beside u and the increments, the residual holds one block of
-        # replayed knots, the Z rows of two levels and arrays of one knot
-        # (about 14 of n_paths floats), however many steps: the whole knot
-        # matrix would take 201 of n_paths floats here, storing the two
-        # per-knot terms it sums 400, and a Z field the size of u 160
+        # beside u, the residual holds one block of drawn increments and
+        # one of replayed knots, the Z rows of two levels and arrays of one
+        # knot (about 14 of n_paths floats), however many steps: the whole
+        # knot matrix would take 201 of n_paths floats here, storing the
+        # two per-knot terms it sums 400, and a Z field the size of u 160
         model = bm_model()
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
@@ -215,7 +215,7 @@ class TestResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (block * (n_steps + 1) + 24 * n_paths) * 8
+        assert peak <= (block * (2 * n_steps + 1) + 24 * n_paths) * 8
 
 
 class TestResidualBlocks:
@@ -227,8 +227,9 @@ class TestResidualBlocks:
     def traced_peak(self):
         """Traced peak of solve -> simulate_paths -> bsde_residual at the
         mc_dual benchmark's residual shape, and its budget: the kept rows
-        of u (every level: 801 x 1001 fits KEEP_FLOATS), the increments
-        and two default blocks of knots."""
+        of u (every level: 801 x 1001 fits KEEP_FLOATS), one default block
+        of increments and two of knots.  The bundle stores no increments;
+        the residual draws them a block at a time."""
         model = bm_model()
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
@@ -243,10 +244,11 @@ class TestResidualBlocks:
             tracemalloc.stop()
         kept = sol.u.nbytes
         assert sol.replay is None and kept == sol.t_grid.size * sol.x_grid.size * 8
-        return peak, kept + bundle.noise.nbytes + 2 * 4096 * (self.N_STEPS + 1) * 8
+        return peak, kept + 4096 * (self.N_STEPS + 2 * (self.N_STEPS + 1)) * 8
 
     def test_peak_within_u_increments_and_two_blocks(self):
-        # about 28 MiB; a stored knot matrix and Z field read 45 MiB
+        # about 14.6 MiB; stored increments read 26.7 MiB, and a stored
+        # knot matrix and Z field 45 MiB
         peak, budget = self.traced_peak()
         assert peak <= budget
 
@@ -256,11 +258,11 @@ class TestResidualBlocks:
         peak, budget = self.traced_peak()
         assert peak > budget
 
-    @pytest.mark.parametrize("block", [1, 7, 4096, None], ids=["1", "7", "4096", "all"])
-    def test_report_and_csv_bits_do_not_depend_on_the_block(self, tmp_path,
-                                                            monkeypatch, block):
-        # 4100 paths on a narrow grid under a tanh drift: two default
-        # blocks, and a share of paths leaves the grid
+    @staticmethod
+    def same_bits(tmp_path, monkeypatch, name, value):
+        """The residual and the paths CSV of 4100 paths on a narrow grid
+        under a tanh drift (two default blocks; a share of paths leaves the
+        grid) are bit-identical with forward_model.<name> = value."""
         model = ForwardModel(TanhDrift(0.7), 1.2, 1.0)
         gen = PowerGenerator(3.0)
         tc = TerminalCondition.analytic("cos", amplitude=0.5)
@@ -269,12 +271,22 @@ class TestResidualBlocks:
         whole = bsde_residual(sol, model, gen, bundle)
         bundle.to_csv(tmp_path / "whole.csv")
         assert 0.0 < whole.excluded_fraction < 1.0
-        monkeypatch.setattr(forward_model, "BLOCK_PATHS", block or 4100)
+        monkeypatch.setattr(forward_model, name, value)
         split = bsde_residual(sol, model, gen, bundle)
         bundle.to_csv(tmp_path / "split.csv")
         assert [np.float64(v).view(np.int64) for v in vars(split).values()] == \
             [np.float64(v).view(np.int64) for v in vars(whole).values()]
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 4096, None], ids=["1", "7", "4096", "all"])
+    def test_report_and_csv_bits_do_not_depend_on_the_block(self, tmp_path,
+                                                            monkeypatch, block):
+        self.same_bits(tmp_path, monkeypatch, "BLOCK_PATHS", block or 4100)
+
+    @pytest.mark.parametrize("scratch", [1, 7, 4096], ids=["1", "7", "block"])
+    def test_report_and_csv_bits_do_not_depend_on_the_scratch(self, tmp_path,
+                                                              monkeypatch, scratch):
+        self.same_bits(tmp_path, monkeypatch, "SCRATCH_PATHS", scratch)
 
 
 class TestBmo:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,19 @@ class TestExactness:
         p = np.geomspace(1e103, 1e104, 100_001)
         dense = np.min(amp / (1.0 + p * p) + m * (p - u))
         assert dense * (1.0 - 1e-8) <= got <= dense * (1.0 + 1e-12)
+
+    def test_inv_quad_profile_far_out_is_zero_without_overflow(self):
+        # x * x is inf past |x| = 1.3e154: the profile reads amp / inf = 0
+        # there, and its slope roots near 7e207 are read at m = 5e-324
+        tc = TerminalCondition.analytic("inv_quad", amplitude=1e300, offset=0.25)
+        x = np.array([0.5, 1e150, 1e155, -1e300, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tc(x)
+            value = inf_convolution(tc, 5e-324, 0.5)
+        assert np.array_equal(got[:2], 1e300 / (1.0 + x[:2] * x[:2]) + 0.25)
+        assert got[2:].tolist() == [0.25] * 3
+        assert value == 0.25
 
     @pytest.mark.parametrize("kind", ["cos", "tanh", "inv_quad"])
     def test_dropped_slope_roots_fail(self, kind):
