@@ -7,7 +7,9 @@ The power generator g(z) = |z|^q is used throughout: the constructions only
 need *some* sequence satisfying the growth inequalities, and the closed-form
 extremal choice makes every bound checkable without a sequence search.
 The Thm 3.1 series and the Thm 3.3 dip probability are computed exactly and
-draw nothing; the Thm 3.4 checks sample paths once, witness row included.
+draw nothing.  So do the Thm 3.4 rows of `thm34_bounds`, each valued at its
+proven bound; `thm34_checks` samples the same rows on paths, as their
+reference.
 """
 
 import math
@@ -611,14 +613,64 @@ def _witness_row(joint):
 
 @dataclass(frozen=True)
 class Thm34Report(_Report):
+    """p_nu_T is the sampled P[nu = T] of thm34_checks, or the union lower
+    bound of thm34_bounds, which has no skipped pairs."""
+
     rows: tuple
     p_nu_T: float
     skipped_pairs: tuple
 
 
+def _sup_bound(cfg, k):
+    """dev_k + 2^-k, the bound on sup_{t <= nu} |y^k - t| on every path: the
+    comb keeps |int g(Z^k) du - t| <= dev_k (`comb_sup_deviation`) and the
+    stopping rule keeps |M^k| <= 2^-k up to nu."""
+    return float(comb_sup_deviation(cfg.T, cfg.g_vals[k - 1], cfg.alpha[k - 1])) + 2.0**-k
+
+
+def thm34_bounds(cfg):
+    """Deterministic bounds, exact dip probabilities, and the pathwise and
+    witness rows valued at their proven bounds, for every built k; nothing
+    is drawn.
+
+    With b_k = dev_k + 2^-k (`_sup_bound`), every path has
+    sup |y^k - t^nu| <= b_k, against the paper's 2*2^-k; the monotonicity
+    margin Y^k - Y^(k-1) >= 4*2^-(k-1) - b_k - b_(k-1), against 0; and,
+    since Y^K = y^K - 8*2^-K, the witness sup |Y^K - t^nu| <= dev_K + 9*2^-K,
+    against 10*2^-K.  P[nu = T] >= 1 - sum_k P[nu_k < T] is the paper's
+    union bound over the exact dip rows (`thm34_mc_nu`), against 2/3;
+    p_nu_T holds that lower bound.  `thm34_checks` samples the same rows,
+    k <= PATH_K_MAX, on the joint channel's paths."""
+    rows = list(thm34_deterministic(cfg))
+    dips = [thm34_mc_nu(cfg, k) for k in range(1, cfg.K + 1)]
+    rows.extend(dips)
+    p_nu_T = 1.0 - sum(r.value for r in dips)
+    rows.append(CheckRow("3.4", "P[nu = T] >= 1 - sum_k P[nu_k < T] >= 2/3",
+                         p_nu_T, 2.0 / 3.0, p_nu_T >= 2.0 / 3.0))
+    b = [_sup_bound(cfg, k) for k in range(1, cfg.K + 1)]
+    for k in range(1, cfg.K + 1):
+        bound = 2.0 * 2.0**-k
+        rows.append(CheckRow("3.4", f"k={k} sup|y^k - t^nu| <= dev_k + 2^-k <= 2*2^-k",
+                             b[k - 1], bound, b[k - 1] <= bound * (1.0 + 1e-12)))
+        if k >= 2:
+            margin = 4.0 * 2.0 ** -(k - 1) - b[k - 1] - b[k - 2]
+            rows.append(CheckRow("3.4", f"k={k} Y^k - Y^(k-1) >= 4*2^-(k-1) - "
+                                 "(dev_k + 2^-k) - (dev_(k-1) + 2^-(k-1)) >= 0",
+                                 margin, 0.0, margin >= 0.0))
+    K = cfg.K
+    witness = b[-1] + 8.0 * 2.0**-K
+    rows.append(CheckRow("3.4", f"sup |Y^{K} - t^nu| <= dev_{K} + 9*2^-{K} <= 10*2^-{K}",
+                         witness, 10.0 * 2.0**-K,
+                         witness <= 10.0 * 2.0**-K * (1.0 + 1e-12)))
+    return Thm34Report(rows=tuple(rows), p_nu_T=p_nu_T, skipped_pairs=())
+
+
 def thm34_checks(cfg, n_paths, n_steps, seed):
-    """Deterministic bounds and exact dip probabilities for every built k,
-    then one joint channel run's pathwise and witness rows, k <= PATH_K_MAX."""
+    """The sampled reference of `thm34_bounds`: deterministic bounds and
+    exact dip probabilities for every built k, then one joint channel run's
+    pathwise and witness rows, k <= PATH_K_MAX.  No command runs it; it is
+    kept for the tests, which hold its sampled rows to the exact bounds,
+    and for the benchmark (`perfbench/`), which calls it by name."""
     _check_n_paths(n_paths)
     if n_steps < 1:
         raise ValueError(f"need n_steps >= 1, got {n_steps}")
@@ -640,7 +692,9 @@ class WitnessReport(_Report):
 # Kept only because perfbench/workloads.py calls it with this signature and
 # perfbench/tracer.py wraps it by name; thm34_checks reports the same row.
 def limit_not_solution_witness(cfg, seed, n_paths=256, n_coarse=4096):
-    """The witness row of thm34_checks(cfg, n_paths, n_coarse, seed)."""
+    """The witness row of thm34_checks(cfg, n_paths, n_coarse, seed): the
+    sampled reference of thm34_bounds' witness row, kept for the tests and
+    the benchmark."""
     _check_n_paths(n_paths)
     joint = thm34_joint_paths(cfg, PATH_K_MAX, n_paths, seed, n_coarse=n_coarse)
     return WitnessReport(rows=(_witness_row(joint),))

@@ -5,11 +5,11 @@ envelopes, and the gradient-blowup exponent fit.
 All functions are pure over immutable inputs; reruns with the same
 (seed, grid) are bit-identical.  They read one primary array, u of the
 solution, and the seed of the path bundle, and derive the rest where they
-read it: Z rows from u (`PdeSolution.z_of`: one level at a time in a
-streamed pass over u for the envelopes and the exponent fit, the levels
-its knots fall between for the residual), and the increments and x knots
-of one block of paths at a time from the seed (`PathBundle.increments`,
-`PathBundle.knots`).  The residual keeps the per-path sums it reports as
+read it: Z rows from u (`PdeSolution.z_of`: on stacks of the levels
+read, in a streamed pass over u, for the envelopes and the exponent fit;
+at the levels its knots fall between for the residual), and the
+increments and x knots of one block of paths at a time from the seed
+(`PathBundle.increments`, `PathBundle.knots`).  The residual keeps the per-path sums it reports as
 running sums, so beside the solution it holds the u and Z rows of those
 levels, one block of increments and of knots, arrays of one knot and
 a few per-path arrays.  An envelope whose threshold is zero (zero data)
@@ -36,6 +36,9 @@ EDGE_STEPS = 10
 MAX_EXCLUDED = 0.01
 # points of the convexity probe in penalty_bound_check
 _CONVEXITY_POINTS = 256
+# floats of u rows stacked before their Z rows and peaks are computed
+# (_z_peaks): all 201 levels of a 128-node grid, 20 rows of 3201 nodes
+_Z_STACK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -172,22 +175,39 @@ class EnvelopeReport:
 def _z_peaks(sol, *wanted):
     """For each (levels, peak) in `wanted`, the peak of the Z row of each
     level in levels (ascending indices into t_grid), from one streamed
-    pass over u (`PdeSolution.walk`) that computes the Z row of one level
-    at a time; peak reduces a row.  No level wanted walks nothing."""
-    masks = []
-    for levels, _ in wanted:
-        mask = np.zeros(sol.t_grid.size, dtype=bool)
+    pass over u (`PdeSolution.walk`).  The rows of the levels wanted are
+    stacked in order, up to _Z_STACK_FLOATS floats, and each stack's Z rows
+    come from one `z_of` call; peak reduces them along the last axis.
+    Every step is elementwise or a reduction along a row, so the peaks do
+    not depend on how the levels are stacked.  No level wanted walks
+    nothing."""
+    masks = np.zeros((len(wanted), sol.t_grid.size), dtype=bool)
+    for mask, (levels, _) in zip(masks, wanted):
         mask[levels] = True
-        masks.append(mask.tolist())
+    read = masks.any(axis=0).tolist()
     peaks = [[] for _ in wanted]
-    if any(map(any, masks)):
-        for k, row in enumerate(sol.walk()):
-            z = None
-            for (_, peak), mask, out in zip(wanted, masks, peaks):
-                if mask[k]:
-                    z = sol.z_of(row) if z is None else z
-                    out.append(peak(z))
-    return [np.array(p) for p in peaks]
+    held, rows = [], []
+
+    def flush():
+        z = sol.z_of(np.stack(rows))
+        for mask, (_, peak), out in zip(masks, wanted, peaks):
+            sel = mask[held]
+            if sel.all():
+                out.append(peak(z))
+            elif sel.any():
+                out.append(peak(z[sel]))
+        held.clear()
+        rows.clear()
+
+    for k, row in enumerate(sol.walk() if any(read) else ()):
+        if read[k]:
+            held.append(k)
+            rows.append(row)
+            if (len(rows) + 1) * row.size > _Z_STACK_FLOATS:
+                flush()
+    if rows:
+        flush()
+    return [np.concatenate(p) if p else np.empty(0) for p in peaks]
 
 
 def _abs_max(z):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from superbsde import cli, hj_solver
+from superbsde import cli, hj_solver, path_checks
 from superbsde.dual_mc import FeedbackControl, knot_times
 from superbsde.forward_model import ForwardModel, TanhDrift, simulate_paths
 from superbsde.generators import PowerGenerator, conjugate_of
@@ -179,6 +179,24 @@ class TestReplayBits:
                       lambda s: penalty_bound_check(s, GEN, conj, sup),
                       lambda s: exponent_fit(s, 3.0)):
             assert repr(check(kept)) == repr(check(whole))
+
+    @pytest.mark.parametrize("stack_floats", [1, 4 * 401, path_checks._Z_STACK_FLOATS],
+                             ids=["one_row", "four_rows", "default"])
+    def test_z_peaks_at_any_stack_depth(self, single, monkeypatch, stack_floats):
+        # 501 levels leave a part-filled last stack at 4 and 163 rows
+        whole, kept = single
+        conj = conjugate_of(GEN)
+
+        def composite(z):
+            return np.max(conj.eval(GEN.grad(z)), axis=-1)
+
+        n_t = _levels(whole)
+        wanted = ((np.arange(n_t), path_checks._abs_max), (np.arange(10, n_t, 3), composite))
+        want = [peak(whole.z_rows(levels)) for levels, peak in wanted]
+        monkeypatch.setattr(path_checks, "_Z_STACK_FLOATS", stack_floats)
+        for sol in (whole, kept):
+            got = path_checks._z_peaks(sol, *wanted)
+            assert all(_same(g, w) for g, w in zip(got, want))
 
     def test_bsde_residual(self, single):
         whole, kept = single

@@ -225,6 +225,27 @@ class TestCommands:
         text = (tmp_path / "o" / "counterexample.csv").read_text()
         assert text.startswith("construction,check,value,threshold,pass")
 
+    def test_counterexample_34_reads_no_mc_key(self, tmp_path):
+        # configs that differ only in mc give the same artifacts; the
+        # summary's config echo records the config as given
+        outs = []
+        for name, mc in (("a", "{n_paths: 400, n_steps: 40, seed: 5}"),
+                         ("b", "{n_paths: 7, n_steps: 3, seed: 99}")):
+            cfgp = tmp_path / f"{name}.yaml"
+            cfgp.write_text(FAST_CFG.replace("{n_paths: 400, n_steps: 40, seed: 5}", mc))
+            assert f"mc: {mc}" in cfgp.read_text()
+            out = tmp_path / name
+            assert main(["counterexample", "3.4", "--config", str(cfgp),
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        a, b = outs
+        assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+        for name in ("counterexample.csv", "checks.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        summaries = [[line for line in (out / "summary.txt").read_text().splitlines()
+                      if not line.startswith("config: ")] for out in outs]
+        assert summaries[0] == summaries[1]
+
     @staticmethod
     def counterexample_values(tmp_path, which, K):
         cfgp = tmp_path / f"{which}.yaml"
@@ -491,9 +512,8 @@ class TestConfigBounds:
         ("dual", "mc: {n_paths: 100000000000}", "mc.n_paths"),
         ("dual", "mc: {n_steps: 10000000}\ngrid: {n_x: 64}", "mc.n_steps"),
         ("dual", "mc: {n_steps: 1000000}\ngrid: {n_x: 64}", "mc.n_steps"),
-        ("counterexample 3.4", "mc: {n_paths: 100000000000}", "mc.n_paths"),
     ], ids=["levels", "nodes", "paths", "knots", "dual_paths", "dual_plan",
-            "dual_block", "cx34_paths"])
+            "dual_block"])
     def test_oversized_array_is_refused_unallocated(self, tmp_path, capsys,
                                                     command, text, field):
         # each case asks for 0.5 GB to 7 TB; the check must come first
@@ -515,9 +535,11 @@ class TestConfigBounds:
 
     @pytest.mark.parametrize("command, text", [
         ("counterexample 3.1", "mc: {n_paths: 100000000000}\ngrid: {n_x: 100000000000}"),
+        ("counterexample 3.4", "mc: {n_paths: 100000000000}\ngrid: {n_x: 100000000000}"),
         ("solve", "mc: {n_paths: 100000000000, n_steps: 100000000000}\n"
                   "grid: {n_x: 64, dt: 0.05}"),
-    ], ids=["cx31_reads_no_paths_or_grid", "solve_reads_no_paths"])
+    ], ids=["cx31_reads_no_paths_or_grid", "cx34_reads_no_paths_or_grid",
+            "solve_reads_no_paths"])
     def test_sizes_a_command_never_builds_pass(self, tmp_path, capsys, command, text):
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(text + "\n")

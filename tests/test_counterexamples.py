@@ -406,23 +406,137 @@ class TestThm34Checks:
         assert rep.rows[-1] == wit.rows[0]
         assert rep.rows[-1].check == f"sup |Y^{k} - t^nu| <= 10*2^-{k} on good paths"
 
-    def test_counterexample_34_runs_the_joint_channel_once(self, monkeypatch, tmp_path):
-        # A12's config: 400 paths, K = 3, on the fixed 4096-interval grid;
-        # a second witness run would draw 256 x 4096 x 3 more
+    def test_counterexample_34_draws_nothing(self, monkeypatch, tmp_path):
+        # A12's config (400 paths, K = 3): the command reports the exact
+        # rows of thm34_bounds, witness last
         cfgp = tmp_path / "fast.yaml"
         cfgp.write_text(FAST_CFG)
         counts, _ = count_normals(monkeypatch)
         argv = ["counterexample", "3.4", "--config", str(cfgp), "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 0
-        assert counts[0] == 400 * 4096 * 3
+        assert counts[0] == 0
         rows = (tmp_path / "o" / "counterexample.csv").read_text().splitlines()
-        assert rows[-1].startswith('3.4,"sup |Y^3 - t^nu| <= 10*2^-3 on good paths",')
+        want = cx.thm34_bounds(cx.build_thm34(3.0, 3, 1.0)).rows
+        assert len(rows) == 1 + len(want)
+        assert rows[-1] == ('3.4,"sup |Y^3 - t^nu| <= dev_3 + 9*2^-3 <= 10*2^-3",'
+                            f'{want[-1].value!r},1.25,1')
+        cx.thm34_checks(cx.build_thm34(3.0, 3, 1.0), 10, 64, seed=1)
+        assert counts[0] == 10 * 64 * 3
 
     def test_reproducible(self):
         cfg = cx.build_thm34(3.0, 3, 1.0)
         r1 = cx.thm34_checks(cfg, 500, 512, seed=11)
         r2 = cx.thm34_checks(cfg, 500, 512, seed=11)
         assert r1.rows == r2.rows
+
+
+def exact_row(bounds, check):
+    [row] = [r for r in bounds.rows if r.check == check]
+    return row
+
+
+def sampled_on_the_wrong_side(sampled, bounds):
+    """The sampled rows of thm34_checks that lie on the wrong side of their
+    exact rows in thm34_bounds, for a build with K <= PATH_K_MAX: P[nu = T]
+    and the monotonicity margins must not fall below their bounds, the
+    sup distances and the witness must not exceed theirs."""
+    pairs = [("P[nu = T] >= 2/3 - 3SE", "P[nu = T] >= 1 - sum_k P[nu_k < T] >= 2/3", 1)]
+    K = sum(r.check.endswith("<= dev_k + 2^-k <= 2*2^-k") for r in bounds.rows)
+    for k in range(1, K + 1):
+        pairs.append((f"k={k} sup|y^k - t^nu| <= 2*2^-k on good paths",
+                      f"k={k} sup|y^k - t^nu| <= dev_k + 2^-k <= 2*2^-k", -1))
+        if k >= 2:
+            pairs.append((f"k={k} pathwise Y^k >= Y^(k-1)",
+                          f"k={k} Y^k - Y^(k-1) >= 4*2^-(k-1) - "
+                          "(dev_k + 2^-k) - (dev_(k-1) + 2^-(k-1)) >= 0", 1))
+    pairs.append((f"sup |Y^{K} - t^nu| <= 10*2^-{K} on good paths",
+                  f"sup |Y^{K} - t^nu| <= dev_{K} + 9*2^-{K} <= 10*2^-{K}", -1))
+    wrong = []
+    for sampled_check, exact_check, side in pairs:
+        got = exact_row(sampled, sampled_check).value
+        bound = exact_row(bounds, exact_check).value
+        if side * (got - bound) < 0.0:
+            wrong.append((sampled_check, got, bound))
+    return wrong
+
+
+@pytest.fixture(scope="module")
+def sampled34():
+    """The sampled reference at K = PATH_K_MAX = 3, where its rows cover
+    every k that thm34_bounds reports."""
+    return cx.thm34_checks(cx.build_thm34(3.0, 3, 1.0), 2000, 1024, seed=77)
+
+
+class TestThm34Bounds:
+    def test_values_of_the_exact_table(self):
+        # ROADMAP direction 1's table, build_thm34(3, 6, 1); its witness
+        # is read at k = 3, the last k of the sampled channel
+        rep = cx.thm34_bounds(cx.build_thm34(3.0, 6, 1.0))
+        assert rep.all_passed and rep.skipped_pairs == ()
+        assert rep.p_nu_T == pytest.approx(0.908873, abs=5e-7)
+        assert exact_row(rep, "P[nu = T] >= 1 - sum_k P[nu_k < T] >= 2/3").value == rep.p_nu_T
+        sups = [r.value for r in rep.rows if r.check.endswith("<= dev_k + 2^-k <= 2*2^-k")]
+        assert sups[:3] == pytest.approx([0.500244, 0.25, 0.125], abs=5e-7)
+        margins = [r.value for r in rep.rows if r.check.endswith(">= 0")]
+        assert margins[:2] == pytest.approx([1.24976, 0.624999], abs=5e-6)
+        witness = cx.thm34_bounds(cx.build_thm34(3.0, 3, 1.0)).rows[-1]
+        assert witness.value == pytest.approx(1.125, abs=5e-7)
+        # at K = 6 the witness is dev_6 + 9*2^-6, dev_6 = 2e-22
+        assert rep.rows[-1].value == 9.0 * 2.0**-6
+        assert rep.rows[-1].threshold == 10.0 * 2.0**-6
+
+    @pytest.mark.parametrize("q, K", [(3.0, 6), (4.0, 8), (10.0, 5), (3.0, 1)])
+    def test_rows_for_every_built_k(self, q, K):
+        rep = cx.thm34_bounds(cx.build_thm34(q, K, 1.0))
+        assert rep.all_passed
+        checks = [r.check for r in rep.rows]
+        # energy and deviation, dip, P[nu = T], sup, margin and witness rows
+        assert len(rep.rows) == 2 * K + K + 1 + K + (K - 1) + 1
+        assert sum(c.endswith("<= dev_k + 2^-k <= 2*2^-k") for c in checks) == K
+        assert sum(c.endswith(">= 0") for c in checks) == K - 1
+        assert checks[-1] == f"sup |Y^{K} - t^nu| <= dev_{K} + 9*2^-{K} <= 10*2^-{K}"
+        assert all(r.hard for r in rep.rows)
+
+    def test_no_sampled_row_on_the_wrong_side(self, sampled34):
+        bounds = cx.thm34_bounds(cx.build_thm34(3.0, 3, 1.0))
+        assert sampled34.all_passed
+        assert sampled_on_the_wrong_side(sampled34, bounds) == []
+
+    def test_shrunk_drift_fails_the_sup_and_witness_rows(self):
+        # g 10 % low lags t by about T/10, so dev_k + 2^-k > 2*2^-k from k = 4 on
+        cfg = cx.build_thm34(3.0, 6, 1.0)
+        bad = cx.thm34_bounds(dataclasses.replace(cfg, g_vals=cfg.g_vals * 0.9))
+        sups = [r.passed for r in bad.rows if r.check.endswith("<= 2*2^-k")]
+        assert sups == [True] * 3 + [False] * 3
+        assert not bad.rows[-1].passed
+
+
+class TestThm34BoundDefects:
+    """Defects in the exact bounds that the sampled reference catches."""
+
+    def test_sup_bound_without_the_barrier_term_is_exceeded(self, monkeypatch, sampled34):
+        # dev_1 = 0.000244 alone, against the sampled 0.4999
+        monkeypatch.setattr(cx, "_sup_bound", lambda cfg, k: float(
+            cx.comb_sup_deviation(cfg.T, cfg.g_vals[k - 1], cfg.alpha[k - 1])))
+        bounds = cx.thm34_bounds(cx.build_thm34(3.0, 3, 1.0))
+        assert bounds.all_passed
+        wrong = sampled_on_the_wrong_side(sampled34, bounds)
+        assert wrong[0][0] == "k=1 sup|y^k - t^nu| <= 2*2^-k on good paths"
+        assert wrong[0][1] > 0.49 and wrong[0][2] == pytest.approx(0.000244, abs=5e-7)
+
+    def test_one_sided_union_bound_is_undercut(self, monkeypatch, sampled34):
+        # 1 - sum_k 2 Phi-bar(2^-k / sqrt(S_k)) = 0.9544 lies above the
+        # sampled P[nu = T] = 0.917; the two-sided law gives 0.9089
+        def one_sided(cfg, k):
+            S, a = dip_time(cfg, k)
+            return cx.CheckRow("3.4", f"k={k} P[nu_k < T] <= 4^-k",
+                               math.erfc(a / math.sqrt(2.0 * S)), 4.0**-k, True)
+
+        monkeypatch.setattr(cx, "thm34_mc_nu", one_sided)
+        bounds = cx.thm34_bounds(cx.build_thm34(3.0, 3, 1.0))
+        assert bounds.p_nu_T == pytest.approx(0.9544, abs=5e-5)
+        assert [w[0] for w in sampled_on_the_wrong_side(sampled34, bounds)] == [
+            "P[nu = T] >= 2/3 - 3SE"]
 
 
 def eigenfunction_exit(S, a, terms=200):
@@ -793,7 +907,8 @@ class TestRowHardness:
         cfg34 = cx.build_thm34(3.0, 3, 1.0)
         rep34 = cx.thm34_checks(cfg34, 200, 256, seed=11)
         wit = cx.limit_not_solution_witness(cfg34, seed=10, n_paths=64, n_coarse=256)
-        soft = [r.check for rep in (rep31, rep33, rep34, wit)
+        exact34 = cx.thm34_bounds(cfg34)
+        soft = [r.check for rep in (rep31, rep33, rep34, wit, exact34)
                 for r in rep.rows if not r.hard]
         assert soft == ["K with q^2 sum >= 10.0/a",
                         "divergence witness: median V at mesh end"]
