@@ -6,13 +6,16 @@ schema (unknown keys are errors); every command works with built-in
 defaults when no config is given.  load_config then builds every input a
 command computes with once, before any compute and before the output
 directory exists; the runners only compute and write.  Outputs are CSV
-files plus a human-readable summary; reruns with the same config and seed
-are byte-identical.  Exit status is 0 iff every hard check passed.
+tables of results and checks, the whole fields as NumPy .npy/.npz files
+(`solve`'s u, and the paths of `checks --dump-paths`), plus a
+human-readable summary; reruns with the same config and seed are
+byte-identical.  Exit status is 0 iff every hard check passed.
 """
 
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,7 +96,11 @@ class RunConfig:
     inputs: Inputs = field(default_factory=Inputs)
 
     def echo(self):
-        body = {k: getattr(self, k) for k in ("command", "which", *_SCHEMA) if k != "out"}
+        """The config the command read, as one JSON line: a counterexample
+        reads only its own section."""
+        keys = (("counterexample",) if self.command == "counterexample"
+                else [k for k in _SCHEMA if k != "out"])
+        body = {k: getattr(self, k) for k in ("command", "which", *keys)}
         return json.dumps(body, sort_keys=True)
 
 
@@ -135,6 +142,18 @@ def _validate(raw):
     return out
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser where it is installed, that
+    also reads an exponent without a dot (`1e-3`) as a float; YAML 1.1
+    would read it as a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
 def load_config(path=None, command="solve", which="", overrides=None):
     """Parse, validate and default a YAML run config, then build its inputs.
 
@@ -144,7 +163,7 @@ def load_config(path=None, command="solve", which="", overrides=None):
     if path is not None:
         with open(path) as fh:
             try:
-                raw = yaml.safe_load(fh)
+                raw = yaml.load(fh, Loader=_Loader)
             except yaml.YAMLError as exc:
                 mark = getattr(exc, "problem_mark", None)
                 line = f" (line {mark.line + 1})" if mark is not None else ""
@@ -415,7 +434,8 @@ def _solution_rows(sol):
 
 def _run_solve(cfg, inp, out):
     sol = hj_solver.solve(inp.model, inp.gen, inp.tc, inp.grid, cfg.t0)
-    sol.to_csv(out / "solution.csv")
+    sol.to_npy(out / "solution.npy")
+    np.savez(out / "grid.npz", t=sol.t_grid, x=sol.x_grid, cap_active=sol.cap_active)
     rows = _solution_rows(sol)
     u0 = sol.u_at(cfg.t0, cfg.x0)
     return rows, [f"u(t0, x0) = {u0!r}", f"substeps_total = {int(sol.substeps.sum())}"]
@@ -467,11 +487,10 @@ def _run_dual(cfg, inp, out):
 def _run_checks(cfg, inp, out):
     gen, tc, model = inp.gen, inp.tc, inp.model
     sol = hj_solver.solve(model, gen, tc, inp.grid, cfg.t0)
-    sol.to_csv(out / "solution.csv")
     bundle = simulate_paths(model, cfg.x0, cfg.t0, cfg.mc["n_paths"],
                             cfg.mc["n_steps"], cfg.mc["seed"])
     if cfg.dump_paths:
-        bundle.to_csv(out / "paths.csv")
+        bundle.to_npy(out / "paths.npy")
     report = path_checks.bsde_residual(sol, model, gen, bundle)
     bmo = path_checks.bmo_energy_check(report, tc.sup_norm)
     rows = [
@@ -616,7 +635,7 @@ def main(argv=None):
     common.add_argument("--seed", type=int, default=None, help="override mc.seed")
     common.add_argument("--out", default=None, help="override output directory")
     common.add_argument("--dump-paths", action="store_true",
-                        help="also write simulated paths as CSV")
+                        help="checks: also write the simulated paths to paths.npy")
     parser = argparse.ArgumentParser(
         prog="superbsde",
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -21,7 +21,7 @@ out=)` fills a block's normals into a buffer the caller reuses for every
 block; the Thm 3.4 joint channel sizes that buffer by bytes
 (`counterexamples._joint_block`), whatever its grid, so its memory is one
 block.  The path loops of the other channels (the dual pass, the BSDE
-residual, the paths CSV) walk blocks of BLOCK_PATHS paths.  Each block
+residual, the paths dumps) walk blocks of BLOCK_PATHS paths.  Each block
 writes only its own rows of preallocated outputs, so results are
 bit-identical for every block size.
 
@@ -57,7 +57,7 @@ from numpy.random import Generator, Philox
 from . import _kernels
 from .errors import SimulationDivergedError
 
-# paths per block of the dual pass, the BSDE residual and the paths CSV;
+# paths per block of the dual pass, the BSDE residual and the paths dumps;
 # results do not depend on it
 BLOCK_PATHS = 4096
 # paths per path-major scratch through which `draw_increments(..., out=)`
@@ -227,6 +227,26 @@ class PathBundle:
                                          self.model.sigma, self.model.drift,
                                          store=store, control=control)
         return x, bad
+
+    def to_npy(self, path):
+        """x and dB at every knot as a NumPy .npy file of little-endian
+        float64, shaped (n_paths, n_steps + 1, 2): [p, k] holds x_k and the
+        increment dB_k that led to it, 0.0 at t0, the x,dB columns of
+        `to_csv` in its row order.  The header goes first and each block of
+        BLOCK_PATHS paths is written as soon as it is drawn and its knots
+        replayed, so memory holds one block, never the whole file."""
+        n = self.n_steps + 1
+        header = {"descr": "<f8", "fortran_order": False, "shape": (self.n_paths, n, 2)}
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+
+            def write(start, stop, dw):
+                rec = np.empty((stop - start, n, 2), dtype="<f8")
+                rec[..., 0] = self.knots(dw=dw)
+                rec[:, 0, 1] = 0.0
+                rec[:, 1:, 1] = dw.T
+                fh.write(rec.tobytes())
+            self.map_blocks(write)
 
     def to_csv(self, path):
         """One row per (path, step): path,t,x,dB.

@@ -113,11 +113,11 @@ class PdeSolution:
     and nothing keeps them.  A Z row depends on its u row only, so every
     reader gets the same bits.
 
-    A stacked solve has a member axis after the level axis; lookups and
-    to_csv read one member and raise ValueError on a stack, so split it
-    with `members()` first.  A member's replay steps the whole stack,
-    since its members share the clamp and every substep, and reads its
-    own column."""
+    A stacked solve has a member axis after the level axis; lookups,
+    to_npy and to_csv read one member and raise ValueError on a stack, so
+    split it with `members()` first.  A member's replay steps the whole
+    stack, since its members share the clamp and every substep, and reads
+    its own column."""
 
     x_grid: np.ndarray
     t_grid: np.ndarray
@@ -296,6 +296,20 @@ class PdeSolution:
 
     def level_time_to_go(self):
         return self.horizon - self.t_grid
+
+    def to_npy(self, path):
+        """u as a NumPy .npy file of little-endian float64, shaped (levels,
+        nodes) with levels from T down: the bytes `np.save` writes for
+        `rows(slice(None))`.  The header goes first and then each level's
+        row as one `walk` yields it, so memory holds one level, never the
+        whole field; Z = -u_x sigma is derived from u and not stored."""
+        self._one_member()
+        header = {"descr": "<f8", "fortran_order": False,
+                  "shape": (self.t_grid.size, self.x_grid.size)}
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for row in self.walk():
+                fh.write(row.astype("<f8", copy=False).tobytes())
 
     def to_csv(self, path):
         """Long format: t,x,u,z,cap_active (one row per grid node).

@@ -248,11 +248,13 @@ class TestMemory:
 
     def test_streamed_whole_field_reads_hold_a_few_rows(self, one, tmp_path):
         # 501 levels, 24 kept; the CSV's strings of one level are about 50
-        # rows of floats, and the extremes of _solution_rows hold the
-        # replay's state and one substep's temporaries
+        # rows of floats, and the .npy writer and the extremes of
+        # _solution_rows hold the replay's state and one substep's
+        # temporaries
         whole, kept = one
         row = kept.x_grid.size * 8
         for read, rows in ((lambda: kept.to_csv(tmp_path / "u.csv"), 64),
+                           (lambda: kept.to_npy(tmp_path / "u.npy"), 16),
                            (lambda: cli._solution_rows(kept), 16)):
             tracemalloc.start()
             try:

@@ -12,7 +12,7 @@ import yaml
 
 from superbsde import cli
 from superbsde import counterexamples as cx
-from superbsde import generators, hj_solver, terminal_data
+from superbsde import forward_model, generators, hj_solver, terminal_data
 from superbsde.cli import (build_generator, build_grid, build_model, build_terminal,
                            load_config, main, run)
 from superbsde.errors import ConfigError
@@ -50,10 +50,46 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="volatility"):
             load_config(p, command="solve")
 
-    def test_parse_error_has_line(self, tmp_path):
+    def test_parse_error_has_line(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
-        p.write_text("model: {sigma: 1.0\n")
+        p.write_text("grid: {n_x: 64}\nmodel: {sigma: 1.0\n")
         with pytest.raises(ConfigError):
+            load_config(p, command="solve")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: <parse>: ") and err.endswith(" (line 3)\n"), err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_loader_reads_the_fast_config_as_safe_load_does(self):
+        assert yaml.load(FAST_CFG, Loader=cli._Loader) == yaml.safe_load(FAST_CFG)
+
+    @pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("-2E+1", -20.0),
+                                             ("1.5e2", 150.0), ("5e-324", 5e-324)])
+    def test_exponent_without_a_dot_is_a_number(self, text, value):
+        raw = yaml.load(f"grid: {{dt: {text}}}\nx0: {text}\n", Loader=cli._Loader)
+        assert raw == {"grid": {"dt": value}, "x0": value}
+        assert type(raw["x0"]) is float
+
+    def test_dt_1e_3_gives_the_artifacts_of_dt_0_001(self, tmp_path):
+        outs = []
+        for name, dt in (("dot", "0.001"), ("exp", "1e-3")):
+            cfgp = tmp_path / f"{name}.yaml"
+            cfgp.write_text(FAST_CHECKS.replace("dt: 0.005", f"dt: {dt}"))
+            out = tmp_path / name
+            assert main(["solve", "--config", str(cfgp), "--out", str(out)]) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert np.load(outs[0] / "solution.npy").shape == (1001, 128)
+
+    def test_exponent_is_not_an_integer(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("grid: {n_x: 1e3}\n")
+        with pytest.raises(ConfigError, match=r"grid.n_x: expected an integer, got 1000.0"):
             load_config(p, command="solve")
 
     def test_type_errors(self, tmp_path):
@@ -123,9 +159,16 @@ class TestCommands:
         res = _run_cli(["solve", "--config", str(cfgp), "--out",
                         str(tmp_path / "o")], tmp_path, child_env)
         assert res.returncode == 0, res.stderr
-        assert (tmp_path / "o" / "solution.csv").exists()
-        assert (tmp_path / "o" / "checks.csv").exists()
-        assert (tmp_path / "o" / "summary.txt").exists()
+        out = tmp_path / "o"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checks.csv", "grid.npz", "solution.npy", "summary.txt"]
+        u = np.load(out / "solution.npy")
+        with np.load(out / "grid.npz") as grid:
+            assert sorted(grid.files) == ["cap_active", "t", "x"]
+            t, x, cap = grid["t"], grid["x"], grid["cap_active"]
+        assert u.dtype == np.dtype("<f8") and u.shape == (t.size, x.size) == (201, 128)
+        assert cap.dtype == bool and cap.shape == t.shape
+        assert t[0] == 1.0 and t[-1] == 0.0 and (x[0], x[-1]) == (-8.0, 8.0)
 
     def test_checks_tiny_domain_nonzero_exit(self, tmp_path, child_env):
         # no path stays in [-0.25, 0.25], so there is no residual to report
@@ -149,8 +192,8 @@ class TestCommands:
                         "--out", str(out)], tmp_path, child_env)
         assert res.returncode == 1
         assert res.stderr == ""
-        for name in ("solution.csv", "paths.csv", "checks.csv", "summary.txt"):
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checks.csv", "paths.npy", "summary.txt"]
         with open(out / "checks.csv", newline="") as fh:
             rows = {r["check"]: r for r in csv.DictReader(fh)}
         row = rows["path exclusion fraction <= 1%"]
@@ -172,8 +215,36 @@ class TestCommands:
         res = _run_cli(["checks", "--config", str(cfgp), "--dump-paths",
                         "--out", str(tmp_path / "o")], tmp_path, child_env)
         assert res.returncode == 0, res.stderr
-        with open(tmp_path / "o" / "paths.csv") as fh:
-            assert fh.readline() == "path,t,x,dB\n"
+        paths = np.load(tmp_path / "o" / "paths.npy")
+        assert paths.dtype == np.dtype("<f8") and paths.shape == (500, 41, 2)
+
+    @pytest.mark.parametrize("domain, status", [("x_lo: -8.0, x_hi: 8.0", 0),
+                                                ("x_lo: -0.5, x_hi: 0.5", 1)],
+                             ids=["wide", "excluding"])
+    def test_paths_npy_holds_the_library_csv_columns(self, tmp_path, monkeypatch,
+                                                     domain, status):
+        # 500 paths in blocks of 128; on the narrow domain most paths leave
+        # the grid and are excluded from the residual, but every path is
+        # dumped, in the row order of PathBundle.to_csv
+        monkeypatch.setattr(cli.forward_model, "BLOCK_PATHS", 128)
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CHECKS.replace("x_lo: -8.0, x_hi: 8.0", domain))
+        out = tmp_path / "o"
+        assert main(["checks", "--config", str(cfgp), "--dump-paths",
+                     "--out", str(out)]) == status
+        with open(out / "checks.csv", newline="") as fh:
+            excluded = {r["check"]: float(r["statistic"]) for r in csv.DictReader(fh)}[
+                "path exclusion fraction <= 1%"]
+        assert (excluded > 0.9) == bool(status)
+        cfg = load_config(cfgp, command="checks")
+        bundle = forward_model.simulate_paths(cfg.inputs.model, cfg.x0, cfg.t0,
+                                              cfg.mc["n_paths"], cfg.mc["n_steps"],
+                                              cfg.mc["seed"])
+        bundle.to_csv(tmp_path / "paths.csv")
+        with open(tmp_path / "paths.csv", newline="") as fh:
+            cols = np.array([[float(r["x"]), float(r["dB"])] for r in csv.DictReader(fh)])
+        got = np.load(out / "paths.npy").reshape(-1, 2)
+        assert np.array_equal(got.view(np.int64), cols.view(np.int64))
 
     def test_zero_payoff_checks_pass_without_warnings(self, tmp_path, child_env):
         # u = 0 and Z = 0 are exact: both envelopes read 0 against a zero
@@ -226,8 +297,8 @@ class TestCommands:
         assert text.startswith("construction,check,value,threshold,pass")
 
     def test_counterexample_34_reads_no_mc_key(self, tmp_path):
-        # configs that differ only in mc give the same artifacts; the
-        # summary's config echo records the config as given
+        # configs that differ only in mc give the same artifacts, byte for
+        # byte: the summary's config echo records only what the command read
         outs = []
         for name, mc in (("a", "{n_paths: 400, n_steps: 40, seed: 5}"),
                          ("b", "{n_paths: 7, n_steps: 3, seed: 99}")):
@@ -240,11 +311,12 @@ class TestCommands:
             outs.append(out)
         a, b = outs
         assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
-        for name in ("counterexample.csv", "checks.csv"):
+        for name in ("counterexample.csv", "checks.csv", "summary.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        summaries = [[line for line in (out / "summary.txt").read_text().splitlines()
-                      if not line.startswith("config: ")] for out in outs]
-        assert summaries[0] == summaries[1]
+        echo = (a / "summary.txt").read_text().splitlines()[1]
+        assert echo == ('config: {"command": "counterexample", "counterexample": '
+                        '{"K": 3, "T": 1.0, "epsilon": 0.5, "n": 2, "q": 3.0, '
+                        '"theta": 0.5}, "which": "3.4"}')
 
     @staticmethod
     def counterexample_values(tmp_path, which, K):
@@ -271,10 +343,13 @@ class TestCommands:
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(FAST_CHECKS)
         for sub in ("a", "b"):
-            res = _run_cli(["checks", "--config", str(cfgp), "--out",
+            res = _run_cli(["checks", "--config", str(cfgp), "--dump-paths", "--out",
                             str(tmp_path / sub)], tmp_path, child_env)
             assert res.returncode == 0, res.stderr
-        for name in ("solution.csv", "checks.csv", "summary.txt"):
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["checks.csv", "paths.npy", "summary.txt"]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+        for name in names:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
 
@@ -728,6 +803,24 @@ class TestInProcessPasses:
             for rel in first:
                 same = (root / rel).read_bytes() == (passes[0] / rel).read_bytes()
                 assert same, (root.name, rel)
+
+    def test_no_command_writes_a_field_as_text(self, tmp_path, capsys, monkeypatch):
+        # the whole-field CSV writers stay library methods; no command, not
+        # even `checks --dump-paths`, may format a field as text again
+        def refuse(self, path):
+            raise AssertionError(f"{type(self).__name__}.to_csv({path})")
+
+        monkeypatch.setattr(hj_solver.PdeSolution, "to_csv", refuse)
+        monkeypatch.setattr(forward_model.PathBundle, "to_csv", refuse)
+        configs = {"fast": tmp_path / "fast.yaml", "quad": tmp_path / "quad.yaml"}
+        configs["fast"].write_text(FAST_CFG)
+        configs["quad"].write_text(QUAD_CFG)
+        for label, key in self.COMMANDS:
+            argv = [*label.split(), "--config", str(configs[key]),
+                    "--out", str(tmp_path / label.replace(" ", "_"))]
+            if label == "checks":
+                argv.append("--dump-paths")
+            assert main(argv) == 0, (label, capsys.readouterr().err)
 
     def test_dual_alternating_configs_stay_byte_identical(self, tmp_path, child_env):
         # two dual configs whose grids and Euler steps differ, run in turn

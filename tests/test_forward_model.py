@@ -381,6 +381,24 @@ class TestExport:
                       "1,1e-05,5e-324,5e-324\n", "-1e+16"):
             assert token in text
 
+    @pytest.mark.parametrize("block", [5, 12, 4096], ids=["3_blocks", "1_block", "default"])
+    def test_npy_holds_the_csv_x_and_dB_columns(self, tmp_path, monkeypatch, block):
+        # (n_paths, n_steps + 1, 2) in the CSV's row order, written block by
+        # block, with dB = 0.0 at t0
+        monkeypatch.setattr(forward_model, "BLOCK_PATHS", block)
+        bundle = simulate_paths(ForwardModel(TanhDrift(0.8), 0.7, 1.0), 0.3, 0.0, 12, 6,
+                                seed=4)
+        bundle.to_npy(tmp_path / "paths.npy")
+        bundle.to_csv(tmp_path / "paths.csv")
+        got = np.load(tmp_path / "paths.npy")
+        assert got.dtype == np.dtype("<f8") and got.shape == (12, 7, 2)
+        with open(tmp_path / "paths.csv", newline="") as fh:
+            cols = np.array([[float(r["x"]), float(r["dB"])] for r in csv.DictReader(fh)])
+        assert np.array_equal(got.reshape(-1, 2).view(np.int64), cols.view(np.int64))
+        assert np.array_equal(got[..., 0], bundle.knots())
+        assert np.array_equal(got[:, 1:, 1], bundle.increments().T)
+        assert not np.signbit(got[:, 0, 1]).any() and not got[:, 0, 1].any()
+
     def test_csv_dump(self, tmp_path):
         bundle = simulate_paths(model_bm(), 0.0, 0.0, 3, 4, seed=10)
         path = tmp_path / "paths.csv"

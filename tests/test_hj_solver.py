@@ -417,6 +417,12 @@ class TestStackedSolve:
             self.two_cos_stack().to_csv(path)
         assert not path.exists()
 
+    def test_to_npy_rejects_a_stack(self, tmp_path):
+        path = tmp_path / "solution.npy"
+        with pytest.raises(ValueError, match=r"split a stacked solution with members\(\)"):
+            self.two_cos_stack().to_npy(path)
+        assert not path.exists()
+
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
@@ -567,6 +573,29 @@ class TestExport:
         assert np.array_equal(vals[:, 2].reshape(shape), sol.u)
         assert np.array_equal(vals[:, 3].reshape(shape), sol.z_rows(slice(None)))
         assert np.array_equal(vals[:, 4].reshape(shape)[:, 0], sol.cap_active)
+
+    @pytest.mark.parametrize("keep", [hj_solver.KEEP_FLOATS, 0], ids=["kept", "checkpointed"])
+    def test_solution_npy(self, tmp_path, monkeypatch, keep):
+        # u as np.save writes it, bit for bit, whether the solve kept every
+        # level or replays them from checkpoints; its ravel is the u column
+        # of the long CSV
+        monkeypatch.setattr(hj_solver, "KEEP_FLOATS", keep)
+        tc = TerminalCondition.analytic("cos", amplitude=0.5)
+        sol = solve(bm_model(), PowerGenerator(3.0), tc,
+                    GridSpec(n_x=64, dt=0.05, x_lo=-4, x_hi=4), 0.0)
+        assert (sol.replay is None) == (keep > 0)
+        path, ref = tmp_path / "solution.npy", tmp_path / "ref.npy"
+        sol.to_npy(path)
+        u = np.load(path)
+        assert u.dtype == np.dtype("<f8") and u.shape == (sol.t_grid.size, sol.x_grid.size)
+        want = sol.rows(slice(None))
+        assert np.array_equal(u.view(np.int64), want.view(np.int64))
+        np.save(ref, want)
+        assert path.read_bytes() == ref.read_bytes()
+        sol.to_csv(tmp_path / "solution.csv")
+        with open(tmp_path / "solution.csv", newline="") as fh:
+            column = np.array([float(row["u"]) for row in csv.DictReader(fh)])
+        assert np.array_equal(u.ravel().view(np.int64), column.view(np.int64))
 
 
 _COS = TerminalCondition.analytic("cos", amplitude=0.5)
