@@ -634,8 +634,6 @@ def main(argv=None):
     common.add_argument("--config", default=None, help="YAML run config")
     common.add_argument("--seed", type=int, default=None, help="override mc.seed")
     common.add_argument("--out", default=None, help="override output directory")
-    common.add_argument("--dump-paths", action="store_true",
-                        help="checks: also write the simulated paths to paths.npy")
     parser = argparse.ArgumentParser(
         prog="superbsde",
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -644,17 +642,19 @@ def main(argv=None):
                     "ill-posedness witnesses.",
         epilog="config defaults (YAML):\n" + _defaults_yaml())
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "dual", "checks", "regularize", "oracle"):
-        sub.add_parser(name, parents=[common])
-    pc = sub.add_parser("counterexample", parents=[common])
-    pc.add_argument("which", choices=["3.1", "3.3", "3.4"])
+    cmd = {name: sub.add_parser(name, parents=[common])
+           for name in ("solve", "dual", "checks", "regularize", "oracle",
+                        "counterexample")}
+    cmd["checks"].add_argument("--dump-paths", action="store_true",
+                               help="also write the simulated paths to paths.npy")
+    cmd["counterexample"].add_argument("which", choices=["3.1", "3.3", "3.4"])
 
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, command=args.command,
                           which=getattr(args, "which", ""),
                           overrides={"seed": args.seed, "out": args.out,
-                                     "dump_paths": args.dump_paths})
+                                     "dump_paths": getattr(args, "dump_paths", False)})
         return run(cfg)
     except SuperbsdeError as exc:
         print(f"error: {exc}", file=sys.stderr)

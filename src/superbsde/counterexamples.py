@@ -16,12 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Unused here: every normal comes from forward_model.path_normals.  Kept
-# because perfbench/tracer.py (Tracer.count_rng) patches these two names.
-from numpy.random import Generator, Philox  # noqa: F401
 
 from . import _kernels
 from .errors import RangeOverflowError
+# Generator and Philox are unused here: every normal comes from
+# forward_model.path_normals.  Kept, as forward_model's lazy callables that
+# import nothing, because perfbench's tracer (Tracer.count_rng) patches
+# these two names.
+from .forward_model import Generator, Philox  # noqa: F401
 from .forward_model import map_path_blocks, path_normals
 
 # Bytes per block of the Thm 3.4 joint channel (memory only: per-path

@@ -35,17 +35,16 @@ rules agree (`gauss_hermite_expectation`); every other row, the feedback
 row always, is the Monte Carlo value of `evaluate_controls`.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from . import _kernels, forward_model
 from .errors import ExtrapolationRangeError, SimulationDivergedError
 from .forward_model import (draw_increments, euler_gaussian_law, map_path_blocks,
                             time_step)
+from .hj_solver import _gauss_hermite_rule
 
 
 def knot_times(t0, dt, n_steps):
@@ -288,13 +287,6 @@ def evaluate_control(model, conj, tc, ctrl, x0, t0, n_paths, n_steps, seed):
     that control alone."""
     return evaluate_controls(model, conj, tc, (ctrl,), x0, t0, n_paths, n_steps,
                              seed)[0]
-
-
-@functools.cache
-def _gauss_hermite_rule(n):
-    """Nodes and weights of the n-node rule for E[h(N)], N ~ N(0, 1)."""
-    nodes, weights = hermegauss(n)
-    return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
 # largest gap between the 64- and 128-node rules, relative to max(1, ||Phi||)

@@ -15,6 +15,14 @@ and do not depend on how paths are split into blocks.  Salts:
 0 the Brownian increments of `simulate_paths` and of the dual Monte Carlo
 pass, 3 the Thm 3.4 joint channel; 1 and 2 are unused since Thm 3.3 is exact.
 
+numpy.random loads at the first draw, not at import, so a run that draws
+nothing (the PDE, the exact witnesses) does not pay its 6 MB.  `Philox`
+and `Generator` are thin module-level callables that return numpy's
+objects; they stay module names, looked up at each draw, because the
+benchmark's tracer (perfbench/tracer.py, `Tracer.count_rng`) counts
+streams and normals by patching them, until the package counts its own
+work (ROADMAP direction 16).
+
 The package starts no threads.  `map_path_blocks` runs a channel's blocks
 of paths one after another on the calling thread, and `path_normals(...,
 out=)` fills a block's normals into a buffer the caller reuses for every
@@ -52,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import _kernels
 from .errors import SimulationDivergedError
@@ -63,6 +70,18 @@ BLOCK_PATHS = 4096
 # paths per path-major scratch through which `draw_increments(..., out=)`
 # fills a step-major buffer; results do not depend on it
 SCRATCH_PATHS = 256
+
+
+# numpy.random at the first draw; the tracer patches these two names
+def Philox(*args, **kwargs):
+    """numpy.random.Philox(*args, **kwargs); numpy loads numpy.random at
+    the first access of np.random."""
+    return np.random.Philox(*args, **kwargs)
+
+
+def Generator(bit_generator):
+    """numpy.random.Generator(bit_generator), loaded as `Philox` is."""
+    return np.random.Generator(bit_generator)
 
 
 class Drift:

@@ -3,7 +3,11 @@ Hamilton-Jacobi equation
 
     u_t + 0.5 sigma^2 u_xx + u_x b(t,x) - g(-u_x sigma) = 0,  u(T,.) = Phi,
 
-plus the exact Cole-Hopf reference for the quadratic generator.
+plus the exact Cole-Hopf reference for the quadratic generator, by a
+Gauss-Hermite rule (`_gauss_hermite_rule`, shared with `dual_mc`) that
+is built at the first quadrature, not at import: numpy.polynomial and
+the LAPACK pages of its eigenvalue solve load only in a run that needs
+them.
 
 Scheme: IMEX stepping in time-to-go.  The diffusion 0.5 sigma^2 u_xx is
 implicit (centered second differences, one tridiagonal solve per
@@ -40,13 +44,13 @@ checkpoint before it by the same level step (`_LevelStep`), bit for bit
 (Griewank and Walther, "revolve", ACM TOMS 26, 2000).
 """
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from . import _kernels
 from .errors import NotGaussianError, ResolutionError
@@ -568,8 +572,13 @@ def solve(model, gen, tc, grid, t0):
                        tc=stack if stacked else tc, replay=replay)
 
 
-_GH_NODES, _GH_WEIGHTS = hermegauss(64)
-_GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
+@functools.cache
+def _gauss_hermite_rule(n):
+    """Nodes and weights of the n-node Gauss-Hermite rule for E[h(N)],
+    N ~ N(0, 1), built at the first call for each n."""
+    from numpy.polynomial.hermite_e import hermegauss
+    nodes, weights = hermegauss(n)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
 def cole_hopf_reference(model, gen, tc, t, x):
@@ -592,10 +601,11 @@ def cole_hopf_reference(model, gen, tc, t, x):
     if span <= 0.0:
         out = np.asarray(tc(x), dtype=float)
         return float(out) if out.ndim == 0 else out
+    nodes, weights = _gauss_hermite_rule(64)
     s = model.sigma * np.sqrt(span)
-    pts = x[..., None] + s * _GH_NODES
+    pts = x[..., None] + s * nodes
     vals = np.exp(-2.0 * gamma * np.asarray(tc(pts), dtype=float))
-    out = -np.log(vals @ _GH_WEIGHTS) / (2.0 * gamma)
+    out = -np.log(vals @ weights) / (2.0 * gamma)
     return float(out) if out.ndim == 0 else out
 
 

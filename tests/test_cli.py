@@ -218,6 +218,23 @@ class TestCommands:
         paths = np.load(tmp_path / "o" / "paths.npy")
         assert paths.dtype == np.dtype("<f8") and paths.shape == (500, 41, 2)
 
+    def test_dump_paths_is_a_checks_flag(self, tmp_path, capsys):
+        # only checks simulates paths; any other command given the flag
+        # is refused by argparse before it writes anything
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(FAST_CHECKS)
+        for command in ("solve", "dual"):
+            out = tmp_path / command
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfgp), "--dump-paths", "--out", str(out)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --dump-paths" in capsys.readouterr().err
+            assert not out.exists()
+        out = tmp_path / "checks"
+        assert main(["checks", "--config", str(cfgp), "--dump-paths",
+                     "--out", str(out)]) == 0
+        assert np.load(out / "paths.npy").shape == (500, 41, 2)
+
     @pytest.mark.parametrize("domain, status", [("x_lo: -8.0, x_hi: 8.0", 0),
                                                 ("x_lo: -0.5, x_hi: 0.5", 1)],
                              ids=["wide", "excluding"])

@@ -6,10 +6,18 @@ time and peak memory.  The package also starts no threads: the Thm 3.4
 joint channel runs its path blocks one after another on the calling
 thread, so ``concurrent.futures`` is never imported and a channel of
 several blocks leaves one thread alive.
+
+Within numpy, a run loads only what it computes with: ``numpy.random``
+(about 6 MB) at the first draw and ``numpy.polynomial`` (the Gauss-Hermite
+rule, about 1.3 MB with its LAPACK pages) at the first quadrature.  So
+``solve``, ``regularize`` and the three exact ``counterexample`` commands
+load neither, ``oracle`` only the quadrature, and ``checks`` the RNG.
 """
 
 import subprocess
 import sys
+
+from test_acceptance import FAST_CFG, QUAD_CFG
 
 _CHILD = """
 import sys
@@ -51,3 +59,45 @@ def test_package_runs_without_numba_and_scipy(child_env):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "ok"
+
+
+_FOOTPRINT_CHILD = """
+import sys
+import threading
+import superbsde, superbsde.cli
+fast, quad, out = sys.argv[1:]
+
+def loaded():
+    return {m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules}
+
+def run(*argv, config=fast):
+    name = "_".join(argv)
+    assert superbsde.cli.main([*argv, "--config", config, "--out",
+                               f"{out}/{name}"]) == 0, name
+
+assert loaded() == set(), loaded()
+for argv in (["solve"], ["regularize"], ["counterexample", "3.1"],
+             ["counterexample", "3.3"], ["counterexample", "3.4"]):
+    run(*argv)
+    assert loaded() == set(), (argv, loaded())
+run("oracle", config=quad)
+assert loaded() == {"numpy.polynomial"}, loaded()
+run("checks")
+assert "numpy.random" in loaded()
+assert threading.active_count() == 1, threading.enumerate()
+print("ok")
+"""
+
+
+def test_commands_load_only_what_they_compute_with(tmp_path, child_env):
+    # at A12's configs: the PDE and the exact witnesses draw no normal and
+    # run no quadrature, so they must not pay for numpy.random or
+    # numpy.polynomial
+    fast, quad = tmp_path / "fast.yaml", tmp_path / "quad.yaml"
+    fast.write_text(FAST_CFG)
+    quad.write_text(QUAD_CFG)
+    res = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, str(fast),
+                          str(quad), str(tmp_path / "out")], cwd=tmp_path,
+                         env=child_env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "ok"

@@ -249,6 +249,24 @@ class TestColeHopf:
         num = sol.u[-1][np.abs(sol.x_grid) <= 2.0]
         assert np.max(np.abs(num - ref)) <= 2e-3
 
+    def test_shared_rule_gives_the_bits_of_the_old_constants(self):
+        # A2's case on |x| <= 3; the rule, loaded at the first quadrature
+        # and shared with dual_mc, divides by math.sqrt(2 pi) where the old
+        # import-time constants divided by np.sqrt(2 pi)
+        from numpy.polynomial.hermite_e import hermegauss
+
+        from superbsde import dual_mc
+        nodes, weights = hermegauss(64)
+        weights = weights / np.sqrt(2.0 * np.pi)
+        tc, gamma = TerminalCondition.analytic("inv_quad", amplitude=1.0), 0.5
+        xs = np.linspace(-3.0, 3.0, 601)
+        pts = xs[:, None] + 1.0 * np.sqrt(1.0) * nodes  # sigma sqrt(T - t)
+        vals = np.exp(-2.0 * gamma * np.asarray(tc(pts), dtype=float))
+        want = -np.log(vals @ weights) / (2.0 * gamma)
+        got = cole_hopf_reference(bm_model(), QuadraticGenerator(gamma), tc, 0.0, xs)
+        assert _same_bits(got, want)
+        assert dual_mc._gauss_hermite_rule is hj_solver._gauss_hermite_rule
+
     def test_drift_rejected(self):
         tc = TerminalCondition.analytic("cos")
         with pytest.raises(NotGaussianError):

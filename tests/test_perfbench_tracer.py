@@ -14,7 +14,7 @@ from pathlib import Path
 import superbsde
 import superbsde.cli  # noqa: F401  (the tracer wraps cli as well)
 from superbsde import counterexamples as cx
-from superbsde import hj_solver
+from superbsde import forward_model, hj_solver
 from superbsde.forward_model import ForwardModel, ZeroDrift
 from superbsde.generators import PowerGenerator
 from superbsde.terminal_data import TerminalCondition
@@ -92,3 +92,29 @@ def test_traced_comb_normals_are_the_channel_draws(monkeypatch):
     assert passes[0] == passes[1]
     # thm34_checks at 200 paths and the 64-path witness, 512 knots, k <= 3
     assert passes[0][0] == passes[0][1] == (200 + 64) * 512 * 3
+
+
+def test_traced_dual_counts_the_lazy_rng_draws():
+    # forward_model's Philox and Generator load numpy.random at the first
+    # draw; the tracer still patches them by name, so two toy mc_dual
+    # passes count the same streams and every normal: the 2000 x 50 dual
+    # draw, and the 1000 x 20 residual increments drawn twice (simulate_paths
+    # and bsde_residual)
+    workload = load("workloads").McDual(0, toy=True)
+    passes = []
+    for _ in range(2):
+        tracer = load("tracer").Tracer()
+        tracer.install(superbsde)
+        try:
+            checks, _ = workload.run_pass()
+        finally:
+            tracer.restore()
+        assert checks and all(c.passed for c in checks)
+        passes.append((tracer.counts["forward_model.normals"],
+                       tracer.counts["forward_model.philox_streams"]))
+    assert passes[0] == passes[1]
+    # one re-keyed Philox per draw: the dual pass, simulate_paths, the residual
+    assert passes[0] == (2000 * 50 + 2 * 1000 * 20, 3)
+    for module in (forward_model, cx):
+        assert vars(module)["Philox"] is forward_model.Philox
+        assert vars(module)["Generator"] is forward_model.Generator
